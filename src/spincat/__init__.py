@@ -34,7 +34,6 @@ from .dynamics import (
     flip_rate_for_lifetime,
 )
 from .operators import (
-    nq_coherence_operator,
     partial_trace,
     propagator,
     single_spin_operator,
@@ -56,14 +55,12 @@ from .states import (
     cat_state,
     coherence_orders,
     decohered_mixture,
-    entangled_pair_state,
     ferro_state,
     fidelity,
     nq_amplitude,
     pseudopure,
     purity,
     reduced_state,
-    strip_coherences,
     thermal_state,
     von_neumann_entropy,
 )

@@ -4,16 +4,18 @@ Subcommands: ``run-protocol``, ``decay-scan``, ``spectrum``,
 ``scaling``.  Exit codes: 0 success, 1 configuration error, 2 numerical
 invariant violation, 3 analysis failure.
 
-Every output file is written atomically (temp file, then rename) and
-starts with the sha256 of the configuration and the seed in use, so
-runs are traceable and byte-reproducible: the same config and seed
-always produce identical files.
+Every output file is written atomically (a uniquely named temp file in
+the output directory, then rename).  Every CSV and JSON output starts
+with the sha256 of the configuration and the seed in use, so runs are
+traceable and byte-reproducible: the same config and seed always
+produce identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
@@ -118,7 +120,9 @@ def cmd_run_protocol(args: argparse.Namespace) -> int:
     run.write_csv("coherence_orders.csv", ("delay_s", "step", "order", "weight"), rows)
     if args.dump_states:
         for k, report in enumerate(reports):
-            np.save(run.out_dir / f"state_final_{k:02d}.npy", report.final_state.matrix)
+            buffer = io.BytesIO()
+            np.save(buffer, report.final_state.matrix)
+            _write_atomic(run.out_dir / f"state_final_{k:02d}.npy", buffer.getvalue())
     for report in reports:
         print(
             f"delay {report.delay_s:.6g} s: system fidelity {report.final_system_fidelity:.9f}, "
@@ -241,7 +245,8 @@ class _RunContext:
     def write_json(self, name: str, payload: dict) -> None:
         if "json" not in self.formats:
             return
-        _write_atomic(self.out_dir / name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _write_atomic(self.out_dir / name, text.encode())
 
     def write_csv(self, name: str, columns: tuple[str, ...], rows) -> None:
         if "csv" not in self.formats:
@@ -253,7 +258,7 @@ class _RunContext:
         ]
         for row in rows:
             lines.append(",".join(_format_value(value) for value in row))
-        _write_atomic(self.out_dir / name, "\n".join(lines) + "\n")
+        _write_atomic(self.out_dir / name, ("\n".join(lines) + "\n").encode())
 
 
 def _resolve_state(name: str, config: RunConfig) -> DensityMatrix:
@@ -262,6 +267,8 @@ def _resolve_state(name: str, config: RunConfig) -> DensityMatrix:
             matrix = np.load(name)
         except OSError as error:
             raise ConfigError(f"cannot read state file {name}: {error}") from error
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ConfigError(f"state file {name}: expected a square 2-D array, got shape {matrix.shape}")
         n_spins = max(int(matrix.shape[0]).bit_length() - 1, 0)
         return DensityMatrix(matrix, n_spins)
     n = config.system.n_spins
@@ -290,10 +297,21 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write to a temp file beside ``path``, then rename it over ``path``.
+
+    The temp name is random and created exclusively, so runs writing
+    into one directory at once cannot clash.  Unlike ``mkstemp``, which
+    makes the file owner-only, the file gets the umask's permissions.
+    """
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 if __name__ == "__main__":

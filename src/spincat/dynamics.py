@@ -288,33 +288,28 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, seed: int) -> De
     return DensityMatrix(accumulated, rho.n_spins, rho.pseudopure_background)
 
 
-def controlled_not_unitary(n_spins: int, control: int, targets: Sequence[int]) -> np.ndarray:
-    """Permutation flipping every target spin when the control is down."""
-    perm = controlled_not_permutation(n_spins, control, targets)
-    dim = 1 << n_spins
-    u = np.zeros((dim, dim), dtype=complex)
-    u[perm, np.arange(dim)] = 1.0
-    return u
+def conditional_flip(rho: DensityMatrix, condition_mask: int, flip_mask: int) -> DensityMatrix:
+    """Conjugate by the permutation that flips the ``flip_mask`` bits of
+    every basis index whose ``condition_mask`` bits are all set (down).
 
-
-def controlled_not_permutation(n_spins: int, control: int, targets: Sequence[int]) -> np.ndarray:
-    targets = list(targets)
-    if control in targets:
-        raise ValueError("control overlaps the target set")
-    if not targets:
+    With disjoint masks the permutation is an involution, so conjugating
+    by it is one reindexing of rows and columns and is its own inverse.
+    """
+    if condition_mask & flip_mask:
+        raise ValueError("flipped spins overlap the condition spins")
+    if not flip_mask:
         raise ValueError("empty target set")
-    control_mask = operators.site_mask([control], n_spins)
-    target_mask = operators.site_mask(targets, n_spins)
-    index = np.arange(1 << n_spins)
-    return np.where(index & control_mask, index ^ target_mask, index)
+    index = np.arange(rho.dim)
+    perm = np.where(index & condition_mask == condition_mask, index ^ flip_mask, index)
+    matrix = rho.matrix[np.ix_(perm, perm)]
+    return DensityMatrix(matrix, rho.n_spins, rho.pseudopure_background)
 
 
 def controlled_not_all(rho: DensityMatrix, control: int, targets: Sequence[int]) -> DensityMatrix:
-    """Conjugate by the collective controlled-NOT.  The permutation is an
-    involution, so this is its own inverse."""
-    perm = controlled_not_permutation(rho.n_spins, control, targets)
-    matrix = rho.matrix[np.ix_(perm, perm)]
-    return DensityMatrix(matrix, rho.n_spins, rho.pseudopure_background)
+    """Conjugate by the collective controlled-NOT, which flips every
+    target spin when the control is down.  It is its own inverse."""
+    n = rho.n_spins
+    return conditional_flip(rho, operators.site_mask([control], n), operators.site_mask(targets, n))
 
 
 def _pulse_generator(pulse: Pulse, n_spins: int) -> np.ndarray:

@@ -24,6 +24,7 @@ import numpy as np
 
 MAX_SPINS = 12
 
+# Largest |M - M^dagger| element accepted as Hermitian, for states and generators alike.
 HERMITIAN_TOL = 1e-10
 
 SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
@@ -33,16 +34,6 @@ SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 _SINGLE = {"x": SX, "y": SY, "z": SZ, "plus": SP, "minus": SM}
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with the leftmost factor acting on spin 0."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def identity(n_spins: int) -> np.ndarray:
-    _check_register_size(n_spins)
-    return np.eye(1 << n_spins, dtype=complex)
 
 
 def n_spins_of(matrix: np.ndarray) -> int:
@@ -55,11 +46,6 @@ def n_spins_of(matrix: np.ndarray) -> int:
     if dim <= 0 or (1 << n) != dim:
         raise ValueError(f"matrix dimension {dim} is not a power of two")
     return n
-
-
-def spin_bit(index: int, site: int, n_spins: int) -> int:
-    """Bit of basis state ``index`` for the given spin (0 up, 1 down)."""
-    return (index >> (n_spins - 1 - site)) & 1
 
 
 def site_mask(sites: Iterable[int], n_spins: int) -> int:
@@ -78,10 +64,13 @@ def bit_table(n_spins: int) -> np.ndarray:
     return (index[None, :] >> shifts[:, None]) & 1
 
 
-def magnetization(index: int, n_spins: int) -> float:
-    """Total Sz eigenvalue of a basis state: +1/2 per up spin, -1/2 per down."""
-    down = (index & ((1 << n_spins) - 1)).bit_count()
-    return 0.5 * n_spins - down
+def sz_eigenvalues(sites: Sequence[int], n_spins: int) -> np.ndarray:
+    """Eigenvalue of the total Sz over ``sites`` for every basis index:
+    +1/2 per listed spin that is up, -1/2 per listed spin that is down.
+    This is the diagonal of ``total_spin_operator("z", sites, n_spins)``."""
+    for site in sites:
+        _check_site(site, n_spins)
+    return (0.5 - bit_table(n_spins)[list(sites)]).sum(axis=0)
 
 
 def single_spin_operator(kind: str, site: int, n_spins: int) -> np.ndarray:
@@ -108,32 +97,6 @@ def total_spin_operator(kind: str, sites: Sequence[int], n_spins: int) -> np.nda
     for site in sites:
         out += single_spin_operator(kind, site, n_spins)
     return out
-
-
-def nq_coherence_operator(n_spins: int, sites: Sequence[int] | None = None) -> np.ndarray:
-    """Highest-order coherence operator: product of S+ over ``sites`` plus adjoint.
-
-    With all sites included the only nonzero entries are the two corner
-    elements connecting ``|u>`` and ``|d>``.
-    """
-    _check_register_size(n_spins)
-    if sites is None:
-        sites = range(n_spins)
-    sites = list(sites)
-    if not sites:
-        raise ValueError("empty site list")
-    if len(set(sites)) != len(sites):
-        raise ValueError("duplicate sites")
-    mask = site_mask(sites, n_spins)
-    dim = 1 << n_spins
-    raising = np.zeros((dim, dim), dtype=complex)
-    # Product of S+ maps each state with every listed spin down to the
-    # state with those spins up; all other columns vanish.
-    for base in range(dim):
-        if base & mask:
-            continue
-        raising[base, base | mask] = 1.0
-    return raising + raising.conj().T
 
 
 def propagator(h: np.ndarray, t: float) -> np.ndarray:

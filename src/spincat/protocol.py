@@ -5,25 +5,29 @@ sites 1..n.  The five steps:
 
 A. initialize: pseudopure all-up state.
 B. create_cat: rotate the system subspace so ``|u> -> a|u> + b|d>``;
-   the control is untouched.
+   the control is untouched.  This is a two-level rotation of each
+   index pair ``(base, base | system_mask)``.
 C. entangle: flip the control wherever every system spin is down,
    taking ``|up>(a|u> + b|d>)`` to ``a|up>|u> + b|down>|d>``.  The
-   permutation is an involution, so the same unitary also serves as
-   the read-out inverse.
+   permutation is an involution, so the same step also serves as the
+   read-out inverse.
 D. decohere: apply dephasing for the configured delay (closed form, or
    a Monte Carlo phase-kick average), plus optional flip relaxation.
+   Both are elementwise channels.
 E. recover: collective controlled-NOT conditioned on the control,
    restoring every system spin to up in both branches.  Which-path
    information ends up in the control spin alone.
 
 Steps B, C, and E are exact target unitaries (basis rotations and
 permutations), not pulse sequences; pulse-level compilation is out of
-scope here.
+scope here.  They are applied by their structure, in O(D^2), without
+forming a dense D x D unitary.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,36 +138,6 @@ class ProtocolReport:
         }
 
 
-def cat_rotation_unitary(n_total: int, system_sites: tuple[int, ...], weights: CatWeights) -> np.ndarray:
-    """Unitary rotating ``|all system up>`` to ``a|u> + b|d>`` in every
-    sector of the remaining spins, identity elsewhere."""
-    mask = operators.site_mask(system_sites, n_total)
-    dim = 1 << n_total
-    u = np.eye(dim, dtype=complex)
-    a, b = weights.a, weights.b
-    for base in range(dim):
-        if base & mask:
-            continue
-        up, down = base, base | mask
-        u[up, up] = a
-        u[down, up] = b
-        u[up, down] = -np.conj(b)
-        u[down, down] = np.conj(a)
-    return u
-
-
-def entangle_unitary(n_total: int, control_site: int, system_sites: tuple[int, ...]) -> np.ndarray:
-    """Permutation flipping the control wherever all system spins are down."""
-    control_mask = operators.site_mask([control_site], n_total)
-    system_mask = operators.site_mask(system_sites, n_total)
-    index = np.arange(1 << n_total)
-    perm = np.where(index & system_mask == system_mask, index ^ control_mask, index)
-    dim = 1 << n_total
-    u = np.zeros((dim, dim), dtype=complex)
-    u[perm, index] = 1.0
-    return u
-
-
 def step_a_initialize(config: ProtocolConfig) -> DensityMatrix:
     """Pseudopure all-up state of the full register."""
     target = states.ferro_state(config.n_total, "up")
@@ -171,19 +145,31 @@ def step_a_initialize(config: ProtocolConfig) -> DensityMatrix:
 
 
 def step_b_create_cat(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatrix:
-    u = cat_rotation_unitary(config.n_total, config.system.system_sites, config.weights)
-    return dynamics.apply_unitary(rho, u)
+    """``U rho U+`` for the rotation taking ``|all system up>`` to
+    ``a|u> + b|d>`` in each control sector, identity elsewhere.
+
+    ``U`` acts as ``[[a, -conj(b)], [b, conj(a)]]`` on every index pair
+    ``(base, base | system_mask)``: rows are rotated by ``U``, then
+    columns by ``conj(U)``.
+    """
+    mask = operators.site_mask(config.system.system_sites, config.n_total)
+    index = np.arange(rho.dim)
+    up = index[index & mask == 0]
+    down = up | mask
+    a, b = config.weights.a, config.weights.b
+    rotation = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+    matrix = np.array(rho.matrix)
+    _rotate_row_pairs(matrix, up, down, rotation)
+    _rotate_row_pairs(matrix.T, up, down, rotation.conj())
+    return DensityMatrix(matrix, rho.n_spins, rho.pseudopure_background)
 
 
 def step_c_entangle(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatrix:
-    u = entangle_unitary(config.n_total, config.system.control_sites[0], config.system.system_sites)
-    return dynamics.apply_unitary(rho, u)
-
-
-def step_c_inverse(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatrix:
-    """Read-out inverse of step C; identical because the unitary is an
-    involution."""
-    return step_c_entangle(rho, config)
+    """Flip the control wherever every system spin is down; an involution."""
+    n = config.n_total
+    system_mask = operators.site_mask(config.system.system_sites, n)
+    control_mask = operators.site_mask(config.system.control_sites, n)
+    return dynamics.conditional_flip(rho, system_mask, control_mask)
 
 
 def step_d_decohere(rho: DensityMatrix, config: ProtocolConfig, seed: int | None = None) -> DensityMatrix:
@@ -209,24 +195,16 @@ def step_e_recover(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatrix:
 def ideal_step_states(config: ProtocolConfig) -> dict[str, DensityMatrix]:
     """Pure reference states of each step at unit purity and zero noise."""
     n = config.n_total
-    dim = 1 << n
     a, b = config.weights.a, config.weights.b
-    control_mask = operators.site_mask([config.system.control_sites[0]], n)
+    control_mask = operators.site_mask(config.system.control_sites, n)
     system_mask = operators.site_mask(config.system.system_sites, n)
-
-    def pure(amplitudes: dict[int, complex]) -> DensityMatrix:
-        psi = np.zeros(dim, dtype=complex)
-        for index, value in amplitudes.items():
-            psi[index] = value
-        return DensityMatrix(np.outer(psi, psi.conj()), n)
-
-    entangled = pure({0: a, control_mask | system_mask: b})
+    entangled = states.basis_state(n, {0: a, control_mask | system_mask: b})
     return {
-        "initialize": pure({0: 1.0}),
-        "create_cat": pure({0: a, system_mask: b}),
+        "initialize": states.basis_state(n, {0: 1.0}),
+        "create_cat": states.basis_state(n, {0: a, system_mask: b}),
         "entangle": entangled,
         "decohere": entangled,
-        "recover": pure({0: a, control_mask: b}),
+        "recover": states.basis_state(n, {0: a, control_mask: b}),
     }
 
 
@@ -235,19 +213,16 @@ def run_protocol(config: ProtocolConfig) -> ProtocolReport:
     ideals = ideal_step_states(config)
     control = config.system.control_sites[0]
     system_sites = list(config.system.system_sites)
-    sz_system = operators.total_spin_operator("z", system_sites, config.n_total)
-    sz_total = operators.total_spin_operator("z", list(range(config.n_total)), config.n_total)
 
     def record(name: str, rho: DensityMatrix) -> StepRecord:
-        decomposition = states.coherence_orders(rho)
-        weights = {q: w for q, w in decomposition.weights.items() if w > 1e-12}
+        weights = {q: w for q, w in states.coherence_orders(rho).items() if w > 1e-12}
         return StepRecord(
             name=name,
             fidelity=states.fidelity(rho, ideals[name]),
             coherence_weights=weights,
             control_entropy=states.von_neumann_entropy(states.reduced_state(rho, [control])),
             system_entropy=states.von_neumann_entropy(states.reduced_state(rho, system_sites)),
-            system_magnetization=float(states.expectation(rho, sz_system).real),
+            system_magnetization=states.magnetization(rho, system_sites),
         )
 
     rho = step_a_initialize(config)
@@ -267,7 +242,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolReport:
         steps=tuple(records),
         final_system_fidelity=states.fidelity(states.reduced_state(rho, system_sites), system_target),
         final_control_entropy=states.von_neumann_entropy(states.reduced_state(rho, [control])),
-        final_total_magnetization=float(states.expectation(rho, sz_total).real),
+        final_total_magnetization=states.magnetization(rho, range(config.n_total)),
         final_state=rho,
     )
 
@@ -282,16 +257,11 @@ def measure_nq_decay(config: ProtocolConfig, delays_s: list[float]) -> list[tupl
     ``exp(-N*gamma*t/2)``.
     """
     system_sites = list(config.system.system_sites)
-    per_point_seeds = _per_point_seeds(config.seed, len(delays_s))
-    results = []
-    prepared = step_c_entangle(step_b_create_cat(step_a_initialize(config), config), config)
-    for delay, point_seed in zip(delays_s, per_point_seeds):
-        point_config = dataclasses.replace(config, delay_s=float(delay))
-        rho = step_d_decohere(prepared, point_config, seed=point_seed)
-        rho = step_c_inverse(rho, point_config)
-        amplitude = abs(states.nq_amplitude(rho, system_sites))
-        results.append((float(delay), float(amplitude)))
-    return results
+
+    def readout(rho: DensityMatrix) -> float:
+        return abs(states.nq_amplitude(step_c_entangle(rho, config), system_sites))
+
+    return _scan_delays(config, delays_s, readout)
 
 
 def measure_diagonal_decay(config: ProtocolConfig, delays_s: list[float]) -> list[tuple[float, float]]:
@@ -304,18 +274,33 @@ def measure_diagonal_decay(config: ProtocolConfig, delays_s: list[float]) -> lis
     if not config.include_flip_relaxation or max(config.noise.flip_per_s) <= 0.0:
         raise ValueError("diagonal decay needs flip relaxation enabled with a nonzero rate")
     system_sites = list(config.system.system_sites)
-    sz_system = operators.total_spin_operator("z", system_sites, config.n_total)
-    per_point_seeds = _per_point_seeds(config.seed, len(delays_s))
+    return _scan_delays(config, delays_s, lambda rho: states.magnetization(rho, system_sites))
+
+
+def _scan_delays(
+    config: ProtocolConfig, delays_s: list[float], readout: Callable[[DensityMatrix], float]
+) -> list[tuple[float, float]]:
+    """Prepare A through C once, then decohere for each delay and read out.
+
+    Each point draws its own seed, so a point does not depend on the
+    others in the scan.
+    """
     prepared = step_c_entangle(step_b_create_cat(step_a_initialize(config), config), config)
     results = []
-    for delay, point_seed in zip(delays_s, per_point_seeds):
+    for delay, point_seed in zip(delays_s, _per_point_seeds(config.seed, len(delays_s))):
         point_config = dataclasses.replace(config, delay_s=float(delay))
         rho = step_d_decohere(prepared, point_config, seed=point_seed)
-        polarization = float(states.expectation(rho, sz_system).real)
-        results.append((float(delay), polarization))
+        results.append((float(delay), float(readout(rho))))
     return results
 
 
 def _per_point_seeds(seed: int, count: int) -> list[int]:
     """Independent deterministic seeds for the points of a scan."""
     return [int(v) for v in np.random.SeedSequence(seed).generate_state(count)]
+
+
+def _rotate_row_pairs(matrix: np.ndarray, up: np.ndarray, down: np.ndarray, u: np.ndarray) -> None:
+    """Apply the 2x2 matrix ``u`` in place to each row pair ``(up[k], down[k])``."""
+    top, bottom = matrix[up], matrix[down]
+    matrix[up] = u[0, 0] * top + u[0, 1] * bottom
+    matrix[down] = u[1, 0] * top + u[1, 1] * bottom

@@ -9,20 +9,23 @@ Coherence order of a matrix element ``(r, c)`` is the magnetization
 difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
 up spins in ``r`` minus the number in ``c``.  A cat state of ``n``
 spins carries orders ``-n``, ``0`` and ``+n`` only.
+
+Traces of products are read elementwise in O(D^2), without a matrix
+product, and coherence weights are one weighted histogram of
+``|rho|^2`` over the element orders.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from . import operators
 
 TRACE_TOL = 1e-10
-HERMITIAN_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 _ENTROPY_EIG_FLOOR = 1e-14
 
@@ -53,7 +56,7 @@ class DensityMatrix:
         trace = matrix.trace()
         if abs(trace - 1.0) > TRACE_TOL:
             raise StateInvariantError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
-        if not operators.is_hermitian(matrix, HERMITIAN_TOL):
+        if not operators.is_hermitian(matrix):
             raise StateInvariantError("matrix is not Hermitian")
         eigmin = float(np.linalg.eigvalsh(matrix)[0])
         if eigmin < -POSITIVITY_TOL:
@@ -94,69 +97,41 @@ class CatWeights:
         return cls(s, s)
 
 
-@dataclass(frozen=True)
-class CoherenceDecomposition:
-    """Split of a matrix into components of fixed coherence order."""
+def basis_state(n_spins: int, amplitudes: Mapping[int, complex], coherent: bool = True) -> DensityMatrix:
+    """State supported on a few basis indices.
 
-    n_spins: int
-    components: dict[int, np.ndarray] = field(repr=False)
-
-    def component(self, order: int) -> np.ndarray:
-        return self.components[order]
-
-    def weight(self, order: int) -> float:
-        """Frobenius norm of one order's component."""
-        return float(np.linalg.norm(self.components[order]))
-
-    @property
-    def weights(self) -> dict[int, float]:
-        return {q: self.weight(q) for q in sorted(self.components)}
-
-    def reconstruct(self) -> np.ndarray:
-        return sum(self.components.values())
+    With ``coherent`` it is the pure superposition ``sum_k c_k |k>`` of
+    ``amplitudes = {k: c_k}``; without, the classical mixture of the
+    same basis states with weights ``|c_k|^2``.
+    """
+    psi = np.zeros(1 << n_spins, dtype=complex)
+    psi[list(amplitudes)] = list(amplitudes.values())
+    # Written in full: a few entries set in np.zeros leave calloc'd pages
+    # that numpy marks for huge pages, which raised the peak RSS of scans.
+    matrix = np.outer(psi, psi.conj()) if coherent else np.diag(np.abs(psi) ** 2)
+    return DensityMatrix(matrix, n_spins)
 
 
 def ferro_state(n_spins: int, which: str) -> DensityMatrix:
     """Projector onto the all-up (``which="up"``) or all-down corner state."""
     if which not in ("up", "down"):
         raise ValueError(f"which must be 'up' or 'down', got {which!r}")
-    dim = 1 << n_spins
-    matrix = np.zeros((dim, dim), dtype=complex)
-    index = 0 if which == "up" else dim - 1
-    matrix[index, index] = 1.0
-    return DensityMatrix(matrix, n_spins)
+    return basis_state(n_spins, {0 if which == "up" else (1 << n_spins) - 1: 1.0})
 
 
 def cat_state(n_spins: int, weights: CatWeights) -> DensityMatrix:
     """Pure superposition ``a|u> + b|d>`` of the two corner states."""
-    dim = 1 << n_spins
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = weights.a
-    psi[dim - 1] = weights.b
-    return DensityMatrix(np.outer(psi, psi.conj()), n_spins)
-
-
-def entangled_pair_state(n_system: int, weights: CatWeights) -> DensityMatrix:
-    """Control-conditioned cat ``a|up>|u> + b|down>|d>`` on ``n_system + 1`` spins.
-
-    The control occupies site 0 of the combined register.
-    """
-    n_total = n_system + 1
-    dim = 1 << n_total
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = weights.a
-    psi[dim - 1] = weights.b
-    return DensityMatrix(np.outer(psi, psi.conj()), n_total)
+    return basis_state(n_spins, {0: weights.a, (1 << n_spins) - 1: weights.b})
 
 
 def decohered_mixture(n_system: int, weights: CatWeights) -> DensityMatrix:
-    """Classical mixture left after the entangled pair loses its coherences."""
+    """Classical mixture left after the entangled pair loses its coherences.
+
+    The entangled pair ``a|up>|u> + b|down>|d>`` of the control (site 0)
+    and ``n_system`` spins is the cat of the combined register.
+    """
     n_total = n_system + 1
-    dim = 1 << n_total
-    matrix = np.zeros((dim, dim), dtype=complex)
-    matrix[0, 0] = abs(weights.a) ** 2
-    matrix[dim - 1, dim - 1] = abs(weights.b) ** 2
-    return DensityMatrix(matrix, n_total)
+    return basis_state(n_total, {0: weights.a, (1 << n_total) - 1: weights.b}, coherent=False)
 
 
 def thermal_state(n_spins: int, polarization: float = 1e-3) -> DensityMatrix:
@@ -164,9 +139,8 @@ def thermal_state(n_spins: int, polarization: float = 1e-3) -> DensityMatrix:
     polarization on every spin, ``(I + polarization * 2*Sz_total) / D``."""
     if not 0.0 <= polarization < 1.0 / max(n_spins, 1):
         raise ValueError(f"polarization must lie in [0, 1/n_spins), got {polarization}")
-    dim = 1 << n_spins
-    sz_total = operators.total_spin_operator("z", list(range(n_spins)), n_spins)
-    matrix = (np.eye(dim, dtype=complex) + polarization * 2.0 * sz_total) / dim
+    sz_total = operators.sz_eigenvalues(range(n_spins), n_spins)
+    matrix = np.diag(1.0 + polarization * 2.0 * sz_total) / (1 << n_spins)
     return DensityMatrix(matrix, n_spins)
 
 
@@ -182,34 +156,19 @@ def pseudopure(target: DensityMatrix, purity_fraction: float) -> DensityMatrix:
     return DensityMatrix(matrix, target.n_spins, pseudopure_background=background)
 
 
-def coherence_orders(rho: DensityMatrix) -> CoherenceDecomposition:
-    """Decompose into components of fixed coherence order.
+def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
+    """Frobenius weight of each coherence order ``-n..n``.
 
-    Components are elementwise-disjoint, so they are orthogonal under
-    the Frobenius inner product and sum back to the input exactly.
+    The fixed-order components are elementwise disjoint, so each weight
+    is the square root of the sum of ``|rho_rc|^2`` over the elements of
+    that order.
     """
     n = rho.n_spins
-    order = _order_matrix(n)
-    components = {}
-    for q in range(-n, n + 1):
-        components[q] = np.where(order == q, rho.matrix, 0.0)
-    return CoherenceDecomposition(n, components)
-
-
-def strip_coherences(rho: DensityMatrix, keep_orders: Iterable[int]) -> DensityMatrix:
-    """Zero every element whose coherence order is not listed.
-
-    The kept set must be symmetric (``q`` kept iff ``-q`` kept) so the
-    result stays Hermitian.  Order 0 must be kept to preserve the trace.
-    """
-    keep = set(int(q) for q in keep_orders)
-    if 0 not in keep:
-        raise ValueError("order 0 must be kept to preserve the trace")
-    if any(-q not in keep for q in keep):
-        raise ValueError("kept orders must be symmetric about 0")
-    order = _order_matrix(rho.n_spins)
-    mask = np.isin(order, sorted(keep))
-    return DensityMatrix(np.where(mask, rho.matrix, 0.0), rho.n_spins)
+    ups = n - operators.bit_table(n).sum(axis=0)
+    shifted_order = ups[:, None] - ups[None, :] + n
+    power = np.abs(rho.matrix) ** 2
+    totals = np.bincount(shifted_order.ravel(), weights=power.ravel(), minlength=2 * n + 1)
+    return {q: float(math.sqrt(totals[q + n])) for q in range(-n, n + 1)}
 
 
 def reduced_state(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -238,14 +197,16 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def purity(rho: DensityMatrix) -> float:
-    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+    """``Tr(rho^2)``, the squared Frobenius norm of a Hermitian ``rho``."""
+    return float(np.vdot(rho.matrix, rho.matrix).real)
 
 
 def fidelity(rho: DensityMatrix, target: DensityMatrix) -> float:
     """Overlap ``Tr(rho * target)`` with a pure target state."""
     if abs(purity(target) - 1.0) > 1e-8:
         raise ValueError("fidelity target must be pure (rank one)")
-    return float(np.real(np.trace(rho.matrix @ target.matrix)))
+    # Tr(rho T) = sum_rc rho_rc T_cr = sum_rc conj(T_rc) rho_rc for Hermitian T.
+    return float(np.vdot(target.matrix, rho.matrix).real)
 
 
 def expectation(rho: DensityMatrix, observable: np.ndarray) -> complex:
@@ -253,11 +214,10 @@ def expectation(rho: DensityMatrix, observable: np.ndarray) -> complex:
     observable = np.asarray(observable, dtype=complex)
     if observable.shape != rho.matrix.shape:
         raise ValueError("observable dimension does not match the state")
-    return complex(np.trace(rho.matrix @ observable))
+    return complex(np.sum(rho.matrix * observable.T))
 
 
-def _order_matrix(n_spins: int) -> np.ndarray:
-    """Matrix of coherence orders ``m(r) - m(c)`` for every element."""
-    down_counts = operators.bit_table(n_spins).sum(axis=0)
-    m = 0.5 * n_spins - down_counts
-    return np.rint(m[:, None] - m[None, :]).astype(int)
+def magnetization(rho: DensityMatrix, sites: Sequence[int]) -> float:
+    """Expectation of the total Sz over ``sites``, read from the populations."""
+    sz = operators.sz_eigenvalues(sites, rho.n_spins)
+    return float(np.diagonal(rho.matrix).real @ sz)

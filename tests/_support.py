@@ -58,6 +58,73 @@ def bare_system(n_spins: int) -> SpinSystem:
     return SpinSystem(n_spins, ("control",) + ("system",) * (n_spins - 1), (0.0,) * n_spins)
 
 
+def _mask(sites, n_spins: int) -> int:
+    """Bitmask of the listed sites; spin 0 is the most significant bit."""
+    return sum(1 << (n_spins - 1 - site) for site in sites)
+
+
+def cat_rotation_unitary(n_total: int, system_sites, weights) -> np.ndarray:
+    """Dense reference for step B: rotates ``|all system up>`` to
+    ``a|u> + b|d>`` in every sector of the remaining spins."""
+    mask = _mask(system_sites, n_total)
+    dim = 1 << n_total
+    u = np.eye(dim, dtype=complex)
+    a, b = weights.a, weights.b
+    for base in range(dim):
+        if base & mask:
+            continue
+        up, down = base, base | mask
+        u[up, up] = a
+        u[down, up] = b
+        u[up, down] = -np.conj(b)
+        u[down, down] = np.conj(a)
+    return u
+
+
+def _flip_unitary(n_spins: int, condition_mask: int, flip_mask: int) -> np.ndarray:
+    dim = 1 << n_spins
+    u = np.zeros((dim, dim), dtype=complex)
+    for index in range(dim):
+        image = index ^ flip_mask if index & condition_mask == condition_mask else index
+        u[image, index] = 1.0
+    return u
+
+
+def entangle_unitary(n_total: int, control_site: int, system_sites) -> np.ndarray:
+    """Dense reference for step C: flips the control wherever all system spins are down."""
+    return _flip_unitary(n_total, _mask(system_sites, n_total), _mask([control_site], n_total))
+
+
+def controlled_not_unitary(n_spins: int, control: int, targets) -> np.ndarray:
+    """Dense reference for step E: flips every target spin when the control is down."""
+    return _flip_unitary(n_spins, _mask([control], n_spins), _mask(targets, n_spins))
+
+
+def coherence_components(rho: np.ndarray, n_spins: int) -> dict[int, np.ndarray]:
+    """Fixed-order parts of ``rho``: the order of element ``(r, c)`` is the
+    up-spin surplus of ``r`` over ``c``, counted here by explicit popcounts."""
+    dim = 1 << n_spins
+    components = {q: np.zeros((dim, dim), dtype=complex) for q in range(-n_spins, n_spins + 1)}
+    for r in range(dim):
+        for c in range(dim):
+            q = (n_spins - bin(r).count("1")) - (n_spins - bin(c).count("1"))
+            components[q][r, c] = rho[r, c]
+    return components
+
+
+def nq_coherence_operator(n_spins: int, sites=None) -> np.ndarray:
+    """Dense highest-order coherence observable: the product of S+ over
+    ``sites`` (all spins by default) plus its adjoint."""
+    sites = range(n_spins) if sites is None else sites
+    mask = _mask(sites, n_spins)
+    dim = 1 << n_spins
+    raising = np.zeros((dim, dim), dtype=complex)
+    for base in range(dim):
+        if not base & mask:
+            raising[base, base | mask] = 1.0
+    return raising + raising.conj().T
+
+
 def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray | None, jumps: list[np.ndarray]) -> np.ndarray:
     """Master-equation right-hand side, written independently of the
     package's channel code for use as a brute-force oracle."""

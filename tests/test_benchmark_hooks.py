@@ -1,0 +1,46 @@
+"""The names the benchmark's tracer patches must exist in the package.
+
+``perfbench/spans.py`` lists, per spincat module, the public functions it
+wraps with timing spans; a name that disappears from the package would
+make every traced benchmark run fail.  The span list is read from the
+file's source, so nothing is written under ``perfbench/``.
+"""
+
+import importlib
+import types
+
+from spincat import states
+from _support import REPO_ROOT
+
+PERFBENCH = REPO_ROOT / "perfbench"
+
+
+def _snapshot() -> dict[str, tuple[int, int]]:
+    return {
+        str(path.relative_to(PERFBENCH)): (path.stat().st_mtime_ns, path.stat().st_size)
+        for path in PERFBENCH.rglob("*")
+    }
+
+
+def _load_spans() -> types.ModuleType:
+    path = PERFBENCH / "spans.py"
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_traced_names_resolve_to_callables():
+    before = _snapshot()
+    traced = _load_spans().TRACED
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in traced.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"spincat.{layer}"), name, None))
+    ]
+    assert missing == []
+    # DensityMatrix is traced through its validation hook.
+    assert "DensityMatrix" in traced["states"]
+    assert "__post_init__" in vars(states.DensityMatrix)
+    assert _snapshot() == before

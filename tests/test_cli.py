@@ -7,8 +7,8 @@ import subprocess
 import numpy as np
 import pytest
 
-from spincat import ferro_state
-from spincat.cli import main
+from spincat import ferro_state, load_config, run_protocol
+from spincat.cli import _write_atomic, main
 from _support import RING7_CONFIG
 
 GAMMA_7Q = 9.852216748768472
@@ -68,10 +68,32 @@ class TestRunProtocol:
         config = write_config(tmp_path, protocol={"delays_s": [0.0, 0.1]})
         out = tmp_path / "out"
         assert main(["run-protocol", "--config", str(config), "--out", str(out), "--dump-states"]) == 0
-        for k in range(2):
+        run = load_config(config)
+        for k, delay in enumerate(run.delays_s):
             matrix = np.load(out / f"state_final_{k:02d}.npy")
             assert matrix.shape == (16, 16)
             assert np.trace(matrix) == pytest.approx(1.0)
+            expected = run_protocol(run.protocol_config(delay, run.seed)).final_state.matrix
+            np.testing.assert_array_equal(matrix, expected)
+        # Every write went through a temp file that was renamed away.
+        assert sorted(p.name for p in out.iterdir()) == [
+            "coherence_orders.csv",
+            "protocol_report.json",
+            "state_final_00.npy",
+            "state_final_01.npy",
+        ]
+
+    def test_atomic_write_leaves_other_temp_files_alone(self, tmp_path):
+        # A fixed "<name>.tmp" is what another run writing here could be using.
+        other = tmp_path / "protocol_report.json.tmp"
+        other.write_text("partial output of another run")
+        _write_atomic(tmp_path / "protocol_report.json", b"{}\n")
+        assert (tmp_path / "protocol_report.json").read_bytes() == b"{}\n"
+        assert other.read_text() == "partial output of another run"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "protocol_report.json",
+            "protocol_report.json.tmp",
+        ]
 
     def test_byte_identical_reruns(self, tmp_path):
         config = write_config(tmp_path)
@@ -230,6 +252,17 @@ class TestSpectrum:
         )
         assert code == 2
         assert "invariant violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("array", [np.array(0.5), np.array([0.5, 0.5]), np.zeros((2, 4))])
+    def test_non_square_npy_state_is_a_config_error(self, tmp_path, capsys, array):
+        config = write_config(tmp_path)
+        state_path = tmp_path / "flat.npy"
+        np.save(state_path, array)
+        code = main(
+            ["spectrum", "--config", str(config), "--out", str(tmp_path / "out"), "--state", str(state_path)]
+        )
+        assert code == 1
+        assert "expected a square 2-D array" in capsys.readouterr().err
 
     def test_missing_npy_state(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -26,8 +26,8 @@ from spincat import (
     nq_amplitude,
 )
 from spincat import operators
-from spincat.dynamics import controlled_not_unitary, pulse_unitary
-from _support import random_density_matrix, rk4_evolve
+from spincat.dynamics import pulse_unitary
+from _support import controlled_not_unitary, random_density_matrix, rk4_evolve
 
 TWO_PI = 2.0 * np.pi
 
@@ -330,9 +330,15 @@ class TestControlledNot:
         np.testing.assert_array_equal(twice.matrix, rho.matrix)
 
     def test_unitary_is_permutation(self):
+        # The dense reference is a permutation, and the reindexing equals
+        # conjugation by it on a full-rank state.
         u = controlled_not_unitary(3, 0, [1, 2])
         assert np.array_equal(np.abs(u) ** 2, np.abs(u))
         np.testing.assert_array_equal(u @ u, np.eye(8))
+        rho = random_density_matrix(np.random.default_rng(13), 3)
+        np.testing.assert_array_equal(
+            controlled_not_all(rho, 0, [1, 2]).matrix, u @ rho.matrix @ u.conj().T
+        )
 
     def test_validation(self):
         rho = ferro_state(2, "up")

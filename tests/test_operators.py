@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from spincat import operators
-from _support import random_density_matrix
+from spincat import operators, states
+from _support import nq_coherence_operator, random_density_matrix
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -41,11 +41,12 @@ def test_su2_algebra_per_site(n_spins, site):
 def test_kron_two_transverse_operators():
     # Hand-written 4x4: (sigma_x/2) tensor (sigma_x/2) is the antidiagonal over 4.
     expected = 0.25 * np.fliplr(np.eye(4))
-    np.testing.assert_array_equal(operators.kron(operators.SX, operators.SX), expected)
+    xx = operators.single_spin_operator("x", 0, 2) @ operators.single_spin_operator("x", 1, 2)
+    np.testing.assert_array_equal(xx, expected)
     # It maps |up,up> (index 0) to |down,down>/4 (index 3).
     e0 = np.zeros(4)
     e0[0] = 1.0
-    np.testing.assert_array_equal(operators.kron(operators.SX, operators.SX) @ e0, 0.25 * np.eye(4)[3])
+    np.testing.assert_array_equal(xx @ e0, 0.25 * np.eye(4)[3])
 
 
 def test_single_spin_operator_placement():
@@ -56,10 +57,9 @@ def test_single_spin_operator_placement():
     assert np.count_nonzero(sz1 - np.diag(np.diag(sz1))) == 0
 
 
-def test_identity_and_register_limits():
-    np.testing.assert_array_equal(operators.identity(2), np.eye(4))
+def test_register_limits():
     with pytest.raises(ValueError):
-        operators.identity(13)
+        operators.single_spin_operator("z", 0, 13)
     with pytest.raises(ValueError):
         operators.single_spin_operator("z", 3, 3)
     with pytest.raises(ValueError):
@@ -68,16 +68,20 @@ def test_identity_and_register_limits():
 
 def test_bit_conventions():
     # index 4 = 0b100 on 3 spins: spin 0 down, spins 1 and 2 up
-    assert operators.spin_bit(4, 0, 3) == 1
-    assert operators.spin_bit(4, 1, 3) == 0
-    assert operators.spin_bit(4, 2, 3) == 0
-    assert operators.magnetization(0, 3) == 1.5
-    assert operators.magnetization(7, 3) == -1.5
-    assert operators.magnetization(4, 3) == 0.5
+    np.testing.assert_array_equal(operators.bit_table(3)[:, 4], [1, 0, 0])
+    sz = operators.sz_eigenvalues(range(3), 3)
+    assert (sz[0], sz[7], sz[4]) == (1.5, -1.5, 0.5)
+    np.testing.assert_array_equal(operators.sz_eigenvalues([1], 3), [0.5, 0.5, -0.5, -0.5] * 2)
+    with pytest.raises(ValueError):
+        operators.sz_eigenvalues([3], 3)
     assert operators.site_mask([0], 3) == 0b100
     assert operators.site_mask([0, 2], 3) == 0b101
     table = operators.bit_table(2)
     np.testing.assert_array_equal(table, [[0, 0, 1, 1], [0, 1, 0, 1]])
+
+
+# The dense highest-order coherence observable lives in the test support
+# as the reference that ``nq_amplitude`` reads out: Tr(rho * NQ) = 2 Re <u|rho|d>.
 
 
 def test_nq_coherence_operator_two_spins():
@@ -86,19 +90,20 @@ def test_nq_coherence_operator_two_spins():
         "plus", 1, 2
     )
     expected = product + product.conj().T
-    np.testing.assert_array_equal(operators.nq_coherence_operator(2), expected)
+    np.testing.assert_array_equal(nq_coherence_operator(2), expected)
     hand = np.zeros((4, 4))
     hand[0, 3] = hand[3, 0] = 1.0
-    np.testing.assert_array_equal(operators.nq_coherence_operator(2), hand)
+    np.testing.assert_array_equal(nq_coherence_operator(2), hand)
 
 
 @pytest.mark.parametrize("n_spins", range(1, 9))
 def test_nq_coherence_operator_corners_only(n_spins):
-    op = operators.nq_coherence_operator(n_spins)
+    op = nq_coherence_operator(n_spins)
     dim = 1 << n_spins
     assert op[0, dim - 1] == 1.0
     assert op[dim - 1, 0] == 1.0
-    op = np.array(op)
+    rho = random_density_matrix(np.random.default_rng(n_spins), n_spins)
+    assert states.expectation(rho, op) == pytest.approx(2.0 * states.nq_amplitude(rho).real, rel=1e-12)
     op[0, dim - 1] = op[dim - 1, 0] = 0.0
     assert np.count_nonzero(op) == 0
 
@@ -108,11 +113,11 @@ def test_nq_coherence_operator_subset_sites():
         "plus", 2, 3
     )
     expected = product + product.conj().T
-    np.testing.assert_array_equal(operators.nq_coherence_operator(3, sites=[0, 2]), expected)
-    with pytest.raises(ValueError):
-        operators.nq_coherence_operator(3, sites=[])
-    with pytest.raises(ValueError):
-        operators.nq_coherence_operator(3, sites=[1, 1])
+    op = nq_coherence_operator(3, sites=[0, 2])
+    np.testing.assert_array_equal(op, expected)
+    rho = random_density_matrix(np.random.default_rng(4), 3)
+    amplitude = states.nq_amplitude(rho, [0, 2])
+    assert states.expectation(rho, op) == pytest.approx(2.0 * amplitude.real, rel=1e-12)
 
 
 def test_propagator_identity_at_zero_time():
@@ -166,7 +171,7 @@ def test_partial_trace_product_state_factorization():
     rng = np.random.default_rng(11)
     rho_a = random_density_matrix(rng, 1).matrix
     rho_b = random_density_matrix(rng, 2).matrix
-    joint = operators.kron(rho_a, rho_b)
+    joint = np.kron(rho_a, rho_b)
     np.testing.assert_allclose(operators.partial_trace(joint, [0]), rho_a, atol=1e-12)
     np.testing.assert_allclose(operators.partial_trace(joint, [1, 2]), rho_b, atol=1e-12)
 

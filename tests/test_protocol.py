@@ -11,7 +11,6 @@ from spincat import (
     ProtocolConfig,
     cat_state,
     dephasing_rate_for_lifetime,
-    entangled_pair_state,
     fidelity,
     ferro_state,
     fit_exponential,
@@ -24,7 +23,13 @@ from spincat import (
     von_neumann_entropy,
 )
 from spincat import protocol, states
-from _support import bare_system
+from _support import (
+    bare_system,
+    cat_rotation_unitary,
+    controlled_not_unitary,
+    entangle_unitary,
+    random_density_matrix,
+)
 
 GAMMA_7Q = dephasing_rate_for_lifetime(0.029, 7)
 
@@ -90,21 +95,42 @@ class TestIdealSteps:
         rho = protocol.step_a_initialize(config)
         rho = protocol.step_b_create_cat(rho, config)
         rho = protocol.step_c_entangle(rho, config)
-        np.testing.assert_allclose(rho.matrix, entangled_pair_state(6, weights).matrix, atol=1e-14)
+        # The entangled pair a|up>|u> + b|down>|d> is the cat of all 7 spins.
+        np.testing.assert_allclose(rho.matrix, cat_state(7, weights).matrix, atol=1e-14)
 
     def test_step_c_is_an_involution(self):
         config = make_config(weights=CatWeights(0.28, np.sqrt(1 - 0.28**2)))
         rho = protocol.step_b_create_cat(protocol.step_a_initialize(config), config)
         once = protocol.step_c_entangle(rho, config)
-        twice = protocol.step_c_inverse(once, config)
+        twice = protocol.step_c_entangle(once, config)
         np.testing.assert_array_equal(twice.matrix, rho.matrix)
 
     def test_unitaries_are_unitary(self):
-        u_cat = protocol.cat_rotation_unitary(4, (1, 2, 3), CatWeights(0.6, 0.8j))
+        # The dense references the structured steps are checked against.
+        u_cat = cat_rotation_unitary(4, (1, 2, 3), CatWeights(0.6, 0.8j))
         np.testing.assert_allclose(u_cat @ u_cat.conj().T, np.eye(16), atol=1e-14)
-        u_ent = protocol.entangle_unitary(4, 0, (1, 2, 3))
+        u_ent = entangle_unitary(4, 0, (1, 2, 3))
         np.testing.assert_allclose(u_ent @ u_ent.conj().T, np.eye(16), atol=1e-14)
         np.testing.assert_array_equal(u_ent, u_ent.conj().T)
+
+    @pytest.mark.parametrize("n_total", [3, 4, 5])
+    def test_steps_match_dense_unitaries_on_random_states(self, n_total):
+        # Random full-rank states populate every sector, so a step that
+        # rotated or permuted only part of the register would fail here;
+        # on a pseudopure corner state it could pass, as U (I/D) U+ = I/D.
+        rng = np.random.default_rng(40 + n_total)
+        weights = CatWeights(0.6 * np.exp(0.4j), 0.8 * np.exp(-1.1j))
+        config = make_config(n_total=n_total, weights=weights)
+        system = config.system.system_sites
+        rho = random_density_matrix(rng, n_total)
+        steps = [
+            (protocol.step_b_create_cat, cat_rotation_unitary(n_total, system, weights)),
+            (protocol.step_c_entangle, entangle_unitary(n_total, 0, system)),
+            (protocol.step_e_recover, controlled_not_unitary(n_total, 0, system)),
+        ]
+        for step, u in steps:
+            expected = u @ rho.matrix @ u.conj().T
+            np.testing.assert_allclose(step(rho, config).matrix, expected, rtol=0, atol=1e-14)
 
 
 class TestZeroNoiseRun:

@@ -10,18 +10,17 @@ from spincat import (
     cat_state,
     coherence_orders,
     decohered_mixture,
-    entangled_pair_state,
     ferro_state,
     fidelity,
     nq_amplitude,
     pseudopure,
     purity,
     reduced_state,
-    strip_coherences,
     thermal_state,
     von_neumann_entropy,
 )
-from _support import random_density_matrix, random_unitary
+from spincat import operators, states
+from _support import coherence_components, random_density_matrix, random_unitary
 
 
 def test_ferro_states():
@@ -63,67 +62,45 @@ def test_cat_state_matrix_elements():
 
 def test_coherence_orders_of_cat_state():
     rho = cat_state(3, CatWeights.balanced())
-    decomposition = coherence_orders(rho)
-    nonzero = {q for q, w in decomposition.weights.items() if w > 1e-12}
+    weights = coherence_orders(rho)
+    assert sorted(weights) == list(range(-3, 4))
+    nonzero = {q for q, w in weights.items() if w > 1e-12}
     assert nonzero == {-3, 0, 3}
-    np.testing.assert_allclose(decomposition.reconstruct(), rho.matrix, atol=1e-15)
+    assert weights[3] == weights[-3] == pytest.approx(0.5)
+    assert weights[0] == pytest.approx(np.sqrt(0.5))
 
 
 def test_coherence_orders_against_popcount_oracle():
-    # Independent classification: order of element (r, c) is the
-    # up-spin surplus of r over c, computed here by explicit popcounts.
     rng = np.random.default_rng(2)
-    rho = random_density_matrix(rng, 3)
-    decomposition = coherence_orders(rho)
-    dim = 8
-    for q in range(-3, 4):
-        expected = np.zeros((dim, dim), dtype=complex)
-        for r in range(dim):
-            for c in range(dim):
-                ups_r = 3 - bin(r).count("1")
-                ups_c = 3 - bin(c).count("1")
-                if ups_r - ups_c == q:
-                    expected[r, c] = rho.matrix[r, c]
-        np.testing.assert_array_equal(decomposition.component(q), expected)
+    for n_spins in (1, 3, 5):
+        rho = random_density_matrix(rng, n_spins)
+        weights = coherence_orders(rho)
+        components = coherence_components(rho.matrix, n_spins)
+        assert sorted(weights) == sorted(components)
+        for q, component in components.items():
+            assert weights[q] == pytest.approx(np.linalg.norm(component), rel=1e-12, abs=1e-15)
 
 
 def test_coherence_components_are_orthogonal():
+    # Fixed-order components are elementwise disjoint, hence orthogonal,
+    # so their squared weights partition the squared Frobenius norm.
     rng = np.random.default_rng(8)
     rho = random_density_matrix(rng, 3)
-    decomposition = coherence_orders(rho)
-    components = [decomposition.component(q) for q in range(-3, 4)]
-    for i, a in enumerate(components):
-        for b in components[i + 1 :]:
-            assert abs(np.vdot(a, b)) < 1e-15
-    total = sum(decomposition.weight(q) ** 2 for q in range(-3, 4))
-    assert total == pytest.approx(np.linalg.norm(rho.matrix) ** 2)
-
-
-def test_entangled_pair_state_is_cat_of_full_register():
-    w = CatWeights(0.6, 0.8)
-    np.testing.assert_array_equal(entangled_pair_state(3, w).matrix, cat_state(4, w).matrix)
-    orders = coherence_orders(entangled_pair_state(3, w))
-    assert {q for q, v in orders.weights.items() if v > 1e-12} == {-4, 0, 4}
+    total = sum(w**2 for w in coherence_orders(rho).values())
+    assert total == pytest.approx(np.linalg.norm(rho.matrix) ** 2, rel=1e-14)
+    assert total == pytest.approx(purity(rho), rel=1e-14)
 
 
 def test_decohered_mixture_is_stripped_entangled_state():
+    # The entangled pair of the control and 2 system spins is the cat of
+    # all 3; stripping every coherence keeps its order-0 part.
     w = CatWeights(0.6, 0.8j)
-    entangled = entangled_pair_state(2, w)
-    stripped = strip_coherences(entangled, {0})
-    np.testing.assert_array_equal(stripped.matrix, decohered_mixture(2, w).matrix)
-    assert von_neumann_entropy(stripped) == pytest.approx(
+    entangled = cat_state(3, w)
+    stripped = coherence_components(entangled.matrix, 3)[0]
+    np.testing.assert_array_equal(stripped, decohered_mixture(2, w).matrix)
+    assert von_neumann_entropy(decohered_mixture(2, w)) == pytest.approx(
         -(0.36 * np.log(0.36) + 0.64 * np.log(0.64))
     )
-
-
-def test_strip_coherences_validation():
-    rho = cat_state(2, CatWeights.balanced())
-    with pytest.raises(ValueError):
-        strip_coherences(rho, {0, 2})
-    with pytest.raises(ValueError):
-        strip_coherences(rho, {2, -2})
-    kept = strip_coherences(rho, {-2, 0, 2})
-    np.testing.assert_array_equal(kept.matrix, rho.matrix)
 
 
 def test_pseudopure_mixing_and_background():
@@ -148,7 +125,7 @@ def test_nq_amplitude_scales_with_purity(fraction):
 
 def test_nq_amplitude_subset_traces_out_the_rest():
     w = CatWeights.balanced()
-    entangled = entangled_pair_state(2, w)
+    entangled = cat_state(3, w)
     # Tracing the control kills the system coherence.
     assert nq_amplitude(entangled, sites=[1, 2]) == pytest.approx(0.0)
     assert nq_amplitude(entangled) == pytest.approx(0.5)
@@ -159,7 +136,7 @@ def test_von_neumann_entropy_reference_values():
     mixed = DensityMatrix(np.eye(8) / 8.0, 3)
     assert von_neumann_entropy(mixed) == pytest.approx(3.0 * np.log(2.0))
     # Reduced control of a balanced entangled pair is maximally mixed.
-    control = reduced_state(entangled_pair_state(2, CatWeights.balanced()), [0])
+    control = reduced_state(cat_state(3, CatWeights.balanced()), [0])
     assert von_neumann_entropy(control) == pytest.approx(np.log(2.0))
 
 
@@ -181,6 +158,26 @@ def test_fidelity_values_and_validation():
     mixed = DensityMatrix(np.eye(4) / 4.0, 2)
     with pytest.raises(ValueError):
         fidelity(target, mixed)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_traces_match_dense_products(seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(rng, 3)
+    psi = random_unitary(rng, 8)[:, 0]
+    target = DensityMatrix(np.outer(psi, psi.conj()), 3)
+    observable = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    assert purity(rho) == pytest.approx(np.trace(rho.matrix @ rho.matrix).real, rel=1e-13)
+    assert fidelity(rho, target) == pytest.approx(
+        np.trace(rho.matrix @ target.matrix).real, rel=1e-12, abs=1e-15
+    )
+    assert states.expectation(rho, observable) == pytest.approx(
+        np.trace(rho.matrix @ observable), rel=1e-12
+    )
+    sz = operators.total_spin_operator("z", [0, 2], 3)
+    assert states.magnetization(rho, [0, 2]) == pytest.approx(
+        np.trace(rho.matrix @ sz).real, rel=1e-12, abs=1e-15
+    )
 
 
 def test_density_matrix_validation():
