@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``run-protocol``, ``decay-scan``, ``spectrum``,
-``scaling``.  Exit codes: 0 success, 1 configuration error, 2 numerical
-invariant violation, 3 analysis failure.
+``scaling``.  Exit codes: 0 success, 1 configuration or argument error,
+2 numerical failure (a linear-algebra error or running out of memory)
+or invariant violation, 3 analysis failure.
 
 Every output file is written atomically (a uniquely named temp file in
 the output directory, then rename).  Every CSV and JSON output starts
@@ -55,6 +56,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except StateInvariantError as error:
         print(f"invariant violation: {error}", file=sys.stderr)
+        return 2
+    except (np.linalg.LinAlgError, MemoryError) as error:
+        # LinAlgError is a ValueError, so it must be caught before the
+        # configuration-error branch below.
+        print(f"numerical failure: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)

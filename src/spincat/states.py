@@ -5,6 +5,15 @@ register size and validates the physical invariants on construction:
 unit trace, Hermiticity, and positivity up to a small numerical
 tolerance.  Violations raise :class:`StateInvariantError`.
 
+Positivity is certified by a Cholesky factorisation of
+``rho + POSITIVITY_TOL * I``, which exists, up to rounding, exactly
+when every eigenvalue of ``rho`` exceeds ``-POSITIVITY_TOL``, and which
+costs a fraction of an eigendecomposition.  Only when the factorisation
+fails does ``eigvalsh`` run, and its smallest eigenvalue decides the
+verdict, so a rejection always rests on the eigenvalue criterion.  The
+factorisation reads the lower triangle only; that is sound because
+Hermiticity to ``HERMITIAN_TOL`` (1e-10) is checked first.
+
 Coherence order of a matrix element ``(r, c)`` is the magnetization
 difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
 up spins in ``r`` minus the number in ``c``.  A cat state of ``n``
@@ -38,6 +47,14 @@ class StateInvariantError(ValueError):
 class DensityMatrix:
     """Validated density matrix of an ``n_spins`` register.
 
+    Construction copies ``matrix`` and checks, in order: the dimension,
+    unit trace to ``TRACE_TOL``, Hermiticity, and positivity.  For
+    positivity ``matrix + POSITIVITY_TOL * I`` must factor by Cholesky;
+    only if it does not is the smallest ``eigvalsh`` eigenvalue compared
+    with ``-POSITIVITY_TOL``.  The stored copy is bit-identical to the
+    input.  A matrix with NaN or inf entries fails the trace or
+    Hermiticity check before the factorisation runs.
+
     ``pseudopure_background`` records the weight of the maximally mixed
     component for states built by :func:`pseudopure`; it is carried
     along for reporting only and does not affect any operation.
@@ -58,15 +75,34 @@ class DensityMatrix:
             raise StateInvariantError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
         if not operators.is_hermitian(matrix):
             raise StateInvariantError("matrix is not Hermitian")
-        eigmin = float(np.linalg.eigvalsh(matrix)[0])
-        if eigmin < -POSITIVITY_TOL:
-            raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
+        if not _shifted_cholesky_succeeds(matrix):
+            eigmin = float(np.linalg.eigvalsh(matrix)[0])
+            if eigmin < -POSITIVITY_TOL:
+                raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _shifted_cholesky_succeeds(matrix: np.ndarray) -> bool:
+    """Whether ``matrix + POSITIVITY_TOL * I`` has a Cholesky factor.
+
+    The shift is added to the diagonal in place and the saved diagonal
+    is written back afterwards, so ``matrix`` ends bit-identical and no
+    second D x D array is held beside it and the factor.
+    """
+    diagonal = matrix.diagonal().copy()
+    np.fill_diagonal(matrix, diagonal + POSITIVITY_TOL)
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(matrix, diagonal)
+    return True
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from spincat import ferro_state, load_config, run_protocol
+from spincat import ferro_state, load_config, protocol, run_protocol
 from spincat.cli import _write_atomic, main
 from _support import RING7_CONFIG
 
@@ -343,6 +343,22 @@ class TestErrorPaths:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", "--config", "x.json"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "error",
+        [np.linalg.LinAlgError("Matrix is not positive definite"), MemoryError("Unable to allocate 2 GiB")],
+        ids=["LinAlgError", "MemoryError"],
+    )
+    def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch, error):
+        def fail(config):
+            raise error
+
+        monkeypatch.setattr(protocol, "run_protocol", fail)
+        config = write_config(tmp_path)
+        code = main(["run-protocol", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: {type(error).__name__}: {error}\n"
 
 
 @pytest.mark.skipif(shutil.which("spincat") is None, reason="console script not on PATH")

@@ -196,6 +196,86 @@ def test_density_matrix_validation():
         frozen.matrix[0, 0] = 2.0
 
 
+def _state_with_smallest_eigenvalue(rng, n_spins, eigmin):
+    """Random Hermitian unit-trace matrix whose smallest eigenvalue is ``eigmin``."""
+    dim = 1 << n_spins
+    eigs = rng.uniform(0.1, 1.0, size=dim)
+    eigs[0] = 0.0
+    eigs *= (1.0 - eigmin) / eigs.sum()
+    eigs[0] = eigmin
+    u = random_unitary(rng, dim)
+    matrix = (u * eigs) @ u.conj().T
+    return (matrix + matrix.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n_spins", [1, 3, 6, 8])
+def test_positivity_certificate_matches_eigenvalue_criterion(n_spins):
+    rng = np.random.default_rng(n_spins)
+    tol = states.POSITIVITY_TOL
+    inside = _state_with_smallest_eigenvalue(rng, n_spins, -0.5 * tol)
+    DensityMatrix(inside, n_spins)
+    outside = _state_with_smallest_eigenvalue(rng, n_spins, -2.0 * tol)
+    with pytest.raises(StateInvariantError, match="negative eigenvalue") as excinfo:
+        DensityMatrix(outside, n_spins)
+    reported = float(str(excinfo.value).split()[2])
+    assert reported == pytest.approx(-2.0 * tol, rel=1e-4)
+
+
+@pytest.mark.parametrize("n_spins", [1, 6])
+def test_eigenvalue_fallback_decides_when_cholesky_fails(monkeypatch, n_spins):
+    def no_factor(matrix):
+        raise np.linalg.LinAlgError("forced failure")
+
+    rng = np.random.default_rng(10 + n_spins)
+    tol = states.POSITIVITY_TOL
+    inside = _state_with_smallest_eigenvalue(rng, n_spins, -0.5 * tol)
+    outside = _state_with_smallest_eigenvalue(rng, n_spins, -2.0 * tol)
+    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    assert np.array_equal(DensityMatrix(inside, n_spins).matrix, inside)
+    with pytest.raises(StateInvariantError, match="negative eigenvalue"):
+        DensityMatrix(outside, n_spins)
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.7])
+def test_ten_spin_corner_states_pass_without_eigendecomposition(monkeypatch, fraction):
+    def no_eigvalsh(matrix):
+        raise AssertionError("eigvalsh ran on a positive state")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    cat = cat_state(10, CatWeights(0.6, 0.8j))
+    rho = pseudopure(cat, fraction)
+    assert rho.dim == 1024
+    assert np.array_equal(rho.matrix, (1.0 - fraction) * np.eye(1024) / 1024 + fraction * cat.matrix)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_validation_leaves_matrix_and_input_untouched(seed):
+    rng = np.random.default_rng(seed)
+    given = _state_with_smallest_eigenvalue(rng, 4, -0.5 * states.POSITIVITY_TOL)
+    snapshot = given.copy()
+    rho = DensityMatrix(given, 4)
+    assert np.array_equal(rho.matrix, snapshot)
+    assert np.array_equal(given, snapshot)
+    assert given.flags.writeable and not rho.matrix.flags.writeable
+    given[0, 0] = 2.0
+    assert rho.matrix[0, 0] == snapshot[0, 0]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_entries_fail_before_the_factorisation(monkeypatch, value, entry):
+    def not_reached(matrix):
+        raise AssertionError("positivity check ran on a non-finite matrix")
+
+    matrix = np.eye(4, dtype=complex) / 4.0
+    matrix[entry] = value
+    matrix[entry[::-1]] = value
+    monkeypatch.setattr(np.linalg, "cholesky", not_reached)
+    monkeypatch.setattr(np.linalg, "eigvalsh", not_reached)
+    with pytest.raises(StateInvariantError):
+        DensityMatrix(matrix, 2)
+
+
 def test_thermal_state():
     rho = thermal_state(3, polarization=1e-3)
     assert abs(rho.matrix.trace() - 1.0) < 1e-12
