@@ -37,6 +37,9 @@ from .states import DensityMatrix
 COUPLING_KINDS = ("homonuclear_dipolar", "heteronuclear_zz")
 ROLES = ("control", "system")
 _AXES = ("x", "y", "z")
+# Trajectories per matrix product in apply_phase_kicks_mc: bounds the
+# rows of Phi held at once without making the products too thin for BLAS.
+_KICK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -260,32 +263,53 @@ def apply_flip_relaxation(rho: DensityMatrix, noise: NoiseModel, t: float) -> De
     return DensityMatrix(matrix, n, rho.pseudopure_background)
 
 
+def draw_kick_phases(sigma: Sequence[float], trajectories: int, seed: int) -> np.ndarray:
+    """Gaussian phase kicks, one row of per-spin phases per trajectory.
+
+    Trajectory ``k`` draws its phases from its own generator, seeded by
+    the ``k``-th child of ``SeedSequence(seed).spawn``, so its phases do
+    not depend on how many trajectories are drawn.  Scaling standard
+    normals by ``sigma`` gives the same numbers as ``normal(0, sigma)``
+    without its per-call argument checks.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    phases = np.empty((trajectories, sigma.size))
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(trajectories)):
+        phases[k] = np.random.default_rng(child).standard_normal(sigma.size)
+    phases *= sigma
+    return phases
+
+
 def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, seed: int) -> DensityMatrix:
     """Monte Carlo dephasing: average over random collective z rotations.
 
-    Each trajectory draws one Gaussian phase per spin and applies the
-    diagonal unitary ``exp(-i * sum_i phi_i * Sz_i)``.  Trajectories are
-    seeded by counter-based splitting of ``seed`` and accumulated in a
-    fixed order, so results are reproducible for a given trajectory
-    count.  The ensemble mean multiplies an order-``q_i``-difference
-    element by ``exp(-sigma_i^2/2)`` per spin, matching the analytic
-    channel at ``sigma_i = sqrt(gamma_i * t)``.
+    Each trajectory draws one Gaussian phase per spin (see
+    :func:`draw_kick_phases`) and applies the diagonal unitary
+    ``exp(-i * sum_i phi_i * Sz_i)``.  The mean over ``K`` trajectories
+    of ``diag(Phi[k]) rho diag(Phi[k])^*`` is the elementwise product
+    ``rho * C`` with the empirical characteristic matrix
+    ``C = Phi^T Phi^* / K``, where ``Phi[k, r] = exp(-i * phi_k . s_r)``
+    and ``s_r`` holds the Sz eigenvalues of basis state ``r``.  ``C`` is
+    accumulated by one matrix product per block of trajectories, so the
+    extra memory is one D x D product beside ``C`` and a block of rows of
+    ``Phi``, whatever ``K`` is.  The ensemble mean multiplies an
+    order-``q_i``-difference element by ``exp(-sigma_i^2/2)`` per spin,
+    matching the analytic channel at ``sigma_i = sqrt(gamma_i * t)``.
     """
     if noise.mc_phase_sigma is None:
         raise ValueError("noise model has no Monte Carlo phase widths")
     if noise.n_spins != rho.n_spins:
         raise ValueError("noise model size does not match the state")
-    sigma = np.asarray(noise.mc_phase_sigma)
+    phases = draw_kick_phases(noise.mc_phase_sigma, noise.mc_trajectories, seed)
     # Sz eigenvalue of every spin in every basis state: +1/2 or -1/2.
     sz_signs = 0.5 - operators.bit_table(rho.n_spins)
-    accumulated = np.zeros_like(rho.matrix)
-    for child in np.random.SeedSequence(seed).spawn(noise.mc_trajectories):
-        rng = np.random.default_rng(child)
-        phases = rng.normal(0.0, sigma)
-        diag = np.exp(-1j * (phases @ sz_signs))
-        accumulated += (diag[:, None] * rho.matrix) * diag.conj()[None, :]
-    accumulated /= noise.mc_trajectories
-    return DensityMatrix(accumulated, rho.n_spins, rho.pseudopure_background)
+    characteristic = np.zeros_like(rho.matrix)
+    for start in range(0, len(phases), _KICK_BLOCK):
+        phi = np.exp(-1j * (phases[start : start + _KICK_BLOCK] @ sz_signs))
+        characteristic += phi.T @ phi.conj()
+    characteristic *= rho.matrix
+    characteristic /= noise.mc_trajectories
+    return DensityMatrix(characteristic, rho.n_spins, rho.pseudopure_background)
 
 
 def conditional_flip(rho: DensityMatrix, condition_mask: int, flip_mask: int) -> DensityMatrix:

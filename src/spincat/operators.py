@@ -140,7 +140,10 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
 def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     matrix = np.asarray(matrix)
-    return bool(np.max(np.abs(matrix - matrix.conj().T)) <= tol)
+    # inf - inf is NaN, which fails the comparison below without a warning.
+    with np.errstate(invalid="ignore"):
+        difference = matrix - matrix.conj().T
+    return bool(np.max(np.abs(difference)) <= tol)
 
 
 def _check_register_size(n_spins: int) -> None:

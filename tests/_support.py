@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from spincat import Coupling, DensityMatrix, SpinSystem
+from spincat.operators import bit_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RING7_CONFIG = REPO_ROOT / "configs" / "ring7.json"
@@ -123,6 +124,22 @@ def nq_coherence_operator(n_spins: int, sites=None) -> np.ndarray:
         if not base & mask:
             raising[base, base | mask] = 1.0
     return raising + raising.conj().T
+
+
+def phase_kicks_reference(rho: np.ndarray, n_spins: int, sigma, trajectories: int, seed: int) -> np.ndarray:
+    """Per-trajectory reference for ``apply_phase_kicks_mc``: applies each
+    trajectory's diagonal unitary ``exp(-i * sum_i phi_i * Sz_i)`` to
+    ``rho`` and averages, with the same per-trajectory seeding."""
+    sigma = np.asarray(sigma)
+    # Sz eigenvalue of every spin in every basis state: +1/2 or -1/2.
+    sz_signs = 0.5 - bit_table(n_spins)
+    accumulated = np.zeros_like(rho, dtype=complex)
+    for child in np.random.SeedSequence(seed).spawn(trajectories):
+        rng = np.random.default_rng(child)
+        phases = rng.normal(0.0, sigma)
+        diag = np.exp(-1j * (phases @ sz_signs))
+        accumulated += (diag[:, None] * rho) * diag.conj()[None, :]
+    return accumulated / trajectories
 
 
 def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray | None, jumps: list[np.ndarray]) -> np.ndarray:

@@ -1,15 +1,22 @@
 """Exponential fitting and coherence-order scaling studies."""
 
+import math
+
 import numpy as np
 import pytest
 
 from spincat import (
+    CatWeights,
+    DensityMatrix,
     FitError,
     NoiseModel,
+    cat_state,
     fit_exponential,
     linear_regression,
+    nq_amplitude,
     scaling_study,
 )
+from _support import phase_kicks_reference
 
 GAMMA_7Q = 9.852216748768472  # 2 / (7 * 0.029)
 
@@ -115,6 +122,30 @@ class TestScalingStudy:
         assert first == second
         shifted = scaling_study([2, 3], noise, delays, mode="monte_carlo", seed=4)
         assert first != shifted
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_monte_carlo_corner_matches_dense_kicks(self, n):
+        gamma, trajectories, seed = 4.0, 300, 7
+        noise = NoiseModel.uniform(2, dephasing_per_s=gamma, mc_trajectories=trajectories)
+        delays = [0.0, 0.05, 0.1, 0.15]
+        [(size, rate)] = scaling_study([n], noise, delays, mode="monte_carlo", seed=seed)
+        cat = cat_state(n, CatWeights.balanced()).matrix
+        amplitudes = []
+        for k, t in enumerate(delays):
+            point_seed = int(np.random.SeedSequence((seed, n, k)).generate_state(1)[0])
+            sigma = [math.sqrt(gamma * t)] * n
+            kicked = phase_kicks_reference(cat, n, sigma, trajectories, point_seed)
+            amplitudes.append(abs(nq_amplitude(DensityMatrix(kicked, n))))
+        assert size == n
+        assert rate == pytest.approx(1.0 / fit_exponential(delays, amplitudes).tau_s, rel=1e-12)
+
+    def test_monte_carlo_rates_do_not_depend_on_scan_order(self):
+        noise = NoiseModel.uniform(2, dephasing_per_s=4.0, mc_trajectories=300)
+        delays = [0.0, 0.05, 0.1, 0.15]
+        forward = scaling_study([2, 3], noise, delays, mode="monte_carlo", seed=5)
+        backward = scaling_study([3, 2], noise, delays, mode="monte_carlo", seed=5)
+        assert dict(forward) == dict(backward)
+        assert [n for n, _ in backward] == [3, 2]
 
     def test_non_uniform_rates_rejected(self):
         noise = NoiseModel((1.0, 2.0), (0.0, 0.0))

@@ -26,8 +26,8 @@ from spincat import (
     nq_amplitude,
 )
 from spincat import operators
-from spincat.dynamics import pulse_unitary
-from _support import controlled_not_unitary, random_density_matrix, rk4_evolve
+from spincat.dynamics import _KICK_BLOCK, pulse_unitary
+from _support import controlled_not_unitary, phase_kicks_reference, random_density_matrix, rk4_evolve
 
 TWO_PI = 2.0 * np.pi
 
@@ -305,6 +305,19 @@ class TestPhaseKicks:
         )
         kicked = apply_phase_kicks_mc(rho, noise, seed=42)
         assert abs(kicked.matrix[0, 7] - analytic.matrix[0, 7]) < 0.01
+
+    @pytest.mark.parametrize(
+        "trajectories", [1, _KICK_BLOCK - 1, _KICK_BLOCK, _KICK_BLOCK + 1, 3 * _KICK_BLOCK + 7]
+    )
+    @pytest.mark.parametrize("n_spins", [1, 2, 3, 5])
+    def test_matches_per_trajectory_reference(self, n_spins, trajectories):
+        rng = np.random.default_rng(1000 * n_spins + trajectories)
+        rho = random_density_matrix(rng, n_spins)
+        sigma = tuple(rng.uniform(0.1, 1.5, n_spins))
+        noise = NoiseModel((0.0,) * n_spins, (0.0,) * n_spins, sigma, trajectories)
+        kicked = apply_phase_kicks_mc(rho, noise, seed=trajectories)
+        reference = phase_kicks_reference(rho.matrix, n_spins, sigma, trajectories, seed=trajectories)
+        np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
 
     def test_requires_sigma(self):
         noise = NoiseModel.uniform(1, dephasing_per_s=1.0)

@@ -1,5 +1,7 @@
 """State constructors, coherence orders, entropy, fidelity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -272,8 +274,10 @@ def test_non_finite_entries_fail_before_the_factorisation(monkeypatch, value, en
     matrix[entry[::-1]] = value
     monkeypatch.setattr(np.linalg, "cholesky", not_reached)
     monkeypatch.setattr(np.linalg, "eigvalsh", not_reached)
-    with pytest.raises(StateInvariantError):
-        DensityMatrix(matrix, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateInvariantError):
+            DensityMatrix(matrix, 2)
 
 
 def test_thermal_state():
