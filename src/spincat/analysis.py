@@ -101,15 +101,15 @@ def scaling_study(
     over ``delays_s`` and fitted.  The analytic channel gives rates
     ``n * gamma / 2`` exactly.
 
-    ``mode="monte_carlo"`` replaces the channel with the mean over
+    ``mode="monte_carlo"`` replaces the channel with
+    :func:`dynamics.apply_phase_kicks_mc`: the mean over
     ``noise.mc_trajectories`` Gaussian phase kicks of width
-    ``sqrt(gamma * t)``, drawn by :func:`dynamics.draw_kick_phases` with
-    the seed ``SeedSequence((seed, n, k))`` for delay ``k``, so results do
-    not depend on the order of ``n_values``.  Only the corner
-    ``<u|rho|d>`` is read, and for the kicked balanced cat it is
-    ``1/2 * mean_k exp(-i * sum_i phi_ki)``: the ``[0, D-1]`` element of
-    the characteristic matrix of :func:`dynamics.apply_phase_kicks_mc`,
-    computed in O(K*n) without building the cat or any D x D array.
+    ``sqrt(gamma * t)``, seeded by ``SeedSequence((seed, n, k))`` for
+    delay ``k``, so results do not depend on the order of ``n_values``.
+    The read-out is the corner ``<u|rho|d>``, which for the kicked cat is
+    ``1/2 * mean_k exp(-i * sum_i phi_ki)``.  The cat lives on two basis
+    states, so the kick forms its characteristic matrix there only, in
+    O(K*n); the D x D cat, the kicked state and its validation remain.
     """
     if mode not in ("analytic", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -123,32 +123,23 @@ def scaling_study(
     for n in n_values:
         operators._check_register_size(int(n))
         n = int(n)
-        if mode == "analytic":
-            rho = states.cat_state(n, CatWeights.balanced())
-            channel = NoiseModel.uniform(n, dephasing_per_s=gamma)
-            amplitudes = [
-                abs(states.nq_amplitude(dynamics.apply_dephasing(rho, channel, float(t))))
-                for t in delays_s
-            ]
-        else:
-            amplitudes = [
-                _kicked_cat_corner(n, math.sqrt(gamma * float(t)), noise.mc_trajectories, (seed, n, k))
-                for k, t in enumerate(delays_s)
-            ]
+        rho = states.cat_state(n, CatWeights.balanced())
+        amplitudes = []
+        for k, t in enumerate(delays_s):
+            if mode == "analytic":
+                decayed = dynamics.apply_dephasing(rho, NoiseModel.uniform(n, dephasing_per_s=gamma), float(t))
+            else:
+                kick = NoiseModel.uniform(
+                    n,
+                    mc_phase_sigma=math.sqrt(gamma * float(t)),
+                    mc_trajectories=noise.mc_trajectories,
+                )
+                point_seed = int(np.random.SeedSequence((seed, n, k)).generate_state(1)[0])
+                decayed = dynamics.apply_phase_kicks_mc(rho, kick, point_seed)
+            amplitudes.append(abs(states.nq_amplitude(decayed)))
         fit = fit_exponential(list(delays_s), amplitudes)
         results.append((n, 1.0 / fit.tau_s))
     return results
-
-
-def _kicked_cat_corner(n: int, sigma: float, trajectories: int, entropy: tuple[int, ...]) -> float:
-    """``|<u|rho|d>|`` of the balanced ``n``-spin cat after phase kicks of
-    width ``sigma`` seeded from ``SeedSequence(entropy)``: the cat's
-    corner ``a * conj(b) = 1/2`` times ``mean_k exp(-i * sum_i phi_ki)``."""
-    # The noise model rejects a non-finite width, as the dense kick does.
-    kick = NoiseModel.uniform(n, mc_phase_sigma=sigma, mc_trajectories=trajectories)
-    point_seed = int(np.random.SeedSequence(entropy).generate_state(1)[0])
-    phases = dynamics.draw_kick_phases(kick.mc_phase_sigma, trajectories, point_seed)
-    return 0.5 * abs(np.mean(np.exp(-1j * phases.sum(axis=1))))
 
 
 def linear_regression(x: Sequence[float], y: Sequence[float]) -> RegressionResult:

@@ -26,6 +26,8 @@ MAX_SPINS = 12
 
 # Largest |M - M^dagger| element accepted as Hermitian, for states and generators alike.
 HERMITIAN_TOL = 1e-10
+# Rows compared per step by is_hermitian.
+_HERMITIAN_ROWS = 64
 
 SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
 SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
@@ -140,10 +142,14 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
 def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     matrix = np.asarray(matrix)
+    # A block of rows at a time, so the temporaries are not D x D.
     # inf - inf is NaN, which fails the comparison below without a warning.
     with np.errstate(invalid="ignore"):
-        difference = matrix - matrix.conj().T
-    return bool(np.max(np.abs(difference)) <= tol)
+        for start in range(0, matrix.shape[0], _HERMITIAN_ROWS):
+            rows = slice(start, start + _HERMITIAN_ROWS)
+            if not np.max(np.abs(matrix[rows] - matrix[:, rows].conj().T)) <= tol:
+                return False
+    return True
 
 
 def _check_register_size(n_spins: int) -> None:

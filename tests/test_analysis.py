@@ -124,7 +124,7 @@ class TestScalingStudy:
         assert first != shifted
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_monte_carlo_corner_matches_dense_kicks(self, n):
+    def test_monte_carlo_rates_match_per_trajectory_kicks(self, n):
         gamma, trajectories, seed = 4.0, 300, 7
         noise = NoiseModel.uniform(2, dephasing_per_s=gamma, mc_trajectories=trajectories)
         delays = [0.0, 0.05, 0.1, 0.15]

@@ -319,6 +319,22 @@ class TestPhaseKicks:
         reference = phase_kicks_reference(rho.matrix, n_spins, sigma, trajectories, seed=trajectories)
         np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("n_spins, support_size", [(1, 1), (3, 2), (3, 5), (5, 1), (5, 2), (5, 31)])
+    def test_state_on_few_basis_states_matches_reference(self, n_spins, support_size):
+        # The characteristic matrix is formed on the support of rho only.
+        rng = np.random.default_rng(100 * n_spins + support_size)
+        support = np.sort(rng.choice(1 << n_spins, support_size, replace=False))
+        g = rng.normal(size=(support_size, support_size)) + 1j * rng.normal(size=(support_size, support_size))
+        block = g @ g.conj().T
+        matrix = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
+        matrix[np.ix_(support, support)] = block / np.trace(block).real
+        trajectories = 2 * _KICK_BLOCK + 3
+        sigma = tuple(rng.uniform(0.1, 1.5, n_spins))
+        noise = NoiseModel((0.0,) * n_spins, (0.0,) * n_spins, sigma, trajectories)
+        kicked = apply_phase_kicks_mc(DensityMatrix(matrix, n_spins), noise, seed=support_size)
+        reference = phase_kicks_reference(matrix, n_spins, sigma, trajectories, seed=support_size)
+        np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
+
     def test_requires_sigma(self):
         noise = NoiseModel.uniform(1, dephasing_per_s=1.0)
         with pytest.raises(ValueError):

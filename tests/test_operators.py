@@ -229,3 +229,14 @@ def test_total_spin_operator():
         operators.total_spin_operator("z", [], 2)
     with pytest.raises(ValueError):
         operators.total_spin_operator("z", [0, 0], 2)
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (3, 200), (200, 3), (255, 254), (130, 130)])
+def test_is_hermitian_finds_one_bad_entry_in_any_row_block(entry):
+    rng = np.random.default_rng(31)
+    g = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    matrix = g + g.conj().T
+    assert operators.is_hermitian(matrix)
+    matrix[entry] += 1e-9j
+    assert not operators.is_hermitian(matrix)
+    assert operators.is_hermitian(matrix, tol=1e-8)
