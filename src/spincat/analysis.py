@@ -10,6 +10,7 @@ import numpy as np
 
 from . import dynamics, operators, states
 from .dynamics import NoiseModel
+from .protocol import NOISE_MODES
 from .states import CatWeights
 
 
@@ -111,7 +112,7 @@ def scaling_study(
     states, so the kick forms its characteristic matrix there only, in
     O(K*n); the D x D cat, the kicked state and its validation remain.
     """
-    if mode not in ("analytic", "monte_carlo"):
+    if mode not in NOISE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     rates = set(noise.dephasing_per_s)
     if len(rates) != 1:

@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scaling = sub.add_parser("scaling", parents=[_common()], add_help=True)
     scaling.add_argument("--n-max", type=int, default=7)
-    scaling.add_argument("--mode", choices=("analytic", "monte_carlo"), default="analytic")
+    scaling.add_argument("--mode", choices=protocol.NOISE_MODES, default="analytic")
     scaling.add_argument("--trajectories", type=int, default=None)
     scaling.set_defaults(handler=cmd_scaling)
     return parser

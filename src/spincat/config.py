@@ -202,17 +202,18 @@ def _parse_noise(data: object, n_spins: int) -> NoiseModel:
         section.take("dephasing_per_s", default=[0.0] * n_spins), "noise.dephasing_per_s"
     )
     flips = _number_list(section.take("flip_per_s", default=[0.0] * n_spins), "noise.flip_per_s")
-    sigma_raw = section.take("mc_phase_sigma", default=None)
-    sigma = None if sigma_raw is None else tuple(_number_list(sigma_raw, "noise.mc_phase_sigma"))
+    if section.take("mc_phase_sigma", default=None) is not None:
+        raise ConfigError(
+            "noise.mc_phase_sigma: must be null; the Monte Carlo kick widths follow from "
+            "noise.dephasing_per_s and the delay, sqrt(gamma_i * delay)"
+        )
     trajectories = _integer(section.take("mc_trajectories", default=1000), "noise.mc_trajectories")
     section.finish()
     for name, values in (("dephasing_per_s", dephasing), ("flip_per_s", flips)):
         if len(values) != n_spins:
             raise ConfigError(f"noise.{name}: expected {n_spins} entries, got {len(values)}")
-    if sigma is not None and len(sigma) != n_spins:
-        raise ConfigError(f"noise.mc_phase_sigma: expected {n_spins} entries, got {len(sigma)}")
     try:
-        return NoiseModel(tuple(dephasing), tuple(flips), sigma, trajectories)
+        return NoiseModel(tuple(dephasing), tuple(flips), mc_trajectories=trajectories)
     except ValueError as error:
         raise ConfigError(f"noise: {error}") from error
 

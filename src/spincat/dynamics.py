@@ -8,19 +8,25 @@ with ``T_ij = 2*Sz_i*Sz_j - Sx_i*Sx_j - Sy_i*Sy_j`` for couplings
 between like spins (``homonuclear_dipolar``) and the truncated form
 ``T_ij = 2*Sz_i*Sz_j`` between unlike spins (``heteronuclear_zz``).
 Offsets and couplings are configured in Hz and converted to rad/s here.
+The matrix is written from its index structure: the Zeeman and
+``2*Sz_i*Sz_j`` terms fill the diagonal, and a homonuclear flip-flop
+``-(Sx_i*Sx_j + Sy_i*Sy_j)`` is ``-1/2`` between ``r`` and
+``r ^ site_mask([i, j])`` wherever spins ``i`` and ``j`` are antiparallel.
 
 Both noise channels have exact closed forms, derived from their
 Lindblad generators, so no time stepping is involved:
 
 - Dephasing with jump operators ``sqrt(gamma_i)*Sz_i`` multiplies each
   matrix element ``(r, c)`` by ``exp(-t/2 * sum_i gamma_i * [r_i != c_i])``.
-  An order-``n`` coherence over spins with equal rates decays at
-  ``n*gamma/2``.
+  The factor depends only on the pattern ``r ^ c`` of differing spins,
+  so it is read from a table of ``D`` values.  An order-``n`` coherence
+  over spins with equal rates decays at ``n*gamma/2``.
 - Symmetric flip relaxation with jump operators ``sqrt(kappa_i)*S+_i``
   and ``sqrt(kappa_i)*S-_i`` drives each spin toward the maximally
   mixed state: per-spin polarization decays as ``exp(-2*kappa_i*t)``
   and elements off-diagonal in spin ``i`` pick up ``exp(-kappa_i*t)``.
-  Per-spin channels commute, so the product form is exact.
+  Per-spin channels commute, so the product form is exact; the spins'
+  factors are applied one after another, in place, to one copy.
 """
 
 from __future__ import annotations
@@ -199,22 +205,26 @@ class Pulse:
 
 
 def build_hamiltonian(system: SpinSystem) -> np.ndarray:
-    """Secular Hamiltonian of the system in rad/s."""
+    """Secular Hamiltonian of the system in rad/s: a diagonal plus the
+    homonuclear flip-flop entries (see the module docstring)."""
     n = system.n_spins
     dim = 1 << n
-    h = np.zeros((dim, dim), dtype=complex)
+    # Sz eigenvalue of every spin in every basis state: +1/2 or -1/2.
+    sz = 0.5 - operators.bit_table(n)
+    diagonal = np.zeros(dim)
     for site, nu in enumerate(system.offsets_hz):
         if nu != 0.0:
-            h += (2.0 * math.pi * nu) * operators.single_spin_operator("z", site, n)
+            diagonal += (2.0 * math.pi * nu) * sz[site]
+    h = np.zeros((dim, dim), dtype=complex)
+    index = np.arange(dim)
     for coupling in system.couplings:
         i, j = coupling.site_a, coupling.site_b
-        zz = operators.single_spin_operator("z", i, n) @ operators.single_spin_operator("z", j, n)
-        term = 2.0 * zz
+        omega = 2.0 * math.pi * coupling.strength_hz
+        diagonal += omega * (2.0 * sz[i] * sz[j])
         if coupling.kind == "homonuclear_dipolar":
-            xx = operators.single_spin_operator("x", i, n) @ operators.single_spin_operator("x", j, n)
-            yy = operators.single_spin_operator("y", i, n) @ operators.single_spin_operator("y", j, n)
-            term = term - xx - yy
-        h += (2.0 * math.pi * coupling.strength_hz) * term
+            rows = index[sz[i] != sz[j]]
+            h[rows, rows ^ operators.site_mask([i, j], n)] = -0.5 * omega
+    np.fill_diagonal(h, diagonal)
     return h
 
 
@@ -227,9 +237,7 @@ def evolve(rho: DensityMatrix, h: np.ndarray, t: float) -> DensityMatrix:
 
 
 def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(
-        u @ rho.matrix @ u.conj().T, rho.n_spins, rho.pseudopure_background
-    )
+    return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.n_spins)
 
 
 def pulse_unitary(pulse: Pulse, n_spins: int) -> np.ndarray:
@@ -243,26 +251,27 @@ def apply_pulse(rho: DensityMatrix, pulse: Pulse) -> DensityMatrix:
 
 def apply_dephasing(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityMatrix:
     """Exact dephasing channel: elementwise decay set by the bits where
-    row and column indices differ."""
+    row and column indices differ, read from a table over the ``D``
+    patterns ``x = r ^ c``."""
     _check_channel_args(rho, noise, t)
-    bits = operators.bit_table(rho.n_spins)
     rates = np.asarray(noise.dephasing_per_s)
-    # decay[r, c] = sum_i gamma_i * [r_i != c_i]
-    differs = bits[:, :, None] != bits[:, None, :]
-    decay = np.tensordot(rates, differs, axes=1)
+    # decay[x] = sum_i gamma_i * x_i
+    decay = np.tensordot(rates, operators.bit_table(rho.n_spins), axes=1)
     factor = np.exp(-0.5 * t * decay)
-    return DensityMatrix(rho.matrix * factor, rho.n_spins, rho.pseudopure_background)
+    index = np.arange(rho.dim)
+    return DensityMatrix(rho.matrix * factor[index[:, None] ^ index], rho.n_spins)
 
 
 def apply_flip_relaxation(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityMatrix:
-    """Exact symmetric flip channel, one commuting factor per spin."""
+    """Exact symmetric flip channel, one commuting factor per spin,
+    applied in place to one copy of the matrix."""
     _check_channel_args(rho, noise, t)
     n = rho.n_spins
     matrix = np.array(rho.matrix)
     for site, rate in enumerate(noise.flip_per_s):
         if rate > 0.0:
-            matrix = _flip_one_site(matrix, site, n, rate * t)
-    return DensityMatrix(matrix, n, rho.pseudopure_background)
+            _flip_one_site(matrix, site, n, rate * t)
+    return DensityMatrix(matrix, n)
 
 
 def draw_kick_phases(sigma: Sequence[float], trajectories: int, seed: int) -> np.ndarray:
@@ -321,7 +330,7 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, seed: int) -> De
         kicked = np.zeros_like(rho.matrix)
         block = np.ix_(support, support)
         kicked[block] = characteristic * rho.matrix[block]
-    return DensityMatrix(kicked, rho.n_spins, rho.pseudopure_background)
+    return DensityMatrix(kicked, rho.n_spins)
 
 
 def conditional_flip(rho: DensityMatrix, condition_mask: int, flip_mask: int) -> DensityMatrix:
@@ -337,8 +346,7 @@ def conditional_flip(rho: DensityMatrix, condition_mask: int, flip_mask: int) ->
         raise ValueError("empty target set")
     index = np.arange(rho.dim)
     perm = np.where(index & condition_mask == condition_mask, index ^ flip_mask, index)
-    matrix = rho.matrix[np.ix_(perm, perm)]
-    return DensityMatrix(matrix, rho.n_spins, rho.pseudopure_background)
+    return DensityMatrix(rho.matrix[np.ix_(perm, perm)], rho.n_spins)
 
 
 def controlled_not_all(rho: DensityMatrix, control: int, targets: Sequence[int]) -> DensityMatrix:
@@ -360,28 +368,22 @@ def _pulse_generator(pulse: Pulse, n_spins: int) -> np.ndarray:
     return cos_p * y - sin_p * x
 
 
-def _flip_one_site(matrix: np.ndarray, site: int, n_spins: int, kappa_t: float) -> np.ndarray:
-    """Apply one spin's flip factor.  Populations in the 2x2 block of the
-    spin mix toward their average at rate 2*kappa; the block's
-    off-diagonals decay at kappa."""
+def _flip_one_site(matrix: np.ndarray, site: int, n_spins: int, kappa_t: float) -> None:
+    """Apply one spin's flip factor to ``matrix`` in place.  Populations
+    in the 2x2 block of the spin mix toward their average at rate
+    2*kappa; the block's off-diagonals decay at kappa."""
     e1 = math.exp(-kappa_t)
     e2 = math.exp(-2.0 * kappa_t)
-    view = matrix.reshape((2,) * (2 * n_spins))
-
-    def block(row_bit: int, col_bit: int) -> tuple:
-        index: list = [slice(None)] * (2 * n_spins)
-        index[site] = row_bit
-        index[n_spins + site] = col_bit
-        return tuple(index)
-
-    uu = np.array(view[block(0, 0)])
-    dd = np.array(view[block(1, 1)])
-    out = np.array(view)
-    out[block(0, 0)] = 0.5 * (1.0 + e2) * uu + 0.5 * (1.0 - e2) * dd
-    out[block(1, 1)] = 0.5 * (1.0 - e2) * uu + 0.5 * (1.0 + e2) * dd
-    out[block(0, 1)] = e1 * view[block(0, 1)]
-    out[block(1, 0)] = e1 * view[block(1, 0)]
-    return out.reshape(matrix.shape)
+    # Row and column index split as (spins before, this spin, spins after).
+    split = (1 << site, 2, 1 << (n_spins - 1 - site))
+    view = matrix.reshape(split + split)
+    uu = view[:, 0, :, :, 0, :]
+    dd = view[:, 1, :, :, 1, :]
+    mixed_up = 0.5 * (1.0 + e2) * uu + 0.5 * (1.0 - e2) * dd
+    dd[...] = 0.5 * (1.0 - e2) * uu + 0.5 * (1.0 + e2) * dd
+    uu[...] = mixed_up
+    view[:, 0, :, :, 1, :] *= e1
+    view[:, 1, :, :, 0, :] *= e1
 
 
 def _check_channel_args(rho: DensityMatrix, noise: NoiseModel, t: float) -> None:

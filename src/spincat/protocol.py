@@ -161,7 +161,7 @@ def step_b_create_cat(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatr
     matrix = np.array(rho.matrix)
     _rotate_row_pairs(matrix, up, down, rotation)
     _rotate_row_pairs(matrix.T, up, down, rotation.conj())
-    return DensityMatrix(matrix, rho.n_spins, rho.pseudopure_background)
+    return DensityMatrix(matrix, rho.n_spins)
 
 
 def step_c_entangle(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatrix:

@@ -53,16 +53,12 @@ class DensityMatrix:
     only if it does not is the smallest ``eigvalsh`` eigenvalue compared
     with ``-POSITIVITY_TOL``.  The stored copy is bit-identical to the
     input.  A matrix with NaN or inf entries fails the trace or
-    Hermiticity check before the factorisation runs.
-
-    ``pseudopure_background`` records the weight of the maximally mixed
-    component for states built by :func:`pseudopure`; it is carried
-    along for reporting only and does not affect any operation.
+    Hermiticity check before the factorisation runs.  Nothing but the
+    matrix and the register size is stored.
     """
 
     matrix: np.ndarray
     n_spins: int
-    pseudopure_background: float | None = None
 
     def __post_init__(self) -> None:
         matrix = np.array(self.matrix, dtype=complex)
@@ -187,9 +183,7 @@ def pseudopure(target: DensityMatrix, purity_fraction: float) -> DensityMatrix:
         raise ValueError(f"purity fraction must lie in (0, 1], got {f}")
     dim = target.dim
     matrix = (1.0 - f) * np.eye(dim, dtype=complex) / dim + f * target.matrix
-    previous = target.pseudopure_background or 0.0
-    background = (1.0 - f) + f * previous
-    return DensityMatrix(matrix, target.n_spins, pseudopure_background=background)
+    return DensityMatrix(matrix, target.n_spins)
 
 
 def coherence_orders(rho: DensityMatrix) -> dict[int, float]:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 from spincat import Coupling, DensityMatrix, SpinSystem
-from spincat.operators import bit_table
+from spincat.operators import bit_table, single_spin_operator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RING7_CONFIG = REPO_ROOT / "configs" / "ring7.json"
@@ -140,6 +141,60 @@ def phase_kicks_reference(rho: np.ndarray, n_spins: int, sigma, trajectories: in
         diag = np.exp(-1j * (phases @ sz_signs))
         accumulated += (diag[:, None] * rho) * diag.conj()[None, :]
     return accumulated / trajectories
+
+
+def dephasing_reference(rho: np.ndarray, n_spins: int, rates, t: float) -> np.ndarray:
+    """Dense reference for ``apply_dephasing``: the decay exponent of every
+    element summed over an n x D x D table of differing bits."""
+    bits = bit_table(n_spins)
+    # decay[r, c] = sum_i gamma_i * [r_i != c_i]
+    differs = bits[:, :, None] != bits[:, None, :]
+    decay = np.tensordot(np.asarray(rates), differs, axes=1)
+    return rho * np.exp(-0.5 * t * decay)
+
+
+def flip_one_site_reference(matrix: np.ndarray, site: int, n_spins: int, kappa_t: float) -> np.ndarray:
+    """Reference for one spin's flip factor, on a 2n-axis view and a
+    fresh copy of the matrix."""
+    e1 = math.exp(-kappa_t)
+    e2 = math.exp(-2.0 * kappa_t)
+    view = matrix.reshape((2,) * (2 * n_spins))
+
+    def block(row_bit: int, col_bit: int) -> tuple:
+        index: list = [slice(None)] * (2 * n_spins)
+        index[site] = row_bit
+        index[n_spins + site] = col_bit
+        return tuple(index)
+
+    uu = np.array(view[block(0, 0)])
+    dd = np.array(view[block(1, 1)])
+    out = np.array(view)
+    out[block(0, 0)] = 0.5 * (1.0 + e2) * uu + 0.5 * (1.0 - e2) * dd
+    out[block(1, 1)] = 0.5 * (1.0 - e2) * uu + 0.5 * (1.0 + e2) * dd
+    out[block(0, 1)] = e1 * view[block(0, 1)]
+    out[block(1, 0)] = e1 * view[block(1, 0)]
+    return out.reshape(matrix.shape)
+
+
+def hamiltonian_reference(system: SpinSystem) -> np.ndarray:
+    """Dense reference for ``build_hamiltonian``: sums of products of
+    Kronecker-embedded one-spin operators."""
+    n = system.n_spins
+    dim = 1 << n
+    h = np.zeros((dim, dim), dtype=complex)
+    for site, nu in enumerate(system.offsets_hz):
+        if nu != 0.0:
+            h += (2.0 * math.pi * nu) * single_spin_operator("z", site, n)
+    for coupling in system.couplings:
+        i, j = coupling.site_a, coupling.site_b
+        zz = single_spin_operator("z", i, n) @ single_spin_operator("z", j, n)
+        term = 2.0 * zz
+        if coupling.kind == "homonuclear_dipolar":
+            xx = single_spin_operator("x", i, n) @ single_spin_operator("x", j, n)
+            yy = single_spin_operator("y", i, n) @ single_spin_operator("y", j, n)
+            term = term - xx - yy
+        h += (2.0 * math.pi * coupling.strength_hz) * term
+    return h
 
 
 def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray | None, jumps: list[np.ndarray]) -> np.ndarray:

@@ -1,12 +1,18 @@
-"""The names the benchmark's tracer patches must exist in the package.
+"""The benchmark's hooks into the package must keep working.
 
 ``perfbench/spans.py`` lists, per spincat module, the public functions it
 wraps with timing spans; a name that disappears from the package would
 make every traced benchmark run fail.  The span list is read from the
-file's source, so nothing is written under ``perfbench/``.
+file's source, so nothing is written under ``perfbench/``.  The
+benchmark's own unit tests pin counts of the package's work (for
+example the ``DensityMatrix`` constructions of one protocol run), so
+they run here too, without writing bytecode under ``perfbench/``.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 import types
 
 from spincat import states
@@ -43,4 +49,19 @@ def test_traced_names_resolve_to_callables():
     # DensityMatrix is traced through its validation hook.
     assert "DensityMatrix" in traced["states"]
     assert "__post_init__" in vars(states.DensityMatrix)
+    assert _snapshot() == before
+
+
+def test_benchmark_unit_tests_pass():
+    before = _snapshot()
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-B", "-m", "unittest", "discover", "-s", "perfbench"],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stderr[-4000:]
     assert _snapshot() == before

@@ -160,6 +160,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=fragment.replace("[", r"\[").replace("]", r"\]")):
             parse_config(data)
 
+    @pytest.mark.parametrize("sigma", [[0.1, 0.2], [0.1], [], 0.3, "wide"])
+    def test_mc_phase_sigma_must_be_null(self, sigma):
+        # The kick widths are sqrt(gamma_i * delay); a configured width would go unread.
+        with pytest.raises(
+            ConfigError, match=r"noise\.mc_phase_sigma: .*noise\.dephasing_per_s and the delay"
+        ):
+            parse_config(minimal_config(noise={"mc_phase_sigma": sigma}))
+
+    def test_mc_phase_sigma_null_or_absent_is_accepted(self):
+        assert parse_config(minimal_config(noise={"mc_phase_sigma": None})).noise.mc_phase_sigma is None
+        assert parse_config(minimal_config()).noise.mc_phase_sigma is None
+        assert load_config(RING7_CONFIG).noise.mc_phase_sigma is None
+
     def test_coupling_errors_carry_index(self):
         data = minimal_config()
         data["spin_system"]["couplings"] = [

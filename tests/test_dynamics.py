@@ -25,9 +25,19 @@ from spincat import (
     flip_rate_for_lifetime,
     nq_amplitude,
 )
-from spincat import operators
-from spincat.dynamics import _KICK_BLOCK, pulse_unitary
-from _support import controlled_not_unitary, phase_kicks_reference, random_density_matrix, rk4_evolve
+from spincat import load_config, operators
+from spincat.dynamics import _KICK_BLOCK, COUPLING_KINDS, _flip_one_site, pulse_unitary
+from spincat.spectra import _without_couplings_to
+from _support import (
+    RING7_CONFIG,
+    controlled_not_unitary,
+    dephasing_reference,
+    flip_one_site_reference,
+    hamiltonian_reference,
+    phase_kicks_reference,
+    random_density_matrix,
+    rk4_evolve,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -146,6 +156,31 @@ class TestHamiltonian:
         assert np.abs(h @ sz - sz @ h).max() < 1e-9
         assert operators.is_hermitian(h, 1e-9)
 
+    @pytest.mark.parametrize("offsets", ["zero", "mixed"])
+    @pytest.mark.parametrize("n_spins", range(2, 7))
+    def test_matches_kronecker_reference(self, n_spins, offsets):
+        # Both coupling kinds, pairs listed either way round, and offsets
+        # all zero or zero on every other site only.
+        rng = np.random.default_rng(70 + n_spins)
+        pairs = [(i, j) for i in range(n_spins) for j in range(i + 1, n_spins)]
+        couplings = tuple(
+            Coupling(
+                *((j, i) if (k // 2) % 2 else (i, j)),
+                float(rng.normal(0.0, 80.0)),
+                COUPLING_KINDS[k % 2],
+            )
+            for k, (i, j) in enumerate(pairs)
+        )
+        nu = rng.normal(0.0, 200.0, n_spins) if offsets == "mixed" else np.zeros(n_spins)
+        nu[::2] = 0.0
+        system = SpinSystem(n_spins, ("control",) + ("system",) * (n_spins - 1), tuple(nu), couplings)
+        np.testing.assert_array_equal(build_hamiltonian(system), hamiltonian_reference(system))
+
+    @pytest.mark.parametrize("decouple", [(), (0,)])
+    def test_ring7_matches_kronecker_reference(self, decouple):
+        system = _without_couplings_to(load_config(RING7_CONFIG).system, decouple)
+        np.testing.assert_array_equal(build_hamiltonian(system), hamiltonian_reference(system))
+
 
 class TestPulse:
     def test_pi_pulse_inverts(self):
@@ -221,6 +256,16 @@ class TestDephasing:
         b = evolve(apply_dephasing(rho, noise, 0.2), h, 0.01)
         np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-12)
 
+    @pytest.mark.parametrize("n_spins", range(1, 7))
+    def test_pattern_table_matches_dense_reference(self, n_spins):
+        rng = np.random.default_rng(40 + n_spins)
+        rho = random_density_matrix(rng, n_spins)
+        rates = tuple(rng.uniform(0.1, 20.0, n_spins))
+        noise = NoiseModel(rates, (0.0,) * n_spins)
+        for t in (0.0, 0.004, 0.17, 2.5):
+            expected = dephasing_reference(rho.matrix, n_spins, rates, t)
+            np.testing.assert_array_equal(apply_dephasing(rho, noise, t).matrix, expected)
+
     def test_time_validation(self):
         with pytest.raises(ValueError):
             apply_dephasing(_plus_state(), NoiseModel.uniform(1, dephasing_per_s=1.0), -0.1)
@@ -259,6 +304,31 @@ class TestFlipRelaxation:
         oracle = rk4_evolve(rho.matrix, t, 800, None, jumps)
         channel = apply_flip_relaxation(rho, NoiseModel((0.0, 0.0), rates), t)
         assert np.abs(channel.matrix - oracle).max() < 1e-8
+
+    @pytest.mark.parametrize("where", ["first", "last", "every"])
+    @pytest.mark.parametrize("n_spins", [1, 2, 3, 5])
+    def test_in_place_sites_match_copying_reference(self, n_spins, where):
+        rng = np.random.default_rng(20 + n_spins)
+        rho = random_density_matrix(rng, n_spins)
+        rates = rng.uniform(0.2, 3.0, n_spins)
+        if where == "first":
+            rates[1:] = 0.0
+        elif where == "last":
+            rates[:-1] = 0.0
+        noise = NoiseModel((0.0,) * n_spins, tuple(rates))
+        t = 0.37
+        expected = rho.matrix
+        for site, rate in enumerate(noise.flip_per_s):
+            if rate > 0.0:
+                expected = flip_one_site_reference(expected, site, n_spins, rate * t)
+        np.testing.assert_array_equal(apply_flip_relaxation(rho, noise, t).matrix, expected)
+
+    @pytest.mark.parametrize("site", range(4))
+    def test_one_site_updates_its_argument(self, site):
+        rho = random_density_matrix(np.random.default_rng(site), 4)
+        matrix = np.array(rho.matrix)
+        assert _flip_one_site(matrix, site, 4, 0.3) is None
+        np.testing.assert_array_equal(matrix, flip_one_site_reference(rho.matrix, site, 4, 0.3))
 
     def test_commutes_with_dephasing(self):
         rng = np.random.default_rng(13)

@@ -110,9 +110,6 @@ def test_pseudopure_mixing_and_background():
     rho = pseudopure(target, 0.9)
     expected = 0.9 * target.matrix + 0.1 * np.eye(4) / 4.0
     np.testing.assert_allclose(rho.matrix, expected, atol=1e-15)
-    assert rho.pseudopure_background == pytest.approx(0.1)
-    nested = pseudopure(rho, 0.5)
-    assert nested.pseudopure_background == pytest.approx(0.55)
     with pytest.raises(ValueError):
         pseudopure(target, 0.0)
     with pytest.raises(ValueError):
