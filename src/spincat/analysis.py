@@ -99,14 +99,16 @@ def scaling_study(
 
     ``noise`` must carry a uniform per-spin dephasing rate gamma; for
     each register size the balanced cat's top-order amplitude is decayed
-    over ``delays_s`` and fitted.  The analytic channel gives rates
-    ``n * gamma / 2`` exactly.
+    over ``delays_s`` and fitted.  One ``n``-spin noise model with rate
+    gamma and ``noise.mc_trajectories`` serves every delay, in either
+    mode.  The analytic channel gives rates ``n * gamma / 2`` exactly.
 
     ``mode="monte_carlo"`` replaces the channel with
     :func:`dynamics.apply_phase_kicks_mc`: the mean over
-    ``noise.mc_trajectories`` Gaussian phase kicks of width
-    ``sqrt(gamma * t)``, seeded by ``SeedSequence((seed, n, k))`` for
-    delay ``k``, so results do not depend on the order of ``n_values``.
+    ``noise.mc_trajectories`` Gaussian phase kicks, whose widths
+    ``sqrt(gamma * t)`` the kick derives itself, seeded by
+    ``SeedSequence((seed, n, k))`` for delay ``k``, so results do not
+    depend on the order of ``n_values``.
     The read-out is the corner ``<u|rho|d>``, which for the kicked cat is
     ``1/2 * mean_k exp(-i * sum_i phi_ki)``.  The cat lives on two basis
     states, so the kick forms its characteristic matrix there only, in
@@ -125,18 +127,16 @@ def scaling_study(
         operators._check_register_size(int(n))
         n = int(n)
         rho = states.cat_state(n, CatWeights.balanced())
+        register_noise = NoiseModel.uniform(
+            n, dephasing_per_s=gamma, mc_trajectories=noise.mc_trajectories
+        )
         amplitudes = []
         for k, t in enumerate(delays_s):
             if mode == "analytic":
-                decayed = dynamics.apply_dephasing(rho, NoiseModel.uniform(n, dephasing_per_s=gamma), float(t))
+                decayed = dynamics.apply_dephasing(rho, register_noise, float(t))
             else:
-                kick = NoiseModel.uniform(
-                    n,
-                    mc_phase_sigma=math.sqrt(gamma * float(t)),
-                    mc_trajectories=noise.mc_trajectories,
-                )
                 point_seed = int(np.random.SeedSequence((seed, n, k)).generate_state(1)[0])
-                decayed = dynamics.apply_phase_kicks_mc(rho, kick, point_seed)
+                decayed = dynamics.apply_phase_kicks_mc(rho, register_noise, float(t), point_seed)
             amplitudes.append(abs(states.nq_amplitude(decayed)))
         fit = fit_exponential(list(delays_s), amplitudes)
         results.append((n, 1.0 / fit.tau_s))

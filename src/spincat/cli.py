@@ -205,17 +205,17 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
-    run = _RunContext(args)
     if args.n_max > MAX_SCALING_SPINS:
         raise ConfigError(
             f"--n-max {args.n_max} exceeds the dense-simulation guardrail of {MAX_SCALING_SPINS}"
         )
     if args.n_max < 2:
         raise ConfigError("--n-max must be at least 2")
+    if args.trajectories is not None and args.trajectories < 1:
+        raise ConfigError("--trajectories must be positive")
+    run = _RunContext(args)
     noise = run.config.noise
     if args.trajectories is not None:
-        if args.trajectories < 1:
-            raise ConfigError("--trajectories must be positive")
         noise = dataclasses.replace(noise, mc_trajectories=args.trajectories)
     n_values = list(range(2, args.n_max + 1))
     rates = analysis.scaling_study(
@@ -243,7 +243,11 @@ class _RunContext:
         self.seed: int = self.config.seed if args.seed is None else int(args.seed)
         self.formats = (args.format,) if args.format else self.config.output.formats
         self.out_dir = Path(args.out) if args.out else Path(self.config.output.directory)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as error:
+            message = f"cannot create output directory {self.out_dir}: {error.strerror}"
+            raise ConfigError(message) from error
 
     def meta(self) -> dict:
         return {"config_sha256": self.config.sha256, "seed": self.seed}

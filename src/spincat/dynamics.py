@@ -32,6 +32,7 @@ Lindblad generators, so no time stepping is involved:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -113,32 +114,25 @@ class SpinSystem:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-spin noise rates, all in 1/s, plus Monte Carlo settings.
-
-    ``mc_phase_sigma`` holds per-spin standard deviations (radians) of
-    the Gaussian phase kicks used by :func:`apply_phase_kicks_mc`;
-    ``None`` disables the Monte Carlo path.
-    """
+    """Per-spin noise rates, all in 1/s, plus the number of Monte Carlo
+    trajectories that :func:`apply_phase_kicks_mc` averages over."""
 
     dephasing_per_s: tuple[float, ...]
     flip_per_s: tuple[float, ...]
-    mc_phase_sigma: tuple[float, ...] | None = None
     mc_trajectories: int = 1000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dephasing_per_s", tuple(float(v) for v in self.dephasing_per_s))
         object.__setattr__(self, "flip_per_s", tuple(float(v) for v in self.flip_per_s))
-        if self.mc_phase_sigma is not None:
-            object.__setattr__(self, "mc_phase_sigma", tuple(float(v) for v in self.mc_phase_sigma))
         if len(self.dephasing_per_s) != len(self.flip_per_s):
             raise ValueError("dephasing and flip rate lists differ in length")
-        for rates in (self.dephasing_per_s, self.flip_per_s, self.mc_phase_sigma or ()):
-            for value in rates:
-                if not np.isfinite(value) or value < 0.0:
-                    raise ValueError(f"rates must be finite and nonnegative, got {value}")
-        if self.mc_phase_sigma is not None and len(self.mc_phase_sigma) != self.n_spins:
-            raise ValueError("mc_phase_sigma length does not match the rate lists")
-        if self.mc_trajectories < 1:
+        for value in self.dephasing_per_s + self.flip_per_s:
+            if not np.isfinite(value) or value < 0.0:
+                raise ValueError(f"rates must be finite and nonnegative, got {value}")
+        trajectories = self.mc_trajectories
+        if isinstance(trajectories, bool) or not isinstance(trajectories, numbers.Integral):
+            raise ValueError(f"trajectory count must be an integer, got {trajectories!r}")
+        if trajectories < 1:
             raise ValueError("need at least one trajectory")
 
     @property
@@ -151,16 +145,9 @@ class NoiseModel:
         n_spins: int,
         dephasing_per_s: float = 0.0,
         flip_per_s: float = 0.0,
-        mc_phase_sigma: float | None = None,
         mc_trajectories: int = 1000,
     ) -> "NoiseModel":
-        sigma = None if mc_phase_sigma is None else (float(mc_phase_sigma),) * n_spins
-        return cls(
-            (float(dephasing_per_s),) * n_spins,
-            (float(flip_per_s),) * n_spins,
-            sigma,
-            mc_trajectories,
-        )
+        return cls((float(dephasing_per_s),) * n_spins, (float(flip_per_s),) * n_spins, mc_trajectories)
 
 
 def dephasing_rate_for_lifetime(lifetime_s: float, n_sites: int) -> float:
@@ -291,7 +278,7 @@ def draw_kick_phases(sigma: Sequence[float], trajectories: int, seed: int) -> np
     return phases
 
 
-def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, seed: int) -> DensityMatrix:
+def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: int) -> DensityMatrix:
     """Monte Carlo dephasing: average over random collective z rotations.
 
     Each trajectory draws one Gaussian phase per spin (see
@@ -307,14 +294,13 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, seed: int) -> De
     accumulated by one matrix product per block of trajectories, so the
     extra memory is one product beside ``C`` and a block of rows of
     ``Phi``, whatever ``K`` is.  The ensemble mean multiplies an
-    order-``q_i``-difference element by ``exp(-sigma_i^2/2)`` per spin,
-    matching the analytic channel at ``sigma_i = sqrt(gamma_i * t)``.
+    element that differs in spin ``i`` by ``exp(-sigma_i^2/2)``; the
+    widths ``sigma_i = sqrt(gamma_i * t)`` make that the analytic
+    channel's factor for time ``t``.
     """
-    if noise.mc_phase_sigma is None:
-        raise ValueError("noise model has no Monte Carlo phase widths")
-    if noise.n_spins != rho.n_spins:
-        raise ValueError("noise model size does not match the state")
-    phases = draw_kick_phases(noise.mc_phase_sigma, noise.mc_trajectories, seed)
+    _check_channel_args(rho, noise, t)
+    sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * t)
+    phases = draw_kick_phases(sigma, noise.mc_trajectories, seed)
     support = np.flatnonzero(np.any(rho.matrix, axis=0) | np.any(rho.matrix, axis=1))
     # Sz eigenvalue of every spin in every supported basis state: +1/2 or -1/2.
     sz_signs = 0.5 - operators.bit_table(rho.n_spins)[:, support]

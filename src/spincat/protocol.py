@@ -45,9 +45,11 @@ class ProtocolConfig:
     """Everything one protocol run needs.
 
     ``delay_s`` is the decoherence interval of step D.  In
-    ``monte_carlo`` mode the dephasing part of step D is replaced by a
-    phase-kick average with per-spin widths ``sqrt(gamma_i * delay)``;
-    flip relaxation always uses the closed form.
+    ``monte_carlo`` mode the dephasing part of step D is replaced by
+    :func:`dynamics.apply_phase_kicks_mc` over ``noise.mc_trajectories``
+    trajectories seeded by ``seed``; it derives the per-spin widths
+    ``sqrt(gamma_i * delay)`` from ``noise.dephasing_per_s``.  Flip
+    relaxation always uses the closed form.
     """
 
     system: SpinSystem
@@ -172,16 +174,14 @@ def step_c_entangle(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatrix
     return dynamics.conditional_flip(rho, system_mask, control_mask)
 
 
-def step_d_decohere(rho: DensityMatrix, config: ProtocolConfig, seed: int | None = None) -> DensityMatrix:
+def step_d_decohere(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatrix:
     """Free decay for the configured delay."""
     noise = config.noise
     t = config.delay_s
     if config.noise_mode == "analytic":
         rho = dynamics.apply_dephasing(rho, noise, t)
     else:
-        sigma = tuple(np.sqrt(np.asarray(noise.dephasing_per_s) * t))
-        kick_noise = dataclasses.replace(noise, mc_phase_sigma=sigma)
-        rho = dynamics.apply_phase_kicks_mc(rho, kick_noise, config.seed if seed is None else seed)
+        rho = dynamics.apply_phase_kicks_mc(rho, noise, t, config.seed)
     if config.include_flip_relaxation:
         rho = dynamics.apply_flip_relaxation(rho, noise, t)
     return rho
@@ -288,8 +288,8 @@ def _scan_delays(
     prepared = step_c_entangle(step_b_create_cat(step_a_initialize(config), config), config)
     results = []
     for delay, point_seed in zip(delays_s, _per_point_seeds(config.seed, len(delays_s))):
-        point_config = dataclasses.replace(config, delay_s=float(delay))
-        rho = step_d_decohere(prepared, point_config, seed=point_seed)
+        point_config = dataclasses.replace(config, delay_s=float(delay), seed=point_seed)
+        rho = step_d_decohere(prepared, point_config)
         results.append((float(delay), float(readout(rho))))
     return results
 

@@ -210,8 +210,9 @@ def test_criterion_6_monte_carlo_convergence(capfd):
     sigma = 0.25
     trajectories = 10_000
     for n in (2, 4, 6):
-        noise = NoiseModel.uniform(n, mc_phase_sigma=sigma, mc_trajectories=trajectories)
-        rho = apply_phase_kicks_mc(cat_state(n, CatWeights.balanced()), noise, seed=20260815 + n)
+        # sigma = sqrt(gamma * t) = sqrt(0.0625 * 1.0) = 0.25 exactly.
+        noise = NoiseModel.uniform(n, dephasing_per_s=0.0625, mc_trajectories=trajectories)
+        rho = apply_phase_kicks_mc(cat_state(n, CatWeights.balanced()), noise, 1.0, seed=20260815 + n)
         measured = abs(nq_amplitude(rho))
         variance_term = n * sigma**2
         expected = 0.5 * math.exp(-variance_term / 2.0)

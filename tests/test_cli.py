@@ -327,6 +327,8 @@ class TestScaling:
         code = main(["scaling", "--config", str(config), "--out", str(tmp_path / "o"), "--n-max", "11"])
         assert code == 1
         assert "guardrail" in capsys.readouterr().err
+        # The arguments are checked before the output directory is made.
+        assert not (tmp_path / "o").exists()
 
     def test_trajectories_must_be_positive(self, tmp_path):
         config = write_config(tmp_path)
@@ -337,6 +339,7 @@ class TestScaling:
             ]
         )
         assert code == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestErrorPaths:
@@ -351,6 +354,27 @@ class TestErrorPaths:
         code = main(["run-protocol", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "config.protcol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-protocol", "scaling"])
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys, command):
+        config = write_config(tmp_path)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        assert main([command, "--config", str(config), "--out", str(blocker)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(blocker) in err
+
+    @pytest.mark.parametrize("command", ["run-protocol", "scaling"])
+    def test_out_beneath_a_file_is_a_config_error(self, tmp_path, capsys, command):
+        config = write_config(tmp_path)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = blocker / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
 
     def test_missing_required_argument(self, capsys):
         assert main(["run-protocol"]) == 1

@@ -88,9 +88,13 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel((1.0, 1.0), (0.0,))
         with pytest.raises(ValueError):
-            NoiseModel((1.0,), (0.0,), mc_phase_sigma=(0.1, 0.2))
-        with pytest.raises(ValueError):
             NoiseModel((1.0,), (0.0,), mc_trajectories=0)
+        # A trajectory count must be an integer, as in the config: a float
+        # would fail later inside SeedSequence.spawn, and True is not 1.
+        for count in (2.5, 2.0, True, "3", None):
+            with pytest.raises(ValueError, match="trajectory count must be an integer"):
+                NoiseModel.uniform(2, mc_trajectories=count)
+        assert NoiseModel.uniform(2, mc_trajectories=np.int64(3)).mc_trajectories == 3
 
     def test_uniform_factory(self):
         noise = NoiseModel.uniform(3, dephasing_per_s=2.0, flip_per_s=0.5)
@@ -266,11 +270,23 @@ class TestDephasing:
             expected = dephasing_reference(rho.matrix, n_spins, rates, t)
             np.testing.assert_array_equal(apply_dephasing(rho, noise, t).matrix, expected)
 
-    def test_time_validation(self):
-        with pytest.raises(ValueError):
-            apply_dephasing(_plus_state(), NoiseModel.uniform(1, dephasing_per_s=1.0), -0.1)
-        with pytest.raises(ValueError):
-            apply_dephasing(_plus_state(), NoiseModel.uniform(2, dephasing_per_s=1.0), 0.1)
+
+@pytest.mark.parametrize("t", [-0.1, float("nan")])
+@pytest.mark.parametrize(
+    "channel",
+    [
+        apply_dephasing,
+        apply_flip_relaxation,
+        lambda rho, noise, t: apply_phase_kicks_mc(rho, noise, t, seed=0),
+    ],
+    ids=["dephasing", "flips", "kicks"],
+)
+def test_channel_time_validation(channel, t):
+    # Every step-D channel checks its arguments through _check_channel_args.
+    with pytest.raises(ValueError, match="channel time"):
+        channel(_plus_state(), NoiseModel.uniform(1, dephasing_per_s=1.0, flip_per_s=1.0), t)
+    with pytest.raises(ValueError, match="noise model for 2 spins"):
+        channel(_plus_state(), NoiseModel.uniform(2, dephasing_per_s=1.0, flip_per_s=1.0), 0.1)
 
 
 class TestFlipRelaxation:
@@ -341,26 +357,26 @@ class TestFlipRelaxation:
 
 class TestPhaseKicks:
     def test_deterministic_for_fixed_seed(self):
-        noise = NoiseModel.uniform(2, mc_phase_sigma=0.4, mc_trajectories=300)
+        noise = NoiseModel.uniform(2, dephasing_per_s=0.16, mc_trajectories=300)
         rho = cat_state(2, CatWeights.balanced())
-        a = apply_phase_kicks_mc(rho, noise, seed=17)
-        b = apply_phase_kicks_mc(rho, noise, seed=17)
+        a = apply_phase_kicks_mc(rho, noise, 1.0, seed=17)
+        b = apply_phase_kicks_mc(rho, noise, 1.0, seed=17)
         np.testing.assert_array_equal(a.matrix, b.matrix)
-        c = apply_phase_kicks_mc(rho, noise, seed=18)
+        c = apply_phase_kicks_mc(rho, noise, 1.0, seed=18)
         assert np.abs(a.matrix - c.matrix).max() > 0.0
 
     def test_diagonal_untouched(self):
-        noise = NoiseModel.uniform(2, mc_phase_sigma=0.8, mc_trajectories=50)
+        noise = NoiseModel.uniform(2, dephasing_per_s=0.64, mc_trajectories=50)
         rng = np.random.default_rng(21)
         rho = random_density_matrix(rng, 2)
-        kicked = apply_phase_kicks_mc(rho, noise, seed=5)
+        kicked = apply_phase_kicks_mc(rho, noise, 1.0, seed=5)
         np.testing.assert_allclose(np.diag(kicked.matrix), np.diag(rho.matrix), atol=1e-14)
 
     def test_single_spin_mean_within_standard_error(self):
         sigma = 0.6
         trials = 20000
-        noise = NoiseModel.uniform(1, mc_phase_sigma=sigma, mc_trajectories=trials)
-        kicked = apply_phase_kicks_mc(_plus_state(), noise, seed=101)
+        noise = NoiseModel.uniform(1, dephasing_per_s=sigma**2, mc_trajectories=trials)
+        kicked = apply_phase_kicks_mc(_plus_state(), noise, 1.0, seed=101)
         target = 0.5 * np.exp(-(sigma**2) / 2.0)
         variance = 0.5 * (1.0 + np.exp(-2.0 * sigma**2)) - np.exp(-(sigma**2))
         standard_error = 0.5 * np.sqrt(variance / trials)
@@ -369,11 +385,9 @@ class TestPhaseKicks:
     def test_matches_analytic_channel(self):
         gamma, t = 3.0, 0.1
         rho = cat_state(3, CatWeights.balanced())
-        analytic = apply_dephasing(rho, NoiseModel.uniform(3, dephasing_per_s=gamma), t)
-        noise = NoiseModel.uniform(
-            3, mc_phase_sigma=float(np.sqrt(gamma * t)), mc_trajectories=20000
-        )
-        kicked = apply_phase_kicks_mc(rho, noise, seed=42)
+        noise = NoiseModel.uniform(3, dephasing_per_s=gamma, mc_trajectories=20000)
+        analytic = apply_dephasing(rho, noise, t)
+        kicked = apply_phase_kicks_mc(rho, noise, t, seed=42)
         assert abs(kicked.matrix[0, 7] - analytic.matrix[0, 7]) < 0.01
 
     @pytest.mark.parametrize(
@@ -383,9 +397,10 @@ class TestPhaseKicks:
     def test_matches_per_trajectory_reference(self, n_spins, trajectories):
         rng = np.random.default_rng(1000 * n_spins + trajectories)
         rho = random_density_matrix(rng, n_spins)
-        sigma = tuple(rng.uniform(0.1, 1.5, n_spins))
-        noise = NoiseModel((0.0,) * n_spins, (0.0,) * n_spins, sigma, trajectories)
-        kicked = apply_phase_kicks_mc(rho, noise, seed=trajectories)
+        rates = tuple(rng.uniform(0.01, 3.2, n_spins))
+        noise = NoiseModel(rates, (0.0,) * n_spins, trajectories)
+        kicked = apply_phase_kicks_mc(rho, noise, 0.7, seed=trajectories)
+        sigma = np.sqrt(np.asarray(rates) * 0.7)
         reference = phase_kicks_reference(rho.matrix, n_spins, sigma, trajectories, seed=trajectories)
         np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
 
@@ -399,16 +414,23 @@ class TestPhaseKicks:
         matrix = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
         matrix[np.ix_(support, support)] = block / np.trace(block).real
         trajectories = 2 * _KICK_BLOCK + 3
-        sigma = tuple(rng.uniform(0.1, 1.5, n_spins))
-        noise = NoiseModel((0.0,) * n_spins, (0.0,) * n_spins, sigma, trajectories)
-        kicked = apply_phase_kicks_mc(DensityMatrix(matrix, n_spins), noise, seed=support_size)
+        rates = tuple(rng.uniform(0.01, 3.2, n_spins))
+        noise = NoiseModel(rates, (0.0,) * n_spins, trajectories)
+        kicked = apply_phase_kicks_mc(DensityMatrix(matrix, n_spins), noise, 0.7, seed=support_size)
+        sigma = np.sqrt(np.asarray(rates) * 0.7)
         reference = phase_kicks_reference(matrix, n_spins, sigma, trajectories, seed=support_size)
         np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
 
-    def test_requires_sigma(self):
-        noise = NoiseModel.uniform(1, dephasing_per_s=1.0)
-        with pytest.raises(ValueError):
-            apply_phase_kicks_mc(_plus_state(), noise, seed=0)
+    @pytest.mark.parametrize("state", ["full_rank", "cat"])
+    def test_zero_rates_return_the_state_unchanged(self, state):
+        # Zero widths give unit phases, so C is exactly one everywhere.
+        if state == "cat":
+            rho = cat_state(3, CatWeights(0.6, 0.8))
+        else:
+            rho = random_density_matrix(np.random.default_rng(8), 3)
+        noise = NoiseModel.uniform(3, dephasing_per_s=0.0, flip_per_s=2.0, mc_trajectories=_KICK_BLOCK + 5)
+        kicked = apply_phase_kicks_mc(rho, noise, 0.4, seed=3)
+        assert np.array_equal(kicked.matrix, rho.matrix)
 
 
 class TestControlledNot:

@@ -28,6 +28,7 @@ from _support import (
     cat_rotation_unitary,
     controlled_not_unitary,
     entangle_unitary,
+    phase_kicks_reference,
     random_density_matrix,
 )
 
@@ -235,6 +236,24 @@ class TestDecoherenceAndRecovery:
         b = run_protocol(config)
         np.testing.assert_array_equal(a.final_state.matrix, b.final_state.matrix)
 
+    @pytest.mark.parametrize("state", ["entangled", "full_rank"])
+    def test_monte_carlo_step_d_derives_widths_from_rates_and_delay(self, state):
+        # Step D kicks with sigma_i = sqrt(gamma_i * delay), one rate per spin.
+        rates = (1.5, 4.0, 0.3, 9.0)
+        delay = 0.037
+        noise = NoiseModel(rates, (0.0,) * 4, mc_trajectories=300)
+        config = make_config(n_total=4, noise=noise, noise_mode="monte_carlo", delay=delay, seed=11)
+        if state == "entangled":
+            rho = protocol.step_c_entangle(
+                protocol.step_b_create_cat(protocol.step_a_initialize(config), config), config
+            )
+        else:
+            rho = random_density_matrix(np.random.default_rng(5), 4)
+        sigma = np.sqrt(np.asarray(rates) * delay)
+        reference = phase_kicks_reference(rho.matrix, 4, sigma, 300, seed=11)
+        decayed = protocol.step_d_decohere(rho, config)
+        np.testing.assert_allclose(decayed.matrix, reference, rtol=0.0, atol=1e-13)
+
 
 class TestDecayScans:
     def test_nq_scan_follows_the_closed_form(self):
@@ -244,6 +263,14 @@ class TestDecayScans:
         assert points[0][1] == pytest.approx(0.5, rel=1e-12)
         for t, amplitude in points:
             assert amplitude == pytest.approx(0.5 * np.exp(-7.0 * GAMMA_7Q * t / 2.0), rel=1e-10)
+
+    def test_monte_carlo_scan_points_kick_with_their_own_seeds(self):
+        # Each point's step D runs on the config with its own seed, so
+        # points at one delay are independent estimates.
+        noise = NoiseModel.uniform(3, dephasing_per_s=4.0, mc_trajectories=50)
+        config = make_config(n_total=3, noise=noise, noise_mode="monte_carlo", seed=3)
+        amplitudes = [y for _, y in measure_nq_decay(config, [0.1, 0.1, 0.1])]
+        assert len(set(amplitudes)) == 3
 
     def test_nq_scan_round_trips_the_lifetime(self):
         config = make_config()
