@@ -103,9 +103,21 @@ def _common() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON run configuration")
     common.add_argument("--out", default=None, help="output directory (defaults to the config's)")
-    common.add_argument("--seed", type=int, default=None, help="override the configured seed")
+    common.add_argument("--seed", type=_seed, default=None, help="override the configured seed")
     common.add_argument("--format", choices=("csv", "json"), default=None, help="restrict outputs")
     return common
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as the seed of a ``SeedSequence``."""
+    message = f"expected a non-negative integer, got {text!r}"
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(message)
+    return seed
 
 
 def cmd_run_protocol(args: argparse.Namespace) -> int:

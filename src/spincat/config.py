@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,6 +110,8 @@ def parse_config(data: object) -> RunConfig:
     if mode not in NOISE_MODES:
         raise ConfigError(f"protocol.noise_mode: must be one of {NOISE_MODES}, got {mode!r}")
     seed = _integer(protocol.take("seed", default=0), "protocol.seed")
+    if seed < 0:
+        raise ConfigError(f"protocol.seed: expected a non-negative integer, got {seed}")
     protocol.finish()
     spectrum = _parse_spectrum(root.take("spectrum", default={}))
     output = _parse_output(root.take("output", default={}))
@@ -279,9 +282,14 @@ def _parse_output(data: object) -> OutputSettings:
 def _number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    if not _finite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        # A JSON integer literal can exceed every float.
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"{path}: expected a finite number")
-    return float(value)
+    return number
 
 
 def _integer(value: object, path: str) -> int:
@@ -312,7 +320,3 @@ def _complex_pair(value: object, path: str) -> complex:
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError(f"{path}: expected [real, imaginary]")
     return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
-
-
-def _finite(value: float) -> bool:
-    return value == value and value not in (float("inf"), float("-inf"))

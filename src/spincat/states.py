@@ -14,6 +14,20 @@ verdict, so a rejection always rests on the eigenvalue criterion.  The
 factorisation reads the lower triangle only; that is sound because
 Hermiticity to ``HERMITIAN_TOL`` (1e-10) is checked first.
 
+Every state the protocol builds is a diagonal plus a few off-diagonal
+nonzeros, so it is block-diagonal under a permutation of the basis,
+with blocks of size 1 and 2.  A Hermitian matrix of that form is
+positive semidefinite exactly when each block is, and its spectrum is
+the union of the blocks' spectra.  So when at most D entries off the
+diagonal are nonzero, the blocks are read from the nonzero pattern
+(the connected components of its off-diagonal entries; an index with
+none is a 1x1 block), Hermiticity is checked on the nonzero entries
+alone, and the certificate, its ``eigvalsh`` fallback and
+:func:`von_neumann_entropy` run block by block.  The criterion is the
+one above, applied to each block, and a 1x1 block is its own
+eigenvalue.  A denser matrix, such as a random state or a user's
+``.npy`` file, is checked whole as before, without index arrays.
+
 Coherence order of a matrix element ``(r, c)`` is the magnetization
 difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
 up spins in ``r`` minus the number in ``c``.  A cat state of ``n``
@@ -51,7 +65,12 @@ class DensityMatrix:
     unit trace to ``TRACE_TOL``, Hermiticity, and positivity.  For
     positivity ``matrix + POSITIVITY_TOL * I`` must factor by Cholesky;
     only if it does not is the smallest ``eigvalsh`` eigenvalue compared
-    with ``-POSITIVITY_TOL``.  The stored copy is bit-identical to the
+    with ``-POSITIVITY_TOL``.  A matrix with at most D nonzero entries
+    off the diagonal is checked block by block (see the module
+    docstring): Hermiticity on its nonzero entries, and the same
+    certificate and fallback on each block, with a 1x1 block rejected
+    when its diagonal entry is below ``-POSITIVITY_TOL``.  A denser
+    matrix is checked whole.  The stored copy is bit-identical to the
     input.  A matrix with NaN or inf entries fails the trace or
     Hermiticity check before the factorisation runs.  Nothing but the
     matrix and the register size is stored.
@@ -69,18 +88,109 @@ class DensityMatrix:
         trace = matrix.trace()
         if abs(trace - 1.0) > TRACE_TOL:
             raise StateInvariantError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
-        if not operators.is_hermitian(matrix):
+        structure = _block_structure(matrix)
+        if structure is None:
+            hermitian = operators.is_hermitian(matrix)
+            blocks = None
+        else:
+            rows, cols, blocks = structure
+            # inf - inf is NaN, which fails the comparison without a warning.
+            with np.errstate(invalid="ignore"):
+                residual = np.abs(matrix[rows, cols] - matrix[cols, rows].conj())
+            hermitian = residual.max() <= operators.HERMITIAN_TOL
+        if not hermitian:
             raise StateInvariantError("matrix is not Hermitian")
-        if not _shifted_cholesky_succeeds(matrix):
-            eigmin = float(np.linalg.eigvalsh(matrix)[0])
-            if eigmin < -POSITIVITY_TOL:
-                raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
+        eigmin = _uncertified_eigmin(matrix, blocks)
+        if eigmin < -POSITIVITY_TOL:
+            raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _block_structure(
+    matrix: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None:
+    """Nonzero entries and diagonal blocks of a square matrix, or ``None``
+    when more than D entries off the diagonal are nonzero.
+
+    Otherwise returns ``(rows, cols, blocks)``: ``matrix[rows, cols]``
+    are the nonzero entries, found by one ``np.nonzero`` pass, and
+    ``blocks`` partitions the indices.  Two indices share a block when a
+    chain of off-diagonal nonzeros, in either triangle, joins them; an
+    index with none is a 1x1 block.  Each block lists its indices in
+    ascending order, so its lower triangle lies in the matrix's lower
+    triangle, and the blocks of one size ``k`` form one ``(m, k)`` array.
+    """
+    dim = matrix.shape[0]
+    # Counted without allocating, so a dense matrix never builds index arrays.
+    if np.count_nonzero(matrix) - np.count_nonzero(matrix.diagonal()) > dim:
+        return None
+    rows, cols = np.nonzero(matrix)
+    off = rows != cols
+    parent: dict[int, int] = {}
+
+    def root(i: int) -> int:
+        parent.setdefault(i, i)
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for r, c in zip(rows[off].tolist(), cols[off].tolist()):
+        parent[root(r)] = root(c)
+    components: dict[int, list[int]] = {}
+    for i in sorted(parent):
+        components.setdefault(root(i), []).append(i)
+    by_size: dict[int, list[list[int]]] = {}
+    for members in components.values():
+        by_size.setdefault(len(members), []).append(members)
+    touched = np.zeros(dim, dtype=bool)
+    touched[list(parent)] = True
+    blocks = [np.flatnonzero(~touched)[:, None]]
+    blocks += [np.array(members) for _, members in sorted(by_size.items())]
+    return rows, cols, blocks
+
+
+def _gather(matrix: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The ``(m, k, k)`` stack of blocks ``matrix[index[j]][:, index[j]]``."""
+    return matrix[index[:, :, None], index[:, None, :]]
+
+
+def _block_eigenvalues(matrix: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the blocks listed by the ``(m, k)`` array ``index``,
+    shape ``(m, k)``; a 1x1 block is its own eigenvalue."""
+    if index.shape[1] == 1:
+        return matrix.diagonal().real[index]
+    return np.linalg.eigvalsh(_gather(matrix, index))
+
+
+def _uncertified_eigmin(matrix: np.ndarray, blocks: list[np.ndarray] | None) -> float:
+    """Smallest eigenvalue of the blocks the shifted Cholesky does not
+    certify, and of every 1x1 block; ``inf`` when there are none.
+
+    ``blocks`` is ``None`` for a matrix checked whole.  A rejection thus
+    reads the smallest eigenvalue of the whole matrix: every certified
+    block has all its eigenvalues above ``-POSITIVITY_TOL``.
+    """
+    if blocks is None:
+        if _shifted_cholesky_succeeds(matrix):
+            return math.inf
+        return float(np.linalg.eigvalsh(matrix)[0])
+    eigmin = math.inf
+    for index in blocks:
+        if index.shape[1] > 1:
+            shifted = _gather(matrix, index) + POSITIVITY_TOL * np.eye(index.shape[1])
+            try:
+                np.linalg.cholesky(shifted)
+                continue
+            except np.linalg.LinAlgError:
+                pass
+        eigmin = min(eigmin, float(_block_eigenvalues(matrix, index).min(initial=math.inf)))
+    return eigmin
 
 
 def _shifted_cholesky_succeeds(matrix: np.ndarray) -> bool:
@@ -220,8 +330,17 @@ def nq_amplitude(rho: DensityMatrix, sites: Sequence[int] | None = None) -> comp
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy ``-sum(lam * ln lam)`` in nats; eigenvalues below 1e-14 are dropped."""
-    eigs = np.linalg.eigvalsh(rho.matrix)
+    """Entropy ``-sum(lam * ln lam)`` in nats; eigenvalues below 1e-14 are dropped.
+
+    The eigenvalues come block by block, as in validation, when the
+    state has at most D nonzero entries off the diagonal.
+    """
+    structure = _block_structure(rho.matrix)
+    if structure is None:
+        eigs = np.linalg.eigvalsh(rho.matrix)
+    else:
+        blocks = structure[2]
+        eigs = np.sort(np.concatenate([_block_eigenvalues(rho.matrix, i).ravel() for i in blocks]))
     eigs = eigs[eigs >= _ENTROPY_EIG_FLOOR]
     return max(float(-np.sum(eigs * np.log(eigs))), 0.0)
 

@@ -376,6 +376,33 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
 
+    def test_integer_beyond_every_float_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, protocol={"delays_s": [0, 0.01, 10**400]})
+        out = tmp_path / "o"
+        assert main(["run-protocol", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: protocol.delays_s[2]: expected a finite number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, seed, fragment",
+        [
+            (["run-protocol"], -1, "protocol.seed"),
+            (["decay-scan"], -1, "protocol.seed"),
+            (["scaling", "--mode", "monte_carlo", "--seed", "-3"], 42, "--seed"),
+        ],
+        ids=["run-protocol", "decay-scan", "scaling-flag"],
+    )
+    def test_negative_seed_is_rejected_before_the_output_directory(
+        self, tmp_path, capsys, args, seed, fragment
+    ):
+        config = write_config(tmp_path, protocol={"seed": seed})
+        out = tmp_path / "o"
+        assert main(args + ["--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err and "non-negative integer" in err
+        assert not out.exists()
+
     def test_missing_required_argument(self, capsys):
         assert main(["run-protocol"]) == 1
         assert "--config" in capsys.readouterr().err

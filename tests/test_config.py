@@ -209,6 +209,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="dephasing_per_s"):
             parse_config(data)
 
+    def test_integer_beyond_every_float_rejected(self, tmp_path):
+        # json writes 10**400 as a 401-digit integer literal, which float() cannot hold.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(minimal_config(protocol={"delays_s": [0, 0.01, 10**400]})))
+        with pytest.raises(ConfigError, match=r"^protocol\.delays_s\[2\]: expected a finite number$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match=r"^protocol\.seed: expected a non-negative integer"):
+            parse_config(minimal_config(protocol={"seed": seed}))
+
 
 class TestLoadConfig:
     def test_missing_file(self, tmp_path):

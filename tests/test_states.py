@@ -1,5 +1,6 @@
 """State constructors, coherence orders, entropy, fidelity."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from spincat import (
     CatWeights,
     DensityMatrix,
+    NoiseModel,
+    ProtocolConfig,
     StateInvariantError,
     cat_state,
     coherence_orders,
@@ -18,11 +21,12 @@ from spincat import (
     pseudopure,
     purity,
     reduced_state,
+    run_protocol,
     thermal_state,
     von_neumann_entropy,
 )
-from spincat import operators, states
-from _support import coherence_components, random_density_matrix, random_unitary
+from spincat import dynamics, operators, states
+from _support import bare_system, coherence_components, random_density_matrix, random_unitary
 
 
 def test_ferro_states():
@@ -284,3 +288,186 @@ def test_thermal_state():
     assert diag[0] > diag[-1]  # all-up slightly favored
     with pytest.raises(ValueError):
         thermal_state(3, polarization=0.5)
+
+
+# 4 blocks of 3, 8 of 2 and 36 of 1: 40 nonzeros off the diagonal of a
+# 64 x 64 matrix, so it is checked block by block.
+SPARSE_LAYOUT = (3,) * 4 + (2,) * 8 + (1,) * 36
+# 21 blocks of 3 and one of 1: 126 nonzeros off the diagonal, more than
+# D = 64, so the same kind of matrix is checked whole.
+DENSE_LAYOUT = (3,) * 21 + (1,)
+
+
+def _block_permuted_state(rng, layout, eigmin=None, negative_size=None):
+    """Unit-trace Hermitian matrix, block-diagonal with blocks of the sizes
+    in ``layout`` after a random permutation of the basis.
+
+    With ``eigmin``, the first block of size ``negative_size`` has
+    smallest eigenvalue ``eigmin``, and every other eigenvalue is larger.
+    """
+    dim = sum(layout)
+    starts = np.cumsum((0,) + layout[:-1])
+    eigs = rng.uniform(0.1, 1.0, size=dim)
+    if eigmin is not None:
+        low = next(s for s, k in zip(starts, layout) if k == negative_size)
+        eigs[low] = 0.0
+        eigs *= (1.0 - eigmin) / eigs.sum()
+        eigs[low] = eigmin
+    else:
+        eigs /= eigs.sum()
+    blocks = np.zeros((dim, dim), dtype=complex)
+    for start, k in zip(starts, layout):
+        u = random_unitary(rng, k)
+        blocks[start : start + k, start : start + k] = (u * eigs[start : start + k]) @ u.conj().T
+    perm = rng.permutation(dim)
+    matrix = blocks[np.ix_(perm, perm)]
+    return (matrix + matrix.conj().T) / 2.0
+
+
+def _record_factorised_sizes(monkeypatch):
+    """Patch ``cholesky`` and ``eigvalsh`` to record the order of every matrix they see."""
+    sizes = []
+    for name in ("cholesky", "eigvalsh"):
+
+        def recorded(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("factor", [0.5, -0.5, -2.0])
+@pytest.mark.parametrize(
+    "layout, negative_size, largest",
+    [
+        (SPARSE_LAYOUT, 1, 3),
+        (SPARSE_LAYOUT, 2, 3),
+        (SPARSE_LAYOUT, 3, 3),
+        (DENSE_LAYOUT, 3, 64),
+        (None, None, 64),
+    ],
+    ids=["blocks-1x1", "blocks-2x2", "blocks-3x3", "dense-blocks", "dense-random"],
+)
+def test_block_route_verdict_matches_eigenvalue_criterion(
+    monkeypatch, layout, negative_size, largest, factor
+):
+    rng = np.random.default_rng([negative_size or 0, largest, int(4 * factor) + 8])
+    tol = states.POSITIVITY_TOL
+    if layout is None:
+        matrix = _state_with_smallest_eigenvalue(rng, 6, factor * tol)
+    else:
+        matrix = _block_permuted_state(rng, layout, factor * tol, negative_size)
+    eigmin = float(np.linalg.eigvalsh(matrix)[0])
+    assert eigmin == pytest.approx(factor * tol, rel=1e-4)
+    sizes = _record_factorised_sizes(monkeypatch)
+    if eigmin >= -tol:
+        assert np.array_equal(DensityMatrix(matrix, 6).matrix, matrix)
+    else:
+        with pytest.raises(StateInvariantError, match="negative eigenvalue") as excinfo:
+            DensityMatrix(matrix, 6)
+        reported = float(str(excinfo.value).split()[2])
+        assert reported == pytest.approx(eigmin, rel=1e-4)
+    # Block by block, nothing larger than the largest block is factorised.
+    assert max(sizes) == largest
+
+
+@pytest.mark.parametrize("n_spins", [2, 4])
+@pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_hermiticity_on_a_one_sided_entry(n_spins, lower, factor):
+    # m[r, c] != 0 with m[c, r] = 0: its transpose is missing from the
+    # nonzero pattern, and the entry alone is the residual.
+    dim = 1 << n_spins
+    matrix = np.eye(dim, dtype=complex) / dim
+    entry = (dim - 1, 1) if lower else (1, dim - 1)
+    matrix[entry] = factor * operators.HERMITIAN_TOL * np.exp(0.3j)
+    assert operators.is_hermitian(matrix) == (factor < 1.0)
+    if factor < 1.0:
+        assert np.array_equal(DensityMatrix(matrix, n_spins).matrix, matrix)
+    else:
+        with pytest.raises(StateInvariantError, match="not Hermitian"):
+            DensityMatrix(matrix, n_spins)
+
+
+def _entropy_reference(matrix):
+    eigs = np.linalg.eigvalsh(matrix)
+    eigs = eigs[eigs >= 1e-14]
+    return max(float(-np.sum(eigs * np.log(eigs))), 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "layout",
+    [SPARSE_LAYOUT, DENSE_LAYOUT, (2,) * 32, (1,) * 64, (3, 3, 2) + (1,) * 56],
+    ids=["mixed", "dense-blocks", "pairs", "diagonal", "few"],
+)
+def test_entropy_of_block_states_matches_eigvalsh(layout, seed):
+    rng = np.random.default_rng(seed)
+    matrix = _block_permuted_state(rng, layout)
+    rho = DensityMatrix(matrix, 6)
+    assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(matrix), abs=1e-12)
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.7])
+def test_entropy_of_corner_states_matches_eigvalsh(fraction):
+    w = CatWeights(0.6, 0.8j)
+    for rho in (
+        pseudopure(cat_state(7, w), fraction),
+        pseudopure(decohered_mixture(6, w), fraction),
+        reduced_state(pseudopure(cat_state(7, w), fraction), [1, 2, 3, 4, 5, 6]),
+        reduced_state(pseudopure(cat_state(7, w), fraction), [0]),
+    ):
+        assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(rho.matrix), abs=1e-12)
+
+
+def test_ten_spin_protocol_runs_on_blocks_of_at_most_two(monkeypatch):
+    # Every protocol state is a diagonal plus a few corner coherences, so
+    # validation and entropies never factorise more than a 2 x 2 block.
+    def at_most_two(original):
+        def call(a, *args, **kwargs):
+            if np.shape(a)[-1] > 2:
+                raise AssertionError(f"{original.__name__} ran on a {np.shape(a)} array")
+            return original(a, *args, **kwargs)
+
+        return call
+
+    for name in ("cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, at_most_two(getattr(np.linalg, name)))
+    n = 10
+    gamma = dynamics.dephasing_rate_for_lifetime(0.029, n)
+    kappa = dynamics.flip_rate_for_lifetime(0.49)
+    config = ProtocolConfig(
+        system=bare_system(n),
+        noise=NoiseModel((gamma,) * n, (0.0,) + (kappa,) * (n - 1)),
+        weights=CatWeights(0.8, 0.6 * np.exp(1.1j)),
+        delay_s=0.021,
+        purity_fraction=0.83,
+        include_flip_relaxation=True,
+    )
+    report = run_protocol(config)
+    monkeypatch.undo()
+    system = reduced_state(report.final_state, list(range(1, n)))
+    assert report.step("recover").system_entropy == pytest.approx(
+        _entropy_reference(system.matrix), abs=1e-12
+    )
+    assert report.final_control_entropy > 0.0
+
+
+@pytest.mark.parametrize("kind, bound", [("dense", 2.1), ("cat", 1.1)])
+def test_ten_spin_validation_memory(kind, bound):
+    # Traced peak of one validation, in units of one D x D complex matrix.
+    # Checking whole copies the matrix and factorises it (2.0); a cat is
+    # only copied (1.0).  Index arrays of the dense pattern would add more.
+    n, dim = 10, 1024
+    if kind == "dense":
+        matrix = np.array(random_density_matrix(np.random.default_rng(4), n).matrix)
+    else:
+        matrix = np.array(pseudopure(cat_state(n, CatWeights(0.6, 0.8j)), 0.7).matrix)
+    tracemalloc.start()
+    try:
+        DensityMatrix(matrix, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * dim * dim * 16
