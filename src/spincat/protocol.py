@@ -27,6 +27,7 @@ forming a dense D x D unitary.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -72,6 +73,8 @@ class ProtocolConfig:
             raise ValueError(f"purity fraction must lie in (0, 1], got {self.purity_fraction}")
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"noise mode must be one of {NOISE_MODES}, got {self.noise_mode!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def n_total(self) -> int:

@@ -18,15 +18,19 @@ Every state the protocol builds is a diagonal plus a few off-diagonal
 nonzeros, so it is block-diagonal under a permutation of the basis,
 with blocks of size 1 and 2.  A Hermitian matrix of that form is
 positive semidefinite exactly when each block is, and its spectrum is
-the union of the blocks' spectra.  So when at most D entries off the
-diagonal are nonzero, the blocks are read from the nonzero pattern
-(the connected components of its off-diagonal entries; an index with
-none is a 1x1 block), Hermiticity is checked on the nonzero entries
-alone, and the certificate, its ``eigvalsh`` fallback and
-:func:`von_neumann_entropy` run block by block.  The criterion is the
-one above, applied to each block, and a 1x1 block is its own
-eigenvalue.  A denser matrix, such as a random state or a user's
-``.npy`` file, is checked whole as before, without index arrays.
+the union of the blocks' spectra.  The nonzero pattern is found in
+one vectorised pass over the matrix, 64 rows at a time, which stops as
+soon as more than D entries off the diagonal are nonzero.  When it
+does not stop, the blocks are read from the pattern (the connected
+components of its off-diagonal entries; an index with none is a 1x1
+block), Hermiticity is checked on the nonzero entries alone, and the
+certificate and its ``eigvalsh`` fallback run block by block.  The
+criterion is the one above, applied to each block, and a 1x1 block is
+its own eigenvalue.  The state keeps the pattern and its blocks, so
+:func:`von_neumann_entropy` reads the spectrum block by block and
+:func:`coherence_orders` bins the nonzero entries, without scanning
+again.  A denser matrix, such as a random state or a user's ``.npy``
+file, is checked whole as before, and keeps no pattern.
 
 Coherence order of a matrix element ``(r, c)`` is the magnetization
 difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
@@ -35,13 +39,14 @@ spins carries orders ``-n``, ``0`` and ``+n`` only.
 
 Traces of products are read elementwise in O(D^2), without a matrix
 product, and coherence weights are one weighted histogram of
-``|rho|^2`` over the element orders.
+``|rho|^2`` over the element orders: over the nonzero entries of a
+state that keeps its pattern, over all D^2 entries otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -51,6 +56,8 @@ from . import operators
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 _ENTROPY_EIG_FLOOR = 1e-14
+# Rows per slice of the nonzero scan in _nonzero_pattern.
+_SCAN_ROWS = 64
 
 
 class StateInvariantError(ValueError):
@@ -70,17 +77,24 @@ class DensityMatrix:
     docstring): Hermiticity on its nonzero entries, and the same
     certificate and fallback on each block, with a 1x1 block rejected
     when its diagonal entry is below ``-POSITIVITY_TOL``.  A denser
-    matrix is checked whole.  The stored copy is bit-identical to the
-    input.  A matrix with NaN or inf entries fails the trace or
-    Hermiticity check before the factorisation runs.  Nothing but the
-    matrix and the register size is stored.
+    matrix is checked whole.  The stored copy is C-contiguous and
+    bit-identical to the input.  A matrix with NaN or inf entries fails
+    the trace or Hermiticity check before the factorisation runs.
+
+    Beside the matrix and the register size, the private ``_pattern``
+    keeps what validation found: ``(rows, cols, blocks)`` as returned by
+    ``_block_structure``, or ``None`` for a matrix checked whole.  It is
+    not an init argument, not shown by ``repr`` and not compared.
     """
 
     matrix: np.ndarray
     n_spins: int
+    _pattern: tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=complex)
+        matrix = np.array(self.matrix, dtype=complex, order="C")
         if operators.n_spins_of(matrix) != self.n_spins:
             raise StateInvariantError(
                 f"matrix dimension {matrix.shape[0]} does not match {self.n_spins} spins"
@@ -105,6 +119,7 @@ class DensityMatrix:
             raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_pattern", structure)
 
     @property
     def dim(self) -> int:
@@ -114,22 +129,23 @@ class DensityMatrix:
 def _block_structure(
     matrix: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None:
-    """Nonzero entries and diagonal blocks of a square matrix, or ``None``
-    when more than D entries off the diagonal are nonzero.
+    """Nonzero entries and diagonal blocks of a C-contiguous complex
+    square matrix, or ``None`` when more than D entries off the diagonal
+    are nonzero.
 
     Otherwise returns ``(rows, cols, blocks)``: ``matrix[rows, cols]``
-    are the nonzero entries, found by one ``np.nonzero`` pass, and
-    ``blocks`` partitions the indices.  Two indices share a block when a
-    chain of off-diagonal nonzeros, in either triangle, joins them; an
-    index with none is a 1x1 block.  Each block lists its indices in
-    ascending order, so its lower triangle lies in the matrix's lower
-    triangle, and the blocks of one size ``k`` form one ``(m, k)`` array.
+    are the nonzero entries in C order, exactly as ``np.nonzero`` lists
+    them, and ``blocks`` partitions the indices.  Two indices share a
+    block when a chain of off-diagonal nonzeros, in either triangle,
+    joins them; an index with none is a 1x1 block.  Each block lists its
+    indices in ascending order, so its lower triangle lies in the
+    matrix's lower triangle, and the blocks of one size ``k`` form one
+    ``(m, k)`` array.
     """
-    dim = matrix.shape[0]
-    # Counted without allocating, so a dense matrix never builds index arrays.
-    if np.count_nonzero(matrix) - np.count_nonzero(matrix.diagonal()) > dim:
+    pattern = _nonzero_pattern(matrix)
+    if pattern is None:
         return None
-    rows, cols = np.nonzero(matrix)
+    rows, cols = pattern
     off = rows != cols
     parent: dict[int, int] = {}
 
@@ -148,11 +164,40 @@ def _block_structure(
     by_size: dict[int, list[list[int]]] = {}
     for members in components.values():
         by_size.setdefault(len(members), []).append(members)
-    touched = np.zeros(dim, dtype=bool)
+    touched = np.zeros(matrix.shape[0], dtype=bool)
     touched[list(parent)] = True
     blocks = [np.flatnonzero(~touched)[:, None]]
     blocks += [np.array(members) for _, members in sorted(by_size.items())]
     return rows, cols, blocks
+
+
+def _nonzero_pattern(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``np.nonzero(matrix)``, or ``None`` once more than D entries off the
+    diagonal are found nonzero.
+
+    The ``float64`` view of the matrix is scanned ``_SCAN_ROWS`` rows at
+    a time.  An entry's real and imaginary parts sit side by side, so
+    halving a part's flat index gives the entry's, and an entry with both
+    parts nonzero appears twice in a row.  A part compares as nonzero as
+    in ``np.nonzero``: ``-0.0`` is zero, NaN is not.  Temporaries span
+    one slice, and a dense matrix stops after its first.
+    """
+    dim = matrix.shape[0]
+    parts = matrix.view(np.float64)
+    diagonal_nonzero = matrix.diagonal() != 0
+    found: list[np.ndarray] = []
+    off_diagonal = 0
+    for start in range(0, dim, _SCAN_ROWS):
+        stop = min(start + _SCAN_ROWS, dim)
+        entries = np.flatnonzero(parts[start:stop] != 0) >> 1
+        if entries.size > 1:
+            entries = entries[np.concatenate(([True], entries[1:] != entries[:-1]))]
+        off_diagonal += entries.size - np.count_nonzero(diagonal_nonzero[start:stop])
+        if off_diagonal > dim:
+            return None
+        found.append(entries + start * dim)
+    rows, cols = np.divmod(np.concatenate(found), dim)
+    return rows, cols
 
 
 def _gather(matrix: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -305,9 +350,16 @@ def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
     """
     n = rho.n_spins
     ups = n - operators.bit_table(n).sum(axis=0)
-    shifted_order = ups[:, None] - ups[None, :] + n
-    power = np.abs(rho.matrix) ** 2
-    totals = np.bincount(shifted_order.ravel(), weights=power.ravel(), minlength=2 * n + 1)
+    if rho._pattern is None:
+        shifted_order = (ups[:, None] - ups[None, :] + n).ravel()
+        power = np.abs(rho.matrix.ravel()) ** 2
+    else:
+        # The nonzero entries in C order: the same sums as over the whole
+        # matrix, less the exact zeros.
+        rows, cols = rho._pattern[:2]
+        shifted_order = ups[rows] - ups[cols] + n
+        power = np.abs(rho.matrix[rows, cols]) ** 2
+    totals = np.bincount(shifted_order, weights=power, minlength=2 * n + 1)
     return {q: float(math.sqrt(totals[q + n])) for q in range(-n, n + 1)}
 
 
@@ -335,11 +387,10 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     The eigenvalues come block by block, as in validation, when the
     state has at most D nonzero entries off the diagonal.
     """
-    structure = _block_structure(rho.matrix)
-    if structure is None:
+    if rho._pattern is None:
         eigs = np.linalg.eigvalsh(rho.matrix)
     else:
-        blocks = structure[2]
+        blocks = rho._pattern[2]
         eigs = np.sort(np.concatenate([_block_eigenvalues(rho.matrix, i).ravel() for i in blocks]))
     eigs = eigs[eigs >= _ENTROPY_EIG_FLOOR]
     return max(float(-np.sum(eigs * np.log(eigs))), 0.0)

@@ -72,6 +72,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(noise=NoiseModel.uniform(5))
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # Rejected up front, naming the seed, rather than inside step D's SeedSequence.
+        with pytest.raises(ValueError, match="seed"):
+            make_config(n_total=3, noise_mode="monte_carlo", seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(7), 2**70])
+    def test_integer_seeds_are_accepted(self, seed):
+        config = make_config(n_total=3, noise_mode="monte_carlo", delay=0.01, seed=seed)
+        assert run_protocol(config).steps[-1].fidelity > 0.0
+
 
 class TestIdealSteps:
     def test_step_a_pseudopure(self):

@@ -25,7 +25,7 @@ from spincat import (
     thermal_state,
     von_neumann_entropy,
 )
-from spincat import dynamics, operators, states
+from spincat import dynamics, operators, protocol, states
 from _support import bare_system, coherence_components, random_density_matrix, random_unitary
 
 
@@ -76,15 +76,93 @@ def test_coherence_orders_of_cat_state():
     assert weights[0] == pytest.approx(np.sqrt(0.5))
 
 
+def _assert_coherence_orders_match_oracles(rho):
+    weights = coherence_orders(rho)
+    components = coherence_components(rho.matrix, rho.n_spins)
+    assert sorted(weights) == sorted(components)
+    for q, component in components.items():
+        assert weights[q] == pytest.approx(np.linalg.norm(component), rel=1e-12, abs=1e-15)
+    # The whole-matrix histogram: a kept pattern drops only exact zeros
+    # from the same sums in the same order, so the weights are bit-identical.
+    n = rho.n_spins
+    ups = n - operators.bit_table(n).sum(axis=0)
+    order = (ups[:, None] - ups[None, :] + n).ravel()
+    totals = np.bincount(order, weights=np.abs(rho.matrix.ravel()) ** 2, minlength=2 * n + 1)
+    assert weights == {q: float(np.sqrt(totals[q + n])) for q in range(-n, n + 1)}
+
+
 def test_coherence_orders_against_popcount_oracle():
     rng = np.random.default_rng(2)
     for n_spins in (1, 3, 5):
-        rho = random_density_matrix(rng, n_spins)
-        weights = coherence_orders(rho)
-        components = coherence_components(rho.matrix, n_spins)
-        assert sorted(weights) == sorted(components)
-        for q, component in components.items():
-            assert weights[q] == pytest.approx(np.linalg.norm(component), rel=1e-12, abs=1e-15)
+        _assert_coherence_orders_match_oracles(random_density_matrix(rng, n_spins))
+
+
+def _protocol_config(n):
+    """A ``protocol_n10``-style run: unbalanced weights, dephasing and flips."""
+    return ProtocolConfig(
+        system=bare_system(n),
+        noise=NoiseModel(
+            (dynamics.dephasing_rate_for_lifetime(0.029, n),) * n,
+            (0.0,) + (dynamics.flip_rate_for_lifetime(0.49),) * (n - 1),
+        ),
+        weights=CatWeights(0.8, 0.6 * np.exp(1.1j)),
+        delay_s=0.021,
+        purity_fraction=0.83,
+        include_flip_relaxation=True,
+    )
+
+
+def _four_spin_protocol_states():
+    """The state after each of the steps A-E of a 4-spin ``run_protocol``."""
+    config = _protocol_config(4)
+    rho = protocol.step_a_initialize(config)
+    out = [rho]
+    for step in (
+        protocol.step_b_create_cat,
+        protocol.step_c_entangle,
+        protocol.step_d_decohere,
+        protocol.step_e_recover,
+    ):
+        rho = step(rho, config)
+        out.append(rho)
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cat_state(5, CatWeights(0.6, 0.8j)),
+        lambda: pseudopure(cat_state(5, CatWeights(0.6, 0.8j)), 0.7),
+        *(lambda k=k: _four_spin_protocol_states()[k] for k in range(5)),
+    ],
+    ids=["cat", "pseudopure-cat", *(f"protocol-{name}" for name in protocol.STEP_NAMES)],
+)
+def test_coherence_orders_of_block_states_against_popcount_oracle(make):
+    rho = make()
+    assert rho._pattern is not None
+    _assert_coherence_orders_match_oracles(rho)
+
+
+def test_run_protocol_finds_each_pattern_once(monkeypatch):
+    # Validation finds the pattern; entropies and coherence weights reuse it.
+    scans = []
+    constructions = []
+    scan = states._block_structure
+    validate = DensityMatrix.__post_init__
+
+    def counted_scan(matrix):
+        scans.append(matrix.shape)
+        return scan(matrix)
+
+    def counted_validate(self):
+        constructions.append(self.n_spins)
+        validate(self)
+
+    monkeypatch.setattr(states, "_block_structure", counted_scan)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_validate)
+    run_protocol(_protocol_config(4))
+    assert len(constructions) == 24
+    assert len(scans) == len(constructions)
 
 
 def test_coherence_components_are_orthogonal():
@@ -435,17 +513,7 @@ def test_ten_spin_protocol_runs_on_blocks_of_at_most_two(monkeypatch):
     for name in ("cholesky", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, at_most_two(getattr(np.linalg, name)))
     n = 10
-    gamma = dynamics.dephasing_rate_for_lifetime(0.029, n)
-    kappa = dynamics.flip_rate_for_lifetime(0.49)
-    config = ProtocolConfig(
-        system=bare_system(n),
-        noise=NoiseModel((gamma,) * n, (0.0,) + (kappa,) * (n - 1)),
-        weights=CatWeights(0.8, 0.6 * np.exp(1.1j)),
-        delay_s=0.021,
-        purity_fraction=0.83,
-        include_flip_relaxation=True,
-    )
-    report = run_protocol(config)
+    report = run_protocol(_protocol_config(n))
     monkeypatch.undo()
     system = reduced_state(report.final_state, list(range(1, n)))
     assert report.step("recover").system_entropy == pytest.approx(
@@ -471,3 +539,70 @@ def test_ten_spin_validation_memory(kind, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * dim * dim * 16
+
+
+def _scan_case(dim, case):
+    """A ``dim x dim`` complex matrix with a full diagonal and off-diagonal
+    nonzeros laid out for ``case``."""
+    rng = np.random.default_rng([dim, len(case)])
+    matrix = np.zeros((dim, dim), dtype=complex)
+    matrix[np.diag_indices(dim)] = rng.uniform(0.5, 1.0, dim)
+    last = dim - 1
+    if case == "slice-boundary":
+        # Rows and columns on both sides of each 64-row slice boundary.
+        for r in {0, 63, 64, 127, 128, last} & set(range(dim)):
+            matrix[r, last - r] = 0.25 + 0.5j
+            matrix[r, (r + 1) % dim] = -0.75
+    elif case == "imaginary-only":
+        matrix[0, last] = 0.5j
+        matrix[last, 0] = -0.5j
+        odd = np.arange(1, dim, 2)
+        matrix[odd, odd] = 0.5j
+    elif case == "negative-zero":
+        # (-0.0, -0.0) is zero; (-0.0, x) and (x, -0.0) are not.
+        matrix[0, last] = complex(-0.0, -0.0)
+        matrix[last, 0] = complex(-0.0, 0.5)
+        matrix[last // 2, 0] = complex(0.5, -0.0)
+        even = np.arange(0, dim, 2)
+        matrix.real[even, even] = -0.0
+    elif case == "non-finite":
+        matrix[0, last] = np.nan
+        matrix[last, 0] = complex(0.0, np.inf)
+        matrix[last // 2, 0] = complex(-np.inf, np.nan)
+    else:
+        # Exactly D or D + 1 nonzeros at random off-diagonal places.
+        count = dim + (case == "count-D+1")
+        flat = rng.choice(np.flatnonzero(~np.eye(dim, dtype=bool)), count, replace=False)
+        matrix.ravel()[flat] = rng.normal(size=count) + 1j * rng.normal(size=count)
+    return matrix
+
+
+SCAN_CASES = [
+    (dim, case)
+    for dim in (2, 64, 128, 1024)
+    for case in (
+        "slice-boundary",
+        "imaginary-only",
+        "negative-zero",
+        "non-finite",
+        "count-D",
+        "count-D+1",
+    )
+    # Two off-diagonal places cannot hold D + 1 = 3 nonzeros.
+    if (dim, case) != (2, "count-D+1")
+]
+
+
+@pytest.mark.parametrize("dim, case", SCAN_CASES, ids=[f"{d}-{c}" for d, c in SCAN_CASES])
+def test_block_structure_scan_matches_np_nonzero(dim, case):
+    matrix = _scan_case(dim, case)
+    rows, cols = np.nonzero(matrix)
+    off_diagonal = np.count_nonzero(rows != cols)
+    assert off_diagonal == {"count-D": dim, "count-D+1": dim + 1}.get(case, off_diagonal)
+    structure = states._block_structure(matrix)
+    if off_diagonal > dim:
+        assert structure is None
+    else:
+        assert structure[0].dtype == rows.dtype and structure[1].dtype == cols.dtype
+        np.testing.assert_array_equal(structure[0], rows)
+        np.testing.assert_array_equal(structure[1], cols)
