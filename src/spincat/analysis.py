@@ -124,7 +124,7 @@ def scaling_study(
         raise ValueError("scaling study needs a positive dephasing rate")
     results = []
     for n in n_values:
-        operators._check_register_size(int(n))
+        operators._check_register_size(n)
         n = int(n)
         rho = states.cat_state(n, CatWeights.balanced())
         register_noise = NoiseModel.uniform(

@@ -61,6 +61,9 @@ class Coupling:
     kind: str
 
     def __post_init__(self) -> None:
+        for site in (self.site_a, self.site_b):
+            if not operators._is_integer(site):
+                raise ValueError(f"coupling site must be an integer, got {site!r}")
         if self.site_a == self.site_b:
             raise ValueError(f"self-coupling on site {self.site_a}")
         if self.kind not in COUPLING_KINDS:

@@ -141,24 +141,32 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
 
 def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+    """Whether no entry of ``matrix - matrix^dagger`` exceeds ``tol`` in
+    modulus; for an ``(m, k, k)`` stack, of any matrix in it.  NaN fails."""
     matrix = np.asarray(matrix)
     # A block of rows at a time, so the temporaries are not D x D.
     # inf - inf is NaN, which fails the comparison below without a warning.
     with np.errstate(invalid="ignore"):
-        for start in range(0, matrix.shape[0], _HERMITIAN_ROWS):
+        for start in range(0, matrix.shape[-1], _HERMITIAN_ROWS):
             rows = slice(start, start + _HERMITIAN_ROWS)
-            if not np.max(np.abs(matrix[rows] - matrix[:, rows].conj().T)) <= tol:
+            adjoint = matrix[..., :, rows].conj().swapaxes(-1, -2)
+            if not np.abs(matrix[..., rows, :] - adjoint).max(initial=0.0) <= tol:
                 return False
     return True
 
 
+def _is_integer(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer; ``bool`` is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_register_size(n_spins: int) -> None:
-    if not isinstance(n_spins, (int, np.integer)) or n_spins < 1:
+    if not _is_integer(n_spins) or n_spins < 1:
         raise ValueError(f"register size must be a positive integer, got {n_spins!r}")
     if n_spins > MAX_SPINS:
         raise ValueError(f"register of {n_spins} spins exceeds the dense limit of {MAX_SPINS}")
 
 
 def _check_site(site: int, n_spins: int) -> None:
-    if not isinstance(site, (int, np.integer)) or not 0 <= site < n_spins:
+    if not _is_integer(site) or not 0 <= site < n_spins:
         raise ValueError(f"site {site!r} outside register of {n_spins} spins")

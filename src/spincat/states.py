@@ -14,23 +14,23 @@ verdict, so a rejection always rests on the eigenvalue criterion.  The
 factorisation reads the lower triangle only; that is sound because
 Hermiticity to ``HERMITIAN_TOL`` (1e-10) is checked first.
 
-Every state the protocol builds is a diagonal plus a few off-diagonal
-nonzeros, so it is block-diagonal under a permutation of the basis,
-with blocks of size 1 and 2.  A Hermitian matrix of that form is
-positive semidefinite exactly when each block is, and its spectrum is
-the union of the blocks' spectra.  The nonzero pattern is found in
-one vectorised pass over the matrix, 64 rows at a time, which stops as
-soon as more than D entries off the diagonal are nonzero.  When it
-does not stop, the blocks are read from the pattern (the connected
-components of its off-diagonal entries; an index with none is a 1x1
-block), Hermiticity is checked on the nonzero entries alone, and the
-certificate and its ``eigvalsh`` fallback run block by block.  The
-criterion is the one above, applied to each block, and a 1x1 block is
-its own eigenvalue.  The state keeps the pattern and its blocks, so
-:func:`von_neumann_entropy` reads the spectrum block by block and
-:func:`coherence_orders` bins the nonzero entries, without scanning
-again.  A denser matrix, such as a random state or a user's ``.npy``
-file, is checked whole as before, and keeps no pattern.
+Validation runs block by block.  Every state the protocol builds is a
+diagonal plus a few off-diagonal nonzeros, so it is block-diagonal
+under a permutation of the basis, with blocks of size 1 and 2.  A
+matrix of that form is Hermitian, or positive semidefinite, exactly
+when each of its blocks is, and its spectrum is the union of the
+blocks' spectra.  The nonzero pattern is found in one vectorised pass
+over the matrix, 64 rows at a time, which stops as soon as more than D
+entries off the diagonal are nonzero.  When it does not stop, the
+blocks are the connected components of the pattern's off-diagonal
+entries, and an index with none is a 1x1 block.  A denser matrix, such
+as a random state or a user's ``.npy`` file, is one block of every
+index, read in place.  The blocks of one size form one stack, and
+Hermiticity, the certificate and its ``eigvalsh`` fallback run stack by
+stack; a 1x1 block is its own eigenvalue.  The state keeps its pattern
+and blocks, so :func:`von_neumann_entropy` reads the spectrum block by
+block and :func:`coherence_orders` bins the nonzero entries, without
+scanning again.
 
 Coherence order of a matrix element ``(r, c)`` is the magnetization
 difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
@@ -40,7 +40,7 @@ spins carries orders ``-n``, ``0`` and ``+n`` only.
 Traces of products are read elementwise in O(D^2), without a matrix
 product, and coherence weights are one weighted histogram of
 ``|rho|^2`` over the element orders: over the nonzero entries of a
-state that keeps its pattern, over all D^2 entries otherwise.
+state with a pattern, over all D^2 entries of a dense one.
 """
 
 from __future__ import annotations
@@ -68,53 +68,46 @@ class StateInvariantError(ValueError):
 class DensityMatrix:
     """Validated density matrix of an ``n_spins`` register.
 
-    Construction copies ``matrix`` and checks, in order: the dimension,
-    unit trace to ``TRACE_TOL``, Hermiticity, and positivity.  For
-    positivity ``matrix + POSITIVITY_TOL * I`` must factor by Cholesky;
-    only if it does not is the smallest ``eigvalsh`` eigenvalue compared
-    with ``-POSITIVITY_TOL``.  A matrix with at most D nonzero entries
-    off the diagonal is checked block by block (see the module
-    docstring): Hermiticity on its nonzero entries, and the same
-    certificate and fallback on each block, with a 1x1 block rejected
-    when its diagonal entry is below ``-POSITIVITY_TOL``.  A denser
-    matrix is checked whole.  The stored copy is C-contiguous and
+    Construction checks the register size (an integer from 1 to
+    ``MAX_SPINS``, else ``ValueError``) and the dimension before it
+    copies ``matrix``, then unit trace to
+    ``TRACE_TOL``, Hermiticity and positivity, block by block as the
+    module docstring describes.  The stored copy is C-contiguous and
     bit-identical to the input.  A matrix with NaN or inf entries fails
     the trace or Hermiticity check before the factorisation runs.
 
     Beside the matrix and the register size, the private ``_pattern``
     keeps what validation found: ``(rows, cols, blocks)`` as returned by
-    ``_block_structure``, or ``None`` for a matrix checked whole.  It is
-    not an init argument, not shown by ``repr`` and not compared.
+    ``_block_structure``, or ``(None, None, [arange(D)[None, :]])``, one
+    block of every index, for a dense matrix.  It is not an init
+    argument, not shown by ``repr`` and not compared.
     """
 
     matrix: np.ndarray
     n_spins: int
-    _pattern: tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None = field(
+    _pattern: tuple[np.ndarray | None, np.ndarray | None, list[np.ndarray]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=complex, order="C")
-        if operators.n_spins_of(matrix) != self.n_spins:
+        operators._check_register_size(self.n_spins)
+        given = np.asarray(self.matrix)
+        if operators.n_spins_of(given) != self.n_spins:
             raise StateInvariantError(
-                f"matrix dimension {matrix.shape[0]} does not match {self.n_spins} spins"
+                f"matrix dimension {given.shape[0]} does not match {self.n_spins} spins"
             )
+        matrix = np.array(given, dtype=complex, order="C")
         trace = matrix.trace()
         if abs(trace - 1.0) > TRACE_TOL:
             raise StateInvariantError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
-        structure = _block_structure(matrix)
-        if structure is None:
-            hermitian = operators.is_hermitian(matrix)
-            blocks = None
-        else:
-            rows, cols, blocks = structure
-            # inf - inf is NaN, which fails the comparison without a warning.
-            with np.errstate(invalid="ignore"):
-                residual = np.abs(matrix[rows, cols] - matrix[cols, rows].conj())
-            hermitian = residual.max() <= operators.HERMITIAN_TOL
-        if not hermitian:
+        # A dense matrix is one block of every index.
+        structure = _block_structure(matrix) or (
+            None, None, [np.arange(matrix.shape[0])[None, :]]
+        )
+        stacks = [_gather(matrix, index) for index in structure[2]]
+        if not all(operators.is_hermitian(stack) for stack in stacks):
             raise StateInvariantError("matrix is not Hermitian")
-        eigmin = _uncertified_eigmin(matrix, blocks)
+        eigmin = _uncertified_eigmin(stacks)
         if eigmin < -POSITIVITY_TOL:
             raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
         matrix.flags.writeable = False
@@ -201,58 +194,55 @@ def _nonzero_pattern(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
 
 
 def _gather(matrix: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The ``(m, k, k)`` stack of blocks ``matrix[index[j]][:, index[j]]``."""
+    """The ``(m, k, k)`` stack of blocks ``matrix[index[j]][:, index[j]]``;
+    a block of every index is the view ``matrix[None]``, not a copy."""
+    if index.shape[1] == matrix.shape[0]:
+        return matrix[None]
     return matrix[index[:, :, None], index[:, None, :]]
 
 
-def _block_eigenvalues(matrix: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the blocks listed by the ``(m, k)`` array ``index``,
-    shape ``(m, k)``; a 1x1 block is its own eigenvalue."""
-    if index.shape[1] == 1:
-        return matrix.diagonal().real[index]
-    return np.linalg.eigvalsh(_gather(matrix, index))
+def _block_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each block of the ``(m, k, k)`` stack, shape
+    ``(m, k)``; a 1x1 block is its own eigenvalue."""
+    if stack.shape[-1] == 1:
+        return stack.real[:, :, 0]
+    return np.linalg.eigvalsh(stack)
 
 
-def _uncertified_eigmin(matrix: np.ndarray, blocks: list[np.ndarray] | None) -> float:
+def _uncertified_eigmin(stacks: list[np.ndarray]) -> float:
     """Smallest eigenvalue of the blocks the shifted Cholesky does not
     certify, and of every 1x1 block; ``inf`` when there are none.
 
-    ``blocks`` is ``None`` for a matrix checked whole.  A rejection thus
-    reads the smallest eigenvalue of the whole matrix: every certified
-    block has all its eigenvalues above ``-POSITIVITY_TOL``.
+    A rejection thus reads the smallest eigenvalue of the whole matrix:
+    every certified block has all its eigenvalues above
+    ``-POSITIVITY_TOL``.
     """
-    if blocks is None:
-        if _shifted_cholesky_succeeds(matrix):
-            return math.inf
-        return float(np.linalg.eigvalsh(matrix)[0])
     eigmin = math.inf
-    for index in blocks:
-        if index.shape[1] > 1:
-            shifted = _gather(matrix, index) + POSITIVITY_TOL * np.eye(index.shape[1])
-            try:
-                np.linalg.cholesky(shifted)
-                continue
-            except np.linalg.LinAlgError:
-                pass
-        eigmin = min(eigmin, float(_block_eigenvalues(matrix, index).min(initial=math.inf)))
+    for stack in stacks:
+        if stack.shape[-1] > 1 and _shifted_cholesky_succeeds(stack):
+            continue
+        eigmin = min(eigmin, float(_block_eigenvalues(stack).min(initial=math.inf)))
     return eigmin
 
 
-def _shifted_cholesky_succeeds(matrix: np.ndarray) -> bool:
-    """Whether ``matrix + POSITIVITY_TOL * I`` has a Cholesky factor.
+def _shifted_cholesky_succeeds(stack: np.ndarray) -> bool:
+    """Whether every block of the ``(m, k, k)`` stack plus
+    ``POSITIVITY_TOL * I`` has a Cholesky factor.
 
-    The shift is added to the diagonal in place and the saved diagonal
-    is written back afterwards, so ``matrix`` ends bit-identical and no
-    second D x D array is held beside it and the factor.
+    The shift is added to the diagonals in place and the saved diagonals
+    are written back afterwards, so ``stack`` ends bit-identical, and a
+    whole matrix, whose stack is a view of it, is factorised without a
+    second D x D array beside it and the factor.
     """
-    diagonal = matrix.diagonal().copy()
-    np.fill_diagonal(matrix, diagonal + POSITIVITY_TOL)
+    diagonals = np.einsum("...ii->...i", stack)
+    saved = diagonals.copy()
+    diagonals += POSITIVITY_TOL
     try:
-        np.linalg.cholesky(matrix)
+        np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         return False
     finally:
-        np.fill_diagonal(matrix, diagonal)
+        diagonals[...] = saved
     return True
 
 
@@ -260,7 +250,7 @@ def _shifted_cholesky_succeeds(matrix: np.ndarray) -> bool:
 class CatWeights:
     """Superposition weights (a, b) with ``|a|^2 + |b|^2 = 1``.
 
-    Inputs off unit norm by more than 1e-9 are rejected; smaller
+    Inputs off unit norm by more than 1e-9, or NaN, are rejected; smaller
     deviations are renormalized so downstream amplitude identities hold
     to machine precision.
     """
@@ -272,7 +262,7 @@ class CatWeights:
         a = complex(self.a)
         b = complex(self.b)
         norm_sq = abs(a) ** 2 + abs(b) ** 2
-        if abs(norm_sq - 1.0) > 1e-9:
+        if not abs(norm_sq - 1.0) <= 1e-9:
             raise ValueError(f"unnormalized weights: |a|^2 + |b|^2 = {norm_sq}")
         norm = math.sqrt(norm_sq)
         object.__setattr__(self, "a", a / norm)
@@ -350,13 +340,13 @@ def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
     """
     n = rho.n_spins
     ups = n - operators.bit_table(n).sum(axis=0)
-    if rho._pattern is None:
+    rows, cols = rho._pattern[:2]
+    if rows is None:
         shifted_order = (ups[:, None] - ups[None, :] + n).ravel()
         power = np.abs(rho.matrix.ravel()) ** 2
     else:
         # The nonzero entries in C order: the same sums as over the whole
         # matrix, less the exact zeros.
-        rows, cols = rho._pattern[:2]
         shifted_order = ups[rows] - ups[cols] + n
         power = np.abs(rho.matrix[rows, cols]) ** 2
     totals = np.bincount(shifted_order, weights=power, minlength=2 * n + 1)
@@ -384,14 +374,10 @@ def nq_amplitude(rho: DensityMatrix, sites: Sequence[int] | None = None) -> comp
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy ``-sum(lam * ln lam)`` in nats; eigenvalues below 1e-14 are dropped.
 
-    The eigenvalues come block by block, as in validation, when the
-    state has at most D nonzero entries off the diagonal.
+    The eigenvalues come block by block, from the blocks validation found.
     """
-    if rho._pattern is None:
-        eigs = np.linalg.eigvalsh(rho.matrix)
-    else:
-        blocks = rho._pattern[2]
-        eigs = np.sort(np.concatenate([_block_eigenvalues(rho.matrix, i).ravel() for i in blocks]))
+    stacks = (_gather(rho.matrix, index) for index in rho._pattern[2])
+    eigs = np.sort(np.concatenate([_block_eigenvalues(stack).ravel() for stack in stacks]))
     eigs = eigs[eigs >= _ENTROPY_EIG_FLOOR]
     return max(float(-np.sum(eigs * np.log(eigs))), 0.0)
 

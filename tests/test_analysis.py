@@ -167,6 +167,18 @@ class TestScalingStudy:
         with pytest.raises(ValueError):
             scaling_study([13], noise, [0.0, 0.1, 0.2])
 
+    @pytest.mark.parametrize("size", [2.7, 3.0, True, "3"])
+    def test_register_sizes_must_be_integers(self, size):
+        # Checked as given: int(2.7) would run 2 spins and int(True) one.
+        noise = NoiseModel.uniform(2, dephasing_per_s=1.0)
+        with pytest.raises(ValueError, match="positive integer"):
+            scaling_study([size, 3], noise, [0.0, 0.1, 0.2])
+
+    def test_numpy_integer_register_sizes_are_accepted(self):
+        noise = NoiseModel.uniform(2, dephasing_per_s=1.0)
+        results = scaling_study(np.arange(2, 4), noise, [0.0, 0.1, 0.2])
+        assert results == scaling_study([2, 3], noise, [0.0, 0.1, 0.2])
+
 
 class TestLinearRegression:
     def test_exact_line(self):

@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,26 @@ class TestSpectrum:
         )
         assert code == 1
         assert "expected a square 2-D array" in capsys.readouterr().err
+
+    def test_npy_state_beyond_the_register_cap_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 8192 x 8192 is 13 spins; the cap is checked before the matrix is copied.
+        config = write_config(tmp_path)
+        monkeypatch.setattr(np, "load", lambda name: np.broadcast_to(np.complex128(0.0), (8192, 8192)))
+        tracemalloc.start()
+        try:
+            code = main(
+                ["spectrum", "--config", str(config), "--out", str(tmp_path / "out"), "--state", "big.npy"]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: register of 13 spins exceeds the dense limit of 12"
+        ]
+        assert peak < 16 << 20
 
     def test_missing_npy_state(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -75,6 +75,24 @@ class TestSpinSystem:
                 2, ("control", "system"), (0.0, 0.0), (Coupling(0, 2, 5.0, "heteronuclear_zz"),)
             )
 
+    @pytest.mark.parametrize("sites", [(0.5, 1), (0, 1.0), (True, 0), (1, False), ("0", 1)])
+    def test_coupling_sites_must_be_integers(self, sites):
+        with pytest.raises(ValueError, match="coupling site must be an integer"):
+            Coupling(*sites, 10.0, "heteronuclear_zz")
+
+    def test_numpy_integer_coupling_sites_are_accepted(self):
+        coupling = Coupling(np.int64(0), np.int64(1), 10.0, "heteronuclear_zz")
+        system = SpinSystem(2, ("control", "system"), (0.0, 0.0), (coupling,))
+        expected = SpinSystem(
+            2, ("control", "system"), (0.0, 0.0), (Coupling(0, 1, 10.0, "heteronuclear_zz"),)
+        )
+        np.testing.assert_array_equal(build_hamiltonian(system), build_hamiltonian(expected))
+
+    @pytest.mark.parametrize("size", [True, 1.0, 2.5, "2"])
+    def test_register_size_must_be_an_integer(self, size):
+        with pytest.raises(ValueError, match="positive integer"):
+            SpinSystem(size, ("control",), (0.0,))
+
     def test_site_role_partition(self):
         system = SpinSystem(3, ("system", "control", "system"), (0.0,) * 3)
         assert system.control_sites == (1,)

@@ -66,6 +66,18 @@ def test_register_limits():
         operators.single_spin_operator("w", 0, 2)
 
 
+@pytest.mark.parametrize("value", [True, False, 1.0, "1"])
+def test_register_sizes_and_sites_must_be_integers(value):
+    # bool is an int subclass, but True is not a register of one spin or site 1.
+    with pytest.raises(ValueError, match="positive integer"):
+        operators.single_spin_operator("z", 0, value)
+    with pytest.raises(ValueError, match="outside register"):
+        operators.single_spin_operator("z", value, 2)
+    with pytest.raises(ValueError, match="outside register"):
+        operators.site_mask([value], 2)
+    assert operators.site_mask([np.int64(1)], 2) == 0b01
+
+
 def test_bit_conventions():
     # index 4 = 0b100 on 3 spins: spin 0 down, spins 1 and 2 up
     np.testing.assert_array_equal(operators.bit_table(3)[:, 4], [1, 0, 0])
@@ -240,3 +252,14 @@ def test_is_hermitian_finds_one_bad_entry_in_any_row_block(entry):
     matrix[entry] += 1e-9j
     assert not operators.is_hermitian(matrix)
     assert operators.is_hermitian(matrix, tol=1e-8)
+    # The same entry in one matrix of an (m, k, k) stack of Hermitian ones.
+    hermitian = g + g.conj().T
+    stack = np.stack([hermitian, hermitian.conj(), hermitian.real.astype(complex)])
+    assert operators.is_hermitian(stack)
+    stack[sum(entry) % 3][entry] += 1e-9j
+    assert not operators.is_hermitian(stack)
+    assert operators.is_hermitian(stack, tol=1e-8)
+    assert operators.is_hermitian(np.zeros((0, 1, 1), dtype=complex))
+    blocks = np.zeros((4, 2, 2), dtype=complex)
+    blocks[sum(entry) % 4, 1, 0] = np.nan
+    assert not operators.is_hermitian(blocks)

@@ -55,6 +55,15 @@ def test_cat_weights_normalization():
         CatWeights(0.6, 0.6)
 
 
+@pytest.mark.parametrize("a", [float("nan"), complex(0.0, float("nan")), complex(float("nan"), 1.0)])
+def test_cat_weights_reject_nan(a):
+    # abs(nan - 1) > 1e-9 is False, so NaN must fail a comparison that it cannot pass.
+    with pytest.raises(ValueError, match="unnormalized weights"):
+        CatWeights(a, 1.0)
+    with pytest.raises(ValueError, match="unnormalized weights"):
+        CatWeights(1.0, a)
+
+
 def test_cat_state_matrix_elements():
     rho = cat_state(3, CatWeights(0.6, 0.8j))
     assert rho.matrix[0, 0] == pytest.approx(0.36)
@@ -139,7 +148,7 @@ def _four_spin_protocol_states():
 )
 def test_coherence_orders_of_block_states_against_popcount_oracle(make):
     rho = make()
-    assert rho._pattern is not None
+    assert rho._pattern[0] is not None
     _assert_coherence_orders_match_oracles(rho)
 
 
@@ -487,6 +496,18 @@ def test_entropy_of_block_states_matches_eigvalsh(layout, seed):
     assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(matrix), abs=1e-12)
 
 
+@pytest.mark.parametrize("n_spins", [2, 4, 7])
+def test_dense_state_is_one_block_of_every_index(n_spins):
+    rho = random_density_matrix(np.random.default_rng(n_spins), n_spins)
+    rows, cols, blocks = rho._pattern
+    assert rows is None and cols is None
+    assert len(blocks) == 1
+    np.testing.assert_array_equal(blocks[0], np.arange(rho.dim)[None, :])
+    # The block is read in place, and its spectrum is the matrix's, bit for bit.
+    assert np.shares_memory(states._gather(rho.matrix, blocks[0]), rho.matrix)
+    assert von_neumann_entropy(rho) == _entropy_reference(rho.matrix)
+
+
 @pytest.mark.parametrize("fraction", [1.0, 0.7])
 def test_entropy_of_corner_states_matches_eigvalsh(fraction):
     w = CatWeights(0.6, 0.8j)
@@ -539,6 +560,25 @@ def test_ten_spin_validation_memory(kind, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * dim * dim * 16
+
+
+def test_register_size_is_checked_before_the_copy():
+    # The cap is checked on the input as given, before a 1 GiB copy.
+    huge = np.broadcast_to(np.complex128(0.0), (8192, 8192))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the dense limit of 12"):
+            DensityMatrix(huge, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("size", [True, 1.0, 0])
+def test_register_size_must_be_a_positive_integer(size):
+    with pytest.raises(ValueError, match="positive integer"):
+        DensityMatrix(np.eye(2) / 2.0, size)
 
 
 def _scan_case(dim, case):
