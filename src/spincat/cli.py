@@ -298,10 +298,10 @@ def _resolve_state(name: str, config: RunConfig) -> DensityMatrix:
         target = states.ferro_state(n, "up")
     elif name == "pseudopure-down":
         target = states.ferro_state(n, "down")
-    elif name == "cat":
-        target = protocol.ideal_step_states(config.protocol_config(0.0))["create_cat"]
-    elif name == "entangled":
-        target = protocol.ideal_step_states(config.protocol_config(0.0))["entangle"]
+    elif name in ("cat", "entangled"):
+        step = "create_cat" if name == "cat" else "entangle"
+        amplitudes = protocol.ideal_step_states(config.protocol_config(0.0))[step]
+        target = states.basis_state(n, amplitudes)
     elif name == "decohered":
         target = states.decohered_mixture(len(config.system.system_sites), config.weights)
     elif name == "thermal":

@@ -26,7 +26,16 @@ Lindblad generators, so no time stepping is involved:
   mixed state: per-spin polarization decays as ``exp(-2*kappa_i*t)``
   and elements off-diagonal in spin ``i`` pick up ``exp(-kappa_i*t)``.
   Per-spin channels commute, so the product form is exact; the spins'
-  factors are applied one after another, in place, to one copy.
+  factors are applied one after another.
+
+Neither channel moves an element out of its coherence class, the set of
+elements ``(r, r ^ x)`` with one spin-difference pattern ``x``: a flip
+of spin ``i`` mixes ``(r, c)`` only with ``(r ^ b_i, c ^ b_i)``.  So both
+act on the classes the state occupies, each gathered as a length-``D``
+vector, and scatter them once into a zeroed matrix.  A protocol state
+occupies at most two classes, the diagonal and the top-order cat
+coherence, so a channel costs O(D) work beside that one matrix; a dense
+state occupies all ``D`` classes.
 """
 
 from __future__ import annotations
@@ -240,28 +249,28 @@ def apply_pulse(rho: DensityMatrix, pulse: Pulse) -> DensityMatrix:
 
 
 def apply_dephasing(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityMatrix:
-    """Exact dephasing channel: elementwise decay set by the bits where
-    row and column indices differ, read from a table over the ``D``
-    patterns ``x = r ^ c``."""
+    """Exact dephasing channel: each coherence class ``x = r ^ c`` decays
+    by one factor, read from a table over the ``D`` patterns."""
     _check_channel_args(rho, noise, t)
     rates = np.asarray(noise.dephasing_per_s)
     # decay[x] = sum_i gamma_i * x_i
     decay = np.tensordot(rates, operators.bit_table(rho.n_spins), axes=1)
     factor = np.exp(-0.5 * t * decay)
-    index = np.arange(rho.dim)
-    return DensityMatrix(rho.matrix * factor[index[:, None] ^ index], rho.n_spins)
+    classes, values = _gather_classes(rho)
+    values *= factor[classes][:, None]
+    return _scatter_classes(classes, values, rho.n_spins)
 
 
 def apply_flip_relaxation(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityMatrix:
     """Exact symmetric flip channel, one commuting factor per spin,
-    applied in place to one copy of the matrix."""
+    applied in place to the gathered coherence classes."""
     _check_channel_args(rho, noise, t)
     n = rho.n_spins
-    matrix = np.array(rho.matrix)
+    classes, values = _gather_classes(rho)
     for site, rate in enumerate(noise.flip_per_s):
         if rate > 0.0:
-            _flip_one_site(matrix, site, n, rate * t)
-    return DensityMatrix(matrix, n)
+            _flip_one_site(values, classes, site, n, rate * t)
+    return _scatter_classes(classes, values, n)
 
 
 def draw_kick_phases(sigma: Sequence[float], trajectories: int, seed: int) -> np.ndarray:
@@ -357,22 +366,49 @@ def _pulse_generator(pulse: Pulse, n_spins: int) -> np.ndarray:
     return cos_p * y - sin_p * x
 
 
-def _flip_one_site(matrix: np.ndarray, site: int, n_spins: int, kappa_t: float) -> None:
-    """Apply one spin's flip factor to ``matrix`` in place.  Populations
-    in the 2x2 block of the spin mix toward their average at rate
-    2*kappa; the block's off-diagonals decay at kappa."""
+def _gather_classes(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The coherence classes ``x`` that ``rho`` occupies, ascending, and
+    the ``(K, D)`` array of their elements ``values[k, r] = rho[r, r ^ x_k]``.
+    A state without a kept nonzero pattern occupies all ``D`` classes."""
+    rows, cols = rho._pattern[:2]
+    index = np.arange(rho.dim)
+    classes = index if rows is None else np.flatnonzero(np.bincount(rows ^ cols, minlength=rho.dim))
+    return classes, rho.matrix[index, index ^ classes[:, None]]
+
+
+def _scatter_classes(classes: np.ndarray, values: np.ndarray, n_spins: int) -> DensityMatrix:
+    """The state whose classes ``classes`` hold ``values`` and which is
+    zero elsewhere; the inverse of :func:`_gather_classes`."""
+    dim = values.shape[1]
+    matrix = np.zeros((dim, dim), dtype=complex)
+    index = np.arange(dim)
+    matrix[index, index ^ classes[:, None]] = values
+    return DensityMatrix(matrix, n_spins)
+
+
+def _flip_one_site(
+    values: np.ndarray, classes: np.ndarray, site: int, n_spins: int, kappa_t: float
+) -> None:
+    """Apply one spin's flip factor in place to the gathered classes.
+
+    A class that differs in the spin decays at kappa.  In a class that
+    does not, the elements with the spin up in both indices and those
+    with it down in both mix toward their average at rate 2*kappa.
+    """
     e1 = math.exp(-kappa_t)
     e2 = math.exp(-2.0 * kappa_t)
-    # Row and column index split as (spins before, this spin, spins after).
-    split = (1 << site, 2, 1 << (n_spins - 1 - site))
-    view = matrix.reshape(split + split)
-    uu = view[:, 0, :, :, 0, :]
-    dd = view[:, 1, :, :, 1, :]
+    bit = 1 << (n_spins - 1 - site)
+    differs = (classes & bit) != 0
+    values[differs] *= e1
+    kept = np.flatnonzero(~differs)
+    # Row index split as (spins before, this spin, spins after).
+    block = values[kept].reshape(kept.size, 1 << site, 2, bit)
+    uu = block[:, :, 0, :]
+    dd = block[:, :, 1, :]
     mixed_up = 0.5 * (1.0 + e2) * uu + 0.5 * (1.0 - e2) * dd
     dd[...] = 0.5 * (1.0 - e2) * uu + 0.5 * (1.0 + e2) * dd
     uu[...] = mixed_up
-    view[:, 0, :, :, 1, :] *= e1
-    view[:, 1, :, :, 0, :] *= e1
+    values[kept] = block.reshape(kept.size, -1)
 
 
 def _check_channel_args(rho: DensityMatrix, noise: NoiseModel, t: float) -> None:

@@ -27,7 +27,6 @@ forming a dense D x D unitary.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -73,7 +72,7 @@ class ProtocolConfig:
             raise ValueError(f"purity fraction must lie in (0, 1], got {self.purity_fraction}")
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"noise mode must be one of {NOISE_MODES}, got {self.noise_mode!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not operators._is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
@@ -195,33 +194,41 @@ def step_e_recover(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatrix:
     return dynamics.controlled_not_all(rho, control, config.system.system_sites)
 
 
-def ideal_step_states(config: ProtocolConfig) -> dict[str, DensityMatrix]:
-    """Pure reference states of each step at unit purity and zero noise."""
+def ideal_step_states(config: ProtocolConfig) -> dict[str, dict[int, complex]]:
+    """Pure reference state of each step at unit purity and zero noise,
+    as the ``{index: amplitude}`` map that :func:`states.basis_state` takes."""
     n = config.n_total
     a, b = config.weights.a, config.weights.b
     control_mask = operators.site_mask(config.system.control_sites, n)
     system_mask = operators.site_mask(config.system.system_sites, n)
-    entangled = states.basis_state(n, {0: a, control_mask | system_mask: b})
+    entangled = {0: a, control_mask | system_mask: b}
     return {
-        "initialize": states.basis_state(n, {0: 1.0}),
-        "create_cat": states.basis_state(n, {0: a, system_mask: b}),
+        "initialize": {0: 1.0},
+        "create_cat": {0: a, system_mask: b},
         "entangle": entangled,
         "decohere": entangled,
-        "recover": states.basis_state(n, {0: a, control_mask: b}),
+        "recover": {0: a, control_mask: b},
     }
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolReport:
-    """Run steps A through E and collect diagnostics."""
+    """Run steps A through E and collect diagnostics.
+
+    Each reference state is built just before the first record that
+    reads it and dropped after the last, so at most one is alive at a time.
+    """
     ideals = ideal_step_states(config)
     control = config.system.control_sites[0]
     system_sites = list(config.system.system_sites)
 
-    def record(name: str, rho: DensityMatrix) -> StepRecord:
+    def reference(name: str) -> DensityMatrix:
+        return states.basis_state(config.n_total, ideals[name])
+
+    def record(name: str, rho: DensityMatrix, ideal: DensityMatrix) -> StepRecord:
         weights = {q: w for q, w in states.coherence_orders(rho).items() if w > 1e-12}
         return StepRecord(
             name=name,
-            fidelity=states.fidelity(rho, ideals[name]),
+            fidelity=states.fidelity(rho, ideal),
             coherence_weights=weights,
             control_entropy=states.von_neumann_entropy(states.reduced_state(rho, [control])),
             system_entropy=states.von_neumann_entropy(states.reduced_state(rho, system_sites)),
@@ -229,15 +236,18 @@ def run_protocol(config: ProtocolConfig) -> ProtocolReport:
         )
 
     rho = step_a_initialize(config)
-    records = [record("initialize", rho)]
+    records = [record("initialize", rho, reference("initialize"))]
     rho = step_b_create_cat(rho, config)
-    records.append(record("create_cat", rho))
+    records.append(record("create_cat", rho, reference("create_cat")))
     rho = step_c_entangle(rho, config)
-    records.append(record("entangle", rho))
+    # One entangled reference serves steps C and D.
+    entangled = reference("entangle")
+    records.append(record("entangle", rho, entangled))
     rho = step_d_decohere(rho, config)
-    records.append(record("decohere", rho))
+    records.append(record("decohere", rho, entangled))
+    del entangled
     rho = step_e_recover(rho, config)
-    records.append(record("recover", rho))
+    records.append(record("recover", rho, reference("recover")))
 
     system_target = states.ferro_state(config.n_system, "up")
     return ProtocolReport(

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from spincat import Coupling, DensityMatrix, SpinSystem
+from spincat import CatWeights, Coupling, DensityMatrix, NoiseModel, ProtocolConfig, SpinSystem
+from spincat.dynamics import dephasing_rate_for_lifetime, flip_rate_for_lifetime
 from spincat.operators import bit_table, single_spin_operator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +59,22 @@ def ring7_system(one_bond_hz: float = 160.0, remote_hz: float = 6.0) -> SpinSyst
 def bare_system(n_spins: int) -> SpinSystem:
     """Coupling-free register with the control at site 0."""
     return SpinSystem(n_spins, ("control",) + ("system",) * (n_spins - 1), (0.0,) * n_spins)
+
+
+def protocol_config(n_spins: int, purity_fraction: float = 0.83) -> ProtocolConfig:
+    """A ``protocol_n10``-style run on a bare register: unbalanced
+    weights, dephasing calibrated to a 29 ms cat and flips on."""
+    return ProtocolConfig(
+        system=bare_system(n_spins),
+        noise=NoiseModel(
+            (dephasing_rate_for_lifetime(0.029, n_spins),) * n_spins,
+            (0.0,) + (flip_rate_for_lifetime(0.49),) * (n_spins - 1),
+        ),
+        weights=CatWeights(0.8, 0.6 * np.exp(1.1j)),
+        delay_s=0.021,
+        purity_fraction=purity_fraction,
+        include_flip_relaxation=True,
+    )
 
 
 def _mask(sites, n_spins: int) -> int:

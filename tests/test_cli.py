@@ -8,7 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spincat import ferro_state, load_config, protocol, run_protocol
+from spincat import (
+    DensityMatrix,
+    ferro_state,
+    linear_response_spectrum,
+    load_config,
+    protocol,
+    pseudopure,
+    run_protocol,
+)
 from spincat.cli import MAX_SCALING_SPINS, _write_atomic, main
 from _support import RING7_CONFIG
 
@@ -221,6 +229,34 @@ class TestSpectrum:
             ["spectrum", "--config", str(RING7_CONFIG), "--out", str(out), "--state", state]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("state, corner", [("cat", 0b0111111), ("entangled", 0b1111111)])
+    def test_cat_and_entangled_spectra_are_those_of_the_written_out_states(
+        self, tmp_path, state, corner
+    ):
+        # The named state is the pseudopure a|0> + b|corner>, with the
+        # control at the most significant bit; every stick matches exactly.
+        run = load_config(RING7_CONFIG)
+        out = tmp_path / "out"
+        code = main(
+            ["spectrum", "--config", str(RING7_CONFIG), "--out", str(out), "--state", state]
+        )
+        assert code == 0
+        psi = np.zeros(128, dtype=complex)
+        psi[[0, corner]] = run.weights.a, run.weights.b
+        rho = pseudopure(DensityMatrix(np.outer(psi, psi.conj()), 7), run.purity_fraction)
+        expected = linear_response_spectrum(
+            rho,
+            run.system,
+            list(run.system.system_sites),
+            linewidth_hz=run.spectrum.linewidth_hz,
+            grid_hz=run.spectrum.grid_hz,
+        )
+        lines = (out / "spectrum_sticks.csv").read_text().splitlines()
+        assert lines[2] == "frequency_hz,amplitude_re,amplitude_im"
+        sticks = np.array([[float(v) for v in line.split(",")] for line in lines[3:]])
+        np.testing.assert_array_equal(sticks[:, 0], expected.frequencies_hz)
+        np.testing.assert_array_equal(sticks[:, 1] + 1j * sticks[:, 2], expected.amplitudes)
 
     def test_npy_state_input(self, tmp_path):
         config = write_config(

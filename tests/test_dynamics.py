@@ -25,8 +25,14 @@ from spincat import (
     flip_rate_for_lifetime,
     nq_amplitude,
 )
-from spincat import load_config, operators
-from spincat.dynamics import _KICK_BLOCK, COUPLING_KINDS, _flip_one_site, pulse_unitary
+from spincat import load_config, operators, protocol
+from spincat.dynamics import (
+    _KICK_BLOCK,
+    COUPLING_KINDS,
+    _flip_one_site,
+    _gather_classes,
+    pulse_unitary,
+)
 from spincat.spectra import _without_couplings_to
 from _support import (
     RING7_CONFIG,
@@ -35,6 +41,7 @@ from _support import (
     flip_one_site_reference,
     hamiltonian_reference,
     phase_kicks_reference,
+    protocol_config,
     random_density_matrix,
     rk4_evolve,
 )
@@ -44,6 +51,35 @@ TWO_PI = 2.0 * np.pi
 
 def _plus_state() -> DensityMatrix:
     return DensityMatrix(np.full((2, 2), 0.5, dtype=complex), 1)
+
+
+def _pattern_state(kind: str, n_spins: int) -> DensityMatrix:
+    """A state with a kept nonzero pattern: the step-B or step-C state of
+    a run at purity 0.7, or a mixture of kets on a few indices each."""
+    if kind == "mixture":
+        kets = [{1: 0.6, 6: 0.8j}, {3: 0.5, 20: -0.5j, 9: np.sqrt(0.5)}, {30: 1.0}, {12: 0.8, 17: 0.6}]
+        matrix = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
+        for weight, amplitudes in zip((0.4, 0.3, 0.2, 0.1), kets):
+            psi = np.zeros(1 << n_spins, dtype=complex)
+            psi[list(amplitudes)] = list(amplitudes.values())
+            matrix += weight * np.outer(psi, psi.conj())
+        return DensityMatrix(matrix, n_spins)
+    config = protocol_config(n_spins, purity_fraction=0.7)
+    rho = protocol.step_b_create_cat(protocol.step_a_initialize(config), config)
+    return rho if kind == "step-b" else protocol.step_c_entangle(rho, config)
+
+
+PATTERN_STATES = [("step-b", n) for n in range(3, 7)] + [("step-c", n) for n in range(3, 7)]
+PATTERN_STATES += [("mixture", 5)]
+PATTERN_IDS = [f"{kind}-{n}" for kind, n in PATTERN_STATES]
+
+
+def _check_pattern_state(rho: DensityMatrix) -> None:
+    # The channels must see the sparse route: a kept pattern with at
+    # least two coherence classes r ^ c.
+    rows, cols = rho._pattern[:2]
+    assert rows is not None
+    assert np.unique(rows ^ cols).size >= 2
 
 
 class TestSpinSystem:
@@ -288,6 +324,17 @@ class TestDephasing:
             expected = dephasing_reference(rho.matrix, n_spins, rates, t)
             np.testing.assert_array_equal(apply_dephasing(rho, noise, t).matrix, expected)
 
+    @pytest.mark.parametrize("kind, n_spins", PATTERN_STATES, ids=PATTERN_IDS)
+    def test_coherence_classes_match_dense_reference(self, kind, n_spins):
+        rho = _pattern_state(kind, n_spins)
+        _check_pattern_state(rho)
+        rng = np.random.default_rng(60 + n_spins)
+        rates = tuple(rng.uniform(0.1, 20.0, n_spins))
+        noise = NoiseModel(rates, (0.0,) * n_spins)
+        for t in (0.0, 0.004, 0.17, 2.5):
+            expected = dephasing_reference(rho.matrix, n_spins, rates, t)
+            np.testing.assert_array_equal(apply_dephasing(rho, noise, t).matrix, expected)
+
 
 @pytest.mark.parametrize("t", [-0.1, float("nan")])
 @pytest.mark.parametrize(
@@ -357,12 +404,31 @@ class TestFlipRelaxation:
                 expected = flip_one_site_reference(expected, site, n_spins, rate * t)
         np.testing.assert_array_equal(apply_flip_relaxation(rho, noise, t).matrix, expected)
 
+    @pytest.mark.parametrize("kind, n_spins", PATTERN_STATES, ids=PATTERN_IDS)
+    def test_coherence_classes_match_copying_reference(self, kind, n_spins):
+        rho = _pattern_state(kind, n_spins)
+        _check_pattern_state(rho)
+        rng = np.random.default_rng(70 + n_spins)
+        rates = rng.uniform(0.2, 3.0, n_spins)
+        rates[1] = 0.0
+        noise = NoiseModel((0.0,) * n_spins, tuple(rates))
+        for t in (0.0, 0.37):
+            expected = rho.matrix
+            for site, rate in enumerate(noise.flip_per_s):
+                if rate > 0.0:
+                    expected = flip_one_site_reference(expected, site, n_spins, rate * t)
+            np.testing.assert_array_equal(apply_flip_relaxation(rho, noise, t).matrix, expected)
+
     @pytest.mark.parametrize("site", range(4))
     def test_one_site_updates_its_argument(self, site):
+        # _flip_one_site updates the gathered classes in place: all 16 of a
+        # dense 4-spin state, values[k, r] = rho[r, r ^ classes[k]].
         rho = random_density_matrix(np.random.default_rng(site), 4)
-        matrix = np.array(rho.matrix)
-        assert _flip_one_site(matrix, site, 4, 0.3) is None
-        np.testing.assert_array_equal(matrix, flip_one_site_reference(rho.matrix, site, 4, 0.3))
+        classes, values = _gather_classes(rho)
+        assert _flip_one_site(values, classes, site, 4, 0.3) is None
+        expected = flip_one_site_reference(rho.matrix, site, 4, 0.3)
+        index = np.arange(16)
+        np.testing.assert_array_equal(values, expected[index, index ^ classes[:, None]])
 
     def test_commutes_with_dephasing(self):
         rng = np.random.default_rng(13)

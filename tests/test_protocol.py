@@ -1,6 +1,12 @@
 """The five-step protocol: exactness, decay laws, and recovery."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,11 +30,13 @@ from spincat import (
 )
 from spincat import protocol, states
 from _support import (
+    REPO_ROOT,
     bare_system,
     cat_rotation_unitary,
     controlled_not_unitary,
     entangle_unitary,
     phase_kicks_reference,
+    protocol_config,
     random_density_matrix,
 )
 
@@ -72,7 +80,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(noise=NoiseModel.uniform(5))
 
-    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, "3", None])
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, "3", None, True, False])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         # Rejected up front, naming the seed, rather than inside step D's SeedSequence.
         with pytest.raises(ValueError, match="seed"):
@@ -320,3 +328,50 @@ class TestDecayScans:
         )
         points = measure_diagonal_decay(config, [0.0, 0.1, 0.2])
         assert max(abs(y) for _, y in points) < 1e-12
+
+
+def test_run_protocol_holds_at_most_five_and_a_half_states():
+    # At the peak, in flip relaxation: the entangled and the dephased
+    # states, the channel's zeroed matrix and its validated copy, and the
+    # entangled reference.  Holding all four references for the whole run
+    # made eight.
+    config = protocol_config(9)
+    run_protocol(config)
+    tracemalloc.start()
+    try:
+        run_protocol(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 16 * 4**9
+
+
+_TWELVE_SPIN_RUN = """
+import json, resource
+from spincat import run_protocol
+from _support import protocol_config
+report = run_protocol(protocol_config(12))
+print(json.dumps({
+    "fidelity": report.final_system_fidelity,
+    "max_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+}))
+"""
+
+
+@pytest.mark.slow
+def test_twelve_spin_run_fits_the_advertised_limit():
+    # MAX_SPINS is 12: one run with 11 system spins, analytic dephasing and
+    # flips, in a fresh process with one BLAS thread, in under 15 s and 2 GB.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    paths = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", _TWELVE_SPIN_RUN], env=env, capture_output=True, text=True, timeout=60
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout)
+    assert elapsed < 15.0
+    assert outcome["max_rss_kib"] * 1024 < 2 * 1024**3
+    assert 0.0 < outcome["fidelity"] <= 1.0

@@ -9,8 +9,6 @@ import pytest
 from spincat import (
     CatWeights,
     DensityMatrix,
-    NoiseModel,
-    ProtocolConfig,
     StateInvariantError,
     cat_state,
     coherence_orders,
@@ -25,8 +23,8 @@ from spincat import (
     thermal_state,
     von_neumann_entropy,
 )
-from spincat import dynamics, operators, protocol, states
-from _support import bare_system, coherence_components, random_density_matrix, random_unitary
+from spincat import operators, protocol, states
+from _support import coherence_components, protocol_config, random_density_matrix, random_unitary
 
 
 def test_ferro_states():
@@ -106,24 +104,9 @@ def test_coherence_orders_against_popcount_oracle():
         _assert_coherence_orders_match_oracles(random_density_matrix(rng, n_spins))
 
 
-def _protocol_config(n):
-    """A ``protocol_n10``-style run: unbalanced weights, dephasing and flips."""
-    return ProtocolConfig(
-        system=bare_system(n),
-        noise=NoiseModel(
-            (dynamics.dephasing_rate_for_lifetime(0.029, n),) * n,
-            (0.0,) + (dynamics.flip_rate_for_lifetime(0.49),) * (n - 1),
-        ),
-        weights=CatWeights(0.8, 0.6 * np.exp(1.1j)),
-        delay_s=0.021,
-        purity_fraction=0.83,
-        include_flip_relaxation=True,
-    )
-
-
 def _four_spin_protocol_states():
     """The state after each of the steps A-E of a 4-spin ``run_protocol``."""
-    config = _protocol_config(4)
+    config = protocol_config(4)
     rho = protocol.step_a_initialize(config)
     out = [rho]
     for step in (
@@ -169,7 +152,7 @@ def test_run_protocol_finds_each_pattern_once(monkeypatch):
 
     monkeypatch.setattr(states, "_block_structure", counted_scan)
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_validate)
-    run_protocol(_protocol_config(4))
+    run_protocol(protocol_config(4))
     assert len(constructions) == 24
     assert len(scans) == len(constructions)
 
@@ -534,7 +517,7 @@ def test_ten_spin_protocol_runs_on_blocks_of_at_most_two(monkeypatch):
     for name in ("cholesky", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, at_most_two(getattr(np.linalg, name)))
     n = 10
-    report = run_protocol(_protocol_config(n))
+    report = run_protocol(protocol_config(n))
     monkeypatch.undo()
     system = reduced_state(report.final_state, list(range(1, n)))
     assert report.step("recover").system_entropy == pytest.approx(
