@@ -20,25 +20,17 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .dynamics import (
     Coupling,
     NoiseModel,
-    Pulse,
     SpinSystem,
     apply_dephasing,
     apply_flip_relaxation,
     apply_phase_kicks_mc,
-    apply_pulse,
     apply_unitary,
     build_hamiltonian,
     controlled_not_all,
     dephasing_rate_for_lifetime,
-    evolve,
     flip_rate_for_lifetime,
 )
-from .operators import (
-    partial_trace,
-    propagator,
-    single_spin_operator,
-    total_spin_operator,
-)
+from .operators import partial_trace, total_spin_operator
 from .protocol import (
     ProtocolConfig,
     ProtocolReport,

@@ -59,7 +59,8 @@ def fit_exponential(times_s: Sequence[float], values: Sequence[float]) -> DecayF
     positive = y > 0.0
     if 2 * np.count_nonzero(~positive) > t.size:
         raise FitError("majority of values are non-positive; wrong observable?")
-    if np.count_nonzero(positive) < 3 or np.unique(t[positive]).size < 2:
+    # Not np.unique: its first call imports numpy.ma, a cost every CLI run would pay.
+    if np.count_nonzero(positive) < 3 or not np.ptp(t[positive]) > 0.0:
         raise FitError("fewer than 3 usable positive points")
 
     slope, intercept = np.polyfit(t[positive], np.log(y[positive]), 1)
@@ -138,6 +139,9 @@ def scaling_study(
                 point_seed = int(np.random.SeedSequence((seed, n, k)).generate_state(1)[0])
                 decayed = dynamics.apply_phase_kicks_mc(rho, register_noise, float(t), point_seed)
             amplitudes.append(abs(states.nq_amplitude(decayed)))
+            # Freed before the next delay's state is built, so that at most
+            # one decayed D x D state is alive beside the cat.
+            del decayed
         fit = fit_exponential(list(delays_s), amplitudes)
         results.append((n, 1.0 / fit.tau_s))
     return results

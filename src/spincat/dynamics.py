@@ -1,4 +1,4 @@
-"""Spin systems, coherent evolution, and noise channels.
+"""Spin systems, the secular Hamiltonian, noise channels and controlled flips.
 
 The Hamiltonian is secular (high-field) throughout:
 
@@ -52,7 +52,6 @@ from .states import DensityMatrix
 
 COUPLING_KINDS = ("homonuclear_dipolar", "heteronuclear_zz")
 ROLES = ("control", "system")
-_AXES = ("x", "y", "z")
 # Trajectories per matrix product in apply_phase_kicks_mc: bounds the
 # rows of Phi held at once.  At 10 spins and 1000 trajectories (one
 # OpenBLAS thread) a kick with blocks of 256 took 0.40 s against 0.36 s
@@ -178,31 +177,6 @@ def flip_rate_for_lifetime(lifetime_s: float) -> float:
     return 1.0 / (2.0 * lifetime_s)
 
 
-@dataclass(frozen=True)
-class Pulse:
-    """Ideal instantaneous rotation of the target spins.
-
-    The generator is ``sum_targets S_axis`` rotated about z by
-    ``phase_rad``, applied as ``exp(-i * angle_rad * generator)``.
-    """
-
-    targets: tuple[int, ...]
-    axis: str
-    angle_rad: float
-    phase_rad: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
-        if not self.targets:
-            raise ValueError("pulse needs at least one target")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError("duplicate pulse targets")
-        if self.axis not in _AXES:
-            raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
-        if not np.isfinite(self.angle_rad) or not np.isfinite(self.phase_rad):
-            raise ValueError("non-finite pulse angle or phase")
-
-
 def build_hamiltonian(system: SpinSystem) -> np.ndarray:
     """Secular Hamiltonian of the system in rad/s: a diagonal plus the
     homonuclear flip-flop entries (see the module docstring)."""
@@ -227,25 +201,8 @@ def build_hamiltonian(system: SpinSystem) -> np.ndarray:
     return h
 
 
-def evolve(rho: DensityMatrix, h: np.ndarray, t: float) -> DensityMatrix:
-    """Coherent evolution ``U rho U+`` with ``U = exp(-i*h*t)``."""
-    if t < 0.0:
-        raise ValueError("negative evolution time")
-    u = operators.propagator(h, t)
-    return apply_unitary(rho, u)
-
-
 def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.n_spins)
-
-
-def pulse_unitary(pulse: Pulse, n_spins: int) -> np.ndarray:
-    generator = _pulse_generator(pulse, n_spins)
-    return operators.propagator(generator, pulse.angle_rad)
-
-
-def apply_pulse(rho: DensityMatrix, pulse: Pulse) -> DensityMatrix:
-    return apply_unitary(rho, pulse_unitary(pulse, rho.n_spins))
 
 
 def apply_dephasing(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityMatrix:
@@ -352,18 +309,6 @@ def controlled_not_all(rho: DensityMatrix, control: int, targets: Sequence[int])
     target spin when the control is down.  It is its own inverse."""
     n = rho.n_spins
     return conditional_flip(rho, operators.site_mask([control], n), operators.site_mask(targets, n))
-
-
-def _pulse_generator(pulse: Pulse, n_spins: int) -> np.ndarray:
-    if pulse.axis == "z":
-        return operators.total_spin_operator("z", pulse.targets, n_spins)
-    cos_p = math.cos(pulse.phase_rad)
-    sin_p = math.sin(pulse.phase_rad)
-    x = operators.total_spin_operator("x", pulse.targets, n_spins)
-    y = operators.total_spin_operator("y", pulse.targets, n_spins)
-    if pulse.axis == "x":
-        return cos_p * x + sin_p * y
-    return cos_p * y - sin_p * x
 
 
 def _gather_classes(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:

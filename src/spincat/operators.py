@@ -10,7 +10,12 @@ Conventions used throughout the package:
   has eigenvalue +1/2 on an up spin).  ``S+ = Sx + i*Sy`` raises a
   down spin to up.
 - Hamiltonians are Hermitian matrices in angular-frequency units
-  (rad/s); propagators are ``exp(-i*H*t)``.
+  (rad/s).
+
+Operators are written from the index structure of the basis, with no
+Kronecker products: ``Sz`` is diagonal, and ``S+`` of spin ``i`` maps
+index ``r`` to ``r ^ b_i`` wherever spin ``i`` of ``r`` is down, where
+``b_i`` is the bit of spin ``i``.
 
 Everything is dense complex128.  Registers beyond 12 spins are
 rejected because a dense matrix no longer fits comfortably in memory.
@@ -24,18 +29,12 @@ import numpy as np
 
 MAX_SPINS = 12
 
-# Largest |M - M^dagger| element accepted as Hermitian, for states and generators alike.
+# Largest |M - M^dagger| element accepted as Hermitian.
 HERMITIAN_TOL = 1e-10
 # Rows compared per step by is_hermitian.
 _HERMITIAN_ROWS = 64
 
-SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
-SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
-SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-
-_SINGLE = {"x": SX, "y": SY, "z": SZ, "plus": SP, "minus": SM}
+_KINDS = ("x", "y", "z", "plus", "minus")
 
 
 def n_spins_of(matrix: np.ndarray) -> int:
@@ -75,42 +74,40 @@ def sz_eigenvalues(sites: Sequence[int], n_spins: int) -> np.ndarray:
     return (0.5 - bit_table(n_spins)[list(sites)]).sum(axis=0)
 
 
-def single_spin_operator(kind: str, site: int, n_spins: int) -> np.ndarray:
-    """Embed a one-spin operator into the full register.
+def total_spin_operator(kind: str, sites: Sequence[int], n_spins: int) -> np.ndarray:
+    """Sum over the listed sites of one-spin operators of ``kind``, one of
+    ``x``, ``y``, ``z``, ``plus``, ``minus``.
 
-    ``kind`` is one of ``x``, ``y``, ``z``, ``plus``, ``minus``.
+    ``S+`` is 1 at ``(r ^ b_i, r)`` for every index ``r`` in which site
+    ``i`` is down; ``S-`` is its transpose, ``Sx = (S+ + S-)/2``,
+    ``Sy = (S+ - S-)/(2i)``, and ``Sz`` is the diagonal of
+    :func:`sz_eigenvalues`.
     """
-    if kind not in _SINGLE:
+    if kind not in _KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
     _check_register_size(n_spins)
-    _check_site(site, n_spins)
-    left = np.eye(1 << site, dtype=complex)
-    right = np.eye(1 << (n_spins - 1 - site), dtype=complex)
-    return np.kron(np.kron(left, _SINGLE[kind]), right)
-
-
-def total_spin_operator(kind: str, sites: Sequence[int], n_spins: int) -> np.ndarray:
-    """Sum of one-spin operators over the listed sites."""
     if len(sites) == 0:
         raise ValueError("empty site list")
     if len(set(sites)) != len(sites):
         raise ValueError("duplicate sites")
-    out = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
-    for site in sites:
-        out += single_spin_operator(kind, site, n_spins)
-    return out
-
-
-def propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary ``exp(-i*h*t)`` of a Hermitian generator, via eigendecomposition."""
-    h = np.asarray(h, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
-    if not is_hermitian(h, HERMITIAN_TOL * scale):
-        raise ValueError("generator is not Hermitian")
-    if not np.isfinite(t):
-        raise ValueError("non-finite time")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    # Every site is checked before the D x D allocation.
+    bits = [site_mask([site], n_spins) for site in sites]
+    dim = 1 << n_spins
+    out = np.zeros((dim, dim), dtype=complex)
+    if kind == "z":
+        np.fill_diagonal(out, sz_eigenvalues(sites, n_spins))
+        return out
+    index = np.arange(dim)
+    for bit in bits:
+        down = index[(index & bit) != 0]
+        out[down ^ bit, down] = 1.0
+    if kind == "plus":
+        return out
+    if kind == "minus":
+        return np.ascontiguousarray(out.T)
+    if kind == "x":
+        return 0.5 * (out + out.T)
+    return -0.5j * (out - out.T)
 
 
 def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:

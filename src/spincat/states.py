@@ -274,19 +274,14 @@ class CatWeights:
         return cls(s, s)
 
 
-def basis_state(n_spins: int, amplitudes: Mapping[int, complex], coherent: bool = True) -> DensityMatrix:
-    """State supported on a few basis indices.
-
-    With ``coherent`` it is the pure superposition ``sum_k c_k |k>`` of
-    ``amplitudes = {k: c_k}``; without, the classical mixture of the
-    same basis states with weights ``|c_k|^2``.
-    """
+def basis_state(n_spins: int, amplitudes: Mapping[int, complex]) -> DensityMatrix:
+    """Pure superposition ``sum_k c_k |k>`` of ``amplitudes = {k: c_k}``,
+    a state supported on a few basis indices."""
     psi = np.zeros(1 << n_spins, dtype=complex)
     psi[list(amplitudes)] = list(amplitudes.values())
     # Written in full: a few entries set in np.zeros leave calloc'd pages
     # that numpy marks for huge pages, which raised the peak RSS of scans.
-    matrix = np.outer(psi, psi.conj()) if coherent else np.diag(np.abs(psi) ** 2)
-    return DensityMatrix(matrix, n_spins)
+    return DensityMatrix(np.outer(psi, psi.conj()), n_spins)
 
 
 def ferro_state(n_spins: int, which: str) -> DensityMatrix:
@@ -308,7 +303,10 @@ def decohered_mixture(n_system: int, weights: CatWeights) -> DensityMatrix:
     and ``n_system`` spins is the cat of the combined register.
     """
     n_total = n_system + 1
-    return basis_state(n_total, {0: weights.a, (1 << n_total) - 1: weights.b}, coherent=False)
+    populations = np.zeros(1 << n_total)
+    populations[[0, -1]] = np.abs(np.array([weights.a, weights.b], dtype=complex)) ** 2
+    # np.diag writes the matrix in full, for the reason given in basis_state.
+    return DensityMatrix(np.diag(populations), n_total)
 
 
 def thermal_state(n_spins: int, polarization: float = 1e-3) -> DensityMatrix:

@@ -3,16 +3,129 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from spincat import CatWeights, Coupling, DensityMatrix, NoiseModel, ProtocolConfig, SpinSystem
-from spincat.dynamics import dephasing_rate_for_lifetime, flip_rate_for_lifetime
-from spincat.operators import bit_table, single_spin_operator
+from spincat.dynamics import apply_unitary, dephasing_rate_for_lifetime, flip_rate_for_lifetime
+from spincat.operators import (
+    HERMITIAN_TOL,
+    _check_register_size,
+    _check_site,
+    bit_table,
+    is_hermitian,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RING7_CONFIG = REPO_ROOT / "configs" / "ring7.json"
+
+
+# Dense Kronecker-product references: one-spin operators embedded in
+# the register, their sums, propagators exp(-i*H*t) and ideal pulses.
+
+SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
+SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
+SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+
+_SINGLE = {"x": SX, "y": SY, "z": SZ, "plus": SP, "minus": SM}
+_AXES = ("x", "y", "z")
+
+
+def single_spin_operator(kind: str, site: int, n_spins: int) -> np.ndarray:
+    """Embed a one-spin operator into the full register.
+
+    ``kind`` is one of ``x``, ``y``, ``z``, ``plus``, ``minus``.
+    """
+    if kind not in _SINGLE:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    _check_register_size(n_spins)
+    _check_site(site, n_spins)
+    left = np.eye(1 << site, dtype=complex)
+    right = np.eye(1 << (n_spins - 1 - site), dtype=complex)
+    return np.kron(np.kron(left, _SINGLE[kind]), right)
+
+
+def kronecker_total_spin_operator(kind: str, sites, n_spins: int) -> np.ndarray:
+    """Dense reference for ``total_spin_operator``: a sum of embedded
+    one-spin operators."""
+    if len(sites) == 0:
+        raise ValueError("empty site list")
+    if len(set(sites)) != len(sites):
+        raise ValueError("duplicate sites")
+    out = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
+    for site in sites:
+        out += single_spin_operator(kind, site, n_spins)
+    return out
+
+
+def propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """Unitary ``exp(-i*h*t)`` of a Hermitian generator, via eigendecomposition."""
+    h = np.asarray(h, dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
+    if not is_hermitian(h, HERMITIAN_TOL * scale):
+        raise ValueError("generator is not Hermitian")
+    if not np.isfinite(t):
+        raise ValueError("non-finite time")
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def evolve(rho: DensityMatrix, h: np.ndarray, t: float) -> DensityMatrix:
+    """Coherent evolution ``U rho U+`` with ``U = exp(-i*h*t)``."""
+    if t < 0.0:
+        raise ValueError("negative evolution time")
+    u = propagator(h, t)
+    return apply_unitary(rho, u)
+
+
+@dataclass(frozen=True)
+class Pulse:
+    """Ideal instantaneous rotation of the target spins.
+
+    The generator is ``sum_targets S_axis`` rotated about z by
+    ``phase_rad``, applied as ``exp(-i * angle_rad * generator)``.
+    """
+
+    targets: tuple[int, ...]
+    axis: str
+    angle_rad: float
+    phase_rad: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "targets", tuple(self.targets))
+        if not self.targets:
+            raise ValueError("pulse needs at least one target")
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError("duplicate pulse targets")
+        if self.axis not in _AXES:
+            raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
+        if not np.isfinite(self.angle_rad) or not np.isfinite(self.phase_rad):
+            raise ValueError("non-finite pulse angle or phase")
+
+
+def pulse_unitary(pulse: Pulse, n_spins: int) -> np.ndarray:
+    generator = _pulse_generator(pulse, n_spins)
+    return propagator(generator, pulse.angle_rad)
+
+
+def apply_pulse(rho: DensityMatrix, pulse: Pulse) -> DensityMatrix:
+    return apply_unitary(rho, pulse_unitary(pulse, rho.n_spins))
+
+
+def _pulse_generator(pulse: Pulse, n_spins: int) -> np.ndarray:
+    if pulse.axis == "z":
+        return kronecker_total_spin_operator("z", pulse.targets, n_spins)
+    cos_p = math.cos(pulse.phase_rad)
+    sin_p = math.sin(pulse.phase_rad)
+    x = kronecker_total_spin_operator("x", pulse.targets, n_spins)
+    y = kronecker_total_spin_operator("y", pulse.targets, n_spins)
+    if pulse.axis == "x":
+        return cos_p * x + sin_p * y
+    return cos_p * y - sin_p * x
 
 
 def random_density_matrix(rng: np.random.Generator, n_spins: int) -> DensityMatrix:

@@ -16,11 +16,9 @@ from spincat import (
     DensityMatrix,
     NoiseModel,
     ProtocolConfig,
-    Pulse,
     apply_dephasing,
     apply_flip_relaxation,
     apply_phase_kicks_mc,
-    apply_pulse,
     apply_unitary,
     cat_state,
     controlled_not_all,
@@ -37,13 +35,15 @@ from spincat import (
 from spincat.cli import main
 from _support import (
     RING7_CONFIG,
+    Pulse,
+    apply_pulse,
     lindblad_rhs,
     random_density_matrix,
     random_unitary,
     rk4_evolve,
     ring7_system,
+    single_spin_operator,
 )
-from spincat import operators
 
 GAMMA_7Q = 2.0 / (7.0 * 0.029)  # 7-spin coherence lifetime 0.029 s
 KAPPA_PROTON = 1.0 / (2.0 * 0.49)  # per-spin polarization lifetime 0.49 s
@@ -186,10 +186,10 @@ def test_criterion_5_channel_oracle_equivalence(capfd):
         noise = NoiseModel(dephasing, flips)
         jumps = []
         for site, rate in enumerate(dephasing):
-            jumps.append(math.sqrt(rate) * operators.single_spin_operator("z", site, n))
+            jumps.append(math.sqrt(rate) * single_spin_operator("z", site, n))
         for site, rate in enumerate(flips):
-            jumps.append(math.sqrt(rate) * operators.single_spin_operator("plus", site, n))
-            jumps.append(math.sqrt(rate) * operators.single_spin_operator("minus", site, n))
+            jumps.append(math.sqrt(rate) * single_spin_operator("plus", site, n))
+            jumps.append(math.sqrt(rate) * single_spin_operator("minus", site, n))
         for scale in (0.1, 1.0, 10.0):
             t = scale / gamma_ref
             steps = max(800, int(1200 * t))

@@ -1,6 +1,10 @@
 """Exponential fitting and coherence-order scaling studies."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from spincat import (
     nq_amplitude,
     scaling_study,
 )
-from _support import phase_kicks_reference
+from _support import REPO_ROOT, phase_kicks_reference
 
 GAMMA_7Q = 9.852216748768472  # 2 / (7 * 0.029)
 
@@ -69,11 +73,32 @@ class TestFitExponential:
             ([0.0, 1.0, 2.0], [1.0, 2.0, 4.0]),  # growing
             ([0.0, 1.0, 2.0], [1.0, np.nan, 0.2]),  # non-finite
             ([0.0, 0.0, 0.0], [3.0, 2.0, 1.0]),  # no time spread
+            ([0.5, 0.5, 0.5, 1.0, 2.0], [3.0, 2.0, 1.0, -0.1, -0.2]),  # positives share one time
         ],
     )
     def test_degenerate_inputs_raise(self, times, values):
         with pytest.raises(FitError):
             fit_exponential(times, values)
+
+    def test_fit_in_a_cli_process_does_not_import_numpy_ma(self):
+        # numpy.ma costs a CLI run its import time; np.unique's first call pulls it in.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import spincat.cli\n"
+            "from spincat.analysis import fit_exponential\n"
+            "t = np.linspace(0.0, 0.25, 11)\n"
+            "fit = fit_exponential(t, 0.5 * np.exp(-t / 0.029))\n"
+            "assert abs(fit.tau_s - 0.029) < 1e-9, fit\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        env = dict(os.environ)
+        paths = [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(FitError):
@@ -89,6 +114,23 @@ class TestFitExponential:
 
 
 class TestScalingStudy:
+    @pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
+    def test_one_decayed_state_alive_at_a_time(self, mode):
+        # The cat, a decayed state's matrix and its validated copy: three
+        # D x D arrays.  Keeping the previous delay's state alive while the
+        # next is built adds a fourth.
+        n, dim = 8, 1 << 8
+        noise = NoiseModel.uniform(1, dephasing_per_s=4.0, mc_trajectories=20)
+        delays = [0.0, 0.01, 0.02, 0.03]
+        scaling_study([2], noise, delays, mode=mode, seed=1)  # first-call set-up, outside the count
+        tracemalloc.start()
+        try:
+            scaling_study([n], noise, delays, mode=mode, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * dim * dim * 16
+
     def test_analytic_rates_scale_with_register_size(self):
         noise = NoiseModel.uniform(2, dephasing_per_s=GAMMA_7Q)
         delays = np.linspace(0.0, 0.05, 6)

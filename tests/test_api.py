@@ -1,0 +1,81 @@
+"""The public surface of the package: the names ``spincat`` exports and
+the ones the README lists."""
+
+import re
+import types
+
+import spincat
+from _support import REPO_ROOT
+
+# Adding or removing an export is a decision: change this set with it.
+PUBLIC_NAMES = {
+    "CatWeights",
+    "ConfigError",
+    "Coupling",
+    "DecayFit",
+    "DensityMatrix",
+    "FitError",
+    "NoiseModel",
+    "Peak",
+    "ProtocolConfig",
+    "ProtocolReport",
+    "RegressionResult",
+    "RunConfig",
+    "Spectrum",
+    "SpinSystem",
+    "StateInvariantError",
+    "StepRecord",
+    "apply_dephasing",
+    "apply_flip_relaxation",
+    "apply_phase_kicks_mc",
+    "apply_unitary",
+    "build_hamiltonian",
+    "cat_state",
+    "coherence_orders",
+    "controlled_not_all",
+    "decohered_mixture",
+    "dephasing_rate_for_lifetime",
+    "ferro_state",
+    "fidelity",
+    "fit_exponential",
+    "flip_rate_for_lifetime",
+    "linear_regression",
+    "linear_response_spectrum",
+    "load_config",
+    "measure_diagonal_decay",
+    "measure_nq_decay",
+    "nq_amplitude",
+    "parse_config",
+    "partial_trace",
+    "peak_list",
+    "pseudopure",
+    "purity",
+    "reduced_state",
+    "run_protocol",
+    "scaling_study",
+    "thermal_state",
+    "total_spin_operator",
+    "von_neumann_entropy",
+}
+
+
+def test_exported_names_are_pinned():
+    # Submodules become attributes of the package as they are imported,
+    # so they are not part of the pinned set.
+    exported = {
+        name
+        for name, value in vars(spincat).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC_NAMES
+
+
+def test_readme_api_paragraph_names_resolve():
+    lines = (REPO_ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    opening = "Lower-level pieces are importable directly"
+    start = next(i for i, line in enumerate(lines) if line.startswith(opening))
+    end = lines.index("", start)
+    names = re.findall(r"`([^`]+)`", " ".join(lines[start:end]))
+    assert len(names) >= 10
+    missing = [name for name in names if not hasattr(spincat, name)]
+    assert not missing

@@ -10,17 +10,14 @@ from spincat import (
     Coupling,
     DensityMatrix,
     NoiseModel,
-    Pulse,
     SpinSystem,
     apply_dephasing,
     apply_flip_relaxation,
     apply_phase_kicks_mc,
-    apply_pulse,
     build_hamiltonian,
     cat_state,
     controlled_not_all,
     dephasing_rate_for_lifetime,
-    evolve,
     ferro_state,
     flip_rate_for_lifetime,
     nq_amplitude,
@@ -31,19 +28,24 @@ from spincat.dynamics import (
     COUPLING_KINDS,
     _flip_one_site,
     _gather_classes,
-    pulse_unitary,
 )
 from spincat.spectra import _without_couplings_to
 from _support import (
     RING7_CONFIG,
+    SZ,
+    Pulse,
+    apply_pulse,
     controlled_not_unitary,
     dephasing_reference,
+    evolve,
     flip_one_site_reference,
     hamiltonian_reference,
     phase_kicks_reference,
     protocol_config,
+    pulse_unitary,
     random_density_matrix,
     rk4_evolve,
+    single_spin_operator,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -296,7 +298,7 @@ class TestDephasing:
         rates = (0.7, 1.3)
         t = 0.3
         jumps = [
-            np.sqrt(rates[i]) * operators.single_spin_operator("z", i, 2) for i in range(2)
+            np.sqrt(rates[i]) * single_spin_operator("z", i, 2) for i in range(2)
         ]
         oracle = rk4_evolve(rho.matrix, t, 600, None, jumps)
         channel = apply_dephasing(rho, NoiseModel(rates, (0.0, 0.0)), t)
@@ -359,7 +361,7 @@ class TestFlipRelaxation:
         # <Sz>(t) = <Sz>(0) * exp(-2*kappa*t)
         noise = NoiseModel.uniform(1, flip_per_s=1.0)
         rho = apply_flip_relaxation(ferro_state(1, "up"), noise, 0.35)
-        sz = float(np.real(np.trace(rho.matrix @ operators.SZ)))
+        sz = float(np.real(np.trace(rho.matrix @ SZ)))
         assert sz == pytest.approx(0.5 * np.exp(-0.7), rel=1e-12)
 
     def test_off_diagonal_decay_rate(self):
@@ -380,8 +382,8 @@ class TestFlipRelaxation:
         t = 0.4
         jumps = []
         for i, kappa in enumerate(rates):
-            jumps.append(np.sqrt(kappa) * operators.single_spin_operator("plus", i, 2))
-            jumps.append(np.sqrt(kappa) * operators.single_spin_operator("minus", i, 2))
+            jumps.append(np.sqrt(kappa) * single_spin_operator("plus", i, 2))
+            jumps.append(np.sqrt(kappa) * single_spin_operator("minus", i, 2))
         oracle = rk4_evolve(rho.matrix, t, 800, None, jumps)
         channel = apply_flip_relaxation(rho, NoiseModel((0.0, 0.0), rates), t)
         assert np.abs(channel.matrix - oracle).max() < 1e-8

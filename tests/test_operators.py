@@ -1,26 +1,46 @@
-"""Operator algebra: conventions, embeddings, propagators, partial trace."""
+"""Operator algebra: conventions, total spin operators, partial trace.
+
+The package writes its operators from index structure.  The dense
+Kronecker-product references (one-spin operators embedded in the
+register, their sums and propagators) live in the test support and are
+checked here too, so that they can serve as independent oracles."""
+
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spincat import operators, states
-from _support import nq_coherence_operator, random_density_matrix
+from spincat import DensityMatrix, linear_response_spectrum, operators, states
+from _support import (
+    SM,
+    SP,
+    SX,
+    SY,
+    SZ,
+    bare_system,
+    kronecker_total_spin_operator,
+    nq_coherence_operator,
+    propagator,
+    random_density_matrix,
+    single_spin_operator,
+)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
 def test_pauli_halves():
-    np.testing.assert_array_equal(operators.SX, 0.5 * np.array([[0, 1], [1, 0]]))
-    np.testing.assert_array_equal(operators.SY, 0.5 * np.array([[0, -1j], [1j, 0]]))
-    np.testing.assert_array_equal(operators.SZ, 0.5 * np.array([[1, 0], [0, -1]]))
-    np.testing.assert_array_equal(operators.SP, operators.SX + 1j * operators.SY)
-    np.testing.assert_array_equal(operators.SM, operators.SP.conj().T)
+    np.testing.assert_array_equal(SX, 0.5 * np.array([[0, 1], [1, 0]]))
+    np.testing.assert_array_equal(SY, 0.5 * np.array([[0, -1j], [1j, 0]]))
+    np.testing.assert_array_equal(SZ, 0.5 * np.array([[1, 0], [0, -1]]))
+    np.testing.assert_array_equal(SP, SX + 1j * SY)
+    np.testing.assert_array_equal(SM, SP.conj().T)
 
 
 def test_raising_operator_acts_on_down_spin():
     # |down> is index 1; S+ |down> = |up>
     down = np.array([0.0, 1.0], dtype=complex)
-    np.testing.assert_array_equal(operators.SP @ down, np.array([1.0, 0.0]))
+    np.testing.assert_array_equal(SP @ down, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("n_spins", [1, 2, 3])
@@ -28,20 +48,20 @@ def test_raising_operator_acts_on_down_spin():
 def test_su2_algebra_per_site(n_spins, site):
     if site >= n_spins:
         pytest.skip("site outside register")
-    sx = operators.single_spin_operator("x", site, n_spins)
-    sy = operators.single_spin_operator("y", site, n_spins)
-    sz = operators.single_spin_operator("z", site, n_spins)
+    sx = single_spin_operator("x", site, n_spins)
+    sy = single_spin_operator("y", site, n_spins)
+    sz = single_spin_operator("z", site, n_spins)
     np.testing.assert_allclose(sx @ sy - sy @ sx, 1j * sz, atol=1e-15)
     np.testing.assert_allclose(sy @ sz - sz @ sy, 1j * sx, atol=1e-15)
     np.testing.assert_allclose(sz @ sx - sx @ sz, 1j * sy, atol=1e-15)
-    plus = operators.single_spin_operator("plus", site, n_spins)
+    plus = single_spin_operator("plus", site, n_spins)
     np.testing.assert_allclose(plus, sx + 1j * sy, atol=1e-15)
 
 
 def test_kron_two_transverse_operators():
     # Hand-written 4x4: (sigma_x/2) tensor (sigma_x/2) is the antidiagonal over 4.
     expected = 0.25 * np.fliplr(np.eye(4))
-    xx = operators.single_spin_operator("x", 0, 2) @ operators.single_spin_operator("x", 1, 2)
+    xx = single_spin_operator("x", 0, 2) @ single_spin_operator("x", 1, 2)
     np.testing.assert_array_equal(xx, expected)
     # It maps |up,up> (index 0) to |down,down>/4 (index 3).
     e0 = np.zeros(4)
@@ -51,7 +71,7 @@ def test_kron_two_transverse_operators():
 
 def test_single_spin_operator_placement():
     # Spin 0 is the most significant bit: site 1 of 3 toggles with period 2.
-    sz1 = operators.single_spin_operator("z", 1, 3)
+    sz1 = single_spin_operator("z", 1, 3)
     expected_diag = 0.5 * np.array([1, 1, -1, -1, 1, 1, -1, -1], dtype=float)
     np.testing.assert_array_equal(np.diag(sz1).real, expected_diag)
     assert np.count_nonzero(sz1 - np.diag(np.diag(sz1))) == 0
@@ -59,20 +79,20 @@ def test_single_spin_operator_placement():
 
 def test_register_limits():
     with pytest.raises(ValueError):
-        operators.single_spin_operator("z", 0, 13)
+        single_spin_operator("z", 0, 13)
     with pytest.raises(ValueError):
-        operators.single_spin_operator("z", 3, 3)
+        single_spin_operator("z", 3, 3)
     with pytest.raises(ValueError):
-        operators.single_spin_operator("w", 0, 2)
+        single_spin_operator("w", 0, 2)
 
 
 @pytest.mark.parametrize("value", [True, False, 1.0, "1"])
 def test_register_sizes_and_sites_must_be_integers(value):
     # bool is an int subclass, but True is not a register of one spin or site 1.
     with pytest.raises(ValueError, match="positive integer"):
-        operators.single_spin_operator("z", 0, value)
+        single_spin_operator("z", 0, value)
     with pytest.raises(ValueError, match="outside register"):
-        operators.single_spin_operator("z", value, 2)
+        single_spin_operator("z", value, 2)
     with pytest.raises(ValueError, match="outside register"):
         operators.site_mask([value], 2)
     assert operators.site_mask([np.int64(1)], 2) == 0b01
@@ -98,7 +118,7 @@ def test_bit_conventions():
 
 def test_nq_coherence_operator_two_spins():
     # Independent oracle: explicit product of the embedded raising operators.
-    product = operators.single_spin_operator("plus", 0, 2) @ operators.single_spin_operator(
+    product = single_spin_operator("plus", 0, 2) @ single_spin_operator(
         "plus", 1, 2
     )
     expected = product + product.conj().T
@@ -121,7 +141,7 @@ def test_nq_coherence_operator_corners_only(n_spins):
 
 
 def test_nq_coherence_operator_subset_sites():
-    product = operators.single_spin_operator("plus", 0, 3) @ operators.single_spin_operator(
+    product = single_spin_operator("plus", 0, 3) @ single_spin_operator(
         "plus", 2, 3
     )
     expected = product + product.conj().T
@@ -136,14 +156,14 @@ def test_propagator_identity_at_zero_time():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     h = a + a.conj().T
-    np.testing.assert_allclose(operators.propagator(h, 0.0), np.eye(8), atol=1e-14)
+    np.testing.assert_allclose(propagator(h, 0.0), np.eye(8), atol=1e-14)
 
 
 def test_propagator_single_spin_phase():
     # H = 2*pi*nu*Sz rotates |up> and |down> by opposite phases.
     nu, t = 100.0, 1e-3
-    h = 2.0 * np.pi * nu * operators.SZ
-    u = operators.propagator(h, t)
+    h = 2.0 * np.pi * nu * SZ
+    u = propagator(h, t)
     phase = np.pi * nu * t
     expected = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
     np.testing.assert_allclose(u, expected, atol=1e-14)
@@ -155,17 +175,17 @@ def test_propagator_unitary_and_group_property(seed):
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     h = (a + a.conj().T) * rng.uniform(0.1, 10.0)
     t1, t2 = rng.uniform(-2.0, 2.0, size=2)
-    u1 = operators.propagator(h, t1)
+    u1 = propagator(h, t1)
     assert np.abs(u1.conj().T @ u1 - np.eye(8)).max() <= 1e-10
     np.testing.assert_allclose(
-        u1 @ operators.propagator(h, t2), operators.propagator(h, t1 + t2), atol=1e-10
+        u1 @ propagator(h, t2), propagator(h, t1 + t2), atol=1e-10
     )
 
 
 def test_propagator_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        operators.propagator(bad, 1.0)
+        propagator(bad, 1.0)
 
 
 def test_partial_trace_two_spin_pure_state():
@@ -241,6 +261,53 @@ def test_total_spin_operator():
         operators.total_spin_operator("z", [], 2)
     with pytest.raises(ValueError):
         operators.total_spin_operator("z", [0, 0], 2)
+
+
+@pytest.mark.parametrize("n_spins", range(1, 7))
+def test_total_spin_operator_matches_kronecker_sum(n_spins):
+    # Every site subset, in ascending order and reversed, against the sum
+    # of Kronecker-embedded one-spin operators.
+    for size in range(1, n_spins + 1):
+        for subset in itertools.combinations(range(n_spins), size):
+            for sites in (list(subset), list(subset)[::-1]):
+                for kind in ("x", "y", "z", "plus", "minus"):
+                    built = operators.total_spin_operator(kind, sites, n_spins)
+                    reference = kronecker_total_spin_operator(kind, sites, n_spins)
+                    assert built.shape == reference.shape and built.dtype == complex
+                    assert np.array_equal(built, reference), (kind, sites)
+                plus = operators.total_spin_operator("plus", sites, n_spins)
+                reference = kronecker_total_spin_operator("plus", sites, n_spins)
+                assert plus.tobytes() == reference.tobytes(), sites
+
+
+@pytest.mark.parametrize("n_spins", [1, 3, 7])
+def test_total_spin_operator_rejects_a_site_out_of_range(n_spins):
+    for kind in ("x", "y", "z", "plus", "minus"):
+        with pytest.raises(ValueError, match="outside register"):
+            operators.total_spin_operator(kind, [0, n_spins], n_spins)
+        with pytest.raises(ValueError, match="outside register"):
+            operators.total_spin_operator(kind, [-1], n_spins)
+    rho = DensityMatrix(np.eye(1 << n_spins, dtype=complex) / (1 << n_spins), n_spins)
+    with pytest.raises(ValueError, match="outside register"):
+        linear_response_spectrum(rho, bare_system(n_spins), observe=[n_spins])
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        operators.total_spin_operator("w", [0], n_spins)
+
+
+@pytest.mark.parametrize("kind", ["x", "z", "plus"])
+def test_total_spin_operator_checks_the_register_before_allocating(kind):
+    # A 13-spin operator would be an 8192 x 8192 complex matrix (1 GiB).
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the dense limit of 12"):
+            operators.total_spin_operator(kind, [0], 13)
+        for size in (True, 1.0, "1", 0):
+            with pytest.raises(ValueError, match="positive integer"):
+                operators.total_spin_operator(kind, [0], size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (3, 200), (200, 3), (255, 254), (130, 130)])

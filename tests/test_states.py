@@ -179,6 +179,23 @@ def test_decohered_mixture_is_stripped_entangled_state():
     )
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [CatWeights.balanced(), CatWeights(0.6, 0.8), CatWeights(0.8, 0.6 * np.exp(1.1j))],
+    ids=["balanced", "unbalanced", "complex"],
+)
+@pytest.mark.parametrize("n_system", [1, 2, 6])
+def test_decohered_mixture_matrix_is_unchanged(n_system, weights):
+    # The diagonal of |a|^2, |b|^2 at the two corners, built as it was when
+    # basis_state still made classical mixtures: |c_k|^2 of a complex vector.
+    psi = np.zeros(1 << (n_system + 1), dtype=complex)
+    psi[[0, -1]] = weights.a, weights.b
+    expected = np.array(np.diag(np.abs(psi) ** 2), dtype=complex)
+    rho = decohered_mixture(n_system, weights)
+    assert rho.n_spins == n_system + 1
+    assert rho.matrix.tobytes() == expected.tobytes()
+
+
 def test_pseudopure_mixing_and_background():
     target = ferro_state(2, "up")
     rho = pseudopure(target, 0.9)
