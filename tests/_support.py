@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -356,3 +357,144 @@ def rk4_evolve(
         k4 = lindblad_rhs(rho + dt * k3, hamiltonian, jumps)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return rho
+
+
+# Dense reference pipeline: run_protocol composed from the dense
+# references above, on plain arrays, with no DensityMatrix.
+
+
+def _ket_projector(amplitudes: dict, dim: int) -> np.ndarray:
+    psi = np.zeros(dim, dtype=complex)
+    for index, amplitude in amplitudes.items():
+        psi[index] = amplitude
+    return np.outer(psi, psi.conj())
+
+
+def _dense_partial_trace(rho: np.ndarray, n_spins: int, keep) -> np.ndarray:
+    """Partial trace by one ``np.einsum`` over the 2n-axis view of ``rho``."""
+    keep = list(keep)
+    rows = list(range(n_spins))
+    cols = [n_spins + i if i in keep else i for i in range(n_spins)]
+    out = keep + [n_spins + i for i in keep]
+    reduced = np.einsum(rho.reshape((2,) * (2 * n_spins)), rows + cols, out)
+    return reduced.reshape(1 << len(keep), 1 << len(keep))
+
+
+def _dense_entropy(rho: np.ndarray) -> float:
+    eigs = np.linalg.eigvalsh(rho)
+    eigs = eigs[eigs >= 1e-14]
+    return max(float(-np.sum(eigs * np.log(eigs))), 0.0)
+
+
+def _dense_coherence_weights(rho: np.ndarray, n_spins: int) -> dict[int, float]:
+    """Weights of the orders above 1e-12, from a histogram over all D^2 elements."""
+    ups = n_spins - bit_table(n_spins).sum(axis=0)
+    order = (ups[:, None] - ups[None, :] + n_spins).ravel()
+    totals = np.bincount(order, weights=np.abs(rho.ravel()) ** 2, minlength=2 * n_spins + 1)
+    weights = {q: float(np.sqrt(totals[q + n_spins])) for q in range(-n_spins, n_spins + 1)}
+    return {q: w for q, w in weights.items() if w > 1e-12}
+
+
+def _dense_magnetization(rho: np.ndarray, n_spins: int, sites) -> float:
+    sz = (0.5 - bit_table(n_spins)[list(sites)]).sum(axis=0)
+    return float(np.diagonal(rho).real @ sz)
+
+
+def _dense_decohere(rho: np.ndarray, config: ProtocolConfig) -> np.ndarray:
+    n = config.n_total
+    noise = config.noise
+    t = config.delay_s
+    if config.noise_mode == "analytic":
+        rho = dephasing_reference(rho, n, noise.dephasing_per_s, t)
+    else:
+        sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * t)
+        rho = phase_kicks_reference(rho, n, sigma, noise.mc_trajectories, config.seed)
+    if config.include_flip_relaxation:
+        for site, rate in enumerate(noise.flip_per_s):
+            if rate > 0.0:
+                rho = flip_one_site_reference(rho, site, n, rate * t)
+    return rho
+
+
+def _dense_prepared(config: ProtocolConfig) -> tuple[list[np.ndarray], np.ndarray]:
+    """The states after steps A, B and C, and the step-C unitary."""
+    n = config.n_total
+    dim = 1 << n
+    f = config.purity_fraction
+    system = config.system.system_sites
+    after_a = (1.0 - f) * np.eye(dim, dtype=complex) / dim + f * _ket_projector({0: 1.0}, dim)
+    u_b = cat_rotation_unitary(n, system, config.weights)
+    after_b = u_b @ after_a @ u_b.conj().T
+    u_c = entangle_unitary(n, 0, system)
+    after_c = u_c @ after_b @ u_c.conj().T
+    return [after_a, after_b, after_c], u_c
+
+
+def dense_run_protocol(config: ProtocolConfig) -> dict:
+    """Dense reference for ``run_protocol(config)``.
+
+    Steps B, C and E are conjugations by the dense unitaries above, step D
+    the dense channel references.  Partial traces come from ``np.einsum``,
+    entropies from ``eigvalsh`` of the whole reduced matrix, and fidelities
+    as ``Tr(rho T)`` with the projector ``T`` of each ideal ket.  Returns the
+    report's ``to_dict()`` fields and the final matrix under ``"final_state"``.
+    """
+    n = config.n_total
+    dim = 1 << n
+    system = list(config.system.system_sites)
+    a, b = config.weights.a, config.weights.b
+    control_mask = _mask([0], n)
+    system_mask = _mask(system, n)
+    ideals = {
+        "initialize": {0: 1.0},
+        "create_cat": {0: a, system_mask: b},
+        "entangle": {0: a, control_mask | system_mask: b},
+        "decohere": {0: a, control_mask | system_mask: b},
+        "recover": {0: a, control_mask: b},
+    }
+    (after_a, after_b, after_c), _ = _dense_prepared(config)
+    after_d = _dense_decohere(after_c, config)
+    u_e = controlled_not_unitary(n, 0, system)
+    after_e = u_e @ after_d @ u_e.conj().T
+    steps = []
+    for name, rho in zip(ideals, (after_a, after_b, after_c, after_d, after_e)):
+        steps.append(
+            {
+                "name": name,
+                "fidelity": float(np.trace(rho @ _ket_projector(ideals[name], dim)).real),
+                "coherence_weights": _dense_coherence_weights(rho, n),
+                "control_entropy": _dense_entropy(_dense_partial_trace(rho, n, [0])),
+                "system_entropy": _dense_entropy(_dense_partial_trace(rho, n, system)),
+                "system_magnetization": _dense_magnetization(rho, n, system),
+            }
+        )
+    final_system = _dense_partial_trace(after_e, n, system)
+    system_target = _ket_projector({0: 1.0}, 1 << len(system))
+    return {
+        "delay_s": config.delay_s,
+        "steps": steps,
+        "final_system_fidelity": float(np.trace(final_system @ system_target).real),
+        "final_control_entropy": _dense_entropy(_dense_partial_trace(after_e, n, [0])),
+        "final_total_magnetization": _dense_magnetization(after_e, n, range(n)),
+        "final_state": after_e,
+    }
+
+
+def dense_decay_scan(config: ProtocolConfig, delays_s, which: str) -> list[tuple[float, float]]:
+    """Dense reference for ``measure_nq_decay`` (``which="nq"``) and
+    ``measure_diagonal_decay`` (``which="diagonal"``), with the same
+    per-point seeds."""
+    n = config.n_total
+    system = list(config.system.system_sites)
+    (_, _, prepared), u_c = _dense_prepared(config)
+    seeds = [int(v) for v in np.random.SeedSequence(config.seed).generate_state(len(delays_s))]
+    points = []
+    for delay, seed in zip(delays_s, seeds):
+        rho = _dense_decohere(prepared, dataclasses.replace(config, delay_s=float(delay), seed=seed))
+        if which == "nq":
+            reduced = _dense_partial_trace(u_c @ rho @ u_c.conj().T, n, system)
+            value = abs(complex(reduced[0, -1]))
+        else:
+            value = _dense_magnetization(rho, n, system)
+        points.append((float(delay), float(value)))
+    return points
