@@ -1,7 +1,7 @@
 """Density-matrix simulator for cat states of small spin-1/2 clusters.
 
 The package covers the full life cycle of a highest-order coherence
-experiment on a dense register: pseudopure preparation, cat-state
+experiment on a register of up to 12 spins: pseudopure preparation, cat-state
 creation, entanglement with a control spin, configurable decoherence
 (closed-form channels or Monte Carlo phase kicks), and
 information-conditioned recovery, plus coherence-order bookkeeping,

@@ -111,9 +111,10 @@ def scaling_study(
     ``SeedSequence((seed, n, k))`` for delay ``k``, so results do not
     depend on the order of ``n_values``.
     The read-out is the corner ``<u|rho|d>``, which for the kicked cat is
-    ``1/2 * mean_k exp(-i * sum_i phi_ki)``.  The cat lives on two basis
-    states, so the kick forms its characteristic matrix there only, in
-    O(K*n); the D x D cat, the kicked state and its validation remain.
+    ``1/2 * mean_k exp(-i * sum_i phi_ki)``.  The cat is two coherence
+    classes of D elements with a coherence between two basis states, so
+    the kick forms its characteristic matrix there only, in O(K*n), and
+    the cat, the decayed states and their validation cost O(D) each.
     """
     if mode not in NOISE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -139,9 +140,6 @@ def scaling_study(
                 point_seed = int(np.random.SeedSequence((seed, n, k)).generate_state(1)[0])
                 decayed = dynamics.apply_phase_kicks_mc(rho, register_noise, float(t), point_seed)
             amplitudes.append(abs(states.nq_amplitude(decayed)))
-            # Freed before the next delay's state is built, so that at most
-            # one decayed D x D state is alive beside the cat.
-            del decayed
         fit = fit_exponential(list(delays_s), amplitudes)
         results.append((n, 1.0 / fit.tau_s))
     return results

@@ -31,11 +31,13 @@ Lindblad generators, so no time stepping is involved:
 Neither channel moves an element out of its coherence class, the set of
 elements ``(r, r ^ x)`` with one spin-difference pattern ``x``: a flip
 of spin ``i`` mixes ``(r, c)`` only with ``(r ^ b_i, c ^ b_i)``.  So both
-act on the classes the state occupies, each gathered as a length-``D``
-vector, and scatter them once into a zeroed matrix.  A protocol state
-occupies at most two classes, the diagonal and the top-order cat
-coherence, so a channel costs O(D) work beside that one matrix; a dense
-state occupies all ``D`` classes.
+act on the classes a :class:`~spincat.states.DensityMatrix` stores, each
+a length-``D`` vector, and return the same classes.  A protocol state
+occupies two classes, the diagonal and the top-order cat coherence, so
+a channel costs O(D); a dense state occupies all ``D`` classes.  The
+controlled flips move each element ``(r, r ^ x)`` to ``(pr, p(r ^ x))``
+under their permutation ``p``, which lands it in class ``x`` or
+``x ^ flip_mask``, again in O(D) per class.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from . import operators
+from . import operators, states
 from .states import DensityMatrix
 
 COUPLING_KINDS = ("homonuclear_dipolar", "heteronuclear_zz")
@@ -213,21 +215,20 @@ def apply_dephasing(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityM
     # decay[x] = sum_i gamma_i * x_i
     decay = np.tensordot(rates, operators.bit_table(rho.n_spins), axes=1)
     factor = np.exp(-0.5 * t * decay)
-    classes, values = _gather_classes(rho)
-    values *= factor[classes][:, None]
-    return _scatter_classes(classes, values, rho.n_spins)
+    values = rho._values * factor[rho._classes][:, None]
+    return DensityMatrix._of_classes(rho._classes, values, rho.n_spins)
 
 
 def apply_flip_relaxation(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityMatrix:
     """Exact symmetric flip channel, one commuting factor per spin,
-    applied in place to the gathered coherence classes."""
+    applied in place to a copy of the state's classes."""
     _check_channel_args(rho, noise, t)
     n = rho.n_spins
-    classes, values = _gather_classes(rho)
+    values = rho._values.copy()
     for site, rate in enumerate(noise.flip_per_s):
         if rate > 0.0:
-            _flip_one_site(values, classes, site, n, rate * t)
-    return _scatter_classes(classes, values, n)
+            _flip_one_site(values, rho._classes, site, n, rate * t)
+    return DensityMatrix._of_classes(rho._classes, values, n)
 
 
 def draw_kick_phases(sigma: Sequence[float], trajectories: int, seed: int) -> np.ndarray:
@@ -257,35 +258,53 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
     ``rho * C`` with the empirical characteristic matrix
     ``C = Phi^T Phi^* / K``, where ``Phi[k, r] = exp(-i * phi_k . s_r)``
     and ``s_r`` holds the Sz eigenvalues of basis state ``r``.  The
-    product vanishes in every row and column where ``rho`` is zero, so
-    ``C`` is formed only on the basis states where ``rho`` has an entry:
-    all ``D`` of them for a full-rank state, two for a cat.  It is
-    accumulated by one matrix product per block of trajectories, so the
-    extra memory is one product beside ``C`` and a block of rows of
-    ``Phi``, whatever ``K`` is.  The ensemble mean multiplies an
-    element that differs in spin ``i`` by ``exp(-sigma_i^2/2)``; the
-    widths ``sigma_i = sqrt(gamma_i * t)`` make that the analytic
-    channel's factor for time ``t``.
+    diagonal of ``C`` is exactly 1, so ``C`` is formed only on the basis
+    states where ``rho`` has a nonzero element off the diagonal, and read
+    at those elements: all ``D`` states for a full-rank state, two for a
+    cat.  It is accumulated by one matrix product per block of
+    trajectories, so the extra memory is one product beside ``C`` and a
+    block of rows of ``Phi``, whatever ``K`` is.  The ensemble mean
+    multiplies an element that differs in spin ``i`` by
+    ``exp(-sigma_i^2/2)``; the widths ``sigma_i = sqrt(gamma_i * t)`` make
+    that the analytic channel's factor for time ``t``.
     """
     _check_channel_args(rho, noise, t)
     sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * t)
     phases = draw_kick_phases(sigma, noise.mc_trajectories, seed)
-    support = np.flatnonzero(np.any(rho.matrix, axis=0) | np.any(rho.matrix, axis=1))
+    classes, values = rho._classes, rho._values
+    # The basis states with a nonzero element off the diagonal, in its row or column.
+    nonzero = values[1:] != 0
+    supported = nonzero.any(axis=0)
+    if not supported.all():
+        supported |= states._mirrors(classes[1:], nonzero).any(axis=0)
+    support = np.flatnonzero(supported)
     # Sz eigenvalue of every spin in every supported basis state: +1/2 or -1/2.
     sz_signs = 0.5 - operators.bit_table(rho.n_spins)[:, support]
-    characteristic = np.zeros((support.size, support.size), dtype=complex)
     for start in range(0, len(phases), _KICK_BLOCK):
         phi = np.exp(-1j * (phases[start : start + _KICK_BLOCK] @ sz_signs))
-        characteristic += phi.T @ phi.conj()
+        product = phi.T @ phi.conj()
+        if start:
+            characteristic += product
+        else:
+            characteristic = product
     characteristic /= noise.mc_trajectories
     if support.size == rho.dim:
+        # C is laid out like the dense state: the kicked state is formed
+        # dense, as C * rho with the diagonal kept, and its classes are read
+        # from it.
         characteristic *= rho.matrix
-        kicked = characteristic
-    else:
-        kicked = np.zeros_like(rho.matrix)
-        block = np.ix_(support, support)
-        kicked[block] = characteristic * rho.matrix[block]
-    return DensityMatrix(kicked, rho.n_spins)
+        np.einsum("ii->i", characteristic)[...] = values[0]
+        kicked = states._classes_of(characteristic, classes)[1]
+        return DensityMatrix._of_classes(classes, kicked, rho.n_spins, characteristic)
+    # C is read at the nonzero elements, whose rows and columns are all
+    # supported; every other element is kept as it is.
+    position = np.cumsum(supported) - 1
+    kicked = values.copy()
+    for part, cols in states._class_slices(classes[1:], rho.dim):
+        factor = np.take(characteristic, np.maximum(position[cols] + position * support.size, 0))
+        off = kicked[1:][part]
+        np.multiply(factor, off, out=off, where=nonzero[part])
+    return DensityMatrix._of_classes(classes, kicked, rho.n_spins)
 
 
 def conditional_flip(rho: DensityMatrix, condition_mask: int, flip_mask: int) -> DensityMatrix:
@@ -294,14 +313,22 @@ def conditional_flip(rho: DensityMatrix, condition_mask: int, flip_mask: int) ->
 
     With disjoint masks the permutation is an involution, so conjugating
     by it is one reindexing of rows and columns and is its own inverse.
+    It moves the elements of each class, in O(D) per class.
     """
     if condition_mask & flip_mask:
         raise ValueError("flipped spins overlap the condition spins")
     if not flip_mask:
         raise ValueError("empty target set")
-    index = np.arange(rho.dim)
+    dim = rho.dim
+    index = np.arange(dim)
     perm = np.where(index & condition_mask == condition_mask, index ^ flip_mask, index)
-    return DensityMatrix(rho.matrix[np.ix_(perm, perm)], rho.n_spins)
+    classes, values = rho._classes, rho._values
+    # Element (r, r ^ x) moves to (perm[r], perm[r ^ x]), of class x or x ^ flip_mask.
+    moved = perm ^ perm[index ^ classes[:, None]]
+    image_classes = states._class_set(np.concatenate((classes, classes ^ flip_mask)), dim)
+    image = np.zeros((image_classes.size, dim), dtype=complex)
+    image[np.searchsorted(image_classes, moved), perm] = values
+    return DensityMatrix._of_classes(image_classes, image, rho.n_spins)
 
 
 def controlled_not_all(rho: DensityMatrix, control: int, targets: Sequence[int]) -> DensityMatrix:
@@ -311,30 +338,10 @@ def controlled_not_all(rho: DensityMatrix, control: int, targets: Sequence[int])
     return conditional_flip(rho, operators.site_mask([control], n), operators.site_mask(targets, n))
 
 
-def _gather_classes(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The coherence classes ``x`` that ``rho`` occupies, ascending, and
-    the ``(K, D)`` array of their elements ``values[k, r] = rho[r, r ^ x_k]``.
-    A state without a kept nonzero pattern occupies all ``D`` classes."""
-    rows, cols = rho._pattern[:2]
-    index = np.arange(rho.dim)
-    classes = index if rows is None else np.flatnonzero(np.bincount(rows ^ cols, minlength=rho.dim))
-    return classes, rho.matrix[index, index ^ classes[:, None]]
-
-
-def _scatter_classes(classes: np.ndarray, values: np.ndarray, n_spins: int) -> DensityMatrix:
-    """The state whose classes ``classes`` hold ``values`` and which is
-    zero elsewhere; the inverse of :func:`_gather_classes`."""
-    dim = values.shape[1]
-    matrix = np.zeros((dim, dim), dtype=complex)
-    index = np.arange(dim)
-    matrix[index, index ^ classes[:, None]] = values
-    return DensityMatrix(matrix, n_spins)
-
-
 def _flip_one_site(
     values: np.ndarray, classes: np.ndarray, site: int, n_spins: int, kappa_t: float
 ) -> None:
-    """Apply one spin's flip factor in place to the gathered classes.
+    """Apply one spin's flip factor in place to the classes' values.
 
     A class that differs in the spin decays at kappa.  In a class that
     does not, the elements with the spin up in both indices and those

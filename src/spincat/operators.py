@@ -17,8 +17,9 @@ Kronecker products: ``Sz`` is diagonal, and ``S+`` of spin ``i`` maps
 index ``r`` to ``r ^ b_i`` wherever spin ``i`` of ``r`` is down, where
 ``b_i`` is the bit of spin ``i``.
 
-Everything is dense complex128.  Registers beyond 12 spins are
-rejected because a dense matrix no longer fits comfortably in memory.
+The operators here are dense complex128 matrices.  Registers beyond 12
+spins are rejected because a dense matrix, which the spectrum and the
+dense view of a state still need, no longer fits comfortably in memory.
 """
 
 from __future__ import annotations
@@ -118,15 +119,7 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     n = n_spins_of(rho)
-    keep = list(keep)
-    if not keep:
-        raise ValueError("empty keep list")
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate sites in keep list")
-    if sorted(keep) != keep:
-        raise ValueError("keep list must be in ascending site order")
-    for site in keep:
-        _check_site(site, n)
+    keep = _kept_sites(keep, n)
     kept = set(keep)
     tensor = rho.reshape((2,) * (2 * n))
     row_labels = list(range(n))
@@ -155,6 +148,21 @@ def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 def _is_integer(value: object) -> bool:
     """Whether ``value`` is a Python or numpy integer; ``bool`` is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _kept_sites(keep: Sequence[int], n_spins: int) -> list[int]:
+    """``keep`` as a list, checked to be a nonempty ascending list of
+    distinct sites of the register."""
+    keep = list(keep)
+    if not keep:
+        raise ValueError("empty keep list")
+    if len(set(keep)) != len(keep):
+        raise ValueError("duplicate sites in keep list")
+    if sorted(keep) != keep:
+        raise ValueError("keep list must be in ascending site order")
+    for site in keep:
+        _check_site(site, n_spins)
+    return keep
 
 
 def _check_register_size(n_spins: int) -> None:

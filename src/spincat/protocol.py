@@ -20,8 +20,13 @@ E. recover: collective controlled-NOT conditioned on the control,
 
 Steps B, C, and E are exact target unitaries (basis rotations and
 permutations), not pulse sequences; pulse-level compilation is out of
-scope here.  They are applied by their structure, in O(D^2), without
-forming a dense D x D unitary.
+scope here.  They are applied by their structure, without forming a
+dense D x D unitary, to the coherence classes that a
+:class:`~spincat.states.DensityMatrix` stores.  Every state of the run
+is a diagonal plus one cat coherence, two classes of D elements, so
+each step, channel and diagnostic costs O(D), and the reference states
+are built the same way.  No dense matrix is formed unless
+``final_state.matrix`` is read.
 """
 
 from __future__ import annotations
@@ -154,18 +159,27 @@ def step_b_create_cat(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatr
 
     ``U`` acts as ``[[a, -conj(b)], [b, conj(a)]]`` on every index pair
     ``(base, base | system_mask)``: rows are rotated by ``U``, then
-    columns by ``conj(U)``.
+    columns by ``conj(U)``.  Either rotation pairs each element of class
+    ``x`` with one of class ``x ^ system_mask``, so the state's classes
+    are rotated pairwise, in O(D) per class.
     """
     mask = operators.site_mask(config.system.system_sites, config.n_total)
-    index = np.arange(rho.dim)
-    up = index[index & mask == 0]
-    down = up | mask
+    dim = rho.dim
+    index = np.arange(dim)
+    classes = states._class_set(np.concatenate((rho._classes, rho._classes ^ mask)), dim)
+    values = np.zeros((classes.size, dim), dtype=complex)
+    values[np.searchsorted(classes, rho._classes)] = rho._values
+    # Row of class x ^ mask for each class x.
+    partner = np.searchsorted(classes, classes ^ mask)
     a, b = config.weights.a, config.weights.b
     rotation = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
-    matrix = np.array(rho.matrix)
-    _rotate_row_pairs(matrix, up, down, rotation)
-    _rotate_row_pairs(matrix.T, up, down, rotation.conj())
-    return DensityMatrix(matrix, rho.n_spins)
+    # Rows: (r, r ^ x) pairs with (r ^ mask, r ^ x), which lies in class x ^ mask.
+    rows = np.broadcast_to(index & mask, values.shape)
+    _rotate_pairs(values, values[partner][:, index ^ mask], rows == 0, rows == mask, rotation)
+    # Columns: (r, r ^ x) pairs with (r, r ^ x ^ mask), in class x ^ mask.
+    columns = (index ^ classes[:, None]) & mask
+    _rotate_pairs(values, values[partner], columns == 0, columns == mask, rotation.conj())
+    return DensityMatrix._of_classes(classes, values, rho.n_spins)
 
 
 def step_c_entangle(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatrix:
@@ -312,8 +326,13 @@ def _per_point_seeds(seed: int, count: int) -> list[int]:
     return [int(v) for v in np.random.SeedSequence(seed).generate_state(count)]
 
 
-def _rotate_row_pairs(matrix: np.ndarray, up: np.ndarray, down: np.ndarray, u: np.ndarray) -> None:
-    """Apply the 2x2 matrix ``u`` in place to each row pair ``(up[k], down[k])``."""
-    top, bottom = matrix[up], matrix[down]
-    matrix[up] = u[0, 0] * top + u[0, 1] * bottom
-    matrix[down] = u[1, 0] * top + u[1, 1] * bottom
+def _rotate_pairs(
+    values: np.ndarray, partners: np.ndarray, first: np.ndarray, second: np.ndarray, u: np.ndarray
+) -> None:
+    """Apply the 2x2 matrix ``u`` in place to each pair of elements: the
+    element of ``values`` where ``first`` holds takes the first component,
+    and the element where ``second`` holds the second, with ``partners``
+    the other element of each pair, read before the update."""
+    own_first, own_second = values[first], values[second]
+    values[first] = u[0, 0] * own_first + u[0, 1] * partners[first]
+    values[second] = u[1, 0] * partners[second] + u[1, 1] * own_second

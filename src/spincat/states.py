@@ -1,52 +1,58 @@
 """Density matrices, reference states, and coherence-order bookkeeping.
 
-A :class:`DensityMatrix` wraps a dense complex matrix together with the
-register size and validates the physical invariants on construction:
-unit trace, Hermiticity, and positivity up to a small numerical
-tolerance.  Violations raise :class:`StateInvariantError`.
+A :class:`DensityMatrix` stores a state of an ``n``-spin register by its
+coherence classes.  The class of an element ``(r, c)`` is the pattern
+``x = r ^ c`` of spins in which its two basis states differ, and the
+state keeps only the classes it occupies: ascending ``classes`` and a
+``(K, D)`` array with ``values[k, r] = rho[r, r ^ classes[k]]``.  Class
+0, the diagonal, is always kept; a class whose elements are all zero is
+dropped.  Every state of the protocol is a diagonal plus one cat
+coherence, so it has K = 2 rows and costs O(D); a dense matrix occupies
+all ``D`` classes.  The dense matrix itself is built only when
+``DensityMatrix.matrix`` is first read, and kept.
 
-Positivity is certified by a Cholesky factorisation of
-``rho + POSITIVITY_TOL * I``, which exists, up to rounding, exactly
-when every eigenvalue of ``rho`` exceeds ``-POSITIVITY_TOL``, and which
-costs a fraction of an eigendecomposition.  Only when the factorisation
-fails does ``eigvalsh`` run, and its smallest eigenvalue decides the
-verdict, so a rejection always rests on the eigenvalue criterion.  The
-factorisation reads the lower triangle only; that is sound because
-Hermiticity to ``HERMITIAN_TOL`` (1e-10) is checked first.
+Construction validates the physical invariants, and violations raise
+:class:`StateInvariantError`:
 
-Validation runs block by block.  Every state the protocol builds is a
-diagonal plus a few off-diagonal nonzeros, so it is block-diagonal
-under a permutation of the basis, with blocks of size 1 and 2.  A
-matrix of that form is Hermitian, or positive semidefinite, exactly
-when each of its blocks is, and its spectrum is the union of the
-blocks' spectra.  The nonzero pattern is found in one vectorised pass
-over the matrix, 64 rows at a time, which stops as soon as more than D
-entries off the diagonal are nonzero.  When it does not stop, the
-blocks are the connected components of the pattern's off-diagonal
-entries, and an index with none is a 1x1 block.  A denser matrix, such
-as a random state or a user's ``.npy`` file, is one block of every
-index, read in place.  The blocks of one size form one stack, and
-Hermiticity, the certificate and its ``eigvalsh`` fallback run stack by
-stack; a 1x1 block is its own eigenvalue.  The state keeps its pattern
-and blocks, so :func:`von_neumann_entropy` reads the spectrum block by
-block and :func:`coherence_orders` bins the nonzero entries, without
-scanning again.
+- unit trace, read from class 0;
+- Hermiticity within each class: ``values[k, r ^ x_k]`` must equal
+  ``conj(values[k, r])`` to ``HERMITIAN_TOL``;
+- positivity up to ``POSITIVITY_TOL``, block by block.
+
+The blocks come from the classes.  Two indices share a block when a
+chain of nonzero off-diagonal elements joins them; an index with none
+is a 1x1 block.  When no index has nonzero elements in two off-diagonal
+classes, the blocks are the pairs ``(r, r ^ x)`` of each class; only
+when classes overlap are they found by union-find.  A matrix is
+Hermitian, or positive semidefinite, exactly when each of its blocks
+is, and its spectrum is the union of the blocks' spectra.  A state with
+more than D nonzero elements off the diagonal, such as a random state
+or a user's ``.npy`` file, is one block of every index: its dense
+matrix.  The blocks of one size form one stack.  Positivity is
+certified by a Cholesky factorisation of each block plus
+``POSITIVITY_TOL * I``, which exists, up to rounding, exactly when every
+eigenvalue exceeds ``-POSITIVITY_TOL``, and which costs a fraction of an
+eigendecomposition.  Only when it fails does ``eigvalsh`` run, and its
+smallest eigenvalue decides the verdict, so a rejection always rests on
+the eigenvalue criterion.  The factorisation reads the lower triangle
+only; that is sound because Hermiticity is checked first.  A 1x1 block
+is its own eigenvalue.  The state keeps its blocks, so
+:func:`von_neumann_entropy` reads the spectrum block by block without
+finding them again.
 
 Coherence order of a matrix element ``(r, c)`` is the magnetization
 difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
 up spins in ``r`` minus the number in ``c``.  A cat state of ``n``
 spins carries orders ``-n``, ``0`` and ``+n`` only.
 
-Traces of products are read elementwise in O(D^2), without a matrix
-product, and coherence weights are one weighted histogram of
-``|rho|^2`` over the element orders: over the nonzero entries of a
-state with a pattern, over all D^2 entries of a dense one.
+Traces of products, partial traces and coherence weights are read from
+the classes, in O(K·D), without a matrix product.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -56,90 +62,224 @@ from . import operators
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 _ENTROPY_EIG_FLOOR = 1e-14
-# Rows per slice of the nonzero scan in _nonzero_pattern.
-_SCAN_ROWS = 64
+# Elements per slice when a dense matrix is converted to or from its
+# classes: bounds the index and value temporaries at 768 KiB.
+_SLICE_ELEMENTS = 1 << 15
 
 
 class StateInvariantError(ValueError):
     """A density matrix violated trace, Hermiticity, or positivity."""
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
     """Validated density matrix of an ``n_spins`` register.
 
-    Construction checks the register size (an integer from 1 to
-    ``MAX_SPINS``, else ``ValueError``) and the dimension before it
-    copies ``matrix``, then unit trace to
-    ``TRACE_TOL``, Hermiticity and positivity, block by block as the
-    module docstring describes.  The stored copy is C-contiguous and
-    bit-identical to the input.  A matrix with NaN or inf entries fails
-    the trace or Hermiticity check before the factorisation runs.
+    ``DensityMatrix(matrix, n_spins)`` takes a dense ``D x D`` array.  It
+    checks the register size (an integer from 1 to ``MAX_SPINS``, else
+    ``ValueError``) and the dimension before it reads ``matrix``, gathers
+    the occupied classes, and validates them as the module docstring
+    describes.  A matrix with NaN or inf entries fails the trace or
+    Hermiticity check before the factorisation runs.  The input is
+    copied, never modified.
 
-    Beside the matrix and the register size, the private ``_pattern``
-    keeps what validation found: ``(rows, cols, blocks)`` as returned by
-    ``_block_structure``, or ``(None, None, [arange(D)[None, :]])``, one
-    block of every index, for a dense matrix.  It is not an init
-    argument, not shown by ``repr`` and not compared.
+    ``_classes`` and ``_values`` hold the state; ``_values`` is
+    read-only.  ``_blocks`` keeps the blocks validation found: a list of
+    ``(m, k)`` index arrays, one per block size, or ``None`` for one
+    block of every index.  ``matrix`` is the dense matrix, read-only,
+    built on first access and then kept.  Every construction, also the
+    package's own from classes, runs :meth:`__post_init__` once.
     """
 
-    matrix: np.ndarray
-    n_spins: int
-    _pattern: tuple[np.ndarray | None, np.ndarray | None, list[np.ndarray]] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("n_spins", "_source", "_classes", "_values", "_blocks", "_dense")
+
+    def __init__(self, matrix: np.ndarray, n_spins: int) -> None:
+        object.__setattr__(self, "_source", matrix)
+        object.__setattr__(self, "n_spins", n_spins)
+        self.__post_init__()
+
+    @classmethod
+    def _of_classes(
+        cls, classes: np.ndarray, values: np.ndarray, n_spins: int, dense: np.ndarray | None = None
+    ) -> DensityMatrix:
+        """The state whose ascending ``classes``, 0 first, hold ``values``
+        and which is zero elsewhere.  ``dense``, if given, is the same state
+        as a dense matrix, bit for bit, and becomes its dense view.  The
+        state takes both arrays over: the caller must not write to them."""
+        rho = cls.__new__(cls)
+        object.__setattr__(rho, "_source", (classes, values, dense))
+        object.__setattr__(rho, "n_spins", n_spins)
+        rho.__post_init__()
+        return rho
 
     def __post_init__(self) -> None:
         operators._check_register_size(self.n_spins)
-        given = np.asarray(self.matrix)
-        if operators.n_spins_of(given) != self.n_spins:
-            raise StateInvariantError(
-                f"matrix dimension {given.shape[0]} does not match {self.n_spins} spins"
-            )
-        matrix = np.array(given, dtype=complex, order="C")
-        trace = matrix.trace()
+        source = self._source
+        object.__delattr__(self, "_source")
+        dim = 1 << self.n_spins
+        gathered = not isinstance(source, tuple)
+        if not gathered:
+            classes, values, dense = source
+            del source
+        else:
+            dense = None
+            given = np.asarray(source)
+            if operators.n_spins_of(given) != self.n_spins:
+                raise StateInvariantError(
+                    f"matrix dimension {given.shape[0]} does not match {self.n_spins} spins"
+                )
+            classes, values = _classes_of(given)
+        occupied = values.any(axis=1)
+        occupied[0] = True
+        if not occupied.all():
+            classes, values = classes[occupied], values[occupied]
+        trace = values[0].sum()
         if abs(trace - 1.0) > TRACE_TOL:
             raise StateInvariantError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
-        # A dense matrix is one block of every index.
-        structure = _block_structure(matrix) or (
-            None, None, [np.arange(matrix.shape[0])[None, :]]
-        )
-        stacks = [_gather(matrix, index) for index in structure[2]]
-        if not all(operators.is_hermitian(stack) for stack in stacks):
+        if not _hermitian_classes(classes, values):
             raise StateInvariantError("matrix is not Hermitian")
-        eigmin = _uncertified_eigmin(stacks)
+        blocks = _block_structure(classes, values)
+        if blocks is None:
+            # One block of every index: the dense matrix, kept.
+            if dense is None:
+                dense = _dense_of(classes, values, dim)
+            if gathered:
+                # The input is dense too: its classes are read again after
+                # the factorisation, so no more than two D x D arrays are held.
+                del values
+            eigmin = _uncertified_eigmin([dense[None]])
+            if gathered:
+                values = _classes_of(dense, classes)[1]
+        else:
+            eigmin = _uncertified_eigmin([_stack(classes, values, index) for index in blocks])
         if eigmin < -POSITIVITY_TOL:
             raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_pattern", structure)
+        values.flags.writeable = False
+        if dense is not None:
+            dense.flags.writeable = False
+        object.__setattr__(self, "_classes", classes)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_dense", dense)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"DensityMatrix is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # Copies and unpickled states are rebuilt, and validated, from the classes.
+        return (DensityMatrix._of_classes, (self._classes, np.array(self._values), self.n_spins))
+
+    def __repr__(self) -> str:
+        return f"DensityMatrix(n_spins={self.n_spins}, classes={getattr(self, '_classes', None)})"
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return 1 << self.n_spins
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense ``D x D`` matrix, read-only, built on first access."""
+        if self._dense is None:
+            dense = _dense_of(self._classes, self._values, self.dim)
+            dense.flags.writeable = False
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
 
 
-def _block_structure(
-    matrix: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None:
-    """Nonzero entries and diagonal blocks of a C-contiguous complex
-    square matrix, or ``None`` when more than D entries off the diagonal
-    are nonzero.
+def _classes_of(
+    matrix: np.ndarray, classes: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of a dense square matrix and the ``(K, D)`` array of
+    their elements ``values[k, r] = matrix[r, r ^ classes[k]]``, as
+    ``complex``.
 
-    Otherwise returns ``(rows, cols, blocks)``: ``matrix[rows, cols]``
-    are the nonzero entries in C order, exactly as ``np.nonzero`` lists
-    them, and ``blocks`` partitions the indices.  Two indices share a
-    block when a chain of off-diagonal nonzeros, in either triangle,
-    joins them; an index with none is a 1x1 block.  Each block lists its
-    indices in ascending order, so its lower triangle lies in the
-    matrix's lower triangle, and the blocks of one size ``k`` form one
-    ``(m, k)`` array.
+    Without ``classes``, the occupied ones: class 0 and every class with
+    a nonzero element, ascending.  An element is nonzero as in
+    ``np.nonzero``: ``-0.0`` is zero, NaN is not.  A slice of classes at a
+    time is read, so the temporaries stay small.
     """
-    pattern = _nonzero_pattern(matrix)
-    if pattern is None:
+    dim = matrix.shape[0]
+    flat = np.asarray(matrix, dtype=complex).reshape(-1)
+    row_starts = np.arange(0, dim * dim, dim)
+    if classes is None:
+        occupied = np.empty(dim, dtype=bool)
+        for part, cols in _class_slices(np.arange(dim), dim):
+            occupied[part] = flat[cols + row_starts].any(axis=1)
+        occupied[0] = True
+        classes = np.flatnonzero(occupied)
+    values = np.empty((classes.size, dim), dtype=complex)
+    for part, cols in _class_slices(classes, dim):
+        np.take(flat, cols + row_starts, out=values[part])
+    return classes, values
+
+
+def _dense_of(classes: np.ndarray, values: np.ndarray, dim: int) -> np.ndarray:
+    """The dense matrix whose classes ``classes`` hold ``values`` and which
+    is zero elsewhere; the inverse of :func:`_classes_of`."""
+    dense = np.zeros((dim, dim), dtype=complex)
+    flat = dense.reshape(-1)
+    row_starts = np.arange(0, dim * dim, dim)
+    for part, cols in _class_slices(classes, dim):
+        flat[cols + row_starts] = values[part]
+    return dense
+
+
+def _class_slices(classes: np.ndarray, dim: int):
+    """Slices of ``classes``, a few thousand elements at a time, each with
+    the ``(k, D)`` array of its elements' columns ``r ^ x``."""
+    index = np.arange(dim)
+    rows = max(1, _SLICE_ELEMENTS // dim)
+    for start in range(0, classes.size, rows):
+        yield slice(start, start + rows), index ^ classes[start : start + rows, None]
+
+
+def _mirrors(classes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values[k, r ^ classes[k]]`` for every ``k`` and ``r``: each element's
+    transposed partner, which lies in the same class."""
+    k, dim = values.shape
+    partners = np.arange(dim) ^ classes[:, None]
+    partners += np.arange(0, k * dim, dim)[:, None]
+    return np.take(np.ascontiguousarray(values).reshape(-1), partners)
+
+
+def _hermitian_classes(classes: np.ndarray, values: np.ndarray) -> bool:
+    """Whether ``|rho[c, r] - conj(rho[r, c])|`` stays within
+    ``HERMITIAN_TOL`` for every element; NaN fails.  A slice of classes
+    at a time."""
+    # inf - inf is NaN, which fails the comparison below without a warning.
+    with np.errstate(invalid="ignore"):
+        for part, _ in _class_slices(classes, values.shape[1]):
+            residual = _mirrors(classes[part], values[part])
+            np.conjugate(residual, out=residual)
+            residual -= values[part]
+            if not np.abs(residual).max(initial=0.0) <= operators.HERMITIAN_TOL:
+                return False
+    return True
+
+
+def _block_structure(classes: np.ndarray, values: np.ndarray) -> list[np.ndarray] | None:
+    """The diagonal blocks of a state: a list of ``(m, k)`` index arrays,
+    one per block size ``k`` (1x1 first), or ``None`` when more than D
+    elements off the diagonal are nonzero and the state is one block of
+    every index.
+
+    Each block lists its indices in ascending order, so its lower
+    triangle lies in the matrix's lower triangle.
+    """
+    dim = values.shape[1]
+    index = np.arange(dim)
+    if classes.size == 1:
+        return [index[:, None]]
+    nonzero = values[1:] != 0
+    if classes.size == 2:
+        # One off-diagonal class x: the pairs (r, r ^ x) with a nonzero
+        # element, in either triangle.
+        x = classes[1]
+        paired = nonzero[0] | nonzero[0][index ^ x]
+        low = np.flatnonzero(paired & (index < index ^ x))
+        return [np.flatnonzero(~paired)[:, None], np.column_stack((low, low ^ x))]
+    if np.count_nonzero(nonzero) > dim:
         return None
-    rows, cols = pattern
-    off = rows != cols
+    # Classes that may overlap: the connected components, by union-find.
     parent: dict[int, int] = {}
 
     def root(i: int) -> int:
@@ -149,7 +289,8 @@ def _block_structure(
             i = parent[i]
         return i
 
-    for r, c in zip(rows[off].tolist(), cols[off].tolist()):
+    ks, rows = np.nonzero(nonzero)
+    for r, c in zip(rows.tolist(), (rows ^ classes[1:][ks]).tolist()):
         parent[root(r)] = root(c)
     components: dict[int, list[int]] = {}
     for i in sorted(parent):
@@ -157,48 +298,33 @@ def _block_structure(
     by_size: dict[int, list[list[int]]] = {}
     for members in components.values():
         by_size.setdefault(len(members), []).append(members)
-    touched = np.zeros(matrix.shape[0], dtype=bool)
+    touched = np.zeros(dim, dtype=bool)
     touched[list(parent)] = True
     blocks = [np.flatnonzero(~touched)[:, None]]
-    blocks += [np.array(members) for _, members in sorted(by_size.items())]
-    return rows, cols, blocks
+    return blocks + [np.array(members) for _, members in sorted(by_size.items())]
 
 
-def _nonzero_pattern(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``np.nonzero(matrix)``, or ``None`` once more than D entries off the
-    diagonal are found nonzero.
-
-    The ``float64`` view of the matrix is scanned ``_SCAN_ROWS`` rows at
-    a time.  An entry's real and imaginary parts sit side by side, so
-    halving a part's flat index gives the entry's, and an entry with both
-    parts nonzero appears twice in a row.  A part compares as nonzero as
-    in ``np.nonzero``: ``-0.0`` is zero, NaN is not.  Temporaries span
-    one slice, and a dense matrix stops after its first.
-    """
-    dim = matrix.shape[0]
-    parts = matrix.view(np.float64)
-    diagonal_nonzero = matrix.diagonal() != 0
-    found: list[np.ndarray] = []
-    off_diagonal = 0
-    for start in range(0, dim, _SCAN_ROWS):
-        stop = min(start + _SCAN_ROWS, dim)
-        entries = np.flatnonzero(parts[start:stop] != 0) >> 1
-        if entries.size > 1:
-            entries = entries[np.concatenate(([True], entries[1:] != entries[:-1]))]
-        off_diagonal += entries.size - np.count_nonzero(diagonal_nonzero[start:stop])
-        if off_diagonal > dim:
-            return None
-        found.append(entries + start * dim)
-    rows, cols = np.divmod(np.concatenate(found), dim)
-    return rows, cols
+def _class_set(patterns: np.ndarray, dim: int) -> np.ndarray:
+    """The distinct ``patterns`` and class 0, ascending, in O(D)."""
+    present = np.zeros(dim, dtype=bool)
+    present[patterns] = True
+    present[0] = True
+    return np.flatnonzero(present)
 
 
-def _gather(matrix: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The ``(m, k, k)`` stack of blocks ``matrix[index[j]][:, index[j]]``;
-    a block of every index is the view ``matrix[None]``, not a copy."""
-    if index.shape[1] == matrix.shape[0]:
-        return matrix[None]
-    return matrix[index[:, :, None], index[:, None, :]]
+def _read(classes: np.ndarray, values: np.ndarray, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Elements ``rho[rows, rows ^ x]`` (broadcast), zero where class ``x``
+    is not occupied."""
+    position = np.minimum(np.searchsorted(classes, x), classes.size - 1)
+    return np.where(classes[position] == x, values[position, rows], 0.0)
+
+
+def _stack(classes: np.ndarray, values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The ``(m, k, k)`` stack of blocks ``rho[index[j]][:, index[j]]``."""
+    rows = index[:, :, None]
+    if index.shape[1] == 1:
+        return values[0, rows]
+    return _read(classes, values, rows ^ index[:, None, :], rows)
 
 
 def _block_eigenvalues(stack: np.ndarray) -> np.ndarray:
@@ -231,8 +357,8 @@ def _shifted_cholesky_succeeds(stack: np.ndarray) -> bool:
 
     The shift is added to the diagonals in place and the saved diagonals
     are written back afterwards, so ``stack`` ends bit-identical, and a
-    whole matrix, whose stack is a view of it, is factorised without a
-    second D x D array beside it and the factor.
+    dense matrix is factorised without a second D x D array beside it
+    and the factor.
     """
     diagonals = np.einsum("...ii->...i", stack)
     saved = diagonals.copy()
@@ -276,12 +402,25 @@ class CatWeights:
 
 def basis_state(n_spins: int, amplitudes: Mapping[int, complex]) -> DensityMatrix:
     """Pure superposition ``sum_k c_k |k>`` of ``amplitudes = {k: c_k}``,
-    a state supported on a few basis indices."""
-    psi = np.zeros(1 << n_spins, dtype=complex)
-    psi[list(amplitudes)] = list(amplitudes.values())
-    # Written in full: a few entries set in np.zeros leave calloc'd pages
-    # that numpy marks for huge pages, which raised the peak RSS of scans.
-    return DensityMatrix(np.outer(psi, psi.conj()), n_spins)
+    a state supported on a few basis indices.
+
+    Its element ``(i, j)`` is ``c_i * conj(c_j)``, in class ``i ^ j``.
+    """
+    operators._check_register_size(n_spins)
+    dim = 1 << n_spins
+    index = np.arange(dim)[list(amplitudes)]
+    psi = np.array(list(amplitudes.values()), dtype=complex)
+    pattern = index[:, None] ^ index[None, :]
+    classes = _class_set(pattern, dim)
+    values = np.zeros((classes.size, dim), dtype=complex)
+    values[np.searchsorted(classes, pattern), index[:, None]] = psi[:, None] * psi.conj()
+    return DensityMatrix._of_classes(classes, values, n_spins)
+
+
+def _diagonal_state(diagonal: np.ndarray, n_spins: int) -> DensityMatrix:
+    """The state with populations ``diagonal`` and no coherences."""
+    values = np.asarray(diagonal, dtype=complex)[None, :]
+    return DensityMatrix._of_classes(np.zeros(1, dtype=int), values, n_spins)
 
 
 def ferro_state(n_spins: int, which: str) -> DensityMatrix:
@@ -303,10 +442,10 @@ def decohered_mixture(n_system: int, weights: CatWeights) -> DensityMatrix:
     and ``n_system`` spins is the cat of the combined register.
     """
     n_total = n_system + 1
+    operators._check_register_size(n_total)
     populations = np.zeros(1 << n_total)
     populations[[0, -1]] = np.abs(np.array([weights.a, weights.b], dtype=complex)) ** 2
-    # np.diag writes the matrix in full, for the reason given in basis_state.
-    return DensityMatrix(np.diag(populations), n_total)
+    return _diagonal_state(populations, n_total)
 
 
 def thermal_state(n_spins: int, polarization: float = 1e-3) -> DensityMatrix:
@@ -315,8 +454,7 @@ def thermal_state(n_spins: int, polarization: float = 1e-3) -> DensityMatrix:
     if not 0.0 <= polarization < 1.0 / max(n_spins, 1):
         raise ValueError(f"polarization must lie in [0, 1/n_spins), got {polarization}")
     sz_total = operators.sz_eigenvalues(range(n_spins), n_spins)
-    matrix = np.diag(1.0 + polarization * 2.0 * sz_total) / (1 << n_spins)
-    return DensityMatrix(matrix, n_spins)
+    return _diagonal_state((1.0 + polarization * 2.0 * sz_total) / (1 << n_spins), n_spins)
 
 
 def pseudopure(target: DensityMatrix, purity_fraction: float) -> DensityMatrix:
@@ -324,9 +462,11 @@ def pseudopure(target: DensityMatrix, purity_fraction: float) -> DensityMatrix:
     f = float(purity_fraction)
     if not 0.0 < f <= 1.0:
         raise ValueError(f"purity fraction must lie in (0, 1], got {f}")
-    dim = target.dim
-    matrix = (1.0 - f) * np.eye(dim, dtype=complex) / dim + f * target.matrix
-    return DensityMatrix(matrix, target.n_spins)
+    values = f * target._values
+    values[0] += (1.0 - f) / target.dim
+    # The mixed part's zeros, added as well: a -0.0 part becomes 0.0.
+    values[1:] += 0.0
+    return DensityMatrix._of_classes(target._classes, values, target.n_spins)
 
 
 def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
@@ -334,27 +474,42 @@ def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
 
     The fixed-order components are elementwise disjoint, so each weight
     is the square root of the sum of ``|rho_rc|^2`` over the elements of
-    that order.
+    that order, whose order is ``ups[r] - ups[r ^ x]`` in class ``x``.
     """
     n = rho.n_spins
     ups = n - operators.bit_table(n).sum(axis=0)
-    rows, cols = rho._pattern[:2]
-    if rows is None:
-        shifted_order = (ups[:, None] - ups[None, :] + n).ravel()
-        power = np.abs(rho.matrix.ravel()) ** 2
-    else:
-        # The nonzero entries in C order: the same sums as over the whole
-        # matrix, less the exact zeros.
-        shifted_order = ups[rows] - ups[cols] + n
-        power = np.abs(rho.matrix[rows, cols]) ** 2
-    totals = np.bincount(shifted_order, weights=power, minlength=2 * n + 1)
+    index = np.arange(rho.dim)
+    cols = index ^ rho._classes[:, None]
+    # The elements in C order, row by row with ascending columns: the
+    # same sums as over the whole matrix, whose other elements are zero.
+    by_column = np.argsort(cols, axis=0)
+    cols = np.take_along_axis(cols, by_column, axis=0)
+    power = np.abs(np.take_along_axis(rho._values, by_column, axis=0)) ** 2
+    shifted_order = ups[index] - ups[cols] + n
+    totals = np.bincount(shifted_order.T.ravel(), weights=power.T.ravel(), minlength=2 * n + 1)
     return {q: float(math.sqrt(totals[q + n])) for q in range(-n, n + 1)}
 
 
 def reduced_state(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Partial trace over every spin not in ``keep``."""
-    reduced = operators.partial_trace(rho.matrix, keep)
-    return DensityMatrix(reduced, len(keep))
+    """Partial trace over every spin not in ``keep``.
+
+    Only the classes that differ in no traced spin survive, and each is
+    summed over the traced spins' values in O(D): one traced index after
+    another, from zero, as ``operators.partial_trace`` sums.
+    """
+    n = rho.n_spins
+    keep = operators._kept_sites(keep, n)
+    traced = [site for site in range(n) if site not in keep]
+    classes = rho._classes
+    kept = classes & operators.site_mask(traced, n) == 0
+    # Axes (class, spin 0, ..., spin n-1) to (class, kept spins, traced spins).
+    tensor = rho._values[kept].reshape((-1,) + (2,) * n)
+    tensor = tensor.transpose([0] + [1 + site for site in keep] + [1 + site for site in traced])
+    tensor = tensor.reshape(tensor.shape[0], 1 << len(keep), 1 << len(traced))
+    reduced = np.cumsum(tensor, axis=2)[:, :, -1] + 0.0
+    bits = (classes[kept, None] >> (n - 1 - np.array(keep))) & 1
+    reduced_classes = bits @ (1 << np.arange(len(keep))[::-1])
+    return DensityMatrix._of_classes(reduced_classes, reduced, len(keep))
 
 
 def nq_amplitude(rho: DensityMatrix, sites: Sequence[int] | None = None) -> complex:
@@ -362,11 +517,9 @@ def nq_amplitude(rho: DensityMatrix, sites: Sequence[int] | None = None) -> comp
 
     Spins outside ``sites`` are traced out first.
     """
-    if sites is None or list(sites) == list(range(rho.n_spins)):
-        matrix = rho.matrix
-    else:
-        matrix = reduced_state(rho, sites).matrix
-    return complex(matrix[0, matrix.shape[0] - 1])
+    if sites is not None and list(sites) != list(range(rho.n_spins)):
+        rho = reduced_state(rho, sites)
+    return complex(_read(rho._classes, rho._values, np.array(rho.dim - 1), np.array(0)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -374,7 +527,10 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
     The eigenvalues come block by block, from the blocks validation found.
     """
-    stacks = (_gather(rho.matrix, index) for index in rho._pattern[2])
+    if rho._blocks is None:
+        stacks = [rho.matrix[None]]
+    else:
+        stacks = [_stack(rho._classes, rho._values, index) for index in rho._blocks]
     eigs = np.sort(np.concatenate([_block_eigenvalues(stack).ravel() for stack in stacks]))
     eigs = eigs[eigs >= _ENTROPY_EIG_FLOOR]
     return max(float(-np.sum(eigs * np.log(eigs))), 0.0)
@@ -382,15 +538,19 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def purity(rho: DensityMatrix) -> float:
     """``Tr(rho^2)``, the squared Frobenius norm of a Hermitian ``rho``."""
-    return float(np.vdot(rho.matrix, rho.matrix).real)
+    return float(np.vdot(rho._values, rho._values).real)
 
 
 def fidelity(rho: DensityMatrix, target: DensityMatrix) -> float:
     """Overlap ``Tr(rho * target)`` with a pure target state."""
+    if rho.n_spins != target.n_spins:
+        raise ValueError("fidelity target and state differ in register size")
     if abs(purity(target) - 1.0) > 1e-8:
         raise ValueError("fidelity target must be pure (rank one)")
-    # Tr(rho T) = sum_rc rho_rc T_cr = sum_rc conj(T_rc) rho_rc for Hermitian T.
-    return float(np.vdot(target.matrix, rho.matrix).real)
+    # Tr(rho T) = sum_rc conj(T_rc) rho_rc for Hermitian T, over T's nonzero elements.
+    ks, rows = np.nonzero(target._values)
+    entries = _read(rho._classes, rho._values, target._classes[ks], rows)
+    return float(np.vdot(target._values[ks, rows], entries).real)
 
 
 def expectation(rho: DensityMatrix, observable: np.ndarray) -> complex:
@@ -404,4 +564,4 @@ def expectation(rho: DensityMatrix, observable: np.ndarray) -> complex:
 def magnetization(rho: DensityMatrix, sites: Sequence[int]) -> float:
     """Expectation of the total Sz over ``sites``, read from the populations."""
     sz = operators.sz_eigenvalues(sites, rho.n_spins)
-    return float(np.diagonal(rho.matrix).real @ sz)
+    return float(rho._values[0].real @ sz)

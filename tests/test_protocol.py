@@ -15,6 +15,7 @@ from spincat import (
     CatWeights,
     NoiseModel,
     ProtocolConfig,
+    apply_unitary,
     cat_state,
     dephasing_rate_for_lifetime,
     fidelity,
@@ -38,6 +39,7 @@ from _support import (
     phase_kicks_reference,
     protocol_config,
     random_density_matrix,
+    random_unitary,
 )
 
 GAMMA_7Q = dephasing_rate_for_lifetime(0.029, 7)
@@ -346,32 +348,123 @@ def test_run_protocol_holds_at_most_five_and_a_half_states():
     assert peak <= 5.5 * 16 * 4**9
 
 
+def test_run_protocol_allocates_no_dense_matrix():
+    # Every state of the run is two classes of D elements: at 11 spins, flips
+    # on, the peak stays under 64 such vectors, where one dense state is 2048.
+    config = protocol_config(11)
+    run_protocol(config)
+    tracemalloc.start()
+    try:
+        report = run_protocol(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 16 * 2**11
+    assert report.final_state._classes.size == 2
+
+
+def test_final_state_matrix_is_a_read_only_view_built_once():
+    report = run_protocol(protocol_config(5))
+    rho = report.final_state
+    assert rho._dense is None
+    matrix = rho.matrix
+    assert rho.matrix is matrix
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 1.0
+    # The dense view holds the two classes and zeros elsewhere.
+    index = np.arange(rho.dim)
+    for x, values in zip(rho._classes, rho._values):
+        assert matrix[index, index ^ x].tobytes() == values.tobytes()
+    assert np.count_nonzero(matrix) == np.count_nonzero(rho._values)
+
+
+def test_dense_operations_accept_a_state_stored_by_classes():
+    # apply_unitary and expectation read the dense view of a protocol state.
+    rho = run_protocol(protocol_config(4)).final_state
+    rng = np.random.default_rng(3)
+    u = random_unitary(rng, 16)
+    rotated = apply_unitary(rho, u)
+    np.testing.assert_allclose(rotated.matrix, u @ rho.matrix @ u.conj().T, atol=1e-15)
+    assert von_neumann_entropy(rotated) == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+    observable = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    assert states.expectation(rho, observable) == pytest.approx(
+        np.trace(rho.matrix @ observable), rel=1e-12
+    )
+
+
+def test_run_protocol_does_not_import_numpy_ma():
+    # numpy.ma costs a CLI run its import time; np.unique's first call pulls it in.
+    code = (
+        "import sys\n"
+        "from spincat import run_protocol\n"
+        "from _support import protocol_config\n"
+        "report = run_protocol(protocol_config(10))\n"
+        "assert 0.0 < report.final_system_fidelity <= 1.0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a child process: the package and the test support
+    on the path, one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    paths = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
+
+
 _TWELVE_SPIN_RUN = """
-import json, resource
+import dataclasses, json, resource, sys
 from spincat import run_protocol
 from _support import protocol_config
-report = run_protocol(protocol_config(12))
+config = dataclasses.replace(protocol_config(12), noise_mode=sys.argv[1])
+report = run_protocol(config)
 print(json.dumps({
+    "trajectories": config.noise.mc_trajectories,
     "fidelity": report.final_system_fidelity,
     "max_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
 }))
 """
 
 
-@pytest.mark.slow
-def test_twelve_spin_run_fits_the_advertised_limit():
-    # MAX_SPINS is 12: one run with 11 system spins, analytic dephasing and
-    # flips, in a fresh process with one BLAS thread, in under 15 s and 2 GB.
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    paths = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"), env.get("PYTHONPATH", "")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+def _run_twelve_spins(noise_mode: str) -> tuple[float, dict]:
+    """Wall time and outcome of one 12-spin run in a fresh process."""
     start = time.perf_counter()
     result = subprocess.run(
-        [sys.executable, "-c", _TWELVE_SPIN_RUN], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", _TWELVE_SPIN_RUN, noise_mode],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     elapsed = time.perf_counter() - start
     assert result.returncode == 0, result.stderr
     outcome = json.loads(result.stdout)
-    assert elapsed < 15.0
-    assert outcome["max_rss_kib"] * 1024 < 2 * 1024**3
     assert 0.0 < outcome["fidelity"] <= 1.0
+    return elapsed, outcome
+
+
+# MAX_SPINS is 12: one run with 11 system spins and flips, in a fresh process
+# with one BLAS thread, the import included.  On a 2-core host analytic
+# dephasing measured 0.31 s and 37 MB RSS, Monte Carlo with the ring7 count of
+# 1000 trajectories 0.36 s and 40 MB; each bound is under three times that.
+
+
+@pytest.mark.slow
+def test_twelve_spin_run_fits_the_advertised_limit():
+    elapsed, outcome = _run_twelve_spins("analytic")
+    assert elapsed < 0.9
+    assert outcome["max_rss_kib"] * 1024 < 110 * 1024**2
+
+
+@pytest.mark.slow
+def test_twelve_spin_monte_carlo_run_fits_the_advertised_limit():
+    elapsed, outcome = _run_twelve_spins("monte_carlo")
+    assert outcome["trajectories"] == 1000
+    assert elapsed < 1.05
+    assert outcome["max_rss_kib"] * 1024 < 120 * 1024**2

@@ -1,5 +1,7 @@
 """State constructors, coherence orders, entropy, fidelity."""
 
+import copy
+import pickle
 import tracemalloc
 import warnings
 
@@ -131,20 +133,21 @@ def _four_spin_protocol_states():
 )
 def test_coherence_orders_of_block_states_against_popcount_oracle(make):
     rho = make()
-    assert rho._pattern[0] is not None
+    # Stored by a few classes and checked block by block, not as one dense block.
+    assert rho._blocks is not None and rho._classes.size <= 2
     _assert_coherence_orders_match_oracles(rho)
 
 
 def test_run_protocol_finds_each_pattern_once(monkeypatch):
-    # Validation finds the pattern; entropies and coherence weights reuse it.
+    # Validation finds the blocks, once per state; entropies reuse them.
     scans = []
     constructions = []
     scan = states._block_structure
     validate = DensityMatrix.__post_init__
 
-    def counted_scan(matrix):
-        scans.append(matrix.shape)
-        return scan(matrix)
+    def counted_scan(classes, values):
+        scans.append(values.shape)
+        return scan(classes, values)
 
     def counted_validate(self):
         constructions.append(self.n_spins)
@@ -284,6 +287,20 @@ def test_density_matrix_validation():
     frozen = ferro_state(1, "up")
     with pytest.raises(ValueError):
         frozen.matrix[0, 0] = 2.0
+
+
+def test_density_matrix_is_immutable_and_copies_by_value():
+    rho = pseudopure(cat_state(3, CatWeights(0.6, 0.8j)), 0.7)
+    with pytest.raises(AttributeError):
+        rho.n_spins = 4
+    with pytest.raises(AttributeError):
+        rho.matrix = np.eye(8) / 8.0
+    with pytest.raises(ValueError):
+        rho._values[0, 0] = 1.0
+    for twin in (copy.deepcopy(rho), pickle.loads(pickle.dumps(rho))):
+        assert twin.n_spins == 3
+        assert twin.matrix.tobytes() == rho.matrix.tobytes()
+        assert not twin._values.flags.writeable
 
 
 def _state_with_smallest_eigenvalue(rng, n_spins, eigmin):
@@ -499,13 +516,14 @@ def test_entropy_of_block_states_matches_eigvalsh(layout, seed):
 @pytest.mark.parametrize("n_spins", [2, 4, 7])
 def test_dense_state_is_one_block_of_every_index(n_spins):
     rho = random_density_matrix(np.random.default_rng(n_spins), n_spins)
-    rows, cols, blocks = rho._pattern
-    assert rows is None and cols is None
-    assert len(blocks) == 1
-    np.testing.assert_array_equal(blocks[0], np.arange(rho.dim)[None, :])
-    # The block is read in place, and its spectrum is the matrix's, bit for bit.
-    assert np.shares_memory(states._gather(rho.matrix, blocks[0]), rho.matrix)
+    assert rho._blocks is None
+    np.testing.assert_array_equal(rho._classes, np.arange(rho.dim))
+    # The block is the dense matrix that validation factorised, kept and
+    # read in place, and its spectrum is the matrix's, bit for bit.
+    dense = rho._dense
+    assert dense is not None and rho.matrix is dense
     assert von_neumann_entropy(rho) == _entropy_reference(rho.matrix)
+    assert rho.matrix is dense
 
 
 @pytest.mark.parametrize("fraction", [1.0, 0.7])
@@ -639,10 +657,74 @@ def test_block_structure_scan_matches_np_nonzero(dim, case):
     rows, cols = np.nonzero(matrix)
     off_diagonal = np.count_nonzero(rows != cols)
     assert off_diagonal == {"count-D": dim, "count-D+1": dim + 1}.get(case, off_diagonal)
-    structure = states._block_structure(matrix)
+    classes, values = states._classes_of(matrix)
+    # The occupied classes are those of the nonzero elements, and class 0;
+    # they hold every element of those classes, bit for bit.
+    assert classes.dtype == rows.dtype
+    np.testing.assert_array_equal(classes, np.union1d(rows ^ cols, [0]))
+    index = np.arange(dim)
+    assert values.tobytes() == matrix[index, index ^ classes[:, None]].tobytes()
+    np.testing.assert_array_equal(states._dense_of(classes, values, dim), matrix)
+    blocks = states._block_structure(classes, values)
     if off_diagonal > dim:
-        assert structure is None
+        assert blocks is None
     else:
-        assert structure[0].dtype == rows.dtype and structure[1].dtype == cols.dtype
-        np.testing.assert_array_equal(structure[0], rows)
-        np.testing.assert_array_equal(structure[1], cols)
+        # The blocks partition the indices, and each nonzero element lies in one.
+        members = np.concatenate([block.ravel() for block in blocks])
+        np.testing.assert_array_equal(np.sort(members), index)
+        block_of = np.empty(dim, dtype=int)
+        for number, block in enumerate(b for group in blocks for b in group):
+            block_of[block] = number
+        np.testing.assert_array_equal(block_of[rows], block_of[cols])
+
+
+def _overlapping_classes_state(eigmin=None):
+    """A 4-spin state whose off-diagonal classes 3, 5 and 3 ^ 5 = 6 overlap:
+    a full 3x3 block on the 3-cycle {0, 3, 6} (0 ^ 3 = 3, 3 ^ 6 = 5,
+    0 ^ 6 = 6) and a tridiagonal one on the chain 8 - 11 - 14 (classes 3
+    and 5, with the element of class 6 between its ends zero).  With
+    ``eigmin``, the chain block's smallest eigenvalue is ``eigmin``."""
+    rng = np.random.default_rng(17)
+    matrix = np.zeros((16, 16), dtype=complex)
+    cycle, chain = [0, 3, 6], [8, 11, 14]
+    singles = [i for i in range(16) if i not in cycle + chain]
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    matrix[np.ix_(cycle, cycle)] = g @ g.conj().T
+    matrix[chain, chain] = rng.uniform(1.0, 2.0, 3)
+    matrix[8, 11], matrix[11, 14] = 0.4 + 0.3j, 0.5 - 0.2j
+    matrix[11, 8], matrix[14, 11] = 0.4 - 0.3j, 0.5 + 0.2j
+    matrix[singles, singles] = rng.uniform(0.5, 1.0, len(singles))
+    matrix /= np.trace(matrix).real
+    if eigmin is not None:
+        # Lower the chain block onto eigmin; the singles keep the trace at 1.
+        shift = np.linalg.eigvalsh(matrix[np.ix_(chain, chain)])[0] - eigmin
+        matrix[chain, chain] -= shift
+        matrix[singles, singles] += 3.0 * shift / len(singles)
+    return matrix
+
+
+@pytest.mark.parametrize("factor", [None, 0.5, -0.5, -2.0], ids=["positive", "0.5", "-0.5", "-2"])
+def test_overlapping_classes_are_checked_by_union_find(monkeypatch, factor):
+    tol = states.POSITIVITY_TOL
+    matrix = _overlapping_classes_state(None if factor is None else factor * tol)
+    eigmin = float(np.linalg.eigvalsh(matrix)[0])
+    if factor is not None:
+        assert eigmin == pytest.approx(factor * tol, rel=1e-4)
+    sizes = _record_factorised_sizes(monkeypatch)
+    if eigmin < -tol:
+        with pytest.raises(StateInvariantError, match="negative eigenvalue") as excinfo:
+            DensityMatrix(matrix, 4)
+        assert float(str(excinfo.value).split()[2]) == pytest.approx(eigmin, rel=1e-4)
+        assert max(sizes) == 3
+        return
+    rho = DensityMatrix(matrix, 4)
+    monkeypatch.undo()
+    # Classes 3, 5 and 6 share indices, so the blocks are the two
+    # components, the cycle and the chain, and the 10 untouched indices.
+    np.testing.assert_array_equal(rho._classes, [0, 3, 5, 6])
+    singles, triples = rho._blocks
+    assert singles.shape == (10, 1)
+    np.testing.assert_array_equal(triples, [[0, 3, 6], [8, 11, 14]])
+    assert max(sizes) == 3
+    assert np.array_equal(rho.matrix, matrix)
+    assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(matrix), abs=1e-14)
