@@ -54,11 +54,16 @@ from .states import DensityMatrix
 
 COUPLING_KINDS = ("homonuclear_dipolar", "heteronuclear_zz")
 ROLES = ("control", "system")
-# Trajectories per matrix product in apply_phase_kicks_mc: bounds the
-# rows of Phi held at once.  At 10 spins and 1000 trajectories (one
-# OpenBLAS thread) a kick with blocks of 256 took 0.40 s against 0.36 s
-# for one unblocked product and held 12 MiB less; blocks of 128 took 0.44 s.
+# Trajectories per block in apply_phase_kicks_mc: bounds the rows of Phi
+# held at once.  At 10 spins and 1000 trajectories (one OpenBLAS thread)
+# a kick with blocks of 256 took 0.40 s against 0.36 s for one unblocked
+# product and held 12 MiB less; blocks of 128 took 0.44 s.
 _KICK_BLOCK = 256
+# Rows of C per matrix product: only the products on and below C's
+# diagonal are formed.  At 10 spins and 1000 trajectories the full-rank
+# product took 0.19 s with rows of 64 or 128 and 0.20 s with 256, against
+# 0.26 s for the whole of C.
+_KICK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -261,9 +266,11 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
     diagonal of ``C`` is exactly 1, so ``C`` is formed only on the basis
     states where ``rho`` has a nonzero element off the diagonal, and read
     at those elements: all ``D`` states for a full-rank state, two for a
-    cat.  It is accumulated by one matrix product per block of
-    trajectories, so the extra memory is one product beside ``C`` and a
-    block of rows of ``Phi``, whatever ``K`` is.  The ensemble mean
+    cat.  ``C`` is Hermitian, so only its blocks on and below the
+    diagonal are multiplied out, one block of rows of ``C`` and one block
+    of trajectories at a time, and the rest is their conjugate transpose;
+    the extra memory is one block of rows beside ``C`` and a block of
+    rows of ``Phi``, whatever ``K`` is.  The ensemble mean
     multiplies an element that differs in spin ``i`` by
     ``exp(-sigma_i^2/2)``; the widths ``sigma_i = sqrt(gamma_i * t)`` make
     that the analytic channel's factor for time ``t``.
@@ -280,30 +287,26 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
     support = np.flatnonzero(supported)
     # Sz eigenvalue of every spin in every supported basis state: +1/2 or -1/2.
     sz_signs = 0.5 - operators.bit_table(rho.n_spins)[:, support]
+    size = support.size
+    characteristic = np.zeros((size, size), dtype=complex)
     for start in range(0, len(phases), _KICK_BLOCK):
         phi = np.exp(-1j * (phases[start : start + _KICK_BLOCK] @ sz_signs))
-        product = phi.T @ phi.conj()
-        if start:
-            characteristic += product
-        else:
-            characteristic = product
+        for low in range(0, size, _KICK_ROWS):
+            high = low + _KICK_ROWS
+            characteristic[low:high, :high] += phi[:, low:high].T @ phi[:, :high].conj()
+    for low in range(0, size, _KICK_ROWS):
+        high = low + _KICK_ROWS
+        characteristic[low:high, high:] = characteristic[high:, low:high].conj().T
     characteristic /= noise.mc_trajectories
-    if support.size == rho.dim:
-        # C is laid out like the dense state: the kicked state is formed
-        # dense, as C * rho with the diagonal kept, and its classes are read
-        # from it.
-        characteristic *= rho.matrix
-        np.einsum("ii->i", characteristic)[...] = values[0]
-        kicked = states._classes_of(characteristic, classes)[1]
-        return DensityMatrix._of_classes(classes, kicked, rho.n_spins, characteristic)
     # C is read at the nonzero elements, whose rows and columns are all
     # supported; every other element is kept as it is.
     position = np.cumsum(supported) - 1
     kicked = values.copy()
     for part, cols in states._class_slices(classes[1:], rho.dim):
-        factor = np.take(characteristic, np.maximum(position[cols] + position * support.size, 0))
+        factor = np.take(characteristic, np.maximum(position[cols] + position * size, 0))
         off = kicked[1:][part]
         np.multiply(factor, off, out=off, where=nonzero[part])
+    del characteristic
     return DensityMatrix._of_classes(classes, kicked, rho.n_spins)
 
 

@@ -32,8 +32,6 @@ MAX_SPINS = 12
 
 # Largest |M - M^dagger| element accepted as Hermitian.
 HERMITIAN_TOL = 1e-10
-# Rows compared per step by is_hermitian.
-_HERMITIAN_ROWS = 64
 
 _KINDS = ("x", "y", "z", "plus", "minus")
 
@@ -128,21 +126,6 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     reduced = np.einsum(tensor, row_labels + col_labels, out_labels)
     dim = 1 << len(keep)
     return reduced.reshape(dim, dim)
-
-
-def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """Whether no entry of ``matrix - matrix^dagger`` exceeds ``tol`` in
-    modulus; for an ``(m, k, k)`` stack, of any matrix in it.  NaN fails."""
-    matrix = np.asarray(matrix)
-    # A block of rows at a time, so the temporaries are not D x D.
-    # inf - inf is NaN, which fails the comparison below without a warning.
-    with np.errstate(invalid="ignore"):
-        for start in range(0, matrix.shape[-1], _HERMITIAN_ROWS):
-            rows = slice(start, start + _HERMITIAN_ROWS)
-            adjoint = matrix[..., :, rows].conj().swapaxes(-1, -2)
-            if not np.abs(matrix[..., rows, :] - adjoint).max(initial=0.0) <= tol:
-                return False
-    return True
 
 
 def _is_integer(value: object) -> bool:

@@ -28,10 +28,11 @@ Hermitian, or positive semidefinite, exactly when each of its blocks
 is, and its spectrum is the union of the blocks' spectra.  A state with
 more than D nonzero elements off the diagonal, such as a random state
 or a user's ``.npy`` file, is one block of every index: its dense
-matrix.  The blocks of one size form one stack.  Positivity is
-certified by a Cholesky factorisation of each block plus
-``POSITIVITY_TOL * I``, which exists, up to rounding, exactly when every
-eigenvalue exceeds ``-POSITIVITY_TOL``, and which costs a fraction of an
+matrix, built for the factorisation and dropped again.  The blocks of
+one size form one stack.  Positivity is certified by a Cholesky
+factorisation of each block plus ``POSITIVITY_TOL * I``, which exists,
+up to rounding, exactly when every eigenvalue exceeds
+``-POSITIVITY_TOL``, and which costs a fraction of an
 eigendecomposition.  Only when it fails does ``eigvalsh`` run, and its
 smallest eigenvalue decides the verdict, so a rejection always rests on
 the eigenvalue criterion.  The factorisation reads the lower triangle
@@ -86,7 +87,8 @@ class DensityMatrix:
     read-only.  ``_blocks`` keeps the blocks validation found: a list of
     ``(m, k)`` index arrays, one per block size, or ``None`` for one
     block of every index.  ``matrix`` is the dense matrix, read-only,
-    built on first access and then kept.  Every construction, also the
+    built on first access and then kept; a dense state holds no D x D
+    array but its classes until then.  Every construction, also the
     package's own from classes, runs :meth:`__post_init__` once.
     """
 
@@ -98,15 +100,12 @@ class DensityMatrix:
         self.__post_init__()
 
     @classmethod
-    def _of_classes(
-        cls, classes: np.ndarray, values: np.ndarray, n_spins: int, dense: np.ndarray | None = None
-    ) -> DensityMatrix:
+    def _of_classes(cls, classes: np.ndarray, values: np.ndarray, n_spins: int) -> DensityMatrix:
         """The state whose ascending ``classes``, 0 first, hold ``values``
-        and which is zero elsewhere.  ``dense``, if given, is the same state
-        as a dense matrix, bit for bit, and becomes its dense view.  The
-        state takes both arrays over: the caller must not write to them."""
+        and which is zero elsewhere.  The state takes ``values`` over: the
+        caller must not write to it."""
         rho = cls.__new__(cls)
-        object.__setattr__(rho, "_source", (classes, values, dense))
+        object.__setattr__(rho, "_source", _ClassSource(classes, values))
         object.__setattr__(rho, "n_spins", n_spins)
         rho.__post_init__()
         return rho
@@ -115,19 +114,17 @@ class DensityMatrix:
         operators._check_register_size(self.n_spins)
         source = self._source
         object.__delattr__(self, "_source")
-        dim = 1 << self.n_spins
-        gathered = not isinstance(source, tuple)
-        if not gathered:
-            classes, values, dense = source
-            del source
-        else:
-            dense = None
+        gathered = type(source) is not _ClassSource
+        if gathered:
             given = np.asarray(source)
             if operators.n_spins_of(given) != self.n_spins:
                 raise StateInvariantError(
                     f"matrix dimension {given.shape[0]} does not match {self.n_spins} spins"
                 )
             classes, values = _classes_of(given)
+        else:
+            classes, values = source.classes, source.values
+        del source
         occupied = values.any(axis=1)
         occupied[0] = True
         if not occupied.all():
@@ -139,27 +136,26 @@ class DensityMatrix:
             raise StateInvariantError("matrix is not Hermitian")
         blocks = _block_structure(classes, values)
         if blocks is None:
-            # One block of every index: the dense matrix, kept.
-            if dense is None:
-                dense = _dense_of(classes, values, dim)
+            # One block of every index, factorised as a dense matrix.  The
+            # classes of a dense input are read again from it afterwards, so
+            # validation holds at most two D x D arrays at once, the factor
+            # included.
+            dense = _dense_of(classes, values, 1 << self.n_spins)
             if gathered:
-                # The input is dense too: its classes are read again after
-                # the factorisation, so no more than two D x D arrays are held.
                 del values
             eigmin = _uncertified_eigmin([dense[None]])
             if gathered:
                 values = _classes_of(dense, classes)[1]
+            del dense
         else:
             eigmin = _uncertified_eigmin([_stack(classes, values, index) for index in blocks])
         if eigmin < -POSITIVITY_TOL:
             raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
         values.flags.writeable = False
-        if dense is not None:
-            dense.flags.writeable = False
         object.__setattr__(self, "_classes", classes)
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_blocks", blocks)
-        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_dense", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"DensityMatrix is immutable; cannot set {name!r}")
@@ -183,6 +179,18 @@ class DensityMatrix:
             dense.flags.writeable = False
             object.__setattr__(self, "_dense", dense)
         return self._dense
+
+
+class _ClassSource:
+    """Classes and values handed to :class:`DensityMatrix` by the package:
+    a type no user input has, so a matrix given as nested tuples is never
+    read as classes."""
+
+    __slots__ = ("classes", "values")
+
+    def __init__(self, classes: np.ndarray, values: np.ndarray) -> None:
+        self.classes = classes
+        self.values = values
 
 
 def _classes_of(
@@ -478,15 +486,26 @@ def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
     """
     n = rho.n_spins
     ups = n - operators.bit_table(n).sum(axis=0)
-    index = np.arange(rho.dim)
-    cols = index ^ rho._classes[:, None]
-    # The elements in C order, row by row with ascending columns: the
-    # same sums as over the whole matrix, whose other elements are zero.
-    by_column = np.argsort(cols, axis=0)
-    cols = np.take_along_axis(cols, by_column, axis=0)
-    power = np.abs(np.take_along_axis(rho._values, by_column, axis=0)) ** 2
-    shifted_order = ups[index] - ups[cols] + n
-    totals = np.bincount(shifted_order.T.ravel(), weights=power.T.ravel(), minlength=2 * n + 1)
+    classes, values = rho._classes, rho._values
+    # The elements in C order, row by row with ascending columns: the same
+    # sums as over the whole matrix, whose other elements are zero.  A
+    # slice of rows at a time; each slice's sums continue from the totals
+    # so far, which lead its weights, so the order of the additions holds.
+    bins = np.arange(2 * n + 1)
+    totals = np.zeros(bins.size)
+    step = max(1, _SLICE_ELEMENTS // classes.size)
+    for start in range(0, rho.dim, step):
+        rows = np.arange(start, min(start + step, rho.dim))
+        cols = rows[:, None] ^ classes
+        by_column = np.argsort(cols, axis=1)
+        cols = np.take_along_axis(cols, by_column, axis=1)
+        power = np.abs(np.take_along_axis(values[:, rows].T, by_column, axis=1)) ** 2
+        shifted_order = ups[rows, None] - ups[cols] + n
+        totals = np.bincount(
+            np.concatenate((bins, shifted_order.ravel())),
+            weights=np.concatenate((totals, power.ravel())),
+            minlength=bins.size,
+        )
     return {q: float(math.sqrt(totals[q + n])) for q in range(-n, n + 1)}
 
 
@@ -528,7 +547,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     The eigenvalues come block by block, from the blocks validation found.
     """
     if rho._blocks is None:
-        stacks = [rho.matrix[None]]
+        stacks = [_dense_of(rho._classes, rho._values, rho.dim)[None]]
     else:
         stacks = [_stack(rho._classes, rho._values, index) for index in rho._blocks]
     eigs = np.sort(np.concatenate([_block_eigenvalues(stack).ravel() for stack in stacks]))

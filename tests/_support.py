@@ -11,16 +11,28 @@ import numpy as np
 
 from spincat import CatWeights, Coupling, DensityMatrix, NoiseModel, ProtocolConfig, SpinSystem
 from spincat.dynamics import apply_unitary, dephasing_rate_for_lifetime, flip_rate_for_lifetime
-from spincat.operators import (
-    HERMITIAN_TOL,
-    _check_register_size,
-    _check_site,
-    bit_table,
-    is_hermitian,
-)
+from spincat.operators import HERMITIAN_TOL, _check_register_size, _check_site, bit_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RING7_CONFIG = REPO_ROOT / "configs" / "ring7.json"
+
+# Rows compared per step by is_hermitian.
+_HERMITIAN_ROWS = 64
+
+
+def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+    """Whether no entry of ``matrix - matrix^dagger`` exceeds ``tol`` in
+    modulus; for an ``(m, k, k)`` stack, of any matrix in it.  NaN fails."""
+    matrix = np.asarray(matrix)
+    # A block of rows at a time, so the temporaries are not D x D.
+    # inf - inf is NaN, which fails the comparison below without a warning.
+    with np.errstate(invalid="ignore"):
+        for start in range(0, matrix.shape[-1], _HERMITIAN_ROWS):
+            rows = slice(start, start + _HERMITIAN_ROWS)
+            adjoint = matrix[..., :, rows].conj().swapaxes(-1, -2)
+            if not np.abs(matrix[..., rows, :] - adjoint).max(initial=0.0) <= tol:
+                return False
+    return True
 
 
 # Dense Kronecker-product references: one-spin operators embedded in

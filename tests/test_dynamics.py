@@ -35,6 +35,7 @@ from _support import (
     evolve,
     flip_one_site_reference,
     hamiltonian_reference,
+    is_hermitian,
     phase_kicks_reference,
     protocol_config,
     pulse_unitary,
@@ -207,7 +208,7 @@ class TestHamiltonian:
         h = build_hamiltonian(system)
         sz = operators.total_spin_operator("z", [0, 1, 2], 3)
         assert np.abs(h @ sz - sz @ h).max() < 1e-9
-        assert operators.is_hermitian(h, 1e-9)
+        assert is_hermitian(h, 1e-9)
 
     @pytest.mark.parametrize("offsets", ["zero", "mixed"])
     @pytest.mark.parametrize("n_spins", range(2, 7))

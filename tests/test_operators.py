@@ -19,6 +19,7 @@ from _support import (
     SY,
     SZ,
     bare_system,
+    is_hermitian,
     kronecker_total_spin_operator,
     nq_coherence_operator,
     propagator,
@@ -236,7 +237,7 @@ def test_partial_trace_preserves_trace_and_hermiticity():
         keep = sorted(rng.choice(3, size=rng.integers(1, 3), replace=False).tolist())
         reduced = operators.partial_trace(rho, keep)
         assert abs(reduced.trace() - 1.0) < 1e-12
-        assert operators.is_hermitian(reduced, 1e-12)
+        assert is_hermitian(reduced, 1e-12)
         assert np.linalg.eigvalsh(reduced)[0] > -1e-10
 
 
@@ -315,18 +316,18 @@ def test_is_hermitian_finds_one_bad_entry_in_any_row_block(entry):
     rng = np.random.default_rng(31)
     g = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
     matrix = g + g.conj().T
-    assert operators.is_hermitian(matrix)
+    assert is_hermitian(matrix)
     matrix[entry] += 1e-9j
-    assert not operators.is_hermitian(matrix)
-    assert operators.is_hermitian(matrix, tol=1e-8)
+    assert not is_hermitian(matrix)
+    assert is_hermitian(matrix, tol=1e-8)
     # The same entry in one matrix of an (m, k, k) stack of Hermitian ones.
     hermitian = g + g.conj().T
     stack = np.stack([hermitian, hermitian.conj(), hermitian.real.astype(complex)])
-    assert operators.is_hermitian(stack)
+    assert is_hermitian(stack)
     stack[sum(entry) % 3][entry] += 1e-9j
-    assert not operators.is_hermitian(stack)
-    assert operators.is_hermitian(stack, tol=1e-8)
-    assert operators.is_hermitian(np.zeros((0, 1, 1), dtype=complex))
+    assert not is_hermitian(stack)
+    assert is_hermitian(stack, tol=1e-8)
+    assert is_hermitian(np.zeros((0, 1, 1), dtype=complex))
     blocks = np.zeros((4, 2, 2), dtype=complex)
     blocks[sum(entry) % 4, 1, 0] = np.nan
-    assert not operators.is_hermitian(blocks)
+    assert not is_hermitian(blocks)

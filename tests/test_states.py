@@ -11,7 +11,9 @@ import pytest
 from spincat import (
     CatWeights,
     DensityMatrix,
+    NoiseModel,
     StateInvariantError,
+    apply_phase_kicks_mc,
     cat_state,
     coherence_orders,
     decohered_mixture,
@@ -26,7 +28,13 @@ from spincat import (
     von_neumann_entropy,
 )
 from spincat import operators, protocol, states
-from _support import coherence_components, protocol_config, random_density_matrix, random_unitary
+from _support import (
+    coherence_components,
+    is_hermitian,
+    protocol_config,
+    random_density_matrix,
+    random_unitary,
+)
 
 
 def test_ferro_states():
@@ -486,7 +494,7 @@ def test_hermiticity_on_a_one_sided_entry(n_spins, lower, factor):
     matrix = np.eye(dim, dtype=complex) / dim
     entry = (dim - 1, 1) if lower else (1, dim - 1)
     matrix[entry] = factor * operators.HERMITIAN_TOL * np.exp(0.3j)
-    assert operators.is_hermitian(matrix) == (factor < 1.0)
+    assert is_hermitian(matrix) == (factor < 1.0)
     if factor < 1.0:
         assert np.array_equal(DensityMatrix(matrix, n_spins).matrix, matrix)
     else:
@@ -518,12 +526,56 @@ def test_dense_state_is_one_block_of_every_index(n_spins):
     rho = random_density_matrix(np.random.default_rng(n_spins), n_spins)
     assert rho._blocks is None
     np.testing.assert_array_equal(rho._classes, np.arange(rho.dim))
-    # The block is the dense matrix that validation factorised, kept and
-    # read in place, and its spectrum is the matrix's, bit for bit.
-    dense = rho._dense
-    assert dense is not None and rho.matrix is dense
-    assert von_neumann_entropy(rho) == _entropy_reference(rho.matrix)
-    assert rho.matrix is dense
+    # The state keeps its classes only; its spectrum, read from the one
+    # block, is the matrix's, bit for bit, and leaves no dense view behind.
+    assert rho._dense is None
+    dense = np.array(rho.matrix)
+    twin = DensityMatrix(dense, n_spins)
+    assert von_neumann_entropy(twin) == _entropy_reference(dense)
+    assert twin._dense is None
+    assert twin.matrix.tobytes() == dense.tobytes()
+    assert twin.matrix is twin.matrix
+
+
+@pytest.mark.parametrize("make", ["input", "kicked"])
+def test_dense_ten_spin_state_retains_one_matrix(make):
+    # Traced memory a dense state holds, in units of one D x D complex
+    # matrix: its classes (1.0) until the dense view is read (2.0).
+    n, dim = 10, 1024
+    rho = random_density_matrix(np.random.default_rng(4), n)
+    matrix = np.array(rho.matrix)
+    noise = NoiseModel.uniform(n, dephasing_per_s=1.0, mc_trajectories=16)
+    tracemalloc.start()
+    try:
+        if make == "input":
+            state = DensityMatrix(matrix, n)
+        else:
+            state = apply_phase_kicks_mc(rho, noise, 0.3, seed=1)
+        retained = tracemalloc.get_traced_memory()[0]
+        assert state._blocks is None
+        state.matrix
+        viewed = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.05 * dim * dim * 16
+    assert viewed >= 2.0 * dim * dim * 16
+
+
+@pytest.mark.parametrize(
+    "convert", [lambda m: tuple(map(tuple, m)), lambda m: m.tolist()], ids=["tuples", "lists"]
+)
+@pytest.mark.parametrize("n_spins", [1, 2, 3])
+def test_density_matrix_from_nested_sequences(convert, n_spins):
+    # A matrix given as nested tuples or lists is read as a matrix,
+    # whatever its number of rows.
+    rho = pseudopure(cat_state(n_spins, CatWeights(0.6, 0.8j)), 0.7)
+    twin = DensityMatrix(convert(rho.matrix), n_spins)
+    assert twin.matrix.tobytes() == rho.matrix.tobytes()
+    assert DensityMatrix(((0.5, 0), (0, 0.5)), 1).matrix.tolist() == [[0.5, 0], [0, 0.5]]
+    with pytest.raises(StateInvariantError, match="trace"):
+        DensityMatrix(((1.0, 0), (0, 1.0)), 1)
+    with pytest.raises(StateInvariantError, match="does not match"):
+        DensityMatrix(convert(rho.matrix), n_spins + 1)
 
 
 @pytest.mark.parametrize("fraction", [1.0, 0.7])
