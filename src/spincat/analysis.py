@@ -107,9 +107,10 @@ def scaling_study(
     ``mode="monte_carlo"`` replaces the channel with
     :func:`dynamics.apply_phase_kicks_mc`: the mean over
     ``noise.mc_trajectories`` Gaussian phase kicks, whose widths
-    ``sqrt(gamma * t)`` the kick derives itself, seeded by
-    ``SeedSequence((seed, n, k))`` for delay ``k``, so results do not
-    depend on the order of ``n_values``.
+    ``sqrt(gamma * t)`` the kick derives itself.  The kick at delay ``k``
+    draws all its phases from one generator seeded by
+    ``SeedSequence((seed, n, k))``, so results do not depend on the order
+    of ``n_values``.
     The read-out is the corner ``<u|rho|d>``, which for the kicked cat is
     ``1/2 * mean_k exp(-i * sum_i phi_ki)``.  The cat is two coherence
     classes of D elements with a coherence between two basis states, so

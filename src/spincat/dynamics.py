@@ -239,25 +239,23 @@ def apply_flip_relaxation(rho: DensityMatrix, noise: NoiseModel, t: float) -> De
 def draw_kick_phases(sigma: Sequence[float], trajectories: int, seed: int) -> np.ndarray:
     """Gaussian phase kicks, one row of per-spin phases per trajectory.
 
-    Trajectory ``k`` draws its phases from its own generator, seeded by
-    the ``k``-th child of ``SeedSequence(seed).spawn``, so its phases do
-    not depend on how many trajectories are drawn.  Scaling standard
-    normals by ``sigma`` gives the same numbers as ``normal(0, sigma)``
-    without its per-call argument checks.
+    One generator, ``default_rng(seed)``, draws all ``K x n`` phases of
+    the kick in one call; row ``k`` is trajectory ``k``.  The block is
+    filled row by row, so a draw of ``K`` trajectories starts with the
+    rows of any shorter draw: trajectory ``k``'s phases do not depend on
+    ``K``.  Scaling standard normals by ``sigma`` gives the same numbers
+    as ``normal(0, sigma, (K, n))`` without its argument checks.
     """
     sigma = np.asarray(sigma, dtype=float)
-    phases = np.empty((trajectories, sigma.size))
-    for k, child in enumerate(np.random.SeedSequence(seed).spawn(trajectories)):
-        phases[k] = np.random.default_rng(child).standard_normal(sigma.size)
-    phases *= sigma
-    return phases
+    return np.random.default_rng(seed).standard_normal((trajectories, sigma.size)) * sigma
 
 
 def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: int) -> DensityMatrix:
     """Monte Carlo dephasing: average over random collective z rotations.
 
-    Each trajectory draws one Gaussian phase per spin (see
-    :func:`draw_kick_phases`) and applies the diagonal unitary
+    Trajectory ``k`` takes row ``k`` of one ``K x n`` Gaussian draw from
+    a single generator seeded by ``seed`` (see :func:`draw_kick_phases`),
+    one phase per spin, and applies the diagonal unitary
     ``exp(-i * sum_i phi_i * Sz_i)``.  The mean over ``K`` trajectories
     of ``diag(Phi[k]) rho diag(Phi[k])^*`` is the elementwise product
     ``rho * C`` with the empirical characteristic matrix

@@ -273,14 +273,14 @@ def nq_coherence_operator(n_spins: int, sites=None) -> np.ndarray:
 def phase_kicks_reference(rho: np.ndarray, n_spins: int, sigma, trajectories: int, seed: int) -> np.ndarray:
     """Per-trajectory reference for ``apply_phase_kicks_mc``: applies each
     trajectory's diagonal unitary ``exp(-i * sum_i phi_i * Sz_i)`` to
-    ``rho`` and averages, with the same per-trajectory seeding."""
+    ``rho`` and averages.  Row ``k`` of one ``normal(0, sigma, (K, n))``
+    draw from ``default_rng(seed)`` holds trajectory ``k``'s phases."""
     sigma = np.asarray(sigma)
     # Sz eigenvalue of every spin in every basis state: +1/2 or -1/2.
     sz_signs = 0.5 - bit_table(n_spins)
     accumulated = np.zeros_like(rho, dtype=complex)
-    for child in np.random.SeedSequence(seed).spawn(trajectories):
-        rng = np.random.default_rng(child)
-        phases = rng.normal(0.0, sigma)
+    draws = np.random.default_rng(seed).normal(0.0, sigma, size=(trajectories, sigma.size))
+    for phases in draws:
         diag = np.exp(-1j * (phases @ sz_signs))
         accumulated += (diag[:, None] * rho) * diag.conj()[None, :]
     return accumulated / trajectories

@@ -23,7 +23,7 @@ from spincat import (
     nq_amplitude,
 )
 from spincat import load_config, operators, protocol
-from spincat.dynamics import _KICK_BLOCK, COUPLING_KINDS, _flip_one_site
+from spincat.dynamics import _KICK_BLOCK, COUPLING_KINDS, _flip_one_site, draw_kick_phases
 from spincat.spectra import _without_couplings_to
 from _support import (
     RING7_CONFIG,
@@ -140,7 +140,7 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel((1.0,), (0.0,), mc_trajectories=0)
         # A trajectory count must be an integer, as in the config: a float
-        # would fail later inside SeedSequence.spawn, and True is not 1.
+        # would fail later inside the kick's draw, and True is not 1.
         for count in (2.5, 2.0, True, "3", None):
             with pytest.raises(ValueError, match="trajectory count must be an integer"):
                 NoiseModel.uniform(2, mc_trajectories=count)
@@ -434,6 +434,32 @@ class TestFlipRelaxation:
         a = apply_flip_relaxation(apply_dephasing(rho, noise, 0.3), noise, 0.3)
         b = apply_dephasing(apply_flip_relaxation(rho, noise, 0.3), noise, 0.3)
         np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-13)
+
+
+class TestKickPhases:
+    SIGMA = (0.3, 1.7, 0.05, 2.2)
+
+    def test_trajectory_phases_do_not_depend_on_the_count(self):
+        longer = draw_kick_phases(self.SIGMA, 300, seed=9)
+        assert longer.shape == (300, 4)
+        assert longer[:200].tobytes() == draw_kick_phases(self.SIGMA, 200, seed=9).tobytes()
+
+    def test_rows_are_one_normal_draw(self):
+        expected = np.random.default_rng(9).normal(0.0, self.SIGMA, (300, 4))
+        assert draw_kick_phases(self.SIGMA, 300, seed=9).tobytes() == expected.tobytes()
+
+    def test_one_generator_per_kick(self, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        noise = NoiseModel.uniform(3, dephasing_per_s=2.0, mc_trajectories=1000)
+        apply_phase_kicks_mc(cat_state(3, CatWeights.balanced()), noise, 0.1, seed=4)
+        assert built == [(4,)]
 
 
 class TestPhaseKicks:
