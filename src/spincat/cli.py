@@ -285,8 +285,10 @@ class _RunContext:
 
 def _resolve_state(name: str, config: RunConfig) -> DensityMatrix:
     if name.endswith(".npy"):
+        # Mapped, not read: the shape checks below and the register cap see
+        # the header before any element is loaded.
         try:
-            matrix = np.load(name)
+            matrix = np.load(name, mmap_mode="r")
         except OSError as error:
             raise ConfigError(f"cannot read state file {name}: {error}") from error
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:

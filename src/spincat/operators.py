@@ -30,9 +30,6 @@ import numpy as np
 
 MAX_SPINS = 12
 
-# Largest |M - M^dagger| element accepted as Hermitian.
-HERMITIAN_TOL = 1e-10
-
 _KINDS = ("x", "y", "z", "plus", "minus")
 
 

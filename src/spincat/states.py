@@ -19,15 +19,15 @@ Construction validates the physical invariants, and violations raise
   ``conj(values[k, r])`` to ``HERMITIAN_TOL``;
 - positivity up to ``POSITIVITY_TOL``, block by block.
 
-The blocks come from the classes.  Two indices share a block when a
-chain of nonzero off-diagonal elements joins them; an index with none
-is a 1x1 block.  When no index has nonzero elements in two off-diagonal
-classes, the blocks are the pairs ``(r, r ^ x)`` of each class; only
-when classes overlap are they found by union-find.  A matrix is
-Hermitian, or positive semidefinite, exactly when each of its blocks
-is, and its spectrum is the union of the blocks' spectra.  A state with
-more than D nonzero elements off the diagonal, such as a random state
-or a user's ``.npy`` file, is one block of every index: its dense
+The blocks come from the classes, by one rule.  An index with no
+nonzero element off the diagonal is a 1x1 block, and a pair
+``(r, r ^ x)`` whose element of class ``x`` is nonzero, in either
+triangle, is a 2x2 block.  A matrix is Hermitian, or positive
+semidefinite, exactly when each of its blocks is, and its spectrum is
+the union of the blocks' spectra.  Every state of the protocol is such
+a diagonal plus pairs.  A state with more than D nonzero elements off
+the diagonal, such as a random state, or with an index in two pairs,
+which only a user's matrix has, is one block of every index: its dense
 matrix, built for the factorisation and dropped again.  The blocks of
 one size form one stack.  Positivity is certified by a Cholesky
 factorisation of each block plus ``POSITIVITY_TOL * I``, which exists,
@@ -61,6 +61,8 @@ import numpy as np
 from . import operators
 
 TRACE_TOL = 1e-10
+# Largest |M - M^dagger| element accepted as Hermitian.
+HERMITIAN_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 _ENTROPY_EIG_FLOOR = 1e-14
 # Elements per slice when a dense matrix is converted to or from its
@@ -84,11 +86,12 @@ class DensityMatrix:
     copied, never modified.
 
     ``_classes`` and ``_values`` hold the state; ``_values`` is
-    read-only.  ``_blocks`` keeps the blocks validation found: a list of
-    ``(m, k)`` index arrays, one per block size, or ``None`` for one
-    block of every index.  ``matrix`` is the dense matrix, read-only,
-    built on first access and then kept; a dense state holds no D x D
-    array but its classes until then.  Every construction, also the
+    read-only.  ``_blocks`` keeps the blocks validation found:
+    ``[singles, pairs]``, the ``(m, 1)`` and ``(p, 2)`` index arrays of
+    the 1x1 and 2x2 blocks, or ``None`` for one block of every index.
+    ``matrix`` is the dense matrix, read-only, built on first access and
+    then kept; a dense state holds no D x D array but its classes until
+    then.  Every construction, also the
     package's own from classes, runs :meth:`__post_init__` once.
     """
 
@@ -148,7 +151,7 @@ class DensityMatrix:
                 values = _classes_of(dense, classes)[1]
             del dense
         else:
-            eigmin = _uncertified_eigmin([_stack(classes, values, index) for index in blocks])
+            eigmin = _uncertified_eigmin([_stack(classes, values, index) for index in blocks if len(index)])
         if eigmin < -POSITIVITY_TOL:
             raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
         values.flags.writeable = False
@@ -259,57 +262,42 @@ def _hermitian_classes(classes: np.ndarray, values: np.ndarray) -> bool:
             residual = _mirrors(classes[part], values[part])
             np.conjugate(residual, out=residual)
             residual -= values[part]
-            if not np.abs(residual).max(initial=0.0) <= operators.HERMITIAN_TOL:
+            if not np.abs(residual).max(initial=0.0) <= HERMITIAN_TOL:
                 return False
     return True
 
 
 def _block_structure(classes: np.ndarray, values: np.ndarray) -> list[np.ndarray] | None:
-    """The diagonal blocks of a state: a list of ``(m, k)`` index arrays,
-    one per block size ``k`` (1x1 first), or ``None`` when more than D
-    elements off the diagonal are nonzero and the state is one block of
-    every index.
+    """The diagonal blocks of a state, ``[singles, pairs]``, or ``None`` for
+    one block of every index.
 
-    Each block lists its indices in ascending order, so its lower
-    triangle lies in the matrix's lower triangle.
+    ``singles`` is the ``(m, 1)`` array of the indices with no nonzero
+    element off the diagonal.  ``pairs`` is the ``(p, 2)`` array of the
+    pairs ``(r, r ^ x)`` of any class ``x`` that hold a nonzero element in
+    either triangle, lower index first, in ascending order.  Either may
+    be empty.  The result is ``None`` when more than D elements off the
+    diagonal are nonzero, checked first so that a dense state builds no
+    index array, or when an index lies in two pairs.
     """
     dim = values.shape[1]
     index = np.arange(dim)
-    if classes.size == 1:
-        return [index[:, None]]
     nonzero = values[1:] != 0
-    if classes.size == 2:
-        # One off-diagonal class x: the pairs (r, r ^ x) with a nonzero
-        # element, in either triangle.
-        x = classes[1]
-        paired = nonzero[0] | nonzero[0][index ^ x]
-        low = np.flatnonzero(paired & (index < index ^ x))
-        return [np.flatnonzero(~paired)[:, None], np.column_stack((low, low ^ x))]
-    if np.count_nonzero(nonzero) > dim:
+    count = np.count_nonzero(nonzero)
+    if count > dim:
         return None
-    # Classes that may overlap: the connected components, by union-find.
-    parent: dict[int, int] = {}
-
-    def root(i: int) -> int:
-        parent.setdefault(i, i)
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    if count == 0:
+        return [index[:, None], np.empty((0, 2), dtype=index.dtype)]
     ks, rows = np.nonzero(nonzero)
-    for r, c in zip(rows.tolist(), (rows ^ classes[1:][ks]).tolist()):
-        parent[root(r)] = root(c)
-    components: dict[int, list[int]] = {}
-    for i in sorted(parent):
-        components.setdefault(root(i), []).append(i)
-    by_size: dict[int, list[list[int]]] = {}
-    for members in components.values():
-        by_size.setdefault(len(members), []).append(members)
-    touched = np.zeros(dim, dtype=bool)
-    touched[list(parent)] = True
-    blocks = [np.flatnonzero(~touched)[:, None]]
-    return blocks + [np.array(members) for _, members in sorted(by_size.items())]
+    cols = rows ^ classes[1:][ks]
+    # Each index's partner; an index in two pairs keeps only one of them,
+    # and an element of the other then fails the check.
+    partner = np.full(dim, -1)
+    partner[rows] = cols
+    partner[cols] = rows
+    if (partner[rows] != cols).any() or (partner[cols] != rows).any():
+        return None
+    low = np.flatnonzero(index < partner)
+    return [np.flatnonzero(partner < 0)[:, None], np.column_stack((low, partner[low]))]
 
 
 def _class_set(patterns: np.ndarray, dim: int) -> np.ndarray:
@@ -549,7 +537,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     if rho._blocks is None:
         stacks = [_dense_of(rho._classes, rho._values, rho.dim)[None]]
     else:
-        stacks = [_stack(rho._classes, rho._values, index) for index in rho._blocks]
+        stacks = [_stack(rho._classes, rho._values, index) for index in rho._blocks if len(index)]
     eigs = np.sort(np.concatenate([_block_eigenvalues(stack).ravel() for stack in stacks]))
     eigs = eigs[eigs >= _ENTROPY_EIG_FLOOR]
     return max(float(-np.sum(eigs * np.log(eigs))), 0.0)

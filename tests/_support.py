@@ -11,7 +11,8 @@ import numpy as np
 
 from spincat import CatWeights, Coupling, DensityMatrix, NoiseModel, ProtocolConfig, SpinSystem
 from spincat.dynamics import apply_unitary, dephasing_rate_for_lifetime, flip_rate_for_lifetime
-from spincat.operators import HERMITIAN_TOL, _check_register_size, _check_site, bit_table
+from spincat.operators import _check_register_size, _check_site, bit_table
+from spincat.states import HERMITIAN_TOL
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RING7_CONFIG = REPO_ROOT / "configs" / "ring7.json"

@@ -17,7 +17,7 @@ from spincat import (
     pseudopure,
     run_protocol,
 )
-from spincat.cli import MAX_SCALING_SPINS, _write_atomic, main
+from spincat.cli import MAX_SCALING_SPINS, _resolve_state, _write_atomic, main
 from _support import RING7_CONFIG
 
 GAMMA_7Q = 9.852216748768472
@@ -306,7 +306,9 @@ class TestSpectrum:
     ):
         # 8192 x 8192 is 13 spins; the cap is checked before the matrix is copied.
         config = write_config(tmp_path)
-        monkeypatch.setattr(np, "load", lambda name: np.broadcast_to(np.complex128(0.0), (8192, 8192)))
+        monkeypatch.setattr(
+            np, "load", lambda name, mmap_mode=None: np.broadcast_to(np.complex128(0.0), (8192, 8192))
+        )
         tracemalloc.start()
         try:
             code = main(
@@ -320,6 +322,34 @@ class TestSpectrum:
             "error: register of 13 spins exceeds the dense limit of 12"
         ]
         assert peak < 16 << 20
+
+    def test_npy_state_file_beyond_the_register_cap_is_not_read(self, tmp_path, capsys):
+        # A sparse 13-spin float64 file: 512 MiB of zeros that take no disk
+        # space.  The cap is checked on the header, before any element is read.
+        config = write_config(tmp_path)
+        state_path = tmp_path / "big.npy"
+        dim = 8192
+        with open(state_path, "wb") as handle:
+            np.lib.format.write_array_header_1_0(
+                handle, {"descr": "<f8", "fortran_order": False, "shape": (dim, dim)}
+            )
+            handle.seek(dim * dim * 8 - 1, 1)
+            handle.write(b"\0")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the dense limit of 12"):
+                _resolve_state(str(state_path), load_config(config))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        code = main(
+            ["spectrum", "--config", str(config), "--out", str(tmp_path / "out"), "--state", str(state_path)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: register of 13 spins exceeds the dense limit of 12"
+        ]
 
     def test_missing_npy_state(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -451,8 +451,9 @@ def _run_twelve_spins(noise_mode: str) -> tuple[float, dict]:
 
 # MAX_SPINS is 12: one run with 11 system spins and flips, in a fresh process
 # with one BLAS thread, the import included.  On a 2-core host analytic
-# dephasing measured 0.31 s and 37 MB RSS, Monte Carlo with the ring7 count of
-# 1000 trajectories 0.36 s and 40 MB; each bound is under three times that.
+# dephasing measured 0.30 s and 37.2 MiB RSS, Monte Carlo with the ring7 count
+# of 1000 trajectories 0.29 s and 39.6 MiB (medians of 5 fresh processes); each
+# bound is under three times that.
 
 
 @pytest.mark.slow

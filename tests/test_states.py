@@ -1,6 +1,7 @@
 """State constructors, coherence orders, entropy, fidelity."""
 
 import copy
+import math
 import pickle
 import tracemalloc
 import warnings
@@ -403,8 +404,11 @@ def test_thermal_state():
 
 
 # 4 blocks of 3, 8 of 2 and 36 of 1: 40 nonzeros off the diagonal of a
-# 64 x 64 matrix, so it is checked block by block.
+# 64 x 64 matrix, but its 3x3 blocks put indices in two pairs, so it is
+# checked whole.
 SPARSE_LAYOUT = (3,) * 4 + (2,) * 8 + (1,) * 36
+# 16 pairs, each in its own class, and 32 singles: checked block by block.
+PAIRS_LAYOUT = (2,) * 16 + (1,) * 32
 # 21 blocks of 3 and one of 1: 126 nonzeros off the diagonal, more than
 # D = 64, so the same kind of matrix is checked whole.
 DENSE_LAYOUT = (3,) * 21 + (1,)
@@ -451,20 +455,30 @@ def _record_factorised_sizes(monkeypatch):
 
 @pytest.mark.parametrize("factor", [0.5, -0.5, -2.0])
 @pytest.mark.parametrize(
-    "layout, negative_size, largest",
+    "layout, negative_size, block, largest",
     [
-        (SPARSE_LAYOUT, 1, 3),
-        (SPARSE_LAYOUT, 2, 3),
-        (SPARSE_LAYOUT, 3, 3),
-        (DENSE_LAYOUT, 3, 64),
-        (None, None, 64),
+        (PAIRS_LAYOUT, 1, 2, 2),
+        (PAIRS_LAYOUT, 2, 2, 2),
+        (SPARSE_LAYOUT, 1, 3, 64),
+        (SPARSE_LAYOUT, 2, 3, 64),
+        (SPARSE_LAYOUT, 3, 3, 64),
+        (DENSE_LAYOUT, 3, 64, 64),
+        (None, None, 64, 64),
     ],
-    ids=["blocks-1x1", "blocks-2x2", "blocks-3x3", "dense-blocks", "dense-random"],
+    ids=[
+        "pairs-1x1",
+        "pairs-2x2",
+        "blocks-1x1",
+        "blocks-2x2",
+        "blocks-3x3",
+        "dense-blocks",
+        "dense-random",
+    ],
 )
 def test_block_route_verdict_matches_eigenvalue_criterion(
-    monkeypatch, layout, negative_size, largest, factor
+    monkeypatch, layout, negative_size, block, largest, factor
 ):
-    rng = np.random.default_rng([negative_size or 0, largest, int(4 * factor) + 8])
+    rng = np.random.default_rng([negative_size or 0, block, int(4 * factor) + 8])
     tol = states.POSITIVITY_TOL
     if layout is None:
         matrix = _state_with_smallest_eigenvalue(rng, 6, factor * tol)
@@ -480,7 +494,8 @@ def test_block_route_verdict_matches_eigenvalue_criterion(
             DensityMatrix(matrix, 6)
         reported = float(str(excinfo.value).split()[2])
         assert reported == pytest.approx(eigmin, rel=1e-4)
-    # Block by block, nothing larger than the largest block is factorised.
+    # Pairs and singles are factorised block by block, nothing larger than
+    # a pair; any larger block makes the whole matrix one block.
     assert max(sizes) == largest
 
 
@@ -493,7 +508,7 @@ def test_hermiticity_on_a_one_sided_entry(n_spins, lower, factor):
     dim = 1 << n_spins
     matrix = np.eye(dim, dtype=complex) / dim
     entry = (dim - 1, 1) if lower else (1, dim - 1)
-    matrix[entry] = factor * operators.HERMITIAN_TOL * np.exp(0.3j)
+    matrix[entry] = factor * states.HERMITIAN_TOL * np.exp(0.3j)
     assert is_hermitian(matrix) == (factor < 1.0)
     if factor < 1.0:
         assert np.array_equal(DensityMatrix(matrix, n_spins).matrix, matrix)
@@ -659,10 +674,16 @@ def _scan_case(dim, case):
     matrix[np.diag_indices(dim)] = rng.uniform(0.5, 1.0, dim)
     last = dim - 1
     if case == "slice-boundary":
-        # Rows and columns on both sides of each 64-row slice boundary.
-        for r in {0, 63, 64, 127, 128, last} & set(range(dim)):
-            matrix[r, last - r] = 0.25 + 0.5j
-            matrix[r, (r + 1) % dim] = -0.75
+        # Classes on both sides of the boundaries of the 32-class slices
+        # that D = 1024 is read in, one pair each at rows spread by D / 8,
+        # alternately in one triangle and in both.  At D = 128 the pairs
+        # of classes 31 and 63 share index 31.
+        xs = sorted({31, 32, 63, 64, last} & set(range(1, dim)))
+        for k, x in enumerate(xs):
+            r = k * dim // 8
+            matrix[r, r ^ x] = 0.25 + 0.5j
+            if k % 2:
+                matrix[r ^ x, r] = 0.25 - 0.5j
     elif case == "imaginary-only":
         matrix[0, last] = 0.5j
         matrix[last, 0] = -0.5j
@@ -718,16 +739,90 @@ def test_block_structure_scan_matches_np_nonzero(dim, case):
     assert values.tobytes() == matrix[index, index ^ classes[:, None]].tobytes()
     np.testing.assert_array_equal(states._dense_of(classes, values, dim), matrix)
     blocks = states._block_structure(classes, values)
-    if off_diagonal > dim:
-        assert blocks is None
-    else:
-        # The blocks partition the indices, and each nonzero element lies in one.
+    pairs = {frozenset(pair) for pair in zip(rows.tolist(), cols.tolist())} - {
+        frozenset([i]) for i in range(dim)
+    }
+    shared = len({i for pair in pairs for i in pair}) < 2 * len(pairs)
+    assert (blocks is None) == (off_diagonal > dim or shared)
+    if blocks is not None:
+        # The singles and the pairs, lower index first and ascending,
+        # partition the indices, and each nonzero element lies in one.
+        singles, pair_blocks = blocks
+        assert singles.shape[1] == 1 and pair_blocks.shape[1] == 2
+        np.testing.assert_array_equal(pair_blocks, sorted(sorted(pair) for pair in pairs))
         members = np.concatenate([block.ravel() for block in blocks])
         np.testing.assert_array_equal(np.sort(members), index)
         block_of = np.empty(dim, dtype=int)
         for number, block in enumerate(b for group in blocks for b in group):
             block_of[block] = number
         np.testing.assert_array_equal(block_of[rows], block_of[cols])
+
+
+def _random_pairs_state(rng, n_spins, couple, indefinite):
+    """A sparse matrix of unit trace, Hermitian to ``HERMITIAN_TOL``, and
+    the pairs it holds: a positive diagonal plus disjoint pairs
+    ``(r, r ^ x)``, lower index first, from one to three classes ``x``.
+    Every pair is positive definite but, with ``indefinite``, one.  With
+    ``couple``, one more element joins an index of a pair to a second
+    partner: a Hermitian pair of elements (``"both"``), or one element
+    within ``HERMITIAN_TOL`` in the lower or upper triangle."""
+    dim = 1 << n_spins
+    matrix = np.diag(rng.uniform(0.2, 1.0, dim)).astype(complex)
+    free = np.ones(dim, dtype=bool)
+    pairs = []
+    for x in rng.choice(np.arange(1, dim), size=rng.integers(1, 4), replace=False):
+        # The first free pair of each class, then some of the rest.
+        first = len(pairs)
+        for r in rng.permutation(dim):
+            if free[r] and free[r ^ x] and (len(pairs) == first or rng.random() < 0.15):
+                free[r] = free[r ^ x] = False
+                pairs.append(sorted((int(r), int(r ^ x))))
+    for number, (low, high) in enumerate(pairs):
+        scale = 1.3 if indefinite and number == 0 else rng.uniform(0.0, 0.9)
+        element = scale * math.sqrt(matrix[low, low].real * matrix[high, high].real)
+        matrix[low, high] = element * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        matrix[high, low] = np.conj(matrix[low, high])
+    matrix /= np.trace(matrix).real
+    if couple:
+        pair = pairs[rng.integers(len(pairs))]
+        index = pair[rng.integers(2)]
+        other = int(rng.choice([i for i in range(dim) if i not in pair]))
+        if couple == "both":
+            element = 0.1 * math.sqrt(matrix[index, index].real * matrix[other, other].real)
+            matrix[index, other] = element * np.exp(0.7j)
+            matrix[other, index] = np.conj(matrix[index, other])
+        else:
+            row, col = sorted((index, other), reverse=couple == "lower")
+            matrix[row, col] = 0.5 * states.HERMITIAN_TOL
+    return matrix, sorted(pairs)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_pair_states_match_eigvalsh(seed):
+    # Disjoint pairs from several classes are 2x2 blocks; a second partner
+    # of any index, also by one element in one triangle, makes the state one
+    # block of every index.  Either way the verdict and the entropy are those
+    # of the dense spectrum.
+    rng = np.random.default_rng([14, seed])
+    tol = states.POSITIVITY_TOL
+    for trial in range(20):
+        n_spins, indefinite = int(rng.integers(3, 7)), trial % 3 == 2
+        couple = (None, None, "both", None, "lower", None, "upper")[trial % 7]
+        matrix, pairs = _random_pairs_state(rng, n_spins, couple, indefinite)
+        classes, values = states._classes_of(matrix)
+        blocks = states._block_structure(classes, values)
+        if couple:
+            assert blocks is None
+        else:
+            np.testing.assert_array_equal(blocks[1], np.array(pairs).reshape(-1, 2))
+        eigmin = float(np.linalg.eigvalsh(matrix)[0])
+        if eigmin < -tol:
+            with pytest.raises(StateInvariantError, match="negative eigenvalue") as excinfo:
+                DensityMatrix(matrix, n_spins)
+            assert float(str(excinfo.value).split()[2]) == pytest.approx(eigmin, abs=1e-12)
+        else:
+            rho = DensityMatrix(matrix, n_spins)
+            assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(matrix), abs=1e-12)
 
 
 def _overlapping_classes_state(eigmin=None):
@@ -756,7 +851,7 @@ def _overlapping_classes_state(eigmin=None):
 
 
 @pytest.mark.parametrize("factor", [None, 0.5, -0.5, -2.0], ids=["positive", "0.5", "-0.5", "-2"])
-def test_overlapping_classes_are_checked_by_union_find(monkeypatch, factor):
+def test_overlapping_classes_are_checked_whole(monkeypatch, factor):
     tol = states.POSITIVITY_TOL
     matrix = _overlapping_classes_state(None if factor is None else factor * tol)
     eigmin = float(np.linalg.eigvalsh(matrix)[0])
@@ -767,16 +862,14 @@ def test_overlapping_classes_are_checked_by_union_find(monkeypatch, factor):
         with pytest.raises(StateInvariantError, match="negative eigenvalue") as excinfo:
             DensityMatrix(matrix, 4)
         assert float(str(excinfo.value).split()[2]) == pytest.approx(eigmin, rel=1e-4)
-        assert max(sizes) == 3
+        assert max(sizes) == 16
         return
     rho = DensityMatrix(matrix, 4)
     monkeypatch.undo()
-    # Classes 3, 5 and 6 share indices, so the blocks are the two
-    # components, the cycle and the chain, and the 10 untouched indices.
+    # Classes 3, 5 and 6 share indices, so the state is one block of
+    # every index, although only 10 elements off the diagonal are nonzero.
     np.testing.assert_array_equal(rho._classes, [0, 3, 5, 6])
-    singles, triples = rho._blocks
-    assert singles.shape == (10, 1)
-    np.testing.assert_array_equal(triples, [[0, 3, 6], [8, 11, 14]])
-    assert max(sizes) == 3
+    assert rho._blocks is None
+    assert max(sizes) == 16
     assert np.array_equal(rho.matrix, matrix)
     assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(matrix), abs=1e-14)
