@@ -291,6 +291,9 @@ def _resolve_state(name: str, config: RunConfig) -> DensityMatrix:
             matrix = np.load(name, mmap_mode="r")
         except OSError as error:
             raise ConfigError(f"cannot read state file {name}: {error}") from error
+        if not isinstance(matrix, np.ndarray):
+            matrix.close()
+            raise ConfigError(f"state file {name}: expected one array, got an .npz archive")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ConfigError(f"state file {name}: expected a square 2-D array, got shape {matrix.shape}")
         n_spins = max(int(matrix.shape[0]).bit_length() - 1, 0)

@@ -277,12 +277,17 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
     sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * t)
     phases = draw_kick_phases(sigma, noise.mc_trajectories, seed)
     classes, values = rho._classes, rho._values
-    # The basis states with a nonzero element off the diagonal, in its row or column.
+    # The basis states with a nonzero element off the diagonal: a block state's pair indices.
     nonzero = values[1:] != 0
-    supported = nonzero.any(axis=0)
-    if not supported.all():
-        supported |= states._mirrors(classes[1:], nonzero).any(axis=0)
-    support = np.flatnonzero(supported)
+    if rho._blocks is None:
+        supported = nonzero.any(axis=0)
+        if not supported.all():
+            for part, cols in states._class_slices(classes[1:], rho.dim):
+                supported |= states._mirrors(nonzero[part], cols).any(axis=0)
+    else:
+        supported = np.zeros(rho.dim, dtype=bool)
+        supported[rho._blocks[1]] = True
+    support = supported.nonzero()[0]
     # Sz eigenvalue of every spin in every supported basis state: +1/2 or -1/2.
     sz_signs = 0.5 - operators.bit_table(rho.n_spins)[:, support]
     size = support.size

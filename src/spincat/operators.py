@@ -24,6 +24,7 @@ dense view of a state still need, no longer fits comfortably in memory.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -54,11 +55,15 @@ def site_mask(sites: Iterable[int], n_spins: int) -> int:
     return mask
 
 
+@functools.lru_cache(maxsize=MAX_SPINS)
 def bit_table(n_spins: int) -> np.ndarray:
-    """Array of shape ``(n_spins, 2**n_spins)`` with each spin's bit per index."""
+    """Array of shape ``(n_spins, 2**n_spins)`` with each spin's bit per
+    index; built once per register size and kept, so it is read-only."""
     index = np.arange(1 << n_spins)
     shifts = n_spins - 1 - np.arange(n_spins)
-    return (index[None, :] >> shifts[:, None]) & 1
+    table = (index[None, :] >> shifts[:, None]) & 1
+    table.flags.writeable = False
+    return table
 
 
 def sz_eigenvalues(sites: Sequence[int], n_spins: int) -> np.ndarray:

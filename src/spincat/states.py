@@ -25,21 +25,20 @@ nonzero element off the diagonal is a 1x1 block, and a pair
 triangle, is a 2x2 block.  A matrix is Hermitian, or positive
 semidefinite, exactly when each of its blocks is, and its spectrum is
 the union of the blocks' spectra.  Every state of the protocol is such
-a diagonal plus pairs.  A state with more than D nonzero elements off
-the diagonal, such as a random state, or with an index in two pairs,
-which only a user's matrix has, is one block of every index: its dense
-matrix, built for the factorisation and dropped again.  The blocks of
-one size form one stack.  Positivity is certified by a Cholesky
-factorisation of each block plus ``POSITIVITY_TOL * I``, which exists,
-up to rounding, exactly when every eigenvalue exceeds
-``-POSITIVITY_TOL``, and which costs a fraction of an
-eigendecomposition.  Only when it fails does ``eigvalsh`` run, and its
-smallest eigenvalue decides the verdict, so a rejection always rests on
-the eigenvalue criterion.  The factorisation reads the lower triangle
-only; that is sound because Hermiticity is checked first.  A 1x1 block
-is its own eigenvalue.  The state keeps its blocks, so
-:func:`von_neumann_entropy` reads the spectrum block by block without
-finding them again.
+a diagonal plus pairs, whose eigenvalues have a closed form.  A state
+with more than D nonzero elements off the diagonal, such as a random
+state, or with an index in two pairs, which only a user's matrix has,
+is one block of every index: its dense matrix, built for the check and
+dropped again.  Its positivity is certified by a Cholesky factorisation
+of the matrix plus ``POSITIVITY_TOL * I``, which exists, up to
+rounding, exactly when every eigenvalue exceeds ``-POSITIVITY_TOL``,
+and which costs a fraction of an eigendecomposition; only when it fails
+does ``eigvalsh`` run.  Either way the smallest eigenvalue decides the
+verdict, so a rejection always rests on the eigenvalue criterion.  The
+closed form, the factorisation and ``eigvalsh`` read the lower triangle
+only; that is sound because Hermiticity is checked first.  The state
+keeps its blocks, so :func:`von_neumann_entropy` reads the spectrum
+block by block without finding them again.
 
 Coherence order of a matrix element ``(r, c)`` is the magnetization
 difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
@@ -82,7 +81,7 @@ class DensityMatrix:
     ``ValueError``) and the dimension before it reads ``matrix``, gathers
     the occupied classes, and validates them as the module docstring
     describes.  A matrix with NaN or inf entries fails the trace or
-    Hermiticity check before the factorisation runs.  The input is
+    Hermiticity check before any eigenvalue is read.  The input is
     copied, never modified.
 
     ``_classes`` and ``_values`` hold the state; ``_values`` is
@@ -146,12 +145,12 @@ class DensityMatrix:
             dense = _dense_of(classes, values, 1 << self.n_spins)
             if gathered:
                 del values
-            eigmin = _uncertified_eigmin([dense[None]])
+            eigmin = _uncertified_eigmin(dense)
             if gathered:
                 values = _classes_of(dense, classes)[1]
             del dense
         else:
-            eigmin = _uncertified_eigmin([_stack(classes, values, index) for index in blocks if len(index)])
+            eigmin = float(_block_spectrum(classes, values, blocks).min())
         if eigmin < -POSITIVITY_TOL:
             raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
         values.flags.writeable = False
@@ -243,13 +242,11 @@ def _class_slices(classes: np.ndarray, dim: int):
         yield slice(start, start + rows), index ^ classes[start : start + rows, None]
 
 
-def _mirrors(classes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``values[k, r ^ classes[k]]`` for every ``k`` and ``r``: each element's
-    transposed partner, which lies in the same class."""
-    k, dim = values.shape
-    partners = np.arange(dim) ^ classes[:, None]
-    partners += np.arange(0, k * dim, dim)[:, None]
-    return np.take(np.ascontiguousarray(values).reshape(-1), partners)
+def _mirrors(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``values[k, cols[k, r]]``; with the columns ``r ^ x_k`` of
+    :func:`_class_slices`, each element's transposed partner in its class."""
+    k, dim = cols.shape
+    return values.take(cols + np.arange(0, k * dim, dim)[:, None])
 
 
 def _hermitian_classes(classes: np.ndarray, values: np.ndarray) -> bool:
@@ -258,8 +255,8 @@ def _hermitian_classes(classes: np.ndarray, values: np.ndarray) -> bool:
     at a time."""
     # inf - inf is NaN, which fails the comparison below without a warning.
     with np.errstate(invalid="ignore"):
-        for part, _ in _class_slices(classes, values.shape[1]):
-            residual = _mirrors(classes[part], values[part])
+        for part, cols in _class_slices(classes, values.shape[1]):
+            residual = _mirrors(values[part], cols)
             np.conjugate(residual, out=residual)
             residual -= values[part]
             if not np.abs(residual).max(initial=0.0) <= HERMITIAN_TOL:
@@ -280,24 +277,24 @@ def _block_structure(classes: np.ndarray, values: np.ndarray) -> list[np.ndarray
     index array, or when an index lies in two pairs.
     """
     dim = values.shape[1]
-    index = np.arange(dim)
     nonzero = values[1:] != 0
     count = np.count_nonzero(nonzero)
     if count > dim:
         return None
     if count == 0:
-        return [index[:, None], np.empty((0, 2), dtype=index.dtype)]
-    ks, rows = np.nonzero(nonzero)
+        return [np.arange(dim)[:, None], np.empty((0, 2), dtype=int)]
+    ks, rows = nonzero.nonzero()
     cols = rows ^ classes[1:][ks]
-    # Each index's partner; an index in two pairs keeps only one of them,
-    # and an element of the other then fails the check.
+    # Each index's partner, written from both ends of every nonzero element;
+    # an index in two pairs keeps only one of them, and an element of the
+    # other then fails the check.
+    ends, others = np.concatenate((rows, cols)), np.concatenate((cols, rows))
     partner = np.full(dim, -1)
-    partner[rows] = cols
-    partner[cols] = rows
-    if (partner[rows] != cols).any() or (partner[cols] != rows).any():
+    partner[ends] = others
+    if (partner[ends] != others).any():
         return None
-    low = np.flatnonzero(index < partner)
-    return [np.flatnonzero(partner < 0)[:, None], np.column_stack((low, partner[low]))]
+    low = (np.arange(dim) < partner).nonzero()[0]
+    return [(partner < 0).nonzero()[0][:, None], np.array((low, partner[low])).T]
 
 
 def _class_set(patterns: np.ndarray, dim: int) -> np.ndarray:
@@ -315,57 +312,47 @@ def _read(classes: np.ndarray, values: np.ndarray, x: np.ndarray, rows: np.ndarr
     return np.where(classes[position] == x, values[position, rows], 0.0)
 
 
-def _stack(classes: np.ndarray, values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The ``(m, k, k)`` stack of blocks ``rho[index[j]][:, index[j]]``."""
-    rows = index[:, :, None]
-    if index.shape[1] == 1:
-        return values[0, rows]
-    return _read(classes, values, rows ^ index[:, None, :], rows)
+def _block_spectrum(classes: np.ndarray, values: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """Eigenvalues of the blocks ``[singles, pairs]``: those of the singles,
+    then the smaller and the larger one of each pair.
 
-
-def _block_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each block of the ``(m, k, k)`` stack, shape
-    ``(m, k)``; a 1x1 block is its own eigenvalue."""
-    if stack.shape[-1] == 1:
-        return stack.real[:, :, 0]
-    return np.linalg.eigvalsh(stack)
-
-
-def _uncertified_eigmin(stacks: list[np.ndarray]) -> float:
-    """Smallest eigenvalue of the blocks the shifted Cholesky does not
-    certify, and of every 1x1 block; ``inf`` when there are none.
-
-    A rejection thus reads the smallest eigenvalue of the whole matrix:
-    every certified block has all its eigenvalues above
-    ``-POSITIVITY_TOL``.
+    A single is its own eigenvalue, the real part of its diagonal element.
+    A pair ``(low, high)``, whose class is occupied, is the block
+    ``[[p, conj(c)], [c, q]]`` with ``c = rho[high, low]``, the element of
+    the lower triangle that ``eigvalsh`` also reads; its eigenvalues are
+    ``(p + q)/2 -+ hypot((p - q)/2, |c|)``.
     """
-    eigmin = math.inf
-    for stack in stacks:
-        if stack.shape[-1] > 1 and _shifted_cholesky_succeeds(stack):
-            continue
-        eigmin = min(eigmin, float(_block_eigenvalues(stack).min(initial=math.inf)))
-    return eigmin
+    singles, pairs = blocks
+    diagonal = values[0].real
+    if not len(pairs):
+        return diagonal
+    low, high = pairs.T
+    p, q = diagonal[low], diagonal[high]
+    mean = 0.5 * (p + q)
+    radius = np.hypot(0.5 * (p - q), np.abs(values[classes.searchsorted(low ^ high), high]))
+    return np.concatenate((diagonal[singles[:, 0]], mean - radius, mean + radius))
 
 
-def _shifted_cholesky_succeeds(stack: np.ndarray) -> bool:
-    """Whether every block of the ``(m, k, k)`` stack plus
-    ``POSITIVITY_TOL * I`` has a Cholesky factor.
+def _uncertified_eigmin(dense: np.ndarray) -> float:
+    """Smallest eigenvalue of the whole matrix ``dense``, or ``inf`` when a
+    Cholesky factor of ``dense + POSITIVITY_TOL * I`` certifies that every
+    eigenvalue exceeds ``-POSITIVITY_TOL``.
 
-    The shift is added to the diagonals in place and the saved diagonals
-    are written back afterwards, so ``stack`` ends bit-identical, and a
-    dense matrix is factorised without a second D x D array beside it
-    and the factor.
+    The shift is added to the diagonal in place and the saved diagonal is
+    written back afterwards, so ``dense`` ends bit-identical, and it is
+    factorised without a second D x D array beside it and the factor.
     """
-    diagonals = np.einsum("...ii->...i", stack)
-    saved = diagonals.copy()
-    diagonals += POSITIVITY_TOL
+    diagonal = np.einsum("ii->i", dense)
+    saved = diagonal.copy()
+    diagonal += POSITIVITY_TOL
     try:
-        np.linalg.cholesky(stack)
+        np.linalg.cholesky(dense)
+        certified = True
     except np.linalg.LinAlgError:
-        return False
+        certified = False
     finally:
-        diagonals[...] = saved
-    return True
+        diagonal[...] = saved
+    return math.inf if certified else float(np.linalg.eigvalsh(dense)[0])
 
 
 @dataclass(frozen=True)
@@ -532,13 +519,13 @@ def nq_amplitude(rho: DensityMatrix, sites: Sequence[int] | None = None) -> comp
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy ``-sum(lam * ln lam)`` in nats; eigenvalues below 1e-14 are dropped.
 
-    The eigenvalues come block by block, from the blocks validation found.
+    The eigenvalues come in closed form from the blocks validation found;
+    a state of one block of every index is diagonalised whole.
     """
     if rho._blocks is None:
-        stacks = [_dense_of(rho._classes, rho._values, rho.dim)[None]]
+        eigs = np.linalg.eigvalsh(_dense_of(rho._classes, rho._values, rho.dim))
     else:
-        stacks = [_stack(rho._classes, rho._values, index) for index in rho._blocks if len(index)]
-    eigs = np.sort(np.concatenate([_block_eigenvalues(stack).ravel() for stack in stacks]))
+        eigs = np.sort(_block_spectrum(rho._classes, rho._values, rho._blocks))
     eigs = eigs[eigs >= _ENTROPY_EIG_FLOOR]
     return max(float(-np.sum(eigs * np.log(eigs))), 0.0)
 

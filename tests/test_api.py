@@ -1,11 +1,15 @@
 """The public surface of the package: the names ``spincat`` exports and
 the ones the README lists."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 import types
 
 import spincat
-from _support import REPO_ROOT
+from _support import REPO_ROOT, RING7_CONFIG
 
 # Adding or removing an export is a decision: change this set with it.
 PUBLIC_NAMES = {
@@ -79,3 +83,38 @@ def test_readme_api_paragraph_names_resolve():
     assert len(names) >= 10
     missing = [name for name in names if not hasattr(spincat, name)]
     assert not missing
+
+
+def test_cli_imports_only_numpy_beside_the_standard_library(tmp_path):
+    # numpy is the only runtime dependency: the four ring7 commands load no
+    # other package, even one that is installed.  Modules the interpreter
+    # loaded at start-up (site hooks) are not the package's, and numpy's
+    # compiled modules register Cython's runtime under names of their own.
+    script = """
+import json, sys
+startup = set(sys.modules)
+import spincat.cli
+config, out = sys.argv[1:]
+for command in (["run-protocol"], ["decay-scan", "--which", "nq"], ["spectrum", "--decouple"], ["scaling", "--n-max", "7"]):
+    assert spincat.cli.main([*command, "--config", config, "--out", out, "--seed", "0"]) == 0
+print(json.dumps(sorted({name.partition(".")[0] for name in set(sys.modules) - startup})))
+"""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", script, str(RING7_CONFIG), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stderr[-4000:]
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert {"numpy", "spincat"} <= set(loaded)
+    foreign = [
+        name
+        for name in loaded
+        if name not in sys.stdlib_module_names
+        and name not in ("numpy", "spincat", "cython_runtime")
+        and not name.startswith("_cython_")
+    ]
+    assert foreign == []

@@ -301,6 +301,19 @@ class TestSpectrum:
         assert code == 1
         assert "expected a square 2-D array" in capsys.readouterr().err
 
+    def test_npz_archive_under_an_npy_name_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        state_path = tmp_path / "s.npy"
+        with open(state_path, "wb") as handle:
+            np.savez(handle, state=ferro_state(2, "up").matrix)
+        code = main(
+            ["spectrum", "--config", str(config), "--out", str(tmp_path / "out"), "--state", str(state_path)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: state file {state_path}: expected one array, got an .npz archive"
+        ]
+
     def test_npy_state_beyond_the_register_cap_is_a_config_error(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -113,6 +113,18 @@ def test_bit_conventions():
     np.testing.assert_array_equal(table, [[0, 0, 1, 1], [0, 1, 0, 1]])
 
 
+def test_bit_table_is_built_once_and_read_only():
+    table = operators.bit_table(9)
+    assert operators.bit_table(9) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    for n in range(1, operators.MAX_SPINS + 1):
+        # Spin 0 is the most significant bit of the index.
+        fresh = [[(index >> (n - 1 - site)) & 1 for index in range(1 << n)] for site in range(n)]
+        np.testing.assert_array_equal(operators.bit_table(n), fresh)
+
+
 # The dense highest-order coherence observable lives in the test support
 # as the reference that ``nq_amplitude`` reads out: Tr(rho * NQ) = 2 Re <u|rho|d>.
 

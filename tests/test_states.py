@@ -1,6 +1,7 @@
 """State constructors, coherence orders, entropy, fidelity."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import tracemalloc
@@ -457,8 +458,8 @@ def _record_factorised_sizes(monkeypatch):
 @pytest.mark.parametrize(
     "layout, negative_size, block, largest",
     [
-        (PAIRS_LAYOUT, 1, 2, 2),
-        (PAIRS_LAYOUT, 2, 2, 2),
+        (PAIRS_LAYOUT, 1, 2, 0),
+        (PAIRS_LAYOUT, 2, 2, 0),
         (SPARSE_LAYOUT, 1, 3, 64),
         (SPARSE_LAYOUT, 2, 3, 64),
         (SPARSE_LAYOUT, 3, 3, 64),
@@ -494,9 +495,76 @@ def test_block_route_verdict_matches_eigenvalue_criterion(
             DensityMatrix(matrix, 6)
         reported = float(str(excinfo.value).split()[2])
         assert reported == pytest.approx(eigmin, rel=1e-4)
-    # Pairs and singles are factorised block by block, nothing larger than
-    # a pair; any larger block makes the whole matrix one block.
-    assert max(sizes) == largest
+    # Pairs and singles are read in closed form, with no factorisation at
+    # all (largest 0); any larger block makes the whole matrix one block.
+    assert max(sizes, default=0) == largest
+
+
+# Pair blocks (p, q, smallest eigenvalue in units of POSITIVITY_TOL or None
+# for a pure block, imaginary part of the pair's diagonal in units of
+# HERMITIAN_TOL), at the boundaries of the closed form.
+PAIR_CASES = {
+    "eigmin+0.5": (0.3, 0.2, 0.5, 0.0),
+    "eigmin-0.5": (0.3, 0.2, -0.5, 0.0),
+    "eigmin+2": (0.3, 0.2, 2.0, 0.0),
+    "eigmin-2": (0.3, 0.2, -2.0, 0.0),
+    "pure": (0.3, 0.2, None, 0.0),
+    "wide-range": (1.0 - 1e-12, 1e-12, None, 0.0),
+    "imaginary-residue": (0.3, 0.2, -0.5, 0.4),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", PAIR_CASES)
+def test_pair_blocks_in_closed_form_match_eigvalsh(monkeypatch, case, seed):
+    # One pair (low, high) of a random class on a diagonal of singles; its
+    # eigenvalues come from the closed form, with no factorisation.
+    p, q, eigmin, residue = PAIR_CASES[case]
+    tol = states.POSITIVITY_TOL
+    rng = np.random.default_rng([15, seed])
+    n_spins = int(rng.integers(2, 6))
+    dim = 1 << n_spins
+    low = int(rng.integers(dim))
+    low, high = sorted((low, low ^ int(rng.integers(1, dim))))
+    if eigmin is None:
+        modulus = math.sqrt(p * q)
+    else:
+        modulus = math.sqrt((0.5 * (p + q) - eigmin * tol) ** 2 - (0.5 * (p - q)) ** 2)
+    matrix = np.zeros((dim, dim), dtype=complex)
+    rest = [i for i in range(dim) if i not in (low, high)]
+    weights = rng.uniform(0.5, 1.0, len(rest))
+    matrix[rest, rest] = (1.0 - p - q) * weights / weights.sum()
+    matrix[low, low] = p + 1j * residue * states.HERMITIAN_TOL
+    matrix[high, high] = q - 1j * residue * states.HERMITIAN_TOL
+    matrix[high, low] = modulus * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    matrix[low, high] = np.conj(matrix[high, low])
+    reference = np.linalg.eigvalsh(matrix)
+    assert (reference[0] < -tol) == (eigmin == -2.0)
+    sizes = _record_factorised_sizes(monkeypatch)
+    if reference[0] < -tol:
+        with pytest.raises(StateInvariantError, match="negative eigenvalue") as excinfo:
+            DensityMatrix(matrix, n_spins)
+        assert float(str(excinfo.value).split()[2]) == pytest.approx(reference[0], abs=1e-12)
+        assert sizes == []
+        return
+    rho = DensityMatrix(matrix, n_spins)
+    entropy = von_neumann_entropy(rho)
+    assert sizes == []
+    np.testing.assert_array_equal(rho._blocks[1], [[low, high]])
+    spectrum = np.sort(states._block_spectrum(rho._classes, rho._values, rho._blocks))
+    np.testing.assert_allclose(spectrum, reference, rtol=0.0, atol=1e-12)
+    assert entropy == pytest.approx(_entropy_reference(matrix), abs=1e-12)
+
+
+@pytest.mark.parametrize("noise_mode", ["analytic", "monte_carlo"])
+def test_ten_spin_protocol_makes_no_factorisation(monkeypatch, noise_mode):
+    # Every validation and entropy of the run reads 1x1 and 2x2 blocks in
+    # closed form.
+    sizes = _record_factorised_sizes(monkeypatch)
+    config = dataclasses.replace(protocol_config(10), noise_mode=noise_mode)
+    report = run_protocol(config)
+    assert sizes == []
+    assert report.final_control_entropy > 0.0
 
 
 @pytest.mark.parametrize("n_spins", [2, 4])
