@@ -113,9 +113,10 @@ def scaling_study(
     of ``n_values``.
     The read-out is the corner ``<u|rho|d>``, which for the kicked cat is
     ``1/2 * mean_k exp(-i * sum_i phi_ki)``.  The cat is two coherence
-    classes of D elements with a coherence between two basis states, so
-    the kick forms its characteristic matrix there only, in O(K*n), and
-    the cat, the decayed states and their validation cost O(D) each.
+    classes of D elements with one pair of basis states coupled, so the
+    kick reads its one pair element in O(K*n) and forms no
+    characteristic matrix; the cat, the decayed states and their
+    validation cost O(D) each.
     """
     if mode not in NOISE_MODES:
         raise ValueError(f"unknown mode {mode!r}")

@@ -30,6 +30,12 @@ from .analysis import FitError
 from .config import ConfigError, RunConfig, load_config
 from .states import DensityMatrix, StateInvariantError
 
+# Largest --n-max of the scaling command.  Every state of the study is
+# O(D), so memory no longer sets it: the Monte Carlo read-out does.  Its
+# noise floor, about 1/2 * K**-0.5, is fitted as signal once the top-order
+# amplitude decays toward it, which biases the rates of larger registers
+# low; the cap stays until the read-out is unbiased (see the Monte Carlo
+# item of ROADMAP.md).
 MAX_SCALING_SPINS = 10
 
 STATE_NAMES = (
@@ -219,7 +225,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_scaling(args: argparse.Namespace) -> int:
     if args.n_max > MAX_SCALING_SPINS:
         raise ConfigError(
-            f"--n-max {args.n_max} exceeds the dense-simulation guardrail of {MAX_SCALING_SPINS}"
+            f"--n-max {args.n_max} exceeds the scaling guardrail of {MAX_SCALING_SPINS}"
         )
     if args.n_max < 2:
         raise ConfigError("--n-max must be at least 2")

@@ -54,10 +54,12 @@ from .states import DensityMatrix
 
 COUPLING_KINDS = ("homonuclear_dipolar", "heteronuclear_zz")
 ROLES = ("control", "system")
-# Trajectories per block in apply_phase_kicks_mc: bounds the rows of Phi
-# held at once.  At 10 spins and 1000 trajectories (one OpenBLAS thread)
-# a kick with blocks of 256 took 0.40 s against 0.36 s for one unblocked
-# product and held 12 MiB less; blocks of 128 took 0.44 s.
+# Trajectories per block in apply_phase_kicks_mc, summed block by block.
+# A state checked whole holds this many rows of Phi at once: at 10 spins
+# and 1000 trajectories (one OpenBLAS thread) its kick with blocks of 256
+# took 0.40 s against 0.36 s for one unblocked product and held 12 MiB
+# less; blocks of 128 took 0.44 s.  A state of pairs holds this many rows
+# of its K x p phase angles, 4 MiB at 2048 pairs, and forms no C.
 _KICK_BLOCK = 256
 # Rows of C per matrix product: only the products on and below C's
 # diagonal are formed.  At 10 spins and 1000 trajectories the full-rank
@@ -260,33 +262,81 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
     of ``diag(Phi[k]) rho diag(Phi[k])^*`` is the elementwise product
     ``rho * C`` with the empirical characteristic matrix
     ``C = Phi^T Phi^* / K``, where ``Phi[k, r] = exp(-i * phi_k . s_r)``
-    and ``s_r`` holds the Sz eigenvalues of basis state ``r``.  The
-    diagonal of ``C`` is exactly 1, so ``C`` is formed only on the basis
-    states where ``rho`` has a nonzero element off the diagonal, and read
-    at those elements: all ``D`` states for a full-rank state, two for a
-    cat.  ``C`` is Hermitian, so only its blocks on and below the
-    diagonal are multiplied out, one block of rows of ``C`` and one block
-    of trajectories at a time, and the rest is their conjugate transpose;
-    the extra memory is one block of rows beside ``C`` and a block of
-    rows of ``Phi``, whatever ``K`` is.  The ensemble mean
-    multiplies an element that differs in spin ``i`` by
-    ``exp(-sigma_i^2/2)``; the widths ``sigma_i = sqrt(gamma_i * t)`` make
-    that the analytic channel's factor for time ``t``.
+    and ``s_r`` holds the Sz eigenvalues of basis state ``r``.  Only the
+    nonzero elements off the diagonal are multiplied, since the diagonal
+    of ``C`` is exactly 1; every other element is kept as it is.
+
+    A state of 1x1 and 2x2 blocks, every state of the protocol, needs
+    ``C`` at its pairs' elements only: a pair ``(low, high)`` is
+    multiplied by ``C[low, high] = mean_k exp(-i * phi_k . (s_low - s_high))``
+    and its transposed element by the conjugate, see :func:`_kick_pairs`.
+    That costs O(K*n*p) for ``p`` pairs, plus the O(D) copy and the
+    validated construction of the result, and forms no ``C``.  A state
+    checked as one whole block is kicked by :func:`_kick_whole`, which
+    forms ``C`` on the basis states where it has a nonzero element off
+    the diagonal.  The ensemble mean multiplies an element that differs
+    in spin ``i`` by ``exp(-sigma_i^2/2)``; the widths
+    ``sigma_i = sqrt(gamma_i * t)`` make that the analytic channel's
+    factor for time ``t``.
     """
     _check_channel_args(rho, noise, t)
     sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * t)
     phases = draw_kick_phases(sigma, noise.mc_trajectories, seed)
-    classes, values = rho._classes, rho._values
-    # The basis states with a nonzero element off the diagonal: a block state's pair indices.
-    nonzero = values[1:] != 0
     if rho._blocks is None:
-        supported = nonzero.any(axis=0)
-        if not supported.all():
-            for part, cols in states._class_slices(classes[1:], rho.dim):
-                supported |= states._mirrors(nonzero[part], cols).any(axis=0)
+        kicked = _kick_whole(rho, phases)
     else:
-        supported = np.zeros(rho.dim, dtype=bool)
-        supported[rho._blocks[1]] = True
+        kicked = _kick_pairs(rho, phases)
+    return DensityMatrix._of_classes(rho._classes, kicked, rho.n_spins)
+
+
+def _kick_pairs(rho: DensityMatrix, phases: np.ndarray) -> np.ndarray:
+    """The kicked values of a state of 1x1 and 2x2 blocks, in O(K*n*p).
+
+    A pair ``(low, high)`` of class ``x = low ^ high`` holds
+    ``rho[low, high]`` at ``values[row(x), low]`` and ``rho[high, low]``
+    at ``values[row(x), high]``.  The first is multiplied by
+    ``f = mean_k exp(-i * phi_k . (s_low - s_high))``, the element
+    ``C[low, high]``, and the second by ``conj(f)``; the difference of
+    the Sz eigenvalues is nonzero only on the bits of ``x``.  Exact zeros,
+    as in a pair with a nonzero element in one triangle only, are kept.
+    The angles of ``_KICK_BLOCK`` trajectories for every pair are held at
+    a time.
+    """
+    low, high = rho._blocks[1].T
+    bits = operators.bit_table(rho.n_spins)
+    # s_low - s_high = bit_high - bit_low, one column per pair.
+    difference = (bits.take(high, axis=1) - bits.take(low, axis=1)).astype(float)
+    cos_sum = sin_sum = 0.0
+    for start in range(0, len(phases), _KICK_BLOCK):
+        angles = phases[start : start + _KICK_BLOCK] @ difference
+        cos_sum = cos_sum + np.cos(angles).sum(axis=0)
+        sin_sum = sin_sum + np.sin(angles).sum(axis=0)
+    factor = (cos_sum - 1j * sin_sum) / len(phases)
+    kicked = rho._values.copy()
+    rows = rho._classes.searchsorted(low ^ high)
+    for index, pair_factor in ((low, factor), (high, factor.conj())):
+        element = kicked[rows, index]
+        kicked[rows, index] = np.multiply(pair_factor, element, out=element, where=element != 0)
+    return kicked
+
+
+def _kick_whole(rho: DensityMatrix, phases: np.ndarray) -> np.ndarray:
+    """The kicked values of a state checked as one whole block.
+
+    ``C`` is formed on the basis states where ``rho`` has a nonzero
+    element off the diagonal, and read at those elements: all ``D``
+    states for a full-rank state.  ``C`` is Hermitian, so only its blocks
+    on and below the diagonal are multiplied out, one block of rows of
+    ``C`` and one block of trajectories at a time, and the rest is their
+    conjugate transpose; the extra memory is one block of rows beside
+    ``C`` and a block of rows of ``Phi``, whatever ``K`` is.
+    """
+    classes, values = rho._classes, rho._values
+    nonzero = values[1:] != 0
+    supported = nonzero.any(axis=0)
+    if not supported.all():
+        for part, cols in states._class_slices(classes[1:], rho.dim):
+            supported |= states._mirrors(nonzero[part], cols).any(axis=0)
     support = supported.nonzero()[0]
     # Sz eigenvalue of every spin in every supported basis state: +1/2 or -1/2.
     sz_signs = 0.5 - operators.bit_table(rho.n_spins)[:, support]
@@ -300,7 +350,7 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
     for low in range(0, size, _KICK_ROWS):
         high = low + _KICK_ROWS
         characteristic[low:high, high:] = characteristic[high:, low:high].conj().T
-    characteristic /= noise.mc_trajectories
+    characteristic /= len(phases)
     # C is read at the nonzero elements, whose rows and columns are all
     # supported; every other element is kept as it is.
     position = np.cumsum(supported) - 1
@@ -310,7 +360,7 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
         off = kicked[1:][part]
         np.multiply(factor, off, out=off, where=nonzero[part])
     del characteristic
-    return DensityMatrix._of_classes(classes, kicked, rho.n_spins)
+    return kicked
 
 
 def conditional_flip(rho: DensityMatrix, condition_mask: int, flip_mask: int) -> DensityMatrix:

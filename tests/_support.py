@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,15 @@ RING7_CONFIG = REPO_ROOT / "configs" / "ring7.json"
 
 # Rows compared per step by is_hermitian.
 _HERMITIAN_ROWS = 64
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child process: the package and the test support
+    on the path, one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    paths = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
 
 
 def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

@@ -1,6 +1,9 @@
 """Hamiltonians, pulses, noise channels, and the collective gate."""
 
 import dataclasses
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,14 +25,16 @@ from spincat import (
     flip_rate_for_lifetime,
     nq_amplitude,
 )
-from spincat import load_config, operators, protocol
+from spincat import dynamics, load_config, operators, protocol
 from spincat.dynamics import _KICK_BLOCK, COUPLING_KINDS, _flip_one_site, draw_kick_phases
 from spincat.spectra import _without_couplings_to
+from spincat.states import HERMITIAN_TOL
 from _support import (
     RING7_CONFIG,
     SZ,
     Pulse,
     apply_pulse,
+    child_env,
     controlled_not_unitary,
     dephasing_reference,
     evolve,
@@ -538,6 +543,170 @@ class TestPhaseKicks:
         noise = NoiseModel.uniform(3, dephasing_per_s=0.0, flip_per_s=2.0, mc_trajectories=_KICK_BLOCK + 5)
         kicked = apply_phase_kicks_mc(rho, noise, 0.4, seed=3)
         assert np.array_equal(kicked.matrix, rho.matrix)
+
+
+def _pair_state(rng: np.random.Generator, n_spins: int, n_classes: int) -> np.ndarray:
+    """A random dense state of disjoint 2x2 blocks ``(r, r ^ x)`` over
+    ``n_classes`` patterns ``x``, with some indices left as 1x1 blocks."""
+    dim = 1 << n_spins
+    patterns = rng.choice(np.arange(1, dim), n_classes, replace=False)
+    populations = rng.uniform(0.1, 1.0, dim)
+    matrix = np.diag(populations).astype(complex)
+    free = np.ones(dim, dtype=bool)
+    for r in rng.permutation(dim):
+        partner = r ^ patterns[rng.integers(n_classes)]
+        if free[r] and free[partner] and rng.random() < 0.8:
+            free[r] = free[partner] = False
+            bound = rng.uniform(0.1, 1.0) * np.sqrt(populations[r] * populations[partner])
+            matrix[r, partner] = bound * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            matrix[partner, r] = np.conj(matrix[r, partner])
+    return matrix / populations.sum()
+
+
+# The kick of the state that step D of a 10-spin Monte Carlo run kicks,
+# against the per-trajectory reference.  The reference costs D^2 per
+# trajectory, so the kick keeps few of them.
+_TEN_SPIN_CAT_KICK = """
+import dataclasses
+import numpy as np
+from spincat import apply_phase_kicks_mc, dynamics, protocol
+from _support import phase_kicks_reference, protocol_config
+
+def refuse(*args):
+    raise AssertionError("a state of pairs took the characteristic-matrix route")
+
+dynamics._kick_whole = refuse
+base = protocol_config(10)
+noise = dataclasses.replace(base.noise, mc_trajectories=24)
+config = dataclasses.replace(base, noise=noise, noise_mode="monte_carlo", seed=31)
+rho = protocol.step_a_initialize(config)
+rho = protocol.step_c_entangle(protocol.step_b_create_cat(rho, config), config)
+if rho._blocks is None or not len(rho._blocks[1]):
+    raise AssertionError("the entangled cat is not a state of pairs")
+kicked = apply_phase_kicks_mc(rho, noise, config.delay_s, config.seed)
+sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * config.delay_s)
+reference = phase_kicks_reference(rho.matrix, 10, sigma, 24, config.seed)
+np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
+"""
+
+
+class TestPairKicks:
+    """The pair route of ``apply_phase_kicks_mc``: a state of 1x1 and 2x2
+    blocks is kicked at its pairs' elements, with no characteristic matrix."""
+
+    @pytest.fixture(autouse=True)
+    def _no_whole_route(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a state of pairs took the characteristic-matrix route")
+
+        monkeypatch.setattr(dynamics, "_kick_whole", refuse)
+
+    @pytest.mark.parametrize(
+        "n_spins, n_classes, seed",
+        [(n, c, seed) for n in (3, 5) for c in (1, 2, 3) for seed in (0, 1)]
+        + [(8, c, 0) for c in (1, 2, 3)],
+    )
+    def test_disjoint_pairs_match_reference(self, n_spins, n_classes, seed):
+        rng = np.random.default_rng(10_000 * n_spins + 100 * n_classes + seed)
+        matrix = _pair_state(rng, n_spins, n_classes)
+        rho = DensityMatrix(matrix, n_spins)
+        assert rho._blocks is not None and len(rho._blocks[1]) > 0
+        assert 2 <= rho._classes.size <= n_classes + 1
+        trajectories = _KICK_BLOCK + 3
+        rates = tuple(rng.uniform(0.01, 3.2, n_spins))
+        noise = NoiseModel(rates, (0.0,) * n_spins, trajectories)
+        kicked = apply_phase_kicks_mc(rho, noise, 0.7, seed=seed)
+        sigma = np.sqrt(np.asarray(rates) * 0.7)
+        reference = phase_kicks_reference(matrix, n_spins, sigma, trajectories, seed)
+        np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
+        assert kicked._values[0].tobytes() == rho._values[0].tobytes()
+
+    @pytest.mark.parametrize("triangle", ["lower", "upper"])
+    def test_pair_in_one_triangle_keeps_its_zero(self, triangle):
+        # A pair whose element in one triangle is within HERMITIAN_TOL of
+        # zero, and exactly zero in the other: the zero stays as it is.  It
+        # is a negative zero, whose sign bits a multiplication would change.
+        n, low, high = 4, 3, 12
+        matrix = np.diag(np.full(16, 1.0 / 16)).astype(complex)
+        small = 0.6 * HERMITIAN_TOL * np.exp(0.4j)
+        row, col = (high, low) if triangle == "lower" else (low, high)
+        matrix[row, col] = small
+        matrix[col, row] = complex(-0.0, -0.0)
+        rho = DensityMatrix(matrix, n)
+        np.testing.assert_array_equal(rho._blocks[1], [[low, high]])
+        noise = NoiseModel((0.9, 2.5, 0.3, 1.7), (0.0,) * n, _KICK_BLOCK + 9)
+        kicked = apply_phase_kicks_mc(rho, noise, 0.5, seed=6)
+        sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * 0.5)
+        reference = phase_kicks_reference(matrix, n, sigma, noise.mc_trajectories, 6)
+        np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
+        assert kicked.matrix[col, row].tobytes() == matrix[col, row].tobytes()
+        assert kicked.matrix[row, col] != small and abs(kicked.matrix[row, col]) < abs(small)
+
+    def test_diagonal_state_is_bit_identical(self):
+        rng = np.random.default_rng(3)
+        populations = rng.uniform(size=32)
+        rho = DensityMatrix(np.diag(populations / populations.sum()).astype(complex), 5)
+        noise = NoiseModel.uniform(5, dephasing_per_s=2.0, mc_trajectories=300)
+        kicked = apply_phase_kicks_mc(rho, noise, 0.3, seed=2)
+        assert kicked._classes.tobytes() == rho._classes.tobytes()
+        assert kicked._values.tobytes() == rho._values.tobytes()
+
+    def test_ten_spin_protocol_cat_matches_reference(self):
+        # The state that step D of a Monte Carlo run kicks: the pseudopure
+        # cat entangled with the control.  The reference holds D x D arrays,
+        # so it runs in a child process: here it would raise this process's
+        # peak RSS, which every later child inherits in ru_maxrss.
+        result = subprocess.run(
+            [sys.executable, "-c", _TEN_SPIN_CAT_KICK],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_twelve_spin_pairs_stay_within_a_block_of_phases(self):
+        # 2048 pairs cover every index of a 12-spin register, over three
+        # classes that keep the top two bits.  C over that support alone
+        # would be 4096 x 4096 complex, 256 MiB.
+        n, dim = 12, 4096
+        rng = np.random.default_rng(12)
+        index = np.arange(dim)
+        top = index >> (n - 2)
+        patterns = np.array([0b0000_0000_0001, 0b0000_0110_0000, 0b0011_1111_1111])
+        partner = index ^ patterns[np.maximum(top - 1, 0)]
+        populations = rng.uniform(0.1, 1.0, dim)
+        populations /= populations.sum()
+        low = index[index < partner]
+        high = partner[low]
+        bound = np.sqrt(populations[low] * populations[high])
+        coherence = 0.9 * bound * np.exp(1j * rng.uniform(0.0, 2 * np.pi, low.size))
+        classes = np.concatenate(([0], np.sort(patterns)))
+        values = np.zeros((classes.size, dim), dtype=complex)
+        values[0] = populations
+        rows = np.searchsorted(classes, low ^ high)
+        values[rows, low] = coherence
+        values[rows, high] = coherence.conj()
+        rho = DensityMatrix._of_classes(classes, values, n)
+        assert len(rho._blocks[1]) == 2048
+        rates = rng.uniform(0.5, 3.0, n)
+        noise = NoiseModel(tuple(rates), (0.0,) * n, 1000)
+        tracemalloc.start()
+        try:
+            kicked = apply_phase_kicks_mc(rho, noise, 0.2, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024**2
+        assert kicked._values[0].tobytes() == values[0].tobytes()
+        # A few pairs against the mean over trajectories of their phases.
+        phases = np.random.default_rng(5).normal(0.0, np.sqrt(rates * 0.2), (1000, n))
+        sz_signs = 0.5 - operators.bit_table(n)
+        k = rng.choice(low.size, 8, replace=False)
+        factor = np.exp(-1j * (phases @ (sz_signs[:, low[k]] - sz_signs[:, high[k]]))).mean(axis=0)
+        expected = factor * coherence[k]
+        np.testing.assert_allclose(kicked._values[rows[k], low[k]], expected, rtol=1e-12)
+        np.testing.assert_allclose(kicked._values[rows[k], high[k]], expected.conj(), rtol=1e-12)
 
 
 class TestControlledNot:

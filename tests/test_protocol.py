@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import os
 import subprocess
 import sys
 import time
@@ -31,9 +30,9 @@ from spincat import (
 )
 from spincat import protocol, states
 from _support import (
-    REPO_ROOT,
     bare_system,
     cat_rotation_unitary,
+    child_env,
     controlled_not_unitary,
     entangle_unitary,
     phase_kicks_reference,
@@ -404,18 +403,9 @@ def test_run_protocol_does_not_import_numpy_ma():
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-
-
-def _child_env() -> dict[str, str]:
-    """The environment of a child process: the package and the test support
-    on the path, one BLAS thread."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    paths = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"), env.get("PYTHONPATH", "")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    return env
 
 
 _TWELVE_SPIN_RUN = """
@@ -437,7 +427,7 @@ def _run_twelve_spins(noise_mode: str) -> tuple[float, dict]:
     start = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-c", _TWELVE_SPIN_RUN, noise_mode],
-        env=_child_env(),
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=60,
