@@ -223,7 +223,8 @@ def apply_dephasing(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityM
     decay = np.tensordot(rates, operators.bit_table(rho.n_spins), axes=1)
     factor = np.exp(-0.5 * t * decay)
     values = rho._values * factor[rho._classes][:, None]
-    return DensityMatrix._of_classes(rho._classes, values, rho.n_spins)
+    blocks = states._carried_blocks(rho, values)
+    return DensityMatrix._of_classes(rho._classes, values, rho.n_spins, blocks)
 
 
 def apply_flip_relaxation(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityMatrix:
@@ -271,7 +272,9 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
     multiplied by ``C[low, high] = mean_k exp(-i * phi_k . (s_low - s_high))``
     and its transposed element by the conjugate, see :func:`_kick_pairs`.
     That costs O(K*n*p) for ``p`` pairs, plus the O(D) copy and the
-    validated construction of the result, and forms no ``C``.  A state
+    validated construction of the result, and forms no ``C``.  The kick
+    keeps the state's nonzero pattern, so the result takes its blocks
+    over unless a factor cancelled an element to zero.  A state
     checked as one whole block is kicked by :func:`_kick_whole`, which
     forms ``C`` on the basis states where it has a nonzero element off
     the diagonal.  The ensemble mean multiplies an element that differs
@@ -286,7 +289,8 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
         kicked = _kick_whole(rho, phases)
     else:
         kicked = _kick_pairs(rho, phases)
-    return DensityMatrix._of_classes(rho._classes, kicked, rho.n_spins)
+    blocks = states._carried_blocks(rho, kicked)
+    return DensityMatrix._of_classes(rho._classes, kicked, rho.n_spins, blocks)
 
 
 def _kick_pairs(rho: DensityMatrix, phases: np.ndarray) -> np.ndarray:
@@ -298,7 +302,8 @@ def _kick_pairs(rho: DensityMatrix, phases: np.ndarray) -> np.ndarray:
     ``f = mean_k exp(-i * phi_k . (s_low - s_high))``, the element
     ``C[low, high]``, and the second by ``conj(f)``; the difference of
     the Sz eigenvalues is nonzero only on the bits of ``x``.  Exact zeros,
-    as in a pair with a nonzero element in one triangle only, are kept.
+    as in a pair with a nonzero element in one triangle only, are kept,
+    so no zero element turns nonzero and the pattern's blocks carry over.
     The angles of ``_KICK_BLOCK`` trajectories for every pair are held at
     a time.
     """

@@ -40,6 +40,13 @@ only; that is sound because Hermiticity is checked first.  The state
 keeps its blocks, so :func:`von_neumann_entropy` reads the spectrum
 block by block without finding them again.
 
+The blocks are found once per nonzero pattern.  :func:`pseudopure`,
+dephasing and the Monte Carlo kick never turn a zero element nonzero, so
+a result with as many nonzero elements off the diagonal as its input has
+its input's pattern, and takes its input's blocks over unscanned; a
+result with fewer is scanned.  Trace, Hermiticity and positivity are
+checked on every construction either way.
+
 Coherence order of a matrix element ``(r, c)`` is the magnetization
 difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
 up spins in ``r`` minus the number in ``c``.  A cat state of ``n``
@@ -85,7 +92,7 @@ class DensityMatrix:
     copied, never modified.
 
     ``_classes`` and ``_values`` hold the state; ``_values`` is
-    read-only.  ``_blocks`` keeps the blocks validation found:
+    read-only.  ``_blocks`` keeps the blocks validation found or took over:
     ``[singles, pairs]``, the ``(m, 1)`` and ``(p, 2)`` index arrays of
     the 1x1 and 2x2 blocks, or ``None`` for one block of every index.
     ``matrix`` is the dense matrix, read-only, built on first access and
@@ -102,12 +109,23 @@ class DensityMatrix:
         self.__post_init__()
 
     @classmethod
-    def _of_classes(cls, classes: np.ndarray, values: np.ndarray, n_spins: int) -> DensityMatrix:
+    def _of_classes(
+        cls,
+        classes: np.ndarray,
+        values: np.ndarray,
+        n_spins: int,
+        blocks: list[np.ndarray] | None = None,
+    ) -> DensityMatrix:
         """The state whose ascending ``classes``, 0 first, hold ``values``
         and which is zero elsewhere.  The state takes ``values`` over: the
-        caller must not write to it."""
+        caller must not write to it.
+
+        ``blocks``, when given, are those of ``values``' nonzero pattern,
+        passed on by a channel that keeps its input's pattern (see
+        :func:`_carried_blocks`).  Validation then skips only the scan for
+        them; trace, Hermiticity and positivity are checked as always."""
         rho = cls.__new__(cls)
-        object.__setattr__(rho, "_source", _ClassSource(classes, values))
+        object.__setattr__(rho, "_source", _ClassSource(classes, values, blocks))
         object.__setattr__(rho, "n_spins", n_spins)
         rho.__post_init__()
         return rho
@@ -124,8 +142,9 @@ class DensityMatrix:
                     f"matrix dimension {given.shape[0]} does not match {self.n_spins} spins"
                 )
             classes, values = _classes_of(given)
+            blocks = None
         else:
-            classes, values = source.classes, source.values
+            classes, values, blocks = source.classes, source.values, source.blocks
         del source
         occupied = values.any(axis=1)
         occupied[0] = True
@@ -136,7 +155,8 @@ class DensityMatrix:
             raise StateInvariantError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
         if not _hermitian_classes(classes, values):
             raise StateInvariantError("matrix is not Hermitian")
-        blocks = _block_structure(classes, values)
+        if blocks is None:
+            blocks = _block_structure(classes, values)
         if blocks is None:
             # One block of every index, factorised as a dense matrix.  The
             # classes of a dense input are read again from it afterwards, so
@@ -186,13 +206,16 @@ class DensityMatrix:
 class _ClassSource:
     """Classes and values handed to :class:`DensityMatrix` by the package:
     a type no user input has, so a matrix given as nested tuples is never
-    read as classes."""
+    read as classes, and a user's matrix never carries blocks."""
 
-    __slots__ = ("classes", "values")
+    __slots__ = ("classes", "values", "blocks")
 
-    def __init__(self, classes: np.ndarray, values: np.ndarray) -> None:
+    def __init__(
+        self, classes: np.ndarray, values: np.ndarray, blocks: list[np.ndarray] | None
+    ) -> None:
         self.classes = classes
         self.values = values
+        self.blocks = blocks
 
 
 def _classes_of(
@@ -295,6 +318,19 @@ def _block_structure(classes: np.ndarray, values: np.ndarray) -> list[np.ndarray
         return None
     low = (np.arange(dim) < partner).nonzero()[0]
     return [(partner < 0).nonzero()[0][:, None], np.array((low, partner[low])).T]
+
+
+def _carried_blocks(rho: DensityMatrix, values: np.ndarray) -> list[np.ndarray] | None:
+    """``rho``'s blocks, for ``values`` in ``rho``'s classes that its caller
+    made without turning a zero element nonzero, or ``None``.
+
+    Such ``values`` keep ``rho``'s nonzero pattern exactly when they hold
+    as many nonzero elements off the diagonal; an element that became zero,
+    which may empty a class, changes the count, and the result is scanned.
+    """
+    if rho._blocks is None or np.count_nonzero(values[1:]) != np.count_nonzero(rho._values[1:]):
+        return None
+    return rho._blocks
 
 
 def _class_set(patterns: np.ndarray, dim: int) -> np.ndarray:
@@ -449,7 +485,8 @@ def pseudopure(target: DensityMatrix, purity_fraction: float) -> DensityMatrix:
     values[0] += (1.0 - f) / target.dim
     # The mixed part's zeros, added as well: a -0.0 part becomes 0.0.
     values[1:] += 0.0
-    return DensityMatrix._of_classes(target._classes, values, target.n_spins)
+    blocks = _carried_blocks(target, values)
+    return DensityMatrix._of_classes(target._classes, values, target.n_spins, blocks)
 
 
 def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
@@ -513,7 +550,8 @@ def nq_amplitude(rho: DensityMatrix, sites: Sequence[int] | None = None) -> comp
     """
     if sites is not None and list(sites) != list(range(rho.n_spins)):
         rho = reduced_state(rho, sites)
-    return complex(_read(rho._classes, rho._values, np.array(rho.dim - 1), np.array(0)))
+    # rho[0, D - 1] lies in the highest class, D - 1, the last one when occupied.
+    return complex(rho._values[-1, 0]) if rho._classes[-1] == rho.dim - 1 else 0j
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -20,7 +20,7 @@ from spincat import (
     nq_amplitude,
     scaling_study,
 )
-from _support import REPO_ROOT, phase_kicks_reference
+from _support import REPO_ROOT, child_env, phase_kicks_reference
 
 GAMMA_7Q = 9.852216748768472  # 2 / (7 * 0.029)
 
@@ -221,6 +221,21 @@ class TestScalingStudy:
         noise = NoiseModel.uniform(2, dephasing_per_s=1.0)
         results = scaling_study(np.arange(2, 4), noise, [0.0, 0.1, 0.2])
         assert results == scaling_study([2, 3], noise, [0.0, 0.1, 0.2])
+
+
+def test_seed_sweep_script_runs():
+    # tests/seed_sweep.py repeats three single-seed Monte Carlo tests over
+    # many seeds; two seeds show that it still runs and reports all three.
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tests" / "seed_sweep.py"), "--seeds", "2"],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = [line for line in result.stdout.splitlines() if ": passed " in line]
+    assert len(lines) == 3, result.stdout
 
 
 class TestLinearRegression:

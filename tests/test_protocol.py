@@ -408,16 +408,21 @@ def test_run_protocol_does_not_import_numpy_ma():
     assert result.returncode == 0, result.stderr
 
 
+# The child reports its own peak RSS, VmHWM.  ru_maxrss would not do:
+# Linux carries it from the pytest process across fork and exec.
 _TWELVE_SPIN_RUN = """
-import dataclasses, json, resource, sys
+import dataclasses, json, sys
+from pathlib import Path
 from spincat import run_protocol
 from _support import protocol_config
 config = dataclasses.replace(protocol_config(12), noise_mode=sys.argv[1])
 report = run_protocol(config)
+status = Path("/proc/self/status").read_text()
+[peak] = [line.split()[1] for line in status.splitlines() if line.startswith("VmHWM:")]
 print(json.dumps({
     "trajectories": config.noise.mc_trajectories,
     "fidelity": report.final_system_fidelity,
-    "max_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "max_rss_kib": int(peak),
 }))
 """
 

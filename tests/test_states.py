@@ -15,6 +15,7 @@ from spincat import (
     DensityMatrix,
     NoiseModel,
     StateInvariantError,
+    apply_dephasing,
     apply_phase_kicks_mc,
     cat_state,
     coherence_orders,
@@ -148,8 +149,11 @@ def test_coherence_orders_of_block_states_against_popcount_oracle(make):
     _assert_coherence_orders_match_oracles(rho)
 
 
-def test_run_protocol_finds_each_pattern_once(monkeypatch):
-    # Validation finds the blocks, once per state; entropies reuse them.
+@pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
+def test_run_protocol_finds_each_pattern_once(monkeypatch, mode):
+    # Validation finds the blocks once per pattern: pseudopure and step
+    # D's dephasing or kick keep their input's pattern and pass its blocks
+    # on, and entropies reuse them.
     scans = []
     constructions = []
     scan = states._block_structure
@@ -165,9 +169,9 @@ def test_run_protocol_finds_each_pattern_once(monkeypatch):
 
     monkeypatch.setattr(states, "_block_structure", counted_scan)
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_validate)
-    run_protocol(protocol_config(4))
+    run_protocol(dataclasses.replace(protocol_config(4), noise_mode=mode))
     assert len(constructions) == 24
-    assert len(scans) == len(constructions)
+    assert len(scans) == 22
 
 
 def test_coherence_components_are_orthogonal():
@@ -891,6 +895,43 @@ def test_random_pair_states_match_eigvalsh(seed):
         else:
             rho = DensityMatrix(matrix, n_spins)
             assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(matrix), abs=1e-12)
+
+
+def _assert_blocks_match_a_scan(rho):
+    scanned = states._block_structure(rho._classes, rho._values)
+    assert len(rho._blocks) == len(scanned) == 2
+    for carried, found in zip(rho._blocks, scanned):
+        np.testing.assert_array_equal(carried, found)
+    fresh = DensityMatrix._of_classes(rho._classes, np.array(rho._values), rho.n_spins)
+    assert von_neumann_entropy(rho) == von_neumann_entropy(fresh)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_carried_blocks_never_outlive_their_pattern(seed):
+    # pseudopure, dephasing and the Monte Carlo kick pass their input's
+    # blocks on while its nonzero pattern holds.  Where an element or a
+    # whole class decays or underflows to zero, the result is scanned.
+    rng = np.random.default_rng([17, seed])
+    for trial in range(4):
+        n_spins = int(rng.integers(2, 9))
+        matrix, _ = _random_pairs_state(rng, n_spins, None, False)
+        rho = DensityMatrix(matrix, n_spins)
+        assert rho._blocks is not None
+        rates = tuple(rng.choice([0.0, 1.0, 2.5], n_spins))
+        noise = NoiseModel(rates, (0.0,) * n_spins)
+        decay = 0.5 * np.asarray(rates) @ operators.bit_table(n_spins)[:, rho._classes[1:]]
+        # 0.4 keeps every element; 743.5 / decay brings one class's
+        # factor to about 1e-323, so some or all of its elements round to
+        # zero;
+        # 1e5 zeroes every class that differs in a spin of nonzero rate.
+        times = [0.4, 1e5] + [743.5 / d for d in decay[decay > 0][:1]]
+        results = [apply_dephasing(rho, noise, t) for t in times]
+        for trajectories in (1, 200):
+            kick_noise = dataclasses.replace(noise, mc_trajectories=trajectories)
+            results.append(apply_phase_kicks_mc(rho, kick_noise, 0.7, seed=trial))
+        results += [pseudopure(rho, f) for f in (0.83, 1.0, 1e-322)]
+        for result in results:
+            _assert_blocks_match_a_scan(result)
 
 
 def _overlapping_classes_state(eigmin=None):
