@@ -298,7 +298,8 @@ def _kick_pairs(rho: DensityMatrix, phases: np.ndarray) -> np.ndarray:
 
     A pair ``(low, high)`` of class ``x = low ^ high`` holds
     ``rho[low, high]`` at ``values[row(x), low]`` and ``rho[high, low]``
-    at ``values[row(x), high]``.  The first is multiplied by
+    at ``values[row(x), high]``, where ``states._pair_positions`` finds
+    them.  The first is multiplied by
     ``f = mean_k exp(-i * phi_k . (s_low - s_high))``, the element
     ``C[low, high]``, and the second by ``conj(f)``; the difference of
     the Sz eigenvalues is nonzero only on the bits of ``x``.  Exact zeros,
@@ -318,10 +319,11 @@ def _kick_pairs(rho: DensityMatrix, phases: np.ndarray) -> np.ndarray:
         sin_sum = sin_sum + np.sin(angles).sum(axis=0)
     factor = (cos_sum - 1j * sin_sum) / len(phases)
     kicked = rho._values.copy()
-    rows = rho._classes.searchsorted(low ^ high)
-    for index, pair_factor in ((low, factor), (high, factor.conj())):
-        element = kicked[rows, index]
-        kicked[rows, index] = np.multiply(pair_factor, element, out=element, where=element != 0)
+    flat = kicked.reshape(-1)
+    positions = states._pair_positions(rho._classes, rho.dim, rho._blocks[1])
+    for at, pair_factor in zip(positions, (factor, factor.conj())):
+        element = flat[at]
+        flat[at] = np.multiply(pair_factor, element, out=element, where=element != 0)
     return kicked
 
 

@@ -69,9 +69,12 @@ def bit_table(n_spins: int) -> np.ndarray:
 def sz_eigenvalues(sites: Sequence[int], n_spins: int) -> np.ndarray:
     """Eigenvalue of the total Sz over ``sites`` for every basis index:
     +1/2 per listed spin that is up, -1/2 per listed spin that is down.
-    This is the diagonal of ``total_spin_operator("z", sites, n_spins)``."""
+    This is the diagonal of ``total_spin_operator("z", sites, n_spins)``,
+    and, like it, rejects a site listed twice."""
     for site in sites:
         _check_site(site, n_spins)
+    if len(set(sites)) != len(sites):
+        raise ValueError("duplicate sites")
     return (0.5 - bit_table(n_spins)[list(sites)]).sum(axis=0)
 
 

@@ -11,12 +11,12 @@ coherence, so it has K = 2 rows and costs O(D); a dense matrix occupies
 all ``D`` classes.  The dense matrix itself is built only when
 ``DensityMatrix.matrix`` is first read, and kept.
 
-Construction validates the physical invariants, and violations raise
-:class:`StateInvariantError`:
+Construction validates the physical invariants, in this order, and
+violations raise :class:`StateInvariantError`:
 
 - unit trace, read from class 0;
-- Hermiticity within each class: ``values[k, r ^ x_k]`` must equal
-  ``conj(values[k, r])`` to ``HERMITIAN_TOL``;
+- Hermiticity: ``values[k, r ^ x_k]`` must equal ``conj(values[k, r])``
+  to ``HERMITIAN_TOL`` in every class;
 - positivity up to ``POSITIVITY_TOL``, block by block.
 
 The blocks come from the classes, by one rule.  An index with no
@@ -36,9 +36,17 @@ and which costs a fraction of an eigendecomposition; only when it fails
 does ``eigvalsh`` run.  Either way the smallest eigenvalue decides the
 verdict, so a rejection always rests on the eigenvalue criterion.  The
 closed form, the factorisation and ``eigvalsh`` read the lower triangle
-only; that is sound because Hermiticity is checked first.  The state
-keeps its blocks, so :func:`von_neumann_entropy` reads the spectrum
-block by block without finding them again.
+only; that is sound because Hermiticity is checked before them.  The
+state keeps its blocks, so :func:`von_neumann_entropy` and
+:func:`coherence_orders` read them without finding them again.
+
+The blocks are found between the trace and Hermiticity, and they say
+where Hermiticity is read.  A state of 1x1 and 2x2 blocks is nonzero
+only on its diagonal and at each pair's two elements, so it is checked
+there, in one pass that also reads its smallest eigenvalue; the
+residuals are those of every class at its only nonzero elements, and the
+verdict is the same.  A state checked whole is checked over every
+element of every class.
 
 The blocks are found once per nonzero pattern.  :func:`pseudopure`,
 dephasing and the Monte Carlo kick never turn a zero element nonzero, so
@@ -53,7 +61,8 @@ up spins in ``r`` minus the number in ``c``.  A cat state of ``n``
 spins carries orders ``-n``, ``0`` and ``+n`` only.
 
 Traces of products, partial traces and coherence weights are read from
-the classes, in O(K·D), without a matrix product.
+the classes, in O(K·D), without a matrix product; the coherence weights
+of a state of blocks from its diagonal and pairs, in O(D).
 """
 
 from __future__ import annotations
@@ -87,9 +96,10 @@ class DensityMatrix:
     checks the register size (an integer from 1 to ``MAX_SPINS``, else
     ``ValueError``) and the dimension before it reads ``matrix``, gathers
     the occupied classes, and validates them as the module docstring
-    describes.  A matrix with NaN or inf entries fails the trace or
-    Hermiticity check before any eigenvalue is read.  The input is
-    copied, never modified.
+    describes: trace, then the blocks, then Hermiticity over the diagonal
+    and the pairs or over every class, then positivity.  A matrix with
+    NaN or inf entries fails the trace or Hermiticity check before any
+    eigenvalue is read.  The input is copied, never modified.
 
     ``_classes`` and ``_values`` hold the state; ``_values`` is
     read-only.  ``_blocks`` keeps the blocks validation found or took over:
@@ -153,11 +163,11 @@ class DensityMatrix:
         trace = values[0].sum()
         if abs(trace - 1.0) > TRACE_TOL:
             raise StateInvariantError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
-        if not _hermitian_classes(classes, values):
-            raise StateInvariantError("matrix is not Hermitian")
         if blocks is None:
             blocks = _block_structure(classes, values)
         if blocks is None:
+            if not _hermitian_classes(classes, values):
+                raise StateInvariantError("matrix is not Hermitian")
             # One block of every index, factorised as a dense matrix.  The
             # classes of a dense input are read again from it afterwards, so
             # validation holds at most two D x D arrays at once, the factor
@@ -170,7 +180,10 @@ class DensityMatrix:
                 values = _classes_of(dense, classes)[1]
             del dense
         else:
-            eigmin = float(_block_spectrum(classes, values, blocks).min())
+            upper, lower = values.take(_pair_positions(classes, values.shape[1], blocks[1]))
+            if not _hermitian_blocks(values[0], upper, lower):
+                raise StateInvariantError("matrix is not Hermitian")
+            eigmin = float(_block_spectrum(values[0].real, blocks, lower).min())
         if eigmin < -POSITIVITY_TOL:
             raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
         values.flags.writeable = False
@@ -348,24 +361,48 @@ def _read(classes: np.ndarray, values: np.ndarray, x: np.ndarray, rows: np.ndarr
     return np.where(classes[position] == x, values[position, rows], 0.0)
 
 
-def _block_spectrum(classes: np.ndarray, values: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
-    """Eigenvalues of the blocks ``[singles, pairs]``: those of the singles,
+def _pair_positions(classes: np.ndarray, dim: int, pairs: np.ndarray) -> np.ndarray:
+    """Where each pair ``(low, high)`` holds ``rho[low, high]`` and
+    ``rho[high, low]`` in the flattened ``(K, D)`` values, as a ``(2, p)``
+    array: both lie in the row of class ``low ^ high``, which is occupied,
+    at columns ``low`` and ``high``."""
+    return classes.searchsorted(pairs[:, 0] ^ pairs[:, 1]) * dim + pairs.T
+
+
+def _hermitian_blocks(diagonal: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> bool:
+    """Whether a state of 1x1 and 2x2 blocks is Hermitian to
+    ``HERMITIAN_TOL``; NaN fails.
+
+    Its only nonzero elements are the ``diagonal`` and each pair's
+    ``upper = rho[low, high]`` and ``lower = rho[high, low]``, so
+    ``|conj(d) - d|`` and ``|conj(upper) - lower|`` are exactly the
+    residuals :func:`_hermitian_classes` computes where they can be
+    nonzero; the residual at ``(low, high)`` has the same modulus."""
+    # inf - inf is NaN, which fails the comparisons below without a warning.
+    with np.errstate(invalid="ignore"):
+        return bool(
+            np.abs(np.conj(diagonal) - diagonal).max() <= HERMITIAN_TOL
+            and np.abs(np.conj(upper) - lower).max(initial=0.0) <= HERMITIAN_TOL
+        )
+
+
+def _block_spectrum(diagonal: np.ndarray, blocks: list[np.ndarray], lower: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the blocks ``[singles, pairs]`` of a Hermitian state
+    with real ``diagonal`` whose pairs hold ``lower``: those of the singles,
     then the smaller and the larger one of each pair.
 
-    A single is its own eigenvalue, the real part of its diagonal element.
-    A pair ``(low, high)``, whose class is occupied, is the block
-    ``[[p, conj(c)], [c, q]]`` with ``c = rho[high, low]``, the element of
-    the lower triangle that ``eigvalsh`` also reads; its eigenvalues are
-    ``(p + q)/2 -+ hypot((p - q)/2, |c|)``.
+    A single is its own eigenvalue, its diagonal element.  A pair
+    ``(low, high)`` is the block ``[[p, conj(c)], [c, q]]`` with
+    ``c = rho[high, low]``, its element in ``lower``, which ``eigvalsh``
+    also reads; its eigenvalues are ``(p + q)/2 -+ hypot((p - q)/2, |c|)``.
     """
     singles, pairs = blocks
-    diagonal = values[0].real
     if not len(pairs):
         return diagonal
     low, high = pairs.T
     p, q = diagonal[low], diagonal[high]
     mean = 0.5 * (p + q)
-    radius = np.hypot(0.5 * (p - q), np.abs(values[classes.searchsorted(low ^ high), high]))
+    radius = np.hypot(0.5 * (p - q), np.abs(lower))
     return np.concatenate((diagonal[singles[:, 0]], mean - radius, mean + radius))
 
 
@@ -495,30 +532,52 @@ def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
     The fixed-order components are elementwise disjoint, so each weight
     is the square root of the sum of ``|rho_rc|^2`` over the elements of
     that order, whose order is ``ups[r] - ups[r ^ x]`` in class ``x``.
+    The sums run over the elements in C order, row by row with ascending
+    columns, as over the whole matrix, whose other elements are zero.  A
+    row of a state of 1x1 and 2x2 blocks holds its diagonal element and,
+    in a pair, one partner, so two elements per row are summed; a state
+    checked whole is read a slice of rows and all its classes at a time.
     """
     n = rho.n_spins
-    ups = n - operators.bit_table(n).sum(axis=0)
-    classes, values = rho._classes, rho._values
-    # The elements in C order, row by row with ascending columns: the same
-    # sums as over the whole matrix, whose other elements are zero.  A
-    # slice of rows at a time; each slice's sums continue from the totals
-    # so far, which lead its weights, so the order of the additions holds.
+    classes, values, blocks = rho._classes, rho._values, rho._blocks
     bins = np.arange(2 * n + 1)
-    totals = np.zeros(bins.size)
-    step = max(1, _SLICE_ELEMENTS // classes.size)
-    for start in range(0, rho.dim, step):
-        rows = np.arange(start, min(start + step, rho.dim))
-        cols = rows[:, None] ^ classes
-        by_column = np.argsort(cols, axis=1)
-        cols = np.take_along_axis(cols, by_column, axis=1)
-        power = np.abs(np.take_along_axis(values[:, rows].T, by_column, axis=1)) ** 2
-        shifted_order = ups[rows, None] - ups[cols] + n
-        totals = np.bincount(
-            np.concatenate((bins, shifted_order.ravel())),
-            weights=np.concatenate((totals, power.ravel())),
-            minlength=bins.size,
-        )
-    return {q: float(math.sqrt(totals[q + n])) for q in range(-n, n + 1)}
+    if blocks is not None:
+        # Row by row, the diagonal element and the partner, or a zero for
+        # a single, in column order: the partner of ``high`` is ``low``,
+        # which comes first.
+        low, high = blocks[1].T
+        upper, lower = values.take(_pair_positions(classes, rho.dim, blocks[1]))
+        power = np.zeros((rho.dim, 2))
+        power[:, 0] = np.abs(values[0]) ** 2
+        power[high, 1] = power[high, 0]
+        power[high, 0] = np.abs(lower) ** 2
+        power[low, 1] = np.abs(upper) ** 2
+        # ups[low] - ups[high], the order of rho[low, high].
+        bits = operators.bit_table(n)
+        order = bits[:, high].sum(axis=0) - bits[:, low].sum(axis=0)
+        shifted_order = np.full((rho.dim, 2), n)
+        shifted_order[high, 0] = n - order
+        shifted_order[low, 1] = n + order
+        totals = np.bincount(shifted_order.ravel(), weights=power.ravel(), minlength=bins.size)
+    else:
+        ups = n - operators.bit_table(n).sum(axis=0)
+        # Each slice's sums continue from the totals so far, which lead its
+        # weights, so the order of the additions holds.
+        totals = np.zeros(bins.size)
+        step = max(1, _SLICE_ELEMENTS // classes.size)
+        for start in range(0, rho.dim, step):
+            rows = np.arange(start, min(start + step, rho.dim))
+            cols = rows[:, None] ^ classes
+            by_column = np.argsort(cols, axis=1)
+            cols = np.take_along_axis(cols, by_column, axis=1)
+            power = np.abs(np.take_along_axis(values[:, rows].T, by_column, axis=1)) ** 2
+            shifted_order = ups[rows, None] - ups[cols] + n
+            totals = np.bincount(
+                np.concatenate((bins, shifted_order.ravel())),
+                weights=np.concatenate((totals, power.ravel())),
+                minlength=bins.size,
+            )
+    return dict(zip(range(-n, n + 1), np.sqrt(totals).tolist()))
 
 
 def reduced_state(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -560,10 +619,13 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     The eigenvalues come in closed form from the blocks validation found;
     a state of one block of every index is diagonalised whole.
     """
-    if rho._blocks is None:
-        eigs = np.linalg.eigvalsh(_dense_of(rho._classes, rho._values, rho.dim))
+    classes, values, blocks = rho._classes, rho._values, rho._blocks
+    if blocks is None:
+        eigs = np.linalg.eigvalsh(_dense_of(classes, values, rho.dim))
     else:
-        eigs = np.sort(_block_spectrum(rho._classes, rho._values, rho._blocks))
+        pairs = blocks[1]
+        lower = values.take(_pair_positions(classes, rho.dim, pairs)[1]) if len(pairs) else None
+        eigs = np.sort(_block_spectrum(values[0].real, blocks, lower))
     eigs = eigs[eigs >= _ENTROPY_EIG_FLOOR]
     return max(float(-np.sum(eigs * np.log(eigs))), 0.0)
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -236,6 +237,23 @@ def test_seed_sweep_script_runs():
     assert result.returncode == 0, result.stderr
     lines = [line for line in result.stdout.splitlines() if ": passed " in line]
     assert len(lines) == 3, result.stdout
+
+
+def test_output_digest_script_runs():
+    # tests/output_digest.py hashes the outputs of a grid of protocol runs
+    # and scaling studies; registers of 2 and 3 spins and one seed show
+    # that it still runs and covers both parts.
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tests" / "output_digest.py"), "--n-max", "3", "--seeds", "1"],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "# 8 protocol runs, 2 scaling studies", result.stdout
+    assert len(lines) == 2 and re.fullmatch(r"sha256 [0-9a-f]{64}", lines[1]), result.stdout
 
 
 class TestLinearRegression:

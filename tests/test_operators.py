@@ -293,6 +293,22 @@ def test_total_spin_operator_matches_kronecker_sum(n_spins):
                 assert plus.tobytes() == reference.tobytes(), sites
 
 
+@pytest.mark.parametrize("sites", [[1, 1], (0, 2, 0), [2, 1, 2, 1]])
+def test_sz_eigenvalues_reject_duplicate_sites_like_the_operator(sites):
+    # The diagonal of total_spin_operator("z", ...) rejects what the
+    # operator rejects, rather than counting a repeated spin twice; so
+    # does the magnetization read from it.
+    with pytest.raises(ValueError, match="duplicate sites"):
+        operators.total_spin_operator("z", sites, 3)
+    with pytest.raises(ValueError, match="duplicate sites"):
+        operators.sz_eigenvalues(sites, 3)
+    with pytest.raises(ValueError, match="duplicate sites"):
+        states.magnetization(states.ferro_state(3, "up"), sites)
+    assert states.magnetization(states.ferro_state(3, "up"), sorted(set(sites))) == 0.5 * len(
+        set(sites)
+    )
+
+
 @pytest.mark.parametrize("n_spins", [1, 3, 7])
 def test_total_spin_operator_rejects_a_site_out_of_range(n_spins):
     for kind in ("x", "y", "z", "plus", "minus"):

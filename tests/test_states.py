@@ -117,9 +117,9 @@ def test_coherence_orders_against_popcount_oracle():
         _assert_coherence_orders_match_oracles(random_density_matrix(rng, n_spins))
 
 
-def _four_spin_protocol_states():
+def _four_spin_protocol_states(mode="analytic"):
     """The state after each of the steps A-E of a 4-spin ``run_protocol``."""
-    config = protocol_config(4)
+    config = dataclasses.replace(protocol_config(4), noise_mode=mode)
     rho = protocol.step_a_initialize(config)
     out = [rho]
     for step in (
@@ -133,20 +133,63 @@ def _four_spin_protocol_states():
     return out
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: cat_state(5, CatWeights(0.6, 0.8j)),
-        lambda: pseudopure(cat_state(5, CatWeights(0.6, 0.8j)), 0.7),
-        *(lambda k=k: _four_spin_protocol_states()[k] for k in range(5)),
-    ],
-    ids=["cat", "pseudopure-cat", *(f"protocol-{name}" for name in protocol.STEP_NAMES)],
-)
-def test_coherence_orders_of_block_states_against_popcount_oracle(make):
+def _order_zero_pair_state(seed):
+    """A 2-spin state with one pair ``(1, 2)`` of coherence order 0, whose
+    elements fall in the diagonal's bin.  Row 2 holds its partner before its
+    diagonal element, and on the seeds used the two orders of addition
+    round the sum of order 0 differently."""
+    rng = np.random.default_rng([19, seed])
+    matrix = np.diag(rng.uniform(0.2, 1.0, 4)).astype(complex)
+    element = 0.9 * math.sqrt(matrix[1, 1].real * matrix[2, 2].real)
+    matrix[2, 1] = element * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    matrix[1, 2] = np.conj(matrix[2, 1])
+    matrix /= np.trace(matrix).real
+    d, c = np.abs(np.diag(matrix)) ** 2, np.abs(matrix[2, 1]) ** 2
+    assert d[0] + d[1] + c + c + d[2] + d[3] != d[0] + d[1] + c + d[2] + c + d[3]
+    return DensityMatrix(matrix, 2)
+
+
+BLOCK_STATES = {
+    "cat": (lambda: cat_state(5, CatWeights(0.6, 0.8j)), 2),
+    "pseudopure-cat": (lambda: pseudopure(cat_state(5, CatWeights(0.6, 0.8j)), 0.7), 2),
+    **{
+        f"protocol-{name}": (lambda k=k: _four_spin_protocol_states()[k], 2)
+        for k, name in enumerate(protocol.STEP_NAMES)
+    },
+    **{
+        f"protocol-monte_carlo-{name}": (lambda k=k: _four_spin_protocol_states("monte_carlo")[k], 2)
+        for k, name in enumerate(protocol.STEP_NAMES)
+    },
+    "diagonal": (lambda: thermal_state(6, polarization=0.01), 1),
+    **{
+        f"order-zero-pair-{seed}": (lambda seed=seed: _order_zero_pair_state(seed), 2)
+        for seed in (3, 12)
+    },
+    # One to three classes, of any order, with pairs in any rows.
+    **{
+        f"random-pairs-{n_spins}": (
+            lambda n_spins=n_spins: DensityMatrix(
+                _random_pairs_state(np.random.default_rng([20, n_spins]), n_spins, None, False)[0],
+                n_spins,
+            ),
+            4,
+        )
+        for n_spins in range(2, 9)
+    },
+}
+
+
+@pytest.mark.parametrize("make, max_classes", BLOCK_STATES.values(), ids=BLOCK_STATES)
+def test_coherence_orders_of_block_states_against_popcount_oracle(make, max_classes):
     rho = make()
     # Stored by a few classes and checked block by block, not as one dense block.
-    assert rho._blocks is not None and rho._classes.size <= 2
+    assert rho._blocks is not None and rho._classes.size <= max_classes
     _assert_coherence_orders_match_oracles(rho)
+    # The route by pairs gives the weights of the route by slices of rows
+    # over the same classes, bit for bit.
+    whole = DensityMatrix._of_classes(rho._classes, np.array(rho._values), rho.n_spins)
+    object.__setattr__(whole, "_blocks", None)
+    assert coherence_orders(rho) == coherence_orders(whole)
 
 
 @pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
@@ -555,7 +598,8 @@ def test_pair_blocks_in_closed_form_match_eigvalsh(monkeypatch, case, seed):
     entropy = von_neumann_entropy(rho)
     assert sizes == []
     np.testing.assert_array_equal(rho._blocks[1], [[low, high]])
-    spectrum = np.sort(states._block_spectrum(rho._classes, rho._values, rho._blocks))
+    lower = rho._values.take(states._pair_positions(rho._classes, dim, rho._blocks[1])[1])
+    spectrum = np.sort(states._block_spectrum(rho._values[0].real, rho._blocks, lower))
     np.testing.assert_allclose(spectrum, reference, rtol=0.0, atol=1e-12)
     assert entropy == pytest.approx(_entropy_reference(matrix), abs=1e-12)
 
@@ -876,7 +920,6 @@ def test_random_pair_states_match_eigvalsh(seed):
     # block of every index.  Either way the verdict and the entropy are those
     # of the dense spectrum.
     rng = np.random.default_rng([14, seed])
-    tol = states.POSITIVITY_TOL
     for trial in range(20):
         n_spins, indefinite = int(rng.integers(3, 7)), trial % 3 == 2
         couple = (None, None, "both", None, "lower", None, "upper")[trial % 7]
@@ -887,14 +930,132 @@ def test_random_pair_states_match_eigvalsh(seed):
             assert blocks is None
         else:
             np.testing.assert_array_equal(blocks[1], np.array(pairs).reshape(-1, 2))
-        eigmin = float(np.linalg.eigvalsh(matrix)[0])
-        if eigmin < -tol:
-            with pytest.raises(StateInvariantError, match="negative eigenvalue") as excinfo:
-                DensityMatrix(matrix, n_spins)
-            assert float(str(excinfo.value).split()[2]) == pytest.approx(eigmin, abs=1e-12)
+        _assert_verdict_of_eigvalsh(matrix, n_spins)
+        if couple:
+            continue
+        # The same state with its first pair's upper element off by 0.9 or
+        # 1.1 times HERMITIAN_TOL, which eigvalsh and the closed form do
+        # not read, and its diagonal alone.
+        factor = (0.9, 1.1)[trial % 2]
+        low, high = pairs[0]
+        skewed = matrix.copy()
+        skewed[low, high] += factor * states.HERMITIAN_TOL * np.exp(0.3j)
+        if factor > 1.0:
+            with pytest.raises(StateInvariantError, match="not Hermitian"):
+                DensityMatrix(skewed, n_spins)
         else:
-            rho = DensityMatrix(matrix, n_spins)
-            assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(matrix), abs=1e-12)
+            _assert_verdict_of_eigvalsh(skewed, n_spins)
+        _assert_verdict_of_eigvalsh(np.diag(np.diag(matrix)), n_spins)
+
+
+def _assert_verdict_of_eigvalsh(matrix, n_spins):
+    """Validation accepts ``matrix`` exactly when its smallest eigenvalue,
+    by eigvalsh, exceeds ``-POSITIVITY_TOL``, reports that eigenvalue when
+    it does not, and gives an accepted state the dense entropy."""
+    eigmin = float(np.linalg.eigvalsh(matrix)[0])
+    if eigmin < -states.POSITIVITY_TOL:
+        with pytest.raises(StateInvariantError, match="negative eigenvalue") as excinfo:
+            DensityMatrix(matrix, n_spins)
+        assert float(str(excinfo.value).split()[2]) == pytest.approx(eigmin, abs=1e-12)
+    else:
+        rho = DensityMatrix(matrix, n_spins)
+        assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(matrix), abs=1e-12)
+
+
+NAN, INF = float("nan"), float("inf")
+# Edits (kind, value) of one pair (low, high) of a random pair state, and
+# the Hermiticity verdict each must get, None where it is random:
+# - "mismatch": rho[high, low] = conj(rho[low, high]) + value * HERMITIAN_TOL
+#   * e^0.4i, or every pair's lower element off by up to 2 HERMITIAN_TOL;
+# - "upper-facing" / "lower-facing": value * HERMITIAN_TOL * e^0.4i in
+#   that triangle, facing a -0.0;
+# - "upper", "lower", "both": a non-finite value in the pair's triangles;
+# - "diagonal": rho[low, low] with the value as its real part, or replaced
+#   by a complex value; "diagonal-imaginary": the value as its imaginary part;
+# - "diagonal-state": the diagonal alone, no pairs, with the imaginary part
+#   value * HERMITIAN_TOL at low.
+HERMITIAN_EDGES = [
+    (("mismatch", None), None),
+    (("mismatch", 0.9), True),
+    (("mismatch", 1.1), False),
+    (("upper-facing", 0.5), True),
+    (("upper-facing", 2.0), False),
+    (("lower-facing", 0.5), True),
+    (("lower-facing", 2.0), False),
+    (("diagonal-state", 0.4), True),
+    (("diagonal-state", 0.6), False),
+    *(
+        ((place, value), False)
+        for value in (NAN, INF, -INF, complex(0.0, NAN))
+        for place in ("upper", "lower", "both", "diagonal")
+    ),
+    *((("diagonal-imaginary", value), False) for value in (NAN, INF, -INF)),
+]
+
+
+def _edited(rng, matrix, pairs, kind, value):
+    """``matrix`` with the edit ``(kind, value)`` of ``HERMITIAN_EDGES`` at
+    its first pair."""
+    tol = states.HERMITIAN_TOL
+    matrix = matrix.copy()
+    low, high = pairs[0]
+    if kind == "mismatch" and value is None:
+        for low, high in pairs:
+            skew = rng.uniform(0.0, 2.0) * tol * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            matrix[high, low] = np.conj(matrix[low, high]) + skew
+    elif kind == "mismatch":
+        matrix[high, low] = np.conj(matrix[low, high]) + value * tol * np.exp(0.4j)
+    elif kind.endswith("-facing"):
+        element = (low, high) if kind == "upper-facing" else (high, low)
+        matrix[low, high] = matrix[high, low] = complex(-0.0, -0.0)
+        matrix[element] = value * tol * np.exp(0.4j)
+    elif kind == "diagonal-state":
+        matrix = np.diag(np.diag(matrix))
+        matrix.imag[low, low] = value * tol
+    elif kind == "diagonal":
+        matrix[low, low] = value if isinstance(value, complex) else complex(value, 0.0)
+    elif kind == "diagonal-imaginary":
+        matrix.imag[low, low] = value
+    else:
+        for element in {"upper": [(low, high)], "lower": [(high, low)]}.get(
+            kind, [(low, high), (high, low)]
+        ):
+            matrix[element] = value
+    return matrix
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "edit, hermitian", HERMITIAN_EDGES, ids=[f"{k}-{v}" for (k, v), _ in HERMITIAN_EDGES]
+)
+def test_pair_hermiticity_matches_the_whole_class_check(edit, hermitian, seed):
+    # A state of 1x1 and 2x2 blocks is checked over its diagonal and its
+    # pairs' two elements; the verdict is that of every element of every
+    # class, for non-finite entries too, and validation raises as it does.
+    rng = np.random.default_rng([18, seed])
+    for _ in range(4):
+        n_spins = int(rng.integers(2, 9))
+        matrix, pairs = _random_pairs_state(rng, n_spins, None, False)
+        matrix = _edited(rng, matrix, pairs, *edit)
+        classes, values = states._classes_of(matrix)
+        blocks = states._block_structure(classes, values)
+        expected_pairs = [] if edit[0] == "diagonal-state" else pairs
+        np.testing.assert_array_equal(blocks[1], np.array(expected_pairs).reshape(-1, 2))
+        upper, lower = values.take(states._pair_positions(classes, 1 << n_spins, blocks[1]))
+        verdict = states._hermitian_blocks(values[0], upper, lower)
+        assert verdict is states._hermitian_classes(classes, values)
+        assert verdict is (hermitian if hermitian is not None else verdict)
+        trace = values[0].sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if abs(trace - 1.0) > states.TRACE_TOL:
+                with pytest.raises(StateInvariantError, match="trace"):
+                    DensityMatrix(matrix, n_spins)
+            elif not verdict:
+                with pytest.raises(StateInvariantError, match="not Hermitian"):
+                    DensityMatrix(matrix, n_spins)
+            else:
+                assert DensityMatrix(matrix, n_spins)._blocks is not None
 
 
 def _assert_blocks_match_a_scan(rho):
