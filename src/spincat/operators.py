@@ -70,12 +70,23 @@ def sz_eigenvalues(sites: Sequence[int], n_spins: int) -> np.ndarray:
     """Eigenvalue of the total Sz over ``sites`` for every basis index:
     +1/2 per listed spin that is up, -1/2 per listed spin that is down.
     This is the diagonal of ``total_spin_operator("z", sites, n_spins)``,
-    and, like it, rejects a site listed twice."""
-    for site in sites:
-        _check_site(site, n_spins)
+    and, like it, rejects a site listed twice.  The table is built once
+    per ``sites`` and ``n_spins`` and kept, so it is read-only."""
+    sites = tuple(sites)
     if len(set(sites)) != len(sites):
         raise ValueError("duplicate sites")
-    return (0.5 - bit_table(n_spins)[list(sites)]).sum(axis=0)
+    return _sz_table(n_spins, *sites)
+
+
+# Typed, so that a site that equals a valid one, such as True or 1.0, is
+# checked on its own first call instead of reading the valid one's table.
+@functools.lru_cache(maxsize=64, typed=True)
+def _sz_table(n_spins: int, *sites: int) -> np.ndarray:
+    for site in sites:
+        _check_site(site, n_spins)
+    table = (0.5 - bit_table(n_spins)[list(sites)]).sum(axis=0)
+    table.flags.writeable = False
+    return table
 
 
 def total_spin_operator(kind: str, sites: Sequence[int], n_spins: int) -> np.ndarray:

@@ -17,7 +17,9 @@ violations raise :class:`StateInvariantError`:
 - unit trace, read from class 0;
 - Hermiticity: ``values[k, r ^ x_k]`` must equal ``conj(values[k, r])``
   to ``HERMITIAN_TOL`` in every class;
-- positivity up to ``POSITIVITY_TOL``, block by block.
+- positivity up to ``POSITIVITY_TOL``, block by block; a NaN
+  eigenvalue, which ``eigvalsh`` returns where the spectrum overflows,
+  fails it.
 
 The blocks come from the classes, by one rule.  An index with no
 nonzero element off the diagonal is a 1x1 block, and a pair
@@ -45,15 +47,20 @@ where Hermiticity is read.  A state of 1x1 and 2x2 blocks is nonzero
 only on its diagonal and at each pair's two elements, so it is checked
 there, in one pass that also reads its smallest eigenvalue; the
 residuals are those of every class at its only nonzero elements, and the
-verdict is the same.  A state checked whole is checked over every
-element of every class.
+verdict is the same.  On the diagonal the residual ``|conj(d) - d|`` is
+exactly ``2|Im d|`` for a finite ``d``, and NaN or inf otherwise, so the
+diagonal is checked as finite with ``2|Im d| <= HERMITIAN_TOL``; a state
+with no pairs is checked there alone, and its diagonal is its spectrum.
+A state checked whole is checked over every element of every class.
 
 The blocks are found once per nonzero pattern.  :func:`pseudopure`,
 dephasing and the Monte Carlo kick never turn a zero element nonzero, so
 a result with as many nonzero elements off the diagonal as its input has
 its input's pattern, and takes its input's blocks over unscanned; a
-result with fewer is scanned.  Trace, Hermiticity and positivity are
-checked on every construction either way.
+result with fewer is scanned.  A reduced state that keeps only class 0
+is diagonal, whatever its input, and takes the all-singles blocks
+unscanned; one that keeps a class off the diagonal is scanned.  Trace,
+Hermiticity and positivity are checked on every construction either way.
 
 Coherence order of a matrix element ``(r, c)`` is the magnetization
 difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
@@ -132,8 +139,9 @@ class DensityMatrix:
 
         ``blocks``, when given, are those of ``values``' nonzero pattern,
         passed on by a channel that keeps its input's pattern (see
-        :func:`_carried_blocks`).  Validation then skips only the scan for
-        them; trace, Hermiticity and positivity are checked as always."""
+        :func:`_carried_blocks`), or the all-singles blocks of a diagonal
+        reduced state.  Validation then skips only the scan for them;
+        trace, Hermiticity and positivity are checked as always."""
         rho = cls.__new__(cls)
         object.__setattr__(rho, "_source", _ClassSource(classes, values, blocks))
         object.__setattr__(rho, "n_spins", n_spins)
@@ -180,11 +188,18 @@ class DensityMatrix:
                 values = _classes_of(dense, classes)[1]
             del dense
         else:
-            upper, lower = values.take(_pair_positions(classes, values.shape[1], blocks[1]))
-            if not _hermitian_blocks(values[0], upper, lower):
+            diagonal, pairs = values[0], blocks[1]
+            lower = None
+            if len(pairs):
+                upper, lower = values.take(_pair_positions(classes, values.shape[1], pairs))
+                hermitian = _hermitian_blocks(diagonal, upper, lower)
+            else:
+                hermitian = _hermitian_diagonal(diagonal)
+            if not hermitian:
                 raise StateInvariantError("matrix is not Hermitian")
-            eigmin = float(_block_spectrum(values[0].real, blocks, lower).min())
-        if eigmin < -POSITIVITY_TOL:
+            eigmin = float(_block_spectrum(diagonal.real, blocks, lower).min())
+        # NaN, from an eigvalsh that overflowed, fails this comparison.
+        if not eigmin >= -POSITIVITY_TOL:
             raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
         values.flags.writeable = False
         object.__setattr__(self, "_classes", classes)
@@ -289,8 +304,9 @@ def _hermitian_classes(classes: np.ndarray, values: np.ndarray) -> bool:
     """Whether ``|rho[c, r] - conj(rho[r, c])|`` stays within
     ``HERMITIAN_TOL`` for every element; NaN fails.  A slice of classes
     at a time."""
-    # inf - inf is NaN, which fails the comparison below without a warning.
-    with np.errstate(invalid="ignore"):
+    # inf - inf is NaN, and a residual beyond the float limit inf, which
+    # fail the comparison below without a warning.
+    with np.errstate(invalid="ignore", over="ignore"):
         for part, cols in _class_slices(classes, values.shape[1]):
             residual = _mirrors(values[part], cols)
             np.conjugate(residual, out=residual)
@@ -318,7 +334,7 @@ def _block_structure(classes: np.ndarray, values: np.ndarray) -> list[np.ndarray
     if count > dim:
         return None
     if count == 0:
-        return [np.arange(dim)[:, None], np.empty((0, 2), dtype=int)]
+        return _all_singles(dim)
     ks, rows = nonzero.nonzero()
     cols = rows ^ classes[1:][ks]
     # Each index's partner, written from both ends of every nonzero element;
@@ -331,6 +347,12 @@ def _block_structure(classes: np.ndarray, values: np.ndarray) -> list[np.ndarray
         return None
     low = (np.arange(dim) < partner).nonzero()[0]
     return [(partner < 0).nonzero()[0][:, None], np.array((low, partner[low])).T]
+
+
+def _all_singles(dim: int) -> list[np.ndarray]:
+    """The blocks of a diagonal state of dimension ``dim``: every index a
+    single, no pairs."""
+    return [np.arange(dim)[:, None], np.empty((0, 2), dtype=int)]
 
 
 def _carried_blocks(rho: DensityMatrix, values: np.ndarray) -> list[np.ndarray] | None:
@@ -369,21 +391,29 @@ def _pair_positions(classes: np.ndarray, dim: int, pairs: np.ndarray) -> np.ndar
     return classes.searchsorted(pairs[:, 0] ^ pairs[:, 1]) * dim + pairs.T
 
 
+def _hermitian_diagonal(diagonal: np.ndarray) -> bool:
+    """Whether ``|conj(d) - d|``, exactly ``2|Im d|`` for a finite ``d``,
+    stays within ``HERMITIAN_TOL`` on the ``diagonal``; NaN and inf fail.
+    ``|Im d|`` meets the exactly halved tolerance, so nothing overflows."""
+    return bool(np.isfinite(diagonal).all() and np.abs(diagonal.imag).max() <= 0.5 * HERMITIAN_TOL)
+
+
 def _hermitian_blocks(diagonal: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> bool:
     """Whether a state of 1x1 and 2x2 blocks is Hermitian to
     ``HERMITIAN_TOL``; NaN fails.
 
     Its only nonzero elements are the ``diagonal`` and each pair's
     ``upper = rho[low, high]`` and ``lower = rho[high, low]``, so
-    ``|conj(d) - d|`` and ``|conj(upper) - lower|`` are exactly the
-    residuals :func:`_hermitian_classes` computes where they can be
-    nonzero; the residual at ``(low, high)`` has the same modulus."""
-    # inf - inf is NaN, which fails the comparisons below without a warning.
-    with np.errstate(invalid="ignore"):
-        return bool(
-            np.abs(np.conj(diagonal) - diagonal).max() <= HERMITIAN_TOL
-            and np.abs(np.conj(upper) - lower).max(initial=0.0) <= HERMITIAN_TOL
-        )
+    ``|conj(d) - d|``, read by :func:`_hermitian_diagonal`, and
+    ``|conj(upper) - lower|`` are exactly the residuals
+    :func:`_hermitian_classes` computes where they can be nonzero; the
+    residual at ``(low, high)`` has the same modulus."""
+    if not _hermitian_diagonal(diagonal):
+        return False
+    # inf - inf is NaN, and a residual beyond the float limit inf, which
+    # fail the comparison below without a warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return bool(np.abs(np.conj(upper) - lower).max(initial=0.0) <= HERMITIAN_TOL)
 
 
 def _block_spectrum(diagonal: np.ndarray, blocks: list[np.ndarray], lower: np.ndarray) -> np.ndarray:
@@ -400,9 +430,12 @@ def _block_spectrum(diagonal: np.ndarray, blocks: list[np.ndarray], lower: np.nd
     if not len(pairs):
         return diagonal
     low, high = pairs.T
-    p, q = diagonal[low], diagonal[high]
-    mean = 0.5 * (p + q)
-    radius = np.hypot(0.5 * (p - q), np.abs(lower))
+    # Halved before they are added, exactly above the subnormal range, so
+    # that finite p and q never overflow and an overflowing |c| gives -inf,
+    # not NaN.
+    p, q = 0.5 * diagonal[low], 0.5 * diagonal[high]
+    mean = p + q
+    radius = np.hypot(p - q, np.abs(lower))
     return np.concatenate((diagonal[singles[:, 0]], mean - radius, mean + radius))
 
 
@@ -585,7 +618,8 @@ def reduced_state(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
     Only the classes that differ in no traced spin survive, and each is
     summed over the traced spins' values in O(D): one traced index after
-    another, from zero, as ``operators.partial_trace`` sums.
+    another, from zero, as ``operators.partial_trace`` sums.  A result of
+    class 0 alone is diagonal and is not scanned for its blocks.
     """
     n = rho.n_spins
     keep = operators._kept_sites(keep, n)
@@ -599,7 +633,8 @@ def reduced_state(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     reduced = np.cumsum(tensor, axis=2)[:, :, -1] + 0.0
     bits = (classes[kept, None] >> (n - 1 - np.array(keep))) & 1
     reduced_classes = bits @ (1 << np.arange(len(keep))[::-1])
-    return DensityMatrix._of_classes(reduced_classes, reduced, len(keep))
+    blocks = _all_singles(reduced.shape[1]) if reduced_classes.size == 1 else None
+    return DensityMatrix._of_classes(reduced_classes, reduced, len(keep), blocks)
 
 
 def nq_amplitude(rho: DensityMatrix, sites: Sequence[int] | None = None) -> complex:

@@ -4,10 +4,11 @@
 
 The digest covers, in this order:
 
-- ``run_protocol(config).to_dict()`` and the final state's classes and
-  values, for registers of 2 to ``--n-max`` spins (10 by default), both
-  noise modes and purity fractions 0.83 and 1, on the configuration of
-  ``_support.protocol_config``;
+- ``run_protocol(config).to_dict()``, the final state's classes and
+  values, and the classes, values and blocks of every reduced state the
+  run builds, for registers of 2 to ``--n-max`` spins (10 by default),
+  both noise modes and purity fractions 0.83 and 1, on the configuration
+  of ``_support.protocol_config``;
 - ``scaling_study`` for registers of 2 to ``min(--n-max, 9)`` spins in
   both modes, with seeds 0 to ``--seeds - 1`` (3 by default), over the
   delays and the noise model of ``configs/ring7.json``.
@@ -21,6 +22,7 @@ digest.  The script is not collected by pytest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -31,12 +33,37 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from spincat import load_config, run_protocol, scaling_study  # noqa: E402
+from spincat import load_config, run_protocol, scaling_study, states  # noqa: E402
 from spincat.protocol import NOISE_MODES  # noqa: E402
 from _support import protocol_config  # noqa: E402
 
 # Largest register of the scaling part, as in the mc_scaling_n9 workload.
 _SCALING_MAX_SPINS = 9
+
+
+@contextlib.contextmanager
+def _reduced_states():
+    """A list that collects every state ``states.reduced_state`` returns,
+    in call order, while the context is open."""
+    reduce, built = states.reduced_state, []
+
+    def recorded(rho, keep):
+        built.append(reduce(rho, keep))
+        return built[-1]
+
+    states.reduced_state = recorded
+    try:
+        yield built
+    finally:
+        states.reduced_state = reduce
+
+
+def _state_bytes(rho: states.DensityMatrix) -> bytes:
+    """A state's classes, values and blocks, with each block array's shape."""
+    parts = [rho._classes.tobytes(), rho._values.tobytes()]
+    for block in rho._blocks or []:
+        parts += [repr(block.shape).encode(), block.tobytes()]
+    return b"".join(parts)
 
 
 def digest(n_max: int, seeds: int) -> tuple[str, int, int]:
@@ -47,10 +74,13 @@ def digest(n_max: int, seeds: int) -> tuple[str, int, int]:
         for mode in NOISE_MODES:
             for fraction in (0.83, 1.0):
                 config = dataclasses.replace(protocol_config(n, fraction), noise_mode=mode)
-                report = run_protocol(config)
+                with _reduced_states() as reduced:
+                    report = run_protocol(config)
                 sha.update(json.dumps(report.to_dict(), sort_keys=True).encode())
                 sha.update(report.final_state._classes.tobytes())
                 sha.update(report.final_state._values.tobytes())
+                for rho in reduced:
+                    sha.update(_state_bytes(rho))
                 runs += 1
     ring7 = load_config(ROOT / "configs" / "ring7.json")
     sizes = range(2, min(n_max, _SCALING_MAX_SPINS) + 1)

@@ -293,6 +293,19 @@ def test_total_spin_operator_matches_kronecker_sum(n_spins):
                 assert plus.tobytes() == reference.tobytes(), sites
 
 
+def test_sz_eigenvalues_are_built_once_and_read_only():
+    table = operators.sz_eigenvalues([0, 2], 3)
+    assert operators.sz_eigenvalues((0, 2), 3) is table
+    assert not table.flags.writeable
+    # A site equal to a valid one, of another type, is checked on its own.
+    for sites in ([False, 2], [0.0, 2]):
+        with pytest.raises(ValueError, match="outside register"):
+            operators.sz_eigenvalues(sites, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicate sites"):
+            operators.sz_eigenvalues([0, 2, 0], 3)
+
+
 @pytest.mark.parametrize("sites", [[1, 1], (0, 2, 0), [2, 1, 2, 1]])
 def test_sz_eigenvalues_reject_duplicate_sites_like_the_operator(sites):
     # The diagonal of total_spin_operator("z", ...) rejects what the

@@ -196,7 +196,8 @@ def test_coherence_orders_of_block_states_against_popcount_oracle(make, max_clas
 def test_run_protocol_finds_each_pattern_once(monkeypatch, mode):
     # Validation finds the blocks once per pattern: pseudopure and step
     # D's dephasing or kick keep their input's pattern and pass its blocks
-    # on, and entropies reuse them.
+    # on, a reduced state that keeps only the diagonal is all singles, and
+    # entropies reuse them.
     scans = []
     constructions = []
     scan = states._block_structure
@@ -214,7 +215,7 @@ def test_run_protocol_finds_each_pattern_once(monkeypatch, mode):
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_validate)
     run_protocol(dataclasses.replace(protocol_config(4), noise_mode=mode))
     assert len(constructions) == 24
-    assert len(scans) == 22
+    assert len(scans) == 13
 
 
 def test_coherence_components_are_orthogonal():
@@ -973,7 +974,11 @@ NAN, INF = float("nan"), float("inf")
 # - "diagonal": rho[low, low] with the value as its real part, or replaced
 #   by a complex value; "diagonal-imaginary": the value as its imaginary part;
 # - "diagonal-state": the diagonal alone, no pairs, with the imaginary part
-#   value * HERMITIAN_TOL at low.
+#   value * HERMITIAN_TOL at low; "diagonal-state-imaginary": the diagonal
+#   alone with the imaginary part value at low and -value at high, so that
+#   the trace stays real;
+# - "antisymmetric": rho[low, high] = value and rho[high, low] = -value,
+#   whose residual overflows.
 HERMITIAN_EDGES = [
     (("mismatch", None), None),
     (("mismatch", 0.9), True),
@@ -984,12 +989,18 @@ HERMITIAN_EDGES = [
     (("lower-facing", 2.0), False),
     (("diagonal-state", 0.4), True),
     (("diagonal-state", 0.6), False),
+    # |conj(d) - d| = 2|Im d| is exactly HERMITIAN_TOL, then one float above
+    # it, then beyond the float limit.
+    (("diagonal-state-imaginary", 0.5 * states.HERMITIAN_TOL), True),
+    (("diagonal-state-imaginary", float(np.nextafter(0.5 * states.HERMITIAN_TOL, 1.0))), False),
+    (("diagonal-state-imaginary", 1e308), False),
     *(
         ((place, value), False)
         for value in (NAN, INF, -INF, complex(0.0, NAN))
         for place in ("upper", "lower", "both", "diagonal")
     ),
     *((("diagonal-imaginary", value), False) for value in (NAN, INF, -INF)),
+    (("antisymmetric", 1e308), False),
 ]
 
 
@@ -1012,10 +1023,15 @@ def _edited(rng, matrix, pairs, kind, value):
     elif kind == "diagonal-state":
         matrix = np.diag(np.diag(matrix))
         matrix.imag[low, low] = value * tol
+    elif kind == "diagonal-state-imaginary":
+        matrix = np.diag(np.diag(matrix))
+        matrix.imag[low, low], matrix.imag[high, high] = value, -value
     elif kind == "diagonal":
         matrix[low, low] = value if isinstance(value, complex) else complex(value, 0.0)
     elif kind == "diagonal-imaginary":
         matrix.imag[low, low] = value
+    elif kind == "antisymmetric":
+        matrix[low, high], matrix[high, low] = value, -value
     else:
         for element in {"upper": [(low, high)], "lower": [(high, low)]}.get(
             kind, [(low, high), (high, low)]
@@ -1039,7 +1055,7 @@ def test_pair_hermiticity_matches_the_whole_class_check(edit, hermitian, seed):
         matrix = _edited(rng, matrix, pairs, *edit)
         classes, values = states._classes_of(matrix)
         blocks = states._block_structure(classes, values)
-        expected_pairs = [] if edit[0] == "diagonal-state" else pairs
+        expected_pairs = [] if edit[0].startswith("diagonal-state") else pairs
         np.testing.assert_array_equal(blocks[1], np.array(expected_pairs).reshape(-1, 2))
         upper, lower = values.take(states._pair_positions(classes, 1 << n_spins, blocks[1]))
         verdict = states._hermitian_blocks(values[0], upper, lower)
@@ -1060,18 +1076,43 @@ def test_pair_hermiticity_matches_the_whole_class_check(edit, hermitian, seed):
 
 def _assert_blocks_match_a_scan(rho):
     scanned = states._block_structure(rho._classes, rho._values)
-    assert len(rho._blocks) == len(scanned) == 2
-    for carried, found in zip(rho._blocks, scanned):
+    assert (rho._blocks is None) == (scanned is None)
+    for carried, found in zip(rho._blocks or [], scanned or []):
         np.testing.assert_array_equal(carried, found)
     fresh = DensityMatrix._of_classes(rho._classes, np.array(rho._values), rho.n_spins)
     assert von_neumann_entropy(rho) == von_neumann_entropy(fresh)
+
+
+def _cancelling_state():
+    """A 3-spin state whose class 0b100, of spin 0 alone, holds
+    ``rho[0, 4] = 0.1`` and ``rho[1, 5] = -0.1``: its partial sums over
+    spins 1 and 2 cancel to zero, so the reduced state of spin 0 keeps the
+    class, all zeros, until validation drops it."""
+    matrix = np.eye(8, dtype=complex) / 8
+    matrix[0, 4] = matrix[4, 0] = 0.1
+    matrix[1, 5] = matrix[5, 1] = -0.1
+    return DensityMatrix(matrix, 3)
+
+
+def _keep_sets(n_spins):
+    """Every nonempty ascending list of sites of an ``n_spins`` register."""
+    return [
+        [site for site in range(n_spins) if mask >> site & 1] for mask in range(1, 1 << n_spins)
+    ]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_carried_blocks_never_outlive_their_pattern(seed):
     # pseudopure, dephasing and the Monte Carlo kick pass their input's
     # blocks on while its nonzero pattern holds.  Where an element or a
-    # whole class decays or underflows to zero, the result is scanned.
+    # whole class decays or underflows to zero, the result is scanned.  A
+    # reduced state that keeps only class 0 is all singles; one that keeps
+    # a class off the diagonal is scanned, also where the class sums to
+    # zero.
+    cancelling = _cancelling_state()
+    assert reduced_state(cancelling, [0])._classes.tolist() == [0]
+    for keep in _keep_sets(3):
+        _assert_blocks_match_a_scan(reduced_state(cancelling, keep))
     rng = np.random.default_rng([17, seed])
     for trial in range(4):
         n_spins = int(rng.integers(2, 9))
@@ -1091,8 +1132,32 @@ def test_carried_blocks_never_outlive_their_pattern(seed):
             kick_noise = dataclasses.replace(noise, mc_trajectories=trajectories)
             results.append(apply_phase_kicks_mc(rho, kick_noise, 0.7, seed=trial))
         results += [pseudopure(rho, f) for f in (0.83, 1.0, 1e-322)]
+        results += [reduced_state(rho, keep) for keep in _keep_sets(n_spins)]
         for result in results:
             _assert_blocks_match_a_scan(result)
+
+
+@pytest.mark.parametrize("route, reported", [("pairs", "-inf"), ("whole", "nan")])
+def test_overflowing_spectrum_is_rejected(route, reported):
+    # Finite, Hermitian and of unit trace, yet the pair (0, 1) has an
+    # eigenvalue near -3e308, beyond the float limit.  The closed form
+    # reads it as -inf; on the whole route, where a second partner of
+    # index 0 puts the state, eigvalsh returns NaN.  Positivity fails
+    # either way, with no warning.
+    matrix = np.zeros((16, 16), dtype=complex)
+    matrix[[0, 1], [0, 1]] = -1e308
+    matrix[[4, 5], [4, 5]] = 1e308
+    matrix[2, 2] = 1.0
+    matrix[1, 0] = 1.5e308 + 1.5e308j
+    matrix[0, 1] = np.conj(matrix[1, 0])
+    if route == "whole":
+        matrix[2, 0] = matrix[0, 2] = 1e-3
+    assert np.trace(matrix) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateInvariantError) as excinfo:
+            DensityMatrix(matrix, 4)
+    assert str(excinfo.value) == f"negative eigenvalue {reported} beyond 1e-08"
 
 
 def _overlapping_classes_state(eigmin=None):
