@@ -227,8 +227,9 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--n-max {args.n_max} exceeds the scaling guardrail of {MAX_SCALING_SPINS}"
         )
-    if args.n_max < 2:
-        raise ConfigError("--n-max must be at least 2")
+    # The rate fit needs two points, registers of 2 and 3 spins at least.
+    if args.n_max < 3:
+        raise ConfigError(f"--n-max must be at least 3, got {args.n_max}")
     if args.trajectories is not None and args.trajectories < 1:
         raise ConfigError("--trajectories must be positive")
     run = _RunContext(args)

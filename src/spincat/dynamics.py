@@ -223,8 +223,7 @@ def apply_dephasing(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityM
     decay = np.tensordot(rates, operators.bit_table(rho.n_spins), axes=1)
     factor = np.exp(-0.5 * t * decay)
     values = rho._values * factor[rho._classes][:, None]
-    blocks = states._carried_blocks(rho, values)
-    return DensityMatrix._of_classes(rho._classes, values, rho.n_spins, blocks)
+    return DensityMatrix._of_classes(rho._classes, values, rho.n_spins, pattern_of=rho)
 
 
 def apply_flip_relaxation(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityMatrix:
@@ -273,7 +272,7 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
     and its transposed element by the conjugate, see :func:`_kick_pairs`.
     That costs O(K*n*p) for ``p`` pairs, plus the O(D) copy and the
     validated construction of the result, and forms no ``C``.  The kick
-    keeps the state's nonzero pattern, so the result takes its blocks
+    keeps the state's nonzero pattern, so the result takes its pairs
     over unless a factor cancelled an element to zero.  A state
     checked as one whole block is kicked by :func:`_kick_whole`, which
     forms ``C`` on the basis states where it has a nonzero element off
@@ -289,8 +288,7 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
         kicked = _kick_whole(rho, phases)
     else:
         kicked = _kick_pairs(rho, phases)
-    blocks = states._carried_blocks(rho, kicked)
-    return DensityMatrix._of_classes(rho._classes, kicked, rho.n_spins, blocks)
+    return DensityMatrix._of_classes(rho._classes, kicked, rho.n_spins, pattern_of=rho)
 
 
 def _kick_pairs(rho: DensityMatrix, phases: np.ndarray) -> np.ndarray:
@@ -304,11 +302,11 @@ def _kick_pairs(rho: DensityMatrix, phases: np.ndarray) -> np.ndarray:
     ``C[low, high]``, and the second by ``conj(f)``; the difference of
     the Sz eigenvalues is nonzero only on the bits of ``x``.  Exact zeros,
     as in a pair with a nonzero element in one triangle only, are kept,
-    so no zero element turns nonzero and the pattern's blocks carry over.
+    so no zero element turns nonzero and the pattern's pairs carry over.
     The angles of ``_KICK_BLOCK`` trajectories for every pair are held at
     a time.
     """
-    low, high = rho._blocks[1].T
+    low, high = rho._blocks.T
     bits = operators.bit_table(rho.n_spins)
     # s_low - s_high = bit_high - bit_low, one column per pair.
     difference = (bits.take(high, axis=1) - bits.take(low, axis=1)).astype(float)
@@ -320,7 +318,7 @@ def _kick_pairs(rho: DensityMatrix, phases: np.ndarray) -> np.ndarray:
     factor = (cos_sum - 1j * sin_sum) / len(phases)
     kicked = rho._values.copy()
     flat = kicked.reshape(-1)
-    positions = states._pair_positions(rho._classes, rho.dim, rho._blocks[1])
+    positions = states._pair_positions(rho._classes, rho.dim, rho._blocks)
     for at, pair_factor in zip(positions, (factor, factor.conj())):
         element = flat[at]
         flat[at] = np.multiply(pair_factor, element, out=element, where=element != 0)

@@ -58,7 +58,9 @@ def site_mask(sites: Iterable[int], n_spins: int) -> int:
 @functools.lru_cache(maxsize=MAX_SPINS)
 def bit_table(n_spins: int) -> np.ndarray:
     """Array of shape ``(n_spins, 2**n_spins)`` with each spin's bit per
-    index; built once per register size and kept, so it is read-only."""
+    index; built once per register size and kept, so it is read-only.
+    The register size is checked before anything is allocated."""
+    _check_register_size(n_spins)
     index = np.arange(1 << n_spins)
     shifts = n_spins - 1 - np.arange(n_spins)
     table = (index[None, :] >> shifts[:, None]) & 1

@@ -21,46 +21,40 @@ violations raise :class:`StateInvariantError`:
   eigenvalue, which ``eigvalsh`` returns where the spectrum overflows,
   fails it.
 
-The blocks come from the classes, by one rule.  An index with no
-nonzero element off the diagonal is a 1x1 block, and a pair
-``(r, r ^ x)`` whose element of class ``x`` is nonzero, in either
-triangle, is a 2x2 block.  A matrix is Hermitian, or positive
-semidefinite, exactly when each of its blocks is, and its spectrum is
-the union of the blocks' spectra.  Every state of the protocol is such
-a diagonal plus pairs, whose eigenvalues have a closed form.  A state
-with more than D nonzero elements off the diagonal, such as a random
-state, or with an index in two pairs, which only a user's matrix has,
-is one block of every index: its dense matrix, built for the check and
-dropped again.  Its positivity is certified by a Cholesky factorisation
-of the matrix plus ``POSITIVITY_TOL * I``, which exists, up to
+The blocks come from the classes, by one rule.  A pair ``(r, r ^ x)``
+whose element of class ``x`` is nonzero, in either triangle, is a 2x2
+block, and every index outside a pair is a 1x1 block.  A matrix is
+Hermitian, or positive semidefinite, exactly when each of its blocks
+is, and its spectrum is the union of the blocks' spectra.  Every state
+of the protocol is such a diagonal plus pairs, whose eigenvalues have a
+closed form, so a table of its pairs describes its blocks completely.
+A state with more than D nonzero elements off the diagonal, such as a
+random state, or with an index in two pairs, which only a user's matrix
+has, is one block of every index: its dense matrix, built for the check
+and dropped again.  Its positivity is certified by a Cholesky
+factorisation of the matrix plus ``POSITIVITY_TOL * I``, which exists, up to
 rounding, exactly when every eigenvalue exceeds ``-POSITIVITY_TOL``,
 and which costs a fraction of an eigendecomposition; only when it fails
 does ``eigvalsh`` run.  Either way the smallest eigenvalue decides the
 verdict, so a rejection always rests on the eigenvalue criterion.  The
 closed form, the factorisation and ``eigvalsh`` read the lower triangle
 only; that is sound because Hermiticity is checked before them.  The
-state keeps its blocks, so :func:`von_neumann_entropy` and
+state keeps its pairs, so :func:`von_neumann_entropy` and
 :func:`coherence_orders` read them without finding them again.
 
-The blocks are found between the trace and Hermiticity, and they say
-where Hermiticity is read.  A state of 1x1 and 2x2 blocks is nonzero
-only on its diagonal and at each pair's two elements, so it is checked
-there, in one pass that also reads its smallest eigenvalue; the
-residuals are those of every class at its only nonzero elements, and the
-verdict is the same.  On the diagonal the residual ``|conj(d) - d|`` is
-exactly ``2|Im d|`` for a finite ``d``, and NaN or inf otherwise, so the
-diagonal is checked as finite with ``2|Im d| <= HERMITIAN_TOL``; a state
-with no pairs is checked there alone, and its diagonal is its spectrum.
+The pairs are found between the trace and Hermiticity, and they say
+where Hermiticity is read.  A state of pairs is nonzero only on its
+diagonal and at each pair's two elements, so it is checked there, in one
+pass that also reads its smallest eigenvalue; the residuals are those of
+every class at its only nonzero elements, and the verdict is the same.
 A state checked whole is checked over every element of every class.
 
-The blocks are found once per nonzero pattern.  :func:`pseudopure`,
-dephasing and the Monte Carlo kick never turn a zero element nonzero, so
-a result with as many nonzero elements off the diagonal as its input has
-its input's pattern, and takes its input's blocks over unscanned; a
-result with fewer is scanned.  A reduced state that keeps only class 0
-is diagonal, whatever its input, and takes the all-singles blocks
-unscanned; one that keeps a class off the diagonal is scanned.  Trace,
-Hermiticity and positivity are checked on every construction either way.
+The pairs are found once per nonzero pattern.  :func:`pseudopure`,
+dephasing and the Monte Carlo kick never turn a zero element nonzero and
+hand their input to the constructor, which takes the input's pairs over
+unscanned when the result holds as many nonzero elements off the
+diagonal, and scans the result otherwise.  Trace, Hermiticity and
+positivity are checked on every construction either way.
 
 Coherence order of a matrix element ``(r, c)`` is the magnetization
 difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
@@ -90,6 +84,9 @@ _ENTROPY_EIG_FLOOR = 1e-14
 # Elements per slice when a dense matrix is converted to or from its
 # classes: bounds the index and value temporaries at 768 KiB.
 _SLICE_ELEMENTS = 1 << 15
+# The pairs of every state with nothing off the diagonal, shared.
+_NO_PAIRS = np.empty((0, 2), dtype=np.intp)
+_NO_PAIRS.flags.writeable = False
 
 
 class StateInvariantError(ValueError):
@@ -103,15 +100,15 @@ class DensityMatrix:
     checks the register size (an integer from 1 to ``MAX_SPINS``, else
     ``ValueError``) and the dimension before it reads ``matrix``, gathers
     the occupied classes, and validates them as the module docstring
-    describes: trace, then the blocks, then Hermiticity over the diagonal
+    describes: trace, then the pairs, then Hermiticity over the diagonal
     and the pairs or over every class, then positivity.  A matrix with
     NaN or inf entries fails the trace or Hermiticity check before any
     eigenvalue is read.  The input is copied, never modified.
 
     ``_classes`` and ``_values`` hold the state; ``_values`` is
-    read-only.  ``_blocks`` keeps the blocks validation found or took over:
-    ``[singles, pairs]``, the ``(m, 1)`` and ``(p, 2)`` index arrays of
-    the 1x1 and 2x2 blocks, or ``None`` for one block of every index.
+    read-only.  ``_blocks`` keeps the pairs validation found or took over,
+    the ``(p, 2)`` index array of the 2x2 blocks with every other index a
+    1x1 block, or ``None`` for one block of every index.
     ``matrix`` is the dense matrix, read-only, built on first access and
     then kept; a dense state holds no D x D array but its classes until
     then.  Every construction, also the
@@ -131,19 +128,19 @@ class DensityMatrix:
         classes: np.ndarray,
         values: np.ndarray,
         n_spins: int,
-        blocks: list[np.ndarray] | None = None,
+        pattern_of: DensityMatrix | None = None,
     ) -> DensityMatrix:
         """The state whose ascending ``classes``, 0 first, hold ``values``
         and which is zero elsewhere.  The state takes ``values`` over: the
         caller must not write to it.
 
-        ``blocks``, when given, are those of ``values``' nonzero pattern,
-        passed on by a channel that keeps its input's pattern (see
-        :func:`_carried_blocks`), or the all-singles blocks of a diagonal
-        reduced state.  Validation then skips only the scan for them;
-        trace, Hermiticity and positivity are checked as always."""
+        ``pattern_of``, when given, is a state of the same ``classes`` from
+        which ``values`` were made without turning a zero element nonzero.
+        Its pairs are taken over when ``values`` hold as many nonzero
+        elements off the diagonal, and the result is scanned otherwise;
+        trace, Hermiticity and positivity are checked either way."""
         rho = cls.__new__(cls)
-        object.__setattr__(rho, "_source", _ClassSource(classes, values, blocks))
+        object.__setattr__(rho, "_source", _ClassSource(classes, values, pattern_of))
         object.__setattr__(rho, "n_spins", n_spins)
         rho.__post_init__()
         return rho
@@ -160,9 +157,9 @@ class DensityMatrix:
                     f"matrix dimension {given.shape[0]} does not match {self.n_spins} spins"
                 )
             classes, values = _classes_of(given)
-            blocks = None
+            pattern_of = None
         else:
-            classes, values, blocks = source.classes, source.values, source.blocks
+            classes, values, pattern_of = source.classes, source.values, source.pattern_of
         del source
         occupied = values.any(axis=1)
         occupied[0] = True
@@ -171,9 +168,12 @@ class DensityMatrix:
         trace = values[0].sum()
         if abs(trace - 1.0) > TRACE_TOL:
             raise StateInvariantError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
-        if blocks is None:
-            blocks = _block_structure(classes, values)
-        if blocks is None:
+        # An element that became zero, which may empty a class, changes the
+        # count; an unchanged count is the input's pattern exactly.
+        pairs = None if pattern_of is None else pattern_of._blocks
+        if pairs is None or np.count_nonzero(values[1:]) != np.count_nonzero(pattern_of._values[1:]):
+            pairs = _block_structure(classes, values)
+        if pairs is None:
             if not _hermitian_classes(classes, values):
                 raise StateInvariantError("matrix is not Hermitian")
             # One block of every index, factorised as a dense matrix.  The
@@ -188,23 +188,17 @@ class DensityMatrix:
                 values = _classes_of(dense, classes)[1]
             del dense
         else:
-            diagonal, pairs = values[0], blocks[1]
-            lower = None
-            if len(pairs):
-                upper, lower = values.take(_pair_positions(classes, values.shape[1], pairs))
-                hermitian = _hermitian_blocks(diagonal, upper, lower)
-            else:
-                hermitian = _hermitian_diagonal(diagonal)
-            if not hermitian:
+            upper, lower = values.take(_pair_positions(classes, values.shape[1], pairs))
+            if not _hermitian_blocks(values[0], upper, lower):
                 raise StateInvariantError("matrix is not Hermitian")
-            eigmin = float(_block_spectrum(diagonal.real, blocks, lower).min())
+            eigmin = float(_block_spectrum(values[0].real, pairs, lower).min())
         # NaN, from an eigvalsh that overflowed, fails this comparison.
         if not eigmin >= -POSITIVITY_TOL:
             raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
         values.flags.writeable = False
         object.__setattr__(self, "_classes", classes)
         object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_blocks", pairs)
         object.__setattr__(self, "_dense", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -234,16 +228,16 @@ class DensityMatrix:
 class _ClassSource:
     """Classes and values handed to :class:`DensityMatrix` by the package:
     a type no user input has, so a matrix given as nested tuples is never
-    read as classes, and a user's matrix never carries blocks."""
+    read as classes, and a user's matrix never takes over a pattern."""
 
-    __slots__ = ("classes", "values", "blocks")
+    __slots__ = ("classes", "values", "pattern_of")
 
     def __init__(
-        self, classes: np.ndarray, values: np.ndarray, blocks: list[np.ndarray] | None
+        self, classes: np.ndarray, values: np.ndarray, pattern_of: DensityMatrix | None
     ) -> None:
         self.classes = classes
         self.values = values
-        self.blocks = blocks
+        self.pattern_of = pattern_of
 
 
 def _classes_of(
@@ -316,17 +310,16 @@ def _hermitian_classes(classes: np.ndarray, values: np.ndarray) -> bool:
     return True
 
 
-def _block_structure(classes: np.ndarray, values: np.ndarray) -> list[np.ndarray] | None:
-    """The diagonal blocks of a state, ``[singles, pairs]``, or ``None`` for
-    one block of every index.
+def _block_structure(classes: np.ndarray, values: np.ndarray) -> np.ndarray | None:
+    """The pairs of a state, or ``None`` for one block of every index.
 
-    ``singles`` is the ``(m, 1)`` array of the indices with no nonzero
-    element off the diagonal.  ``pairs`` is the ``(p, 2)`` array of the
-    pairs ``(r, r ^ x)`` of any class ``x`` that hold a nonzero element in
-    either triangle, lower index first, in ascending order.  Either may
-    be empty.  The result is ``None`` when more than D elements off the
-    diagonal are nonzero, checked first so that a dense state builds no
-    index array, or when an index lies in two pairs.
+    The pairs are the ``(p, 2)`` array of the pairs ``(r, r ^ x)`` of any
+    class ``x`` that hold a nonzero element in either triangle, lower
+    index first, in ascending order; every other index is a 1x1 block.
+    A state with nothing off the diagonal gets the shared empty table.
+    The result is ``None`` when more than D elements off the diagonal are
+    nonzero, checked first so that a dense state builds no index array,
+    or when an index lies in two pairs.
     """
     dim = values.shape[1]
     nonzero = values[1:] != 0
@@ -334,7 +327,7 @@ def _block_structure(classes: np.ndarray, values: np.ndarray) -> list[np.ndarray
     if count > dim:
         return None
     if count == 0:
-        return _all_singles(dim)
+        return _NO_PAIRS
     ks, rows = nonzero.nonzero()
     cols = rows ^ classes[1:][ks]
     # Each index's partner, written from both ends of every nonzero element;
@@ -346,26 +339,7 @@ def _block_structure(classes: np.ndarray, values: np.ndarray) -> list[np.ndarray
     if (partner[ends] != others).any():
         return None
     low = (np.arange(dim) < partner).nonzero()[0]
-    return [(partner < 0).nonzero()[0][:, None], np.array((low, partner[low])).T]
-
-
-def _all_singles(dim: int) -> list[np.ndarray]:
-    """The blocks of a diagonal state of dimension ``dim``: every index a
-    single, no pairs."""
-    return [np.arange(dim)[:, None], np.empty((0, 2), dtype=int)]
-
-
-def _carried_blocks(rho: DensityMatrix, values: np.ndarray) -> list[np.ndarray] | None:
-    """``rho``'s blocks, for ``values`` in ``rho``'s classes that its caller
-    made without turning a zero element nonzero, or ``None``.
-
-    Such ``values`` keep ``rho``'s nonzero pattern exactly when they hold
-    as many nonzero elements off the diagonal; an element that became zero,
-    which may empty a class, changes the count, and the result is scanned.
-    """
-    if rho._blocks is None or np.count_nonzero(values[1:]) != np.count_nonzero(rho._values[1:]):
-        return None
-    return rho._blocks
+    return np.array((low, partner[low])).T
 
 
 def _class_set(patterns: np.ndarray, dim: int) -> np.ndarray:
@@ -391,24 +365,19 @@ def _pair_positions(classes: np.ndarray, dim: int, pairs: np.ndarray) -> np.ndar
     return classes.searchsorted(pairs[:, 0] ^ pairs[:, 1]) * dim + pairs.T
 
 
-def _hermitian_diagonal(diagonal: np.ndarray) -> bool:
-    """Whether ``|conj(d) - d|``, exactly ``2|Im d|`` for a finite ``d``,
-    stays within ``HERMITIAN_TOL`` on the ``diagonal``; NaN and inf fail.
-    ``|Im d|`` meets the exactly halved tolerance, so nothing overflows."""
-    return bool(np.isfinite(diagonal).all() and np.abs(diagonal.imag).max() <= 0.5 * HERMITIAN_TOL)
-
-
 def _hermitian_blocks(diagonal: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> bool:
     """Whether a state of 1x1 and 2x2 blocks is Hermitian to
     ``HERMITIAN_TOL``; NaN fails.
 
     Its only nonzero elements are the ``diagonal`` and each pair's
     ``upper = rho[low, high]`` and ``lower = rho[high, low]``, so
-    ``|conj(d) - d|``, read by :func:`_hermitian_diagonal`, and
-    ``|conj(upper) - lower|`` are exactly the residuals
-    :func:`_hermitian_classes` computes where they can be nonzero; the
-    residual at ``(low, high)`` has the same modulus."""
-    if not _hermitian_diagonal(diagonal):
+    ``|conj(d) - d|`` and ``|conj(upper) - lower|`` are exactly the
+    residuals :func:`_hermitian_classes` computes where they can be
+    nonzero; the residual at ``(low, high)`` has the same modulus.  On
+    the diagonal the residual is exactly ``2|Im d|`` for a finite ``d``,
+    and ``|Im d|`` meets the exactly halved tolerance, so nothing
+    overflows; NaN and inf fail."""
+    if not (np.isfinite(diagonal).all() and np.abs(diagonal.imag).max() <= 0.5 * HERMITIAN_TOL):
         return False
     # inf - inf is NaN, and a residual beyond the float limit inf, which
     # fail the comparison below without a warning.
@@ -416,19 +385,17 @@ def _hermitian_blocks(diagonal: np.ndarray, upper: np.ndarray, lower: np.ndarray
         return bool(np.abs(np.conj(upper) - lower).max(initial=0.0) <= HERMITIAN_TOL)
 
 
-def _block_spectrum(diagonal: np.ndarray, blocks: list[np.ndarray], lower: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the blocks ``[singles, pairs]`` of a Hermitian state
-    with real ``diagonal`` whose pairs hold ``lower``: those of the singles,
-    then the smaller and the larger one of each pair.
+def _block_spectrum(diagonal: np.ndarray, pairs: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian state with real ``diagonal`` whose
+    ``pairs`` hold ``lower``, in index order: the diagonal, with each
+    pair's two entries replaced by its smaller and its larger eigenvalue.
 
-    A single is its own eigenvalue, its diagonal element.  A pair
-    ``(low, high)`` is the block ``[[p, conj(c)], [c, q]]`` with
-    ``c = rho[high, low]``, its element in ``lower``, which ``eigvalsh``
-    also reads; its eigenvalues are ``(p + q)/2 -+ hypot((p - q)/2, |c|)``.
+    An index outside every pair is its own eigenvalue, its diagonal
+    element.  A pair ``(low, high)`` is the block ``[[p, conj(c)], [c, q]]``
+    with ``c = rho[high, low]``, its element in ``lower``, which
+    ``eigvalsh`` also reads; its eigenvalues are
+    ``(p + q)/2 -+ hypot((p - q)/2, |c|)``.
     """
-    singles, pairs = blocks
-    if not len(pairs):
-        return diagonal
     low, high = pairs.T
     # Halved before they are added, exactly above the subnormal range, so
     # that finite p and q never overflow and an overflowing |c| gives -inf,
@@ -436,7 +403,10 @@ def _block_spectrum(diagonal: np.ndarray, blocks: list[np.ndarray], lower: np.nd
     p, q = 0.5 * diagonal[low], 0.5 * diagonal[high]
     mean = p + q
     radius = np.hypot(p - q, np.abs(lower))
-    return np.concatenate((diagonal[singles[:, 0]], mean - radius, mean + radius))
+    spectrum = diagonal.copy()
+    spectrum[low] = mean - radius
+    spectrum[high] = mean + radius
+    return spectrum
 
 
 def _uncertified_eigmin(dense: np.ndarray) -> float:
@@ -555,8 +525,7 @@ def pseudopure(target: DensityMatrix, purity_fraction: float) -> DensityMatrix:
     values[0] += (1.0 - f) / target.dim
     # The mixed part's zeros, added as well: a -0.0 part becomes 0.0.
     values[1:] += 0.0
-    blocks = _carried_blocks(target, values)
-    return DensityMatrix._of_classes(target._classes, values, target.n_spins, blocks)
+    return DensityMatrix._of_classes(target._classes, values, target.n_spins, pattern_of=target)
 
 
 def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
@@ -572,14 +541,14 @@ def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
     checked whole is read a slice of rows and all its classes at a time.
     """
     n = rho.n_spins
-    classes, values, blocks = rho._classes, rho._values, rho._blocks
+    classes, values, pairs = rho._classes, rho._values, rho._blocks
     bins = np.arange(2 * n + 1)
-    if blocks is not None:
+    if pairs is not None:
         # Row by row, the diagonal element and the partner, or a zero for
-        # a single, in column order: the partner of ``high`` is ``low``,
-        # which comes first.
-        low, high = blocks[1].T
-        upper, lower = values.take(_pair_positions(classes, rho.dim, blocks[1]))
+        # an index in no pair, in column order: the partner of ``high`` is
+        # ``low``, which comes first.
+        low, high = pairs.T
+        upper, lower = values.take(_pair_positions(classes, rho.dim, pairs))
         power = np.zeros((rho.dim, 2))
         power[:, 0] = np.abs(values[0]) ** 2
         power[high, 1] = power[high, 0]
@@ -618,14 +587,14 @@ def reduced_state(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
     Only the classes that differ in no traced spin survive, and each is
     summed over the traced spins' values in O(D): one traced index after
-    another, from zero, as ``operators.partial_trace`` sums.  A result of
-    class 0 alone is diagonal and is not scanned for its blocks.
+    another, from zero, as ``operators.partial_trace`` sums.
     """
     n = rho.n_spins
     keep = operators._kept_sites(keep, n)
     traced = [site for site in range(n) if site not in keep]
     classes = rho._classes
-    kept = classes & operators.site_mask(traced, n) == 0
+    # Each site is checked once, in the keep list; the traced ones are its complement.
+    kept = classes & sum(1 << (n - 1 - site) for site in traced) == 0
     # Axes (class, spin 0, ..., spin n-1) to (class, kept spins, traced spins).
     tensor = rho._values[kept].reshape((-1,) + (2,) * n)
     tensor = tensor.transpose([0] + [1 + site for site in keep] + [1 + site for site in traced])
@@ -633,8 +602,7 @@ def reduced_state(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     reduced = np.cumsum(tensor, axis=2)[:, :, -1] + 0.0
     bits = (classes[kept, None] >> (n - 1 - np.array(keep))) & 1
     reduced_classes = bits @ (1 << np.arange(len(keep))[::-1])
-    blocks = _all_singles(reduced.shape[1]) if reduced_classes.size == 1 else None
-    return DensityMatrix._of_classes(reduced_classes, reduced, len(keep), blocks)
+    return DensityMatrix._of_classes(reduced_classes, reduced, len(keep))
 
 
 def nq_amplitude(rho: DensityMatrix, sites: Sequence[int] | None = None) -> complex:
@@ -651,16 +619,15 @@ def nq_amplitude(rho: DensityMatrix, sites: Sequence[int] | None = None) -> comp
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy ``-sum(lam * ln lam)`` in nats; eigenvalues below 1e-14 are dropped.
 
-    The eigenvalues come in closed form from the blocks validation found;
+    The eigenvalues come in closed form from the pairs validation found;
     a state of one block of every index is diagonalised whole.
     """
-    classes, values, blocks = rho._classes, rho._values, rho._blocks
-    if blocks is None:
+    classes, values, pairs = rho._classes, rho._values, rho._blocks
+    if pairs is None:
         eigs = np.linalg.eigvalsh(_dense_of(classes, values, rho.dim))
     else:
-        pairs = blocks[1]
-        lower = values.take(_pair_positions(classes, rho.dim, pairs)[1]) if len(pairs) else None
-        eigs = np.sort(_block_spectrum(values[0].real, blocks, lower))
+        lower = values.take(_pair_positions(classes, rho.dim, pairs)[1])
+        eigs = np.sort(_block_spectrum(values[0].real, pairs, lower))
     eigs = eigs[eigs >= _ENTROPY_EIG_FLOOR]
     return max(float(-np.sum(eigs * np.log(eigs))), 0.0)
 

@@ -5,7 +5,7 @@
 The digest covers, in this order:
 
 - ``run_protocol(config).to_dict()``, the final state's classes and
-  values, and the classes, values and blocks of every reduced state the
+  values, and the classes, values and pair table of every reduced state the
   run builds, for registers of 2 to ``--n-max`` spins (10 by default),
   both noise modes and purity fractions 0.83 and 1, on the configuration
   of ``_support.protocol_config``;
@@ -28,6 +28,8 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -59,10 +61,11 @@ def _reduced_states():
 
 
 def _state_bytes(rho: states.DensityMatrix) -> bytes:
-    """A state's classes, values and blocks, with each block array's shape."""
+    """A state's classes, values and pair table, with the table's shape."""
     parts = [rho._classes.tobytes(), rho._values.tobytes()]
-    for block in rho._blocks or []:
-        parts += [repr(block.shape).encode(), block.tobytes()]
+    if rho._blocks is not None:
+        pairs = rho._blocks
+        parts += [repr(pairs.shape).encode(), pairs.astype(np.int64).tobytes()]
     return b"".join(parts)
 
 

@@ -433,6 +433,15 @@ class TestScaling:
         # The arguments are checked before the output directory is made.
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("n_max", ["2", "1", "-3"])
+    def test_n_max_leaves_two_points_to_fit(self, tmp_path, capsys, n_max):
+        # Registers of 2 to --n-max spins: the rate fit needs 3 at least.
+        config = write_config(tmp_path)
+        code = main(["scaling", "--config", str(config), "--out", str(tmp_path / "o"), "--n-max", n_max])
+        assert code == 1
+        assert f"--n-max must be at least 3, got {n_max}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_trajectories_must_be_positive(self, tmp_path):
         config = write_config(tmp_path)
         code = main(

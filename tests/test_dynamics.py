@@ -581,7 +581,7 @@ noise = dataclasses.replace(base.noise, mc_trajectories=24)
 config = dataclasses.replace(base, noise=noise, noise_mode="monte_carlo", seed=31)
 rho = protocol.step_a_initialize(config)
 rho = protocol.step_c_entangle(protocol.step_b_create_cat(rho, config), config)
-if rho._blocks is None or not len(rho._blocks[1]):
+if rho._blocks is None or not len(rho._blocks):
     raise AssertionError("the entangled cat is not a state of pairs")
 kicked = apply_phase_kicks_mc(rho, noise, config.delay_s, config.seed)
 sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * config.delay_s)
@@ -610,7 +610,7 @@ class TestPairKicks:
         rng = np.random.default_rng(10_000 * n_spins + 100 * n_classes + seed)
         matrix = _pair_state(rng, n_spins, n_classes)
         rho = DensityMatrix(matrix, n_spins)
-        assert rho._blocks is not None and len(rho._blocks[1]) > 0
+        assert rho._blocks is not None and len(rho._blocks) > 0
         assert 2 <= rho._classes.size <= n_classes + 1
         trajectories = _KICK_BLOCK + 3
         rates = tuple(rng.uniform(0.01, 3.2, n_spins))
@@ -633,7 +633,7 @@ class TestPairKicks:
         matrix[row, col] = small
         matrix[col, row] = complex(-0.0, -0.0)
         rho = DensityMatrix(matrix, n)
-        np.testing.assert_array_equal(rho._blocks[1], [[low, high]])
+        np.testing.assert_array_equal(rho._blocks, [[low, high]])
         noise = NoiseModel((0.9, 2.5, 0.3, 1.7), (0.0,) * n, _KICK_BLOCK + 9)
         kicked = apply_phase_kicks_mc(rho, noise, 0.5, seed=6)
         sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * 0.5)
@@ -688,7 +688,7 @@ class TestPairKicks:
         values[rows, low] = coherence
         values[rows, high] = coherence.conj()
         rho = DensityMatrix._of_classes(classes, values, n)
-        assert len(rho._blocks[1]) == 2048
+        assert len(rho._blocks) == 2048
         rates = rng.uniform(0.5, 3.0, n)
         noise = NoiseModel(tuple(rates), (0.0,) * n, 1000)
         tracemalloc.start()

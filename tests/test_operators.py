@@ -125,6 +125,17 @@ def test_bit_table_is_built_once_and_read_only():
         np.testing.assert_array_equal(operators.bit_table(n), fresh)
 
 
+def test_bit_table_rejects_a_register_beyond_the_limit_before_allocating():
+    # 13 spins is one past the limit; the table is the first thing thermal_state builds.
+    operators.bit_table.cache_clear()
+    too_many = operators.MAX_SPINS + 1
+    with pytest.raises(ValueError, match="exceeds the dense limit"):
+        states.thermal_state(too_many)
+    with pytest.raises(ValueError, match="exceeds the dense limit"):
+        operators.bit_table(too_many)
+    assert operators.bit_table.cache_info().currsize == 0
+
+
 # The dense highest-order coherence observable lives in the test support
 # as the reference that ``nq_amplitude`` reads out: Tr(rho * NQ) = 2 Re <u|rho|d>.
 

@@ -194,10 +194,9 @@ def test_coherence_orders_of_block_states_against_popcount_oracle(make, max_clas
 
 @pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
 def test_run_protocol_finds_each_pattern_once(monkeypatch, mode):
-    # Validation finds the blocks once per pattern: pseudopure and step
-    # D's dephasing or kick keep their input's pattern and pass its blocks
-    # on, a reduced state that keeps only the diagonal is all singles, and
-    # entropies reuse them.
+    # Validation finds the pairs once per pattern: only pseudopure and
+    # step D's dephasing or kick keep their input's pattern and take its
+    # pairs over unscanned, and entropies reuse the pairs they find.
     scans = []
     constructions = []
     scan = states._block_structure
@@ -215,7 +214,7 @@ def test_run_protocol_finds_each_pattern_once(monkeypatch, mode):
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_validate)
     run_protocol(dataclasses.replace(protocol_config(4), noise_mode=mode))
     assert len(constructions) == 24
-    assert len(scans) == 13
+    assert len(scans) == 22
 
 
 def test_coherence_components_are_orthogonal():
@@ -598,10 +597,12 @@ def test_pair_blocks_in_closed_form_match_eigvalsh(monkeypatch, case, seed):
     rho = DensityMatrix(matrix, n_spins)
     entropy = von_neumann_entropy(rho)
     assert sizes == []
-    np.testing.assert_array_equal(rho._blocks[1], [[low, high]])
-    lower = rho._values.take(states._pair_positions(rho._classes, dim, rho._blocks[1])[1])
-    spectrum = np.sort(states._block_spectrum(rho._values[0].real, rho._blocks, lower))
-    np.testing.assert_allclose(spectrum, reference, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(rho._blocks, [[low, high]])
+    lower = rho._values.take(states._pair_positions(rho._classes, dim, rho._blocks)[1])
+    spectrum = states._block_spectrum(rho._values[0].real, rho._blocks, lower)
+    # In index order: every index outside the pair keeps its diagonal element.
+    assert np.delete(spectrum, [low, high]).tobytes() == rho._values[0].real[rest].tobytes()
+    np.testing.assert_allclose(np.sort(spectrum), reference, rtol=0.0, atol=1e-12)
     assert entropy == pytest.approx(_entropy_reference(matrix), abs=1e-12)
 
 
@@ -855,24 +856,27 @@ def test_block_structure_scan_matches_np_nonzero(dim, case):
     index = np.arange(dim)
     assert values.tobytes() == matrix[index, index ^ classes[:, None]].tobytes()
     np.testing.assert_array_equal(states._dense_of(classes, values, dim), matrix)
-    blocks = states._block_structure(classes, values)
+    pair_table = states._block_structure(classes, values)
     pairs = {frozenset(pair) for pair in zip(rows.tolist(), cols.tolist())} - {
         frozenset([i]) for i in range(dim)
     }
     shared = len({i for pair in pairs for i in pair}) < 2 * len(pairs)
-    assert (blocks is None) == (off_diagonal > dim or shared)
-    if blocks is not None:
-        # The singles and the pairs, lower index first and ascending,
-        # partition the indices, and each nonzero element lies in one.
-        singles, pair_blocks = blocks
-        assert singles.shape[1] == 1 and pair_blocks.shape[1] == 2
-        np.testing.assert_array_equal(pair_blocks, sorted(sorted(pair) for pair in pairs))
-        members = np.concatenate([block.ravel() for block in blocks])
-        np.testing.assert_array_equal(np.sort(members), index)
-        block_of = np.empty(dim, dtype=int)
-        for number, block in enumerate(b for group in blocks for b in group):
-            block_of[block] = number
+    assert (pair_table is None) == (off_diagonal > dim or shared)
+    if pair_table is not None:
+        # The pairs, lower index first and ascending, are disjoint; every
+        # other index is a 1x1 block, and each nonzero element lies in one
+        # block.
+        expected = np.array(sorted(sorted(pair) for pair in pairs)).reshape(-1, 2)
+        np.testing.assert_array_equal(pair_table, expected)
+        assert np.unique(pair_table).size == pair_table.size
+        # A pair's block is named by its lower index, a single's by itself.
+        block_of = index.copy()
+        block_of[pair_table[:, 1]] = pair_table[:, 0]
         np.testing.assert_array_equal(block_of[rows], block_of[cols])
+    if off_diagonal == 0:
+        # Every state with nothing off the diagonal shares one read-only table.
+        assert pair_table is states._block_structure(classes[:1], values[:1])
+        assert not pair_table.flags.writeable
 
 
 def _random_pairs_state(rng, n_spins, couple, indefinite):
@@ -926,11 +930,11 @@ def test_random_pair_states_match_eigvalsh(seed):
         couple = (None, None, "both", None, "lower", None, "upper")[trial % 7]
         matrix, pairs = _random_pairs_state(rng, n_spins, couple, indefinite)
         classes, values = states._classes_of(matrix)
-        blocks = states._block_structure(classes, values)
+        pair_table = states._block_structure(classes, values)
         if couple:
-            assert blocks is None
+            assert pair_table is None
         else:
-            np.testing.assert_array_equal(blocks[1], np.array(pairs).reshape(-1, 2))
+            np.testing.assert_array_equal(pair_table, np.array(pairs).reshape(-1, 2))
         _assert_verdict_of_eigvalsh(matrix, n_spins)
         if couple:
             continue
@@ -1054,10 +1058,10 @@ def test_pair_hermiticity_matches_the_whole_class_check(edit, hermitian, seed):
         matrix, pairs = _random_pairs_state(rng, n_spins, None, False)
         matrix = _edited(rng, matrix, pairs, *edit)
         classes, values = states._classes_of(matrix)
-        blocks = states._block_structure(classes, values)
+        pair_table = states._block_structure(classes, values)
         expected_pairs = [] if edit[0].startswith("diagonal-state") else pairs
-        np.testing.assert_array_equal(blocks[1], np.array(expected_pairs).reshape(-1, 2))
-        upper, lower = values.take(states._pair_positions(classes, 1 << n_spins, blocks[1]))
+        np.testing.assert_array_equal(pair_table, np.array(expected_pairs).reshape(-1, 2))
+        upper, lower = values.take(states._pair_positions(classes, 1 << n_spins, pair_table))
         verdict = states._hermitian_blocks(values[0], upper, lower)
         assert verdict is states._hermitian_classes(classes, values)
         assert verdict is (hermitian if hermitian is not None else verdict)
@@ -1077,8 +1081,8 @@ def test_pair_hermiticity_matches_the_whole_class_check(edit, hermitian, seed):
 def _assert_blocks_match_a_scan(rho):
     scanned = states._block_structure(rho._classes, rho._values)
     assert (rho._blocks is None) == (scanned is None)
-    for carried, found in zip(rho._blocks or [], scanned or []):
-        np.testing.assert_array_equal(carried, found)
+    if scanned is not None:
+        np.testing.assert_array_equal(rho._blocks, scanned)
     fresh = DensityMatrix._of_classes(rho._classes, np.array(rho._values), rho.n_spins)
     assert von_neumann_entropy(rho) == von_neumann_entropy(fresh)
 
@@ -1103,12 +1107,10 @@ def _keep_sets(n_spins):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_carried_blocks_never_outlive_their_pattern(seed):
-    # pseudopure, dephasing and the Monte Carlo kick pass their input's
-    # blocks on while its nonzero pattern holds.  Where an element or a
+    # pseudopure, dephasing and the Monte Carlo kick take their input's
+    # pairs over while its nonzero pattern holds.  Where an element or a
     # whole class decays or underflows to zero, the result is scanned.  A
-    # reduced state that keeps only class 0 is all singles; one that keeps
-    # a class off the diagonal is scanned, also where the class sums to
-    # zero.
+    # reduced state is always scanned, also where a class sums to zero.
     cancelling = _cancelling_state()
     assert reduced_state(cancelling, [0])._classes.tolist() == [0]
     for keep in _keep_sets(3):
