@@ -37,11 +37,14 @@ occupies two classes, the diagonal and the top-order cat coherence, so
 a channel costs O(D); a dense state occupies all ``D`` classes.  The
 controlled flips move each element ``(r, r ^ x)`` to ``(pr, p(r ^ x))``
 under their permutation ``p``, which lands it in class ``x`` or
-``x ^ flip_mask``, again in O(D) per class.
+``x ^ flip_mask``, again in O(D) per class; the permutation is built
+once per register size and masks, and kept, like the layout tables of
+:mod:`~spincat.operators`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -85,7 +88,7 @@ class Coupling:
             raise ValueError(f"self-coupling on site {self.site_a}")
         if self.kind not in COUPLING_KINDS:
             raise ValueError(f"unknown coupling kind {self.kind!r}")
-        if not np.isfinite(self.strength_hz):
+        if not math.isfinite(self.strength_hz):
             raise ValueError("non-finite coupling strength")
 
     @property
@@ -147,7 +150,7 @@ class NoiseModel:
         if len(self.dephasing_per_s) != len(self.flip_per_s):
             raise ValueError("dephasing and flip rate lists differ in length")
         for value in self.dephasing_per_s + self.flip_per_s:
-            if not np.isfinite(value) or value < 0.0:
+            if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"rates must be finite and nonnegative, got {value}")
         trajectories = self.mc_trajectories
         if isinstance(trajectories, bool) or not isinstance(trajectories, numbers.Integral):
@@ -381,8 +384,7 @@ def conditional_flip(rho: DensityMatrix, condition_mask: int, flip_mask: int) ->
     if not flip_mask:
         raise ValueError("empty target set")
     dim = rho.dim
-    index = np.arange(dim)
-    perm = np.where(index & condition_mask == condition_mask, index ^ flip_mask, index)
+    index, perm = _flip_permutation(rho.n_spins, condition_mask, flip_mask)
     classes, values = rho._classes, rho._values
     # Element (r, r ^ x) moves to (perm[r], perm[r ^ x]), of class x or x ^ flip_mask.
     moved = perm ^ perm[index ^ classes[:, None]]
@@ -390,6 +392,20 @@ def conditional_flip(rho: DensityMatrix, condition_mask: int, flip_mask: int) ->
     image = np.zeros((image_classes.size, dim), dtype=complex)
     image[np.searchsorted(image_classes, moved), perm] = values
     return DensityMatrix._of_classes(image_classes, image, rho.n_spins)
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _flip_permutation(
+    n_spins: int, condition_mask: int, flip_mask: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The basis indices and their images under :func:`conditional_flip`'s
+    permutation, built once per register size and masks and kept, so
+    both are read-only."""
+    index = np.arange(1 << n_spins)
+    perm = np.where(index & condition_mask == condition_mask, index ^ flip_mask, index)
+    index.flags.writeable = False
+    perm.flags.writeable = False
+    return index, perm
 
 
 def controlled_not_all(rho: DensityMatrix, control: int, targets: Sequence[int]) -> DensityMatrix:
@@ -429,5 +445,5 @@ def _check_channel_args(rho: DensityMatrix, noise: NoiseModel, t: float) -> None
         raise ValueError(
             f"noise model for {noise.n_spins} spins applied to {rho.n_spins}-spin state"
         )
-    if not np.isfinite(t) or t < 0.0:
+    if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"channel time must be nonnegative, got {t}")

@@ -17,6 +17,21 @@ Kronecker products: ``Sz`` is diagonal, and ``S+`` of spin ``i`` maps
 index ``r`` to ``r ^ b_i`` wherever spin ``i`` of ``r`` is down, where
 ``b_i`` is the bit of spin ``i``.
 
+Tables that depend only on the register layout are built on first use
+and kept, read-only, in bounded caches, so a layout in use is worked out
+once:
+
+- :func:`bit_table`, each spin's bit of every index, per register size;
+- ``_popcounts``, the number of down spins of every index, per size;
+- ``_sz_table``, the total Sz over a site list, per size and sites;
+- ``_site_mask``, the bitmask of a site list, per size and sites;
+- ``_trace_plan``, the index tables of a partial trace, per size and
+  kept sites.
+
+The caches keyed on sites are typed, so a site such as ``True`` or
+``1.0`` is checked on its own first call and never reads the table of
+site 1.  None of them holds a state or a noise rate.
+
 The operators here are dense complex128 matrices.  Registers beyond 12
 spins are rejected because a dense matrix, which the spectrum and the
 dense view of a state still need, no longer fits comfortably in memory.
@@ -26,6 +41,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +63,14 @@ def n_spins_of(matrix: np.ndarray) -> int:
 
 
 def site_mask(sites: Iterable[int], n_spins: int) -> int:
-    """Bitmask with the bit of every listed site set."""
+    """Bitmask with the bit of every listed site set; worked out once per
+    ``sites`` and ``n_spins`` and kept."""
+    return _site_mask(n_spins, *sites)
+
+
+# Typed, as _sz_table is: True or 1.0 is checked on its own first call.
+@functools.lru_cache(maxsize=64, typed=True)
+def _site_mask(n_spins: int, *sites: int) -> int:
     mask = 0
     for site in sites:
         _check_site(site, n_spins)
@@ -64,6 +87,15 @@ def bit_table(n_spins: int) -> np.ndarray:
     index = np.arange(1 << n_spins)
     shifts = n_spins - 1 - np.arange(n_spins)
     table = (index[None, :] >> shifts[:, None]) & 1
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=MAX_SPINS)
+def _popcounts(n_spins: int) -> np.ndarray:
+    """Number of down spins, set bits, of every basis index; built once
+    per register size and kept, so it is read-only."""
+    table = bit_table(n_spins).sum(axis=0)
     table.flags.writeable = False
     return table
 
@@ -164,6 +196,45 @@ def _kept_sites(keep: Sequence[int], n_spins: int) -> list[int]:
     for site in keep:
         _check_site(site, n_spins)
     return keep
+
+
+class _TracePlan(NamedTuple):
+    """A partial trace of one register layout; see :func:`_trace_plan`."""
+
+    traced_mask: int
+    order: np.ndarray
+    shape: tuple[int, int]
+    reduced_classes: np.ndarray
+
+
+# Typed, as _sz_table is: True or 1.0 is checked on its own first call.
+@functools.lru_cache(maxsize=32, typed=True)
+def _trace_plan(n_spins: int, *keep: int) -> _TracePlan:
+    """The partial trace of an ``n_spins`` register onto the sites
+    ``keep``, checked as :func:`partial_trace` checks them, built once and
+    kept, its arrays read-only:
+
+    - ``traced_mask``, the bits of the traced spins;
+    - ``order``, every basis index with the kept spins' bits first and the
+      traced spins' after, each in site order: ``order.reshape(shape)[k, t]``
+      is the index whose kept spins read ``k`` and traced spins ``t``;
+    - ``shape``, ``(2**kept, 2**traced)``;
+    - ``reduced_classes``, the pattern of the kept spins' bits of every
+      pattern, as a pattern of the reduced register.
+    """
+    keep = _kept_sites(keep, n_spins)
+    traced = [site for site in range(n_spins) if site not in keep]
+    weights = 1 << np.arange(len(keep))[::-1]
+    reduced_classes = weights @ bit_table(n_spins)[keep]
+    order = np.arange(1 << n_spins).reshape((2,) * n_spins).transpose(keep + traced).reshape(-1)
+    order.flags.writeable = False
+    reduced_classes.flags.writeable = False
+    return _TracePlan(
+        sum(1 << (n_spins - 1 - site) for site in traced),
+        order,
+        (1 << len(keep), 1 << len(traced)),
+        reduced_classes,
+    )
 
 
 def _check_register_size(n_spins: int) -> None:

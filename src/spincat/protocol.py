@@ -32,6 +32,7 @@ are built the same way.  No dense matrix is formed unless
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -71,7 +72,7 @@ class ProtocolConfig:
             raise ValueError("protocol needs exactly one control spin, at site 0")
         if self.noise.n_spins != self.system.n_spins:
             raise ValueError("noise model size does not match the spin system")
-        if not np.isfinite(self.delay_s) or self.delay_s < 0.0:
+        if not math.isfinite(self.delay_s) or self.delay_s < 0.0:
             raise ValueError(f"delay must be nonnegative, got {self.delay_s}")
         if not 0.0 < self.purity_fraction <= 1.0:
             raise ValueError(f"purity fraction must lie in (0, 1], got {self.purity_fraction}")
@@ -309,12 +310,17 @@ def _scan_delays(
 ) -> list[tuple[float, float]]:
     """Prepare A through C once, then decohere for each delay and read out.
 
-    Each point draws its own seed, so a point does not depend on the
-    others in the scan.
+    In Monte Carlo mode each point draws its own seed, so a point does
+    not depend on the others in the scan.  The analytic channel reads no
+    seed, so none is drawn.
     """
     prepared = step_c_entangle(step_b_create_cat(step_a_initialize(config), config), config)
+    if config.noise_mode == "monte_carlo":
+        seeds = _per_point_seeds(config.seed, len(delays_s))
+    else:
+        seeds = [config.seed] * len(delays_s)
     results = []
-    for delay, point_seed in zip(delays_s, _per_point_seeds(config.seed, len(delays_s))):
+    for delay, point_seed in zip(delays_s, seeds):
         point_config = dataclasses.replace(config, delay_s=float(delay), seed=point_seed)
         rho = step_d_decohere(prepared, point_config)
         results.append((float(delay), float(readout(rho))))

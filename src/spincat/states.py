@@ -464,10 +464,15 @@ def basis_state(n_spins: int, amplitudes: Mapping[int, complex]) -> DensityMatri
     a state supported on a few basis indices.
 
     Its element ``(i, j)`` is ``c_i * conj(c_j)``, in class ``i ^ j``.
+    Every key must be an integer in ``[0, D)``; a mapping's keys are
+    distinct, so then no index is named twice.
     """
     operators._check_register_size(n_spins)
     dim = 1 << n_spins
-    index = np.arange(dim)[list(amplitudes)]
+    for key in amplitudes:
+        if not (operators._is_integer(key) and 0 <= key < dim):
+            raise ValueError(f"basis index {key!r} is not an integer in [0, {dim})")
+    index = np.array(list(amplitudes), dtype=np.intp)
     psi = np.array(list(amplitudes.values()), dtype=complex)
     pattern = index[:, None] ^ index[None, :]
     classes = _class_set(pattern, dim)
@@ -542,7 +547,6 @@ def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
     """
     n = rho.n_spins
     classes, values, pairs = rho._classes, rho._values, rho._blocks
-    bins = np.arange(2 * n + 1)
     if pairs is not None:
         # Row by row, the diagonal element and the partner, or a zero for
         # an index in no pair, in column order: the partner of ``high`` is
@@ -555,14 +559,15 @@ def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
         power[high, 0] = np.abs(lower) ** 2
         power[low, 1] = np.abs(upper) ** 2
         # ups[low] - ups[high], the order of rho[low, high].
-        bits = operators.bit_table(n)
-        order = bits[:, high].sum(axis=0) - bits[:, low].sum(axis=0)
+        downs = operators._popcounts(n)
+        order = downs[high] - downs[low]
         shifted_order = np.full((rho.dim, 2), n)
         shifted_order[high, 0] = n - order
         shifted_order[low, 1] = n + order
-        totals = np.bincount(shifted_order.ravel(), weights=power.ravel(), minlength=bins.size)
+        totals = np.bincount(shifted_order.ravel(), weights=power.ravel(), minlength=2 * n + 1)
     else:
-        ups = n - operators.bit_table(n).sum(axis=0)
+        bins = np.arange(2 * n + 1)
+        ups = n - operators._popcounts(n)
         # Each slice's sums continue from the totals so far, which lead its
         # weights, so the order of the additions holds.
         totals = np.zeros(bins.size)
@@ -587,22 +592,21 @@ def reduced_state(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
     Only the classes that differ in no traced spin survive, and each is
     summed over the traced spins' values in O(D): one traced index after
-    another, from zero, as ``operators.partial_trace`` sums.
+    another, from zero, as ``operators.partial_trace`` sums.  The index
+    tables of the trace are built once per register size and ``keep``.
     """
-    n = rho.n_spins
-    keep = operators._kept_sites(keep, n)
-    traced = [site for site in range(n) if site not in keep]
+    plan = operators._trace_plan(rho.n_spins, *keep)
     classes = rho._classes
-    # Each site is checked once, in the keep list; the traced ones are its complement.
-    kept = classes & sum(1 << (n - 1 - site) for site in traced) == 0
-    # Axes (class, spin 0, ..., spin n-1) to (class, kept spins, traced spins).
-    tensor = rho._values[kept].reshape((-1,) + (2,) * n)
-    tensor = tensor.transpose([0] + [1 + site for site in keep] + [1 + site for site in traced])
-    tensor = tensor.reshape(tensor.shape[0], 1 << len(keep), 1 << len(traced))
-    reduced = np.cumsum(tensor, axis=2)[:, :, -1] + 0.0
-    bits = (classes[kept, None] >> (n - 1 - np.array(keep))) & 1
-    reduced_classes = bits @ (1 << np.arange(len(keep))[::-1])
-    return DensityMatrix._of_classes(reduced_classes, reduced, len(keep))
+    kept = classes & plan.traced_mask == 0
+    # Each row (class) to (kept spins, traced spins), the traced ones summed.
+    tensor = rho._values[kept].take(plan.order, axis=1).reshape(-1, *plan.shape)
+    if plan.shape[1] == 2:
+        # cumsum runs its inner loop once per kept index; over one traced
+        # spin, a single addition is the same sum.
+        summed = tensor[:, :, 0] + tensor[:, :, 1]
+    else:
+        summed = np.cumsum(tensor, axis=2)[:, :, -1]
+    return DensityMatrix._of_classes(plan.reduced_classes[classes[kept]], summed + 0.0, len(keep))
 
 
 def nq_amplitude(rho: DensityMatrix, sites: Sequence[int] | None = None) -> complex:

@@ -2,7 +2,6 @@
 
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -253,7 +252,11 @@ def test_output_digest_script_runs():
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[0] == "# 8 protocol runs, 2 scaling studies", result.stdout
-    assert len(lines) == 2 and re.fullmatch(r"sha256 [0-9a-f]{64}", lines[1]), result.stdout
+    # The digest of this small grid is pinned, so a change that moves one
+    # output bit fails here, not only in the full script.
+    assert lines[1:] == [
+        "sha256 632181a90a501ec8abacc06d18b67b57a4b70a7579cd64b0617514d834af446f"
+    ], result.stdout
 
 
 class TestLinearRegression:

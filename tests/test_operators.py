@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spincat import DensityMatrix, linear_response_spectrum, operators, states
+from spincat import DensityMatrix, dynamics, linear_response_spectrum, operators, states
 from _support import (
     SM,
     SP,
@@ -315,6 +315,100 @@ def test_sz_eigenvalues_are_built_once_and_read_only():
     for _ in range(2):
         with pytest.raises(ValueError, match="duplicate sites"):
             operators.sz_eigenvalues([0, 2, 0], 3)
+
+
+def test_layout_tables_are_built_once_and_read_only():
+    rho = states.cat_state(3, states.CatWeights.balanced())
+    states.reduced_state(rho, [0, 2])
+    plan = operators._trace_plan(3, 0, 2)
+    assert operators._trace_plan(3, 0, 2) is plan
+    hits = operators._trace_plan.cache_info().hits
+    states.reduced_state(rho, (0, 2))
+    assert operators._trace_plan.cache_info().hits == hits + 1
+    assert plan.traced_mask == operators.site_mask([1], 3) == 0b010
+    assert plan.shape == (4, 2)
+    np.testing.assert_array_equal(plan.order, [0, 2, 1, 3, 4, 6, 5, 7])
+    np.testing.assert_array_equal(plan.reduced_classes, [0, 1, 0, 1, 2, 3, 2, 3])
+    popcounts = operators._popcounts(3)
+    assert operators._popcounts(3) is popcounts
+    np.testing.assert_array_equal(popcounts, operators.bit_table(3).sum(axis=0))
+    index, perm = dynamics._flip_permutation(3, 0b100, 0b011)
+    assert dynamics._flip_permutation(3, 0b100, 0b011)[1] is perm
+    np.testing.assert_array_equal(index, range(8))
+    np.testing.assert_array_equal(perm, [0, 1, 2, 3, 7, 6, 5, 4])
+    for table in (plan.order, plan.reduced_classes, popcounts, index, perm):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
+@pytest.mark.parametrize("site", [True, 1.0, np.int64(1)])
+def test_layout_tables_of_site_1_are_not_read_for_an_equal_site_of_another_type(site):
+    # From empty caches, so that only site 1's tables are there to be read.
+    operators._site_mask.cache_clear()
+    operators._trace_plan.cache_clear()
+    rho = states.cat_state(3, states.CatWeights.balanced())
+    operators.site_mask([1], 3)
+    states.reduced_state(rho, [0, 1])
+    for cache, call in (
+        (operators._site_mask, lambda: operators.site_mask([site], 3)),
+        (operators._trace_plan, lambda: states.reduced_state(rho, [0, site])),
+    ):
+        hits = cache.cache_info().hits
+        if operators._is_integer(site):
+            call()
+        else:
+            with pytest.raises(ValueError, match="outside register"):
+                call()
+        assert cache.cache_info().hits == hits
+    if operators._is_integer(site):
+        assert operators.site_mask([site], 3) == 0b010
+        assert operators._trace_plan(3, 0, site) is not operators._trace_plan(3, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "keep, message",
+    [
+        ([0, 0], "duplicate sites"),
+        ([2, 1], "ascending site order"),
+        ([], "empty keep list"),
+        ([0, 3], "outside register"),
+    ],
+)
+def test_reduced_state_rejects_a_bad_keep_list_on_every_call(keep, message):
+    rho = states.cat_state(3, states.CatWeights.balanced())
+    for _ in range(3):
+        with pytest.raises(ValueError, match=message):
+            states.reduced_state(rho, keep)
+
+
+def test_layout_caches_stay_within_their_bounds():
+    # More layouts than any cache keeps: each fills up to its bound and stays there.
+    rho = states.cat_state(7, states.CatWeights.balanced())
+    for size in range(1, 8):
+        for keep in itertools.combinations(range(7), size):
+            states.reduced_state(rho, keep)
+            operators.site_mask(keep, 7)
+            operators.sz_eigenvalues(keep, 7)
+    small = states.cat_state(4, states.CatWeights.balanced())
+    for condition in range(1, 16):
+        for flip in range(1, 16):
+            if not condition & flip:
+                dynamics.conditional_flip(small, condition, flip)
+    for n in range(1, operators.MAX_SPINS + 1):
+        operators._popcounts(n)
+        operators.bit_table(n)
+    caches = (
+        operators.bit_table,
+        operators._popcounts,
+        operators._sz_table,
+        operators._site_mask,
+        operators._trace_plan,
+        dynamics._flip_permutation,
+    )
+    for cache in caches:
+        bound = cache.cache_parameters()["maxsize"]
+        assert bound is not None and cache.cache_info().currsize == bound, cache
 
 
 @pytest.mark.parametrize("sites", [[1, 1], (0, 2, 0), [2, 1, 2, 1]])

@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -254,6 +256,62 @@ def test_decohered_mixture_matrix_is_unchanged(n_system, weights):
     rho = decohered_mixture(n_system, weights)
     assert rho.n_spins == n_system + 1
     assert rho.matrix.tobytes() == expected.tobytes()
+
+
+def _spread(bits: int, sites: tuple[int, ...], n_spins: int) -> int:
+    """The basis index whose ``sites`` read ``bits``, first site most
+    significant, and whose other spins are up."""
+    index = 0
+    for j, site in enumerate(sites):
+        index |= ((bits >> (len(sites) - 1 - j)) & 1) << (n_spins - 1 - site)
+    return index
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reduced_state_sums_the_traced_spins_in_index_order(seed):
+    # Each element is summed over the traced spins from traced index 0
+    # upwards, one addition at a time, whether one spin or several are traced.
+    n = 4
+    rho = random_density_matrix(np.random.default_rng(seed), n)
+    dense = rho.matrix
+    for size in range(1, n + 1):
+        for keep in itertools.combinations(range(n), size):
+            traced = tuple(site for site in range(n) if site not in keep)
+            expected = np.zeros((1 << size, 1 << size), dtype=complex)
+            for row, col in itertools.product(range(1 << size), repeat=2):
+                r, c = _spread(row, keep, n), _spread(col, keep, n)
+                total = dense[r, c]
+                for t in range(1, 1 << len(traced)):
+                    u = _spread(t, traced, n)
+                    total = total + dense[r | u, c | u]
+                expected[row, col] = total + 0.0
+            assert reduced_state(rho, keep).matrix.tobytes() == expected.tobytes(), keep
+
+
+_S = 1.0 / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize(
+    "amplitudes, named",
+    [
+        # Each once taken as an index of np.arange(D): -1 wrapped to D - 1,
+        # 4 and True raised IndexError, and -3 named index 1 a second time.
+        ({-1: 1.0}, "-1"),
+        ({4: 1.0}, "4"),
+        ({True: 1.0}, "True"),
+        ({1: _S, -3: _S}, "-3"),
+        ({1.0: 1.0}, "1.0"),
+    ],
+    ids=["negative", "beyond", "bool", "wraps-onto-another", "float"],
+)
+def test_basis_state_rejects_a_key_that_is_no_index_of_the_register(amplitudes, named):
+    with pytest.raises(ValueError, match=rf"^basis index {re.escape(named)} is not an integer in \[0, 4\)$"):
+        states.basis_state(2, amplitudes)
+
+
+def test_basis_state_takes_numpy_integer_indices():
+    rho = states.basis_state(2, {np.int64(0): _S, np.uint8(3): _S})
+    assert rho.matrix.tobytes() == states.basis_state(2, {0: _S, 3: _S}).matrix.tobytes()
 
 
 def test_pseudopure_mixing_and_background():
