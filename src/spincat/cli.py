@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``run-protocol``, ``decay-scan``, ``spectrum``,
-``scaling``.  Exit codes: 0 success, 1 configuration or argument error,
-2 numerical failure (a linear-algebra error or running out of memory)
-or invariant violation, 3 analysis failure.
+``scaling``.  Exit codes: 0 success, 1 configuration or argument error
+or an output that cannot be written, 2 numerical failure (a
+linear-algebra error or running out of memory) or invariant violation,
+3 analysis failure.
 
 Every output file is written atomically (a uniquely named temp file in
 the output directory, then rename).  Every CSV and JSON output starts
@@ -264,9 +265,8 @@ class _RunContext:
         self.out_dir = Path(args.out) if args.out else Path(self.config.output.directory)
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as error:
-            message = f"cannot create output directory {self.out_dir}: {error.strerror}"
-            raise ConfigError(message) from error
+        except OSError as error:
+            raise _write_error(self.out_dir, error) from error
 
     def meta(self) -> dict:
         return {"config_sha256": self.config.sha256, "seed": self.seed}
@@ -337,15 +337,24 @@ def _write_atomic(path: Path, data: bytes) -> None:
     The temp name is random and created exclusively, so runs writing
     into one directory at once cannot clash.  Unlike ``mkstemp``, which
     makes the file owner-only, the file gets the umask's permissions.
+    An ``OSError``, such as ``path`` naming a directory, is raised as the
+    ``ConfigError`` of :func:`_write_error`.
     """
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as error:
         tmp.unlink(missing_ok=True)
+        if isinstance(error, OSError):
+            raise _write_error(path, error) from error
         raise
+
+
+def _write_error(path: Path, error: OSError) -> ConfigError:
+    """The one-line error of an output path that cannot be written."""
+    return ConfigError(f"cannot write {path}: {error.strerror or error}")
 
 
 if __name__ == "__main__":

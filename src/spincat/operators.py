@@ -47,8 +47,6 @@ import numpy as np
 
 MAX_SPINS = 12
 
-_KINDS = ("x", "y", "z", "plus", "minus")
-
 
 def n_spins_of(matrix: np.ndarray) -> int:
     """Register size implied by a square matrix of dimension ``2**n``."""
@@ -103,9 +101,9 @@ def _popcounts(n_spins: int) -> np.ndarray:
 def sz_eigenvalues(sites: Sequence[int], n_spins: int) -> np.ndarray:
     """Eigenvalue of the total Sz over ``sites`` for every basis index:
     +1/2 per listed spin that is up, -1/2 per listed spin that is down.
-    This is the diagonal of ``total_spin_operator("z", sites, n_spins)``,
-    and, like it, rejects a site listed twice.  The table is built once
-    per ``sites`` and ``n_spins`` and kept, so it is read-only."""
+    Like :func:`total_spin_operator`, it rejects a site listed twice.  The
+    table is built once per ``sites`` and ``n_spins`` and kept, so it is
+    read-only."""
     sites = tuple(sites)
     if len(set(sites)) != len(sites):
         raise ValueError("duplicate sites")
@@ -124,15 +122,13 @@ def _sz_table(n_spins: int, *sites: int) -> np.ndarray:
 
 
 def total_spin_operator(kind: str, sites: Sequence[int], n_spins: int) -> np.ndarray:
-    """Sum over the listed sites of one-spin operators of ``kind``, one of
-    ``x``, ``y``, ``z``, ``plus``, ``minus``.
+    """Sum over the listed sites of the one-spin raising operator ``S+``,
+    the only ``kind``, ``"plus"``, that the package builds.
 
     ``S+`` is 1 at ``(r ^ b_i, r)`` for every index ``r`` in which site
-    ``i`` is down; ``S-`` is its transpose, ``Sx = (S+ + S-)/2``,
-    ``Sy = (S+ - S-)/(2i)``, and ``Sz`` is the diagonal of
-    :func:`sz_eigenvalues`.
+    ``i`` is down.  The total Sz is the diagonal of :func:`sz_eigenvalues`.
     """
-    if kind not in _KINDS:
+    if kind != "plus":
         raise ValueError(f"unknown operator kind {kind!r}")
     _check_register_size(n_spins)
     if len(sites) == 0:
@@ -143,20 +139,11 @@ def total_spin_operator(kind: str, sites: Sequence[int], n_spins: int) -> np.nda
     bits = [site_mask([site], n_spins) for site in sites]
     dim = 1 << n_spins
     out = np.zeros((dim, dim), dtype=complex)
-    if kind == "z":
-        np.fill_diagonal(out, sz_eigenvalues(sites, n_spins))
-        return out
     index = np.arange(dim)
     for bit in bits:
         down = index[(index & bit) != 0]
         out[down ^ bit, down] = 1.0
-    if kind == "plus":
-        return out
-    if kind == "minus":
-        return np.ascontiguousarray(out.T)
-    if kind == "x":
-        return 0.5 * (out + out.T)
-    return -0.5j * (out - out.T)
+    return out
 
 
 def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:

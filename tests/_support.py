@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
+import types
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from spincat import CatWeights, Coupling, DensityMatrix, NoiseModel, ProtocolConfig, SpinSystem
+from spincat import dynamics, states
 from spincat.dynamics import apply_unitary, dephasing_rate_for_lifetime, flip_rate_for_lifetime
 from spincat.operators import _check_register_size, _check_site, bit_table
 from spincat.states import HERMITIAN_TOL
@@ -22,13 +28,123 @@ RING7_CONFIG = REPO_ROOT / "configs" / "ring7.json"
 _HERMITIAN_ROWS = 64
 
 
-def child_env() -> dict[str, str]:
-    """The environment of a child process: the package and the test support
-    on the path, one BLAS thread."""
+# Hooks on the representation of a DensityMatrix and on the cost of its
+# operations.  They are the only code outside the package that names its
+# private parts (REPRESENTATION_NAMES; test_api checks that no test
+# module does), so a change of representation edits only this section.
+REPRESENTATION_NAMES = """_blocks _classes _values _dense _of_classes _block_structure
+_block_spectrum _hermitian_blocks _hermitian_classes _pair_positions _classes_of _dense_of
+_kick_pairs _kick_whole _KICK_BLOCK _flip_one_site""".split()
+
+# Trajectories per block of the Monte Carlo kick; kick tests straddle it.
+KICK_BLOCK = dynamics._KICK_BLOCK
+
+
+def stored_classes(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending classes a state stores and their values,
+    ``values[k, r] = rho[r, r ^ classes[k]]``: the arrays themselves."""
+    return rho._classes, rho._values
+
+
+def state_bytes(rho: DensityMatrix) -> bytes:
+    """A state's classes, values and pair table, with the table's shape."""
+    parts = [rho._classes.tobytes(), rho._values.tobytes()]
+    if rho._blocks is not None:
+        pairs = rho._blocks
+        parts += [repr(pairs.shape).encode(), pairs.astype(np.int64).tobytes()]
+    return b"".join(parts)
+
+
+def state_of_classes(classes: np.ndarray, values: np.ndarray, n_spins: int) -> DensityMatrix:
+    """The validated state whose ascending ``classes``, 0 first, hold
+    ``values``, built without a dense matrix."""
+    return DensityMatrix._of_classes(classes, values, n_spins)
+
+
+def elements(rho: DensityMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``rho[rows, cols]``, read from the stored classes, without a dense view."""
+    classes, values = rho._classes, rho._values
+    patterns = np.bitwise_xor(rows, cols)
+    k = np.minimum(np.searchsorted(classes, patterns), classes.size - 1)
+    return np.where(classes[k] == patterns, values[k, rows], 0.0)
+
+
+def record_factorised_sizes(monkeypatch) -> list[int]:
+    """Record the order of every matrix ``cholesky`` and ``eigvalsh`` see.
+    A state of 1x1 and 2x2 blocks is validated, and its entropy read,
+    without either; a state checked whole is factorised as one matrix."""
+    sizes = []
+    for name in ("cholesky", "eigvalsh"):
+
+        def recorded(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return sizes
+
+
+def record_pair_scans(monkeypatch) -> tuple[list[int], list]:
+    """Record every ``DensityMatrix`` construction, by its register size,
+    and every scan for a state's pairs, by its result: the ascending
+    ``(p, 2)`` array of the pairs ``(low, high)`` of its 2x2 blocks, or
+    ``None`` for one block of every index.  A construction that takes its
+    input's pairs over scans nothing."""
+    constructions, scans = [], []
+    scan, validate = states._block_structure, DensityMatrix.__post_init__
+
+    def counted_scan(classes, values):
+        scans.append(scan(classes, values))
+        return scans[-1]
+
+    def counted_validate(self):
+        constructions.append(self.n_spins)
+        validate(self)
+
+    monkeypatch.setattr(states, "_block_structure", counted_scan)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_validate)
+    return constructions, scans
+
+
+@contextlib.contextmanager
+def no_characteristic_matrix():
+    """Within the context, a Monte Carlo kick that would form the
+    characteristic matrix, as for a state checked whole, fails."""
+
+    def refuse(*args):
+        raise AssertionError("a state of pairs took the characteristic-matrix route")
+
+    kick_whole, dynamics._kick_whole = dynamics._kick_whole, refuse
+    try:
+        yield
+    finally:
+        dynamics._kick_whole = kick_whole
+
+
+@contextlib.contextmanager
+def traced_memory():
+    """Trace the allocations within the context; at its end the yielded
+    object holds the traced bytes still allocated, ``retained``, and their
+    ``peak``."""
+    memory = types.SimpleNamespace(retained=0, peak=0)
+    tracemalloc.start()
+    try:
+        yield memory
+        memory.retained, memory.peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def run_child(*args: str, timeout: float = 60) -> str:
+    """The output of ``python *args`` in a child process with the package
+    and the test support on the path and one BLAS thread, which must exit
+    with 0."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     paths = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"), env.get("PYTHONPATH", "")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    return env
+    result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
@@ -36,8 +152,9 @@ def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     modulus; for an ``(m, k, k)`` stack, of any matrix in it.  NaN fails."""
     matrix = np.asarray(matrix)
     # A block of rows at a time, so the temporaries are not D x D.
-    # inf - inf is NaN, which fails the comparison below without a warning.
-    with np.errstate(invalid="ignore"):
+    # inf - inf is NaN, and a residual beyond the float limit inf, which
+    # fail the comparison below without a warning.
+    with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, matrix.shape[-1], _HERMITIAN_ROWS):
             rows = slice(start, start + _HERMITIAN_ROWS)
             adjoint = matrix[..., :, rows].conj().swapaxes(-1, -2)
@@ -74,16 +191,10 @@ def single_spin_operator(kind: str, site: int, n_spins: int) -> np.ndarray:
 
 
 def kronecker_total_spin_operator(kind: str, sites, n_spins: int) -> np.ndarray:
-    """Dense reference for ``total_spin_operator``: a sum of embedded
-    one-spin operators."""
-    if len(sites) == 0:
-        raise ValueError("empty site list")
-    if len(set(sites)) != len(sites):
-        raise ValueError("duplicate sites")
-    out = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
-    for site in sites:
-        out += single_spin_operator(kind, site, n_spins)
-    return out
+    """Dense reference for a total spin operator, such as the ``S+`` of
+    ``total_spin_operator``: the sum over ``sites`` of embedded one-spin
+    operators of ``kind``."""
+    return sum(single_spin_operator(kind, site, n_spins) for site in sites)
 
 
 def propagator(h: np.ndarray, t: float) -> np.ndarray:
@@ -403,19 +514,21 @@ def _dense_partial_trace(rho: np.ndarray, n_spins: int, keep) -> np.ndarray:
     return reduced.reshape(1 << len(keep), 1 << len(keep))
 
 
-def _dense_entropy(rho: np.ndarray) -> float:
+def dense_entropy(rho: np.ndarray) -> float:
+    """Von Neumann entropy from ``eigvalsh`` of the whole matrix, in nats;
+    eigenvalues below 1e-14 are dropped."""
     eigs = np.linalg.eigvalsh(rho)
     eigs = eigs[eigs >= 1e-14]
     return max(float(-np.sum(eigs * np.log(eigs))), 0.0)
 
 
-def _dense_coherence_weights(rho: np.ndarray, n_spins: int) -> dict[int, float]:
-    """Weights of the orders above 1e-12, from a histogram over all D^2 elements."""
+def popcount_weights(rho: np.ndarray, n_spins: int) -> dict[int, float]:
+    """The weight of every coherence order, from one histogram over all
+    D^2 elements in C order."""
     ups = n_spins - bit_table(n_spins).sum(axis=0)
     order = (ups[:, None] - ups[None, :] + n_spins).ravel()
     totals = np.bincount(order, weights=np.abs(rho.ravel()) ** 2, minlength=2 * n_spins + 1)
-    weights = {q: float(np.sqrt(totals[q + n_spins])) for q in range(-n_spins, n_spins + 1)}
-    return {q: w for q, w in weights.items() if w > 1e-12}
+    return {q: float(np.sqrt(totals[q + n_spins])) for q in range(-n_spins, n_spins + 1)}
 
 
 def _dense_magnetization(rho: np.ndarray, n_spins: int, sites) -> float:
@@ -485,9 +598,11 @@ def dense_run_protocol(config: ProtocolConfig) -> dict:
             {
                 "name": name,
                 "fidelity": float(np.trace(rho @ _ket_projector(ideals[name], dim)).real),
-                "coherence_weights": _dense_coherence_weights(rho, n),
-                "control_entropy": _dense_entropy(_dense_partial_trace(rho, n, [0])),
-                "system_entropy": _dense_entropy(_dense_partial_trace(rho, n, system)),
+                "coherence_weights": {
+                    q: w for q, w in popcount_weights(rho, n).items() if w > 1e-12
+                },
+                "control_entropy": dense_entropy(_dense_partial_trace(rho, n, [0])),
+                "system_entropy": dense_entropy(_dense_partial_trace(rho, n, system)),
                 "system_magnetization": _dense_magnetization(rho, n, system),
             }
         )
@@ -497,7 +612,7 @@ def dense_run_protocol(config: ProtocolConfig) -> dict:
         "delay_s": config.delay_s,
         "steps": steps,
         "final_system_fidelity": float(np.trace(final_system @ system_target).real),
-        "final_control_entropy": _dense_entropy(_dense_partial_trace(after_e, n, [0])),
+        "final_control_entropy": dense_entropy(_dense_partial_trace(after_e, n, [0])),
         "final_total_magnetization": _dense_magnetization(after_e, n, range(n)),
         "final_state": after_e,
     }

@@ -29,15 +29,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from spincat import load_config, run_protocol, scaling_study, states  # noqa: E402
 from spincat.protocol import NOISE_MODES  # noqa: E402
-from _support import protocol_config  # noqa: E402
+from _support import protocol_config, state_bytes, stored_classes  # noqa: E402
 
 # Largest register of the scaling part, as in the mc_scaling_n9 workload.
 _SCALING_MAX_SPINS = 9
@@ -60,15 +58,6 @@ def _reduced_states():
         states.reduced_state = reduce
 
 
-def _state_bytes(rho: states.DensityMatrix) -> bytes:
-    """A state's classes, values and pair table, with the table's shape."""
-    parts = [rho._classes.tobytes(), rho._values.tobytes()]
-    if rho._blocks is not None:
-        pairs = rho._blocks
-        parts += [repr(pairs.shape).encode(), pairs.astype(np.int64).tobytes()]
-    return b"".join(parts)
-
-
 def digest(n_max: int, seeds: int) -> tuple[str, int, int]:
     """The hex digest, the number of protocol runs and of scaling studies."""
     sha = hashlib.sha256()
@@ -80,10 +69,10 @@ def digest(n_max: int, seeds: int) -> tuple[str, int, int]:
                 with _reduced_states() as reduced:
                     report = run_protocol(config)
                 sha.update(json.dumps(report.to_dict(), sort_keys=True).encode())
-                sha.update(report.final_state._classes.tobytes())
-                sha.update(report.final_state._values.tobytes())
+                for array in stored_classes(report.final_state):
+                    sha.update(array.tobytes())
                 for rho in reduced:
-                    sha.update(_state_bytes(rho))
+                    sha.update(state_bytes(rho))
                 runs += 1
     ring7 = load_config(ROOT / "configs" / "ring7.json")
     sizes = range(2, min(n_max, _SCALING_MAX_SPINS) + 1)

@@ -13,7 +13,6 @@ import numpy as np
 
 from spincat import (
     CatWeights,
-    DensityMatrix,
     NoiseModel,
     ProtocolConfig,
     apply_dephasing,
@@ -37,7 +36,6 @@ from _support import (
     RING7_CONFIG,
     Pulse,
     apply_pulse,
-    lindblad_rhs,
     random_density_matrix,
     random_unitary,
     rk4_evolve,
@@ -46,7 +44,6 @@ from _support import (
 )
 
 GAMMA_7Q = 2.0 / (7.0 * 0.029)  # 7-spin coherence lifetime 0.029 s
-KAPPA_PROTON = 1.0 / (2.0 * 0.49)  # per-spin polarization lifetime 0.49 s
 
 
 def _finish(capfd, number: int, name: str, failures: list[str]) -> None:

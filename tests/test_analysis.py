@@ -1,10 +1,6 @@
 """Exponential fitting and coherence-order scaling studies."""
 
 import math
-import os
-import subprocess
-import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +16,7 @@ from spincat import (
     nq_amplitude,
     scaling_study,
 )
-from _support import REPO_ROOT, child_env, phase_kicks_reference
+from _support import REPO_ROOT, phase_kicks_reference, run_child, traced_memory
 
 GAMMA_7Q = 9.852216748768472  # 2 / (7 * 0.029)
 
@@ -92,13 +88,7 @@ class TestFitExponential:
             "assert abs(fit.tau_s - 0.029) < 1e-9, fit\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
         )
-        env = dict(os.environ)
-        paths = [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
-        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
+        run_child("-c", code)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(FitError):
@@ -124,13 +114,9 @@ class TestScalingStudy:
         noise = NoiseModel.uniform(1, dephasing_per_s=4.0, mc_trajectories=20)
         delays = [0.0, 0.01, 0.02, 0.03]
         scaling_study([2], noise, delays, mode=mode, seed=1)  # first-call set-up, outside the count
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             scaling_study([n], noise, delays, mode=mode, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * dim * 16
+        assert memory.peak < 64 * dim * 16
 
     def test_analytic_rates_scale_with_register_size(self):
         noise = NoiseModel.uniform(2, dephasing_per_s=GAMMA_7Q)
@@ -226,37 +212,23 @@ class TestScalingStudy:
 def test_seed_sweep_script_runs():
     # tests/seed_sweep.py repeats three single-seed Monte Carlo tests over
     # many seeds; two seeds show that it still runs and reports all three.
-    result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tests" / "seed_sweep.py"), "--seeds", "2"],
-        env=child_env(),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    lines = [line for line in result.stdout.splitlines() if ": passed " in line]
-    assert len(lines) == 3, result.stdout
+    stdout = run_child(str(REPO_ROOT / "tests" / "seed_sweep.py"), "--seeds", "2", timeout=120)
+    lines = [line for line in stdout.splitlines() if ": passed " in line]
+    assert len(lines) == 3, stdout
 
 
 def test_output_digest_script_runs():
     # tests/output_digest.py hashes the outputs of a grid of protocol runs
     # and scaling studies; registers of 2 and 3 spins and one seed show
     # that it still runs and covers both parts.
-    result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tests" / "output_digest.py"), "--n-max", "3", "--seeds", "1"],
-        env=child_env(),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert lines[0] == "# 8 protocol runs, 2 scaling studies", result.stdout
+    stdout = run_child(str(REPO_ROOT / "tests" / "output_digest.py"), "--n-max", "3", "--seeds", "1", timeout=120)
+    lines = stdout.splitlines()
+    assert lines[0] == "# 8 protocol runs, 2 scaling studies", stdout
     # The digest of this small grid is pinned, so a change that moves one
     # output bit fails here, not only in the full script.
     assert lines[1:] == [
         "sha256 632181a90a501ec8abacc06d18b67b57a4b70a7579cd64b0617514d834af446f"
-    ], result.stdout
+    ], stdout
 
 
 class TestLinearRegression:

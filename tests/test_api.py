@@ -9,7 +9,7 @@ import sys
 import types
 
 import spincat
-from _support import REPO_ROOT, RING7_CONFIG
+from _support import REPO_ROOT, REPRESENTATION_NAMES, RING7_CONFIG
 
 # Adding or removing an export is a decision: change this set with it.
 PUBLIC_NAMES = {
@@ -72,6 +72,20 @@ def test_exported_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_tests_name_no_part_of_the_state_representation():
+    # Tests read states through the public API and the hooks of
+    # tests/_support.py, so a change of representation edits that file alone.
+    pattern = re.compile(r"\b(?:" + "|".join(REPRESENTATION_NAMES) + r")\b")
+    tests = REPO_ROOT / "tests"
+    named = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in [*sorted(tests.glob("test_*.py")), tests / "output_digest.py"]
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert named == []
 
 
 def test_readme_api_paragraph_names_resolve():

@@ -1,9 +1,11 @@
 """End-to-end command-line runs: files, exit codes, determinism."""
 
+import errno
 import json
+import os
 import shutil
 import subprocess
-import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from spincat import (
     run_protocol,
 )
 from spincat.cli import MAX_SCALING_SPINS, _resolve_state, _write_atomic, main
-from _support import RING7_CONFIG
+from _support import RING7_CONFIG, traced_memory
 
 GAMMA_7Q = 9.852216748768472
 KAPPA_PROTON = 1.0204081632653061
@@ -322,19 +324,15 @@ class TestSpectrum:
         monkeypatch.setattr(
             np, "load", lambda name, mmap_mode=None: np.broadcast_to(np.complex128(0.0), (8192, 8192))
         )
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             code = main(
                 ["spectrum", "--config", str(config), "--out", str(tmp_path / "out"), "--state", "big.npy"]
             )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: register of 13 spins exceeds the dense limit of 12"
         ]
-        assert peak < 16 << 20
+        assert memory.peak < 16 << 20
 
     def test_npy_state_file_beyond_the_register_cap_is_not_read(self, tmp_path, capsys):
         # A sparse 13-spin float64 file: 512 MiB of zeros that take no disk
@@ -348,14 +346,10 @@ class TestSpectrum:
             )
             handle.seek(dim * dim * 8 - 1, 1)
             handle.write(b"\0")
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             with pytest.raises(ValueError, match="exceeds the dense limit of 12"):
                 _resolve_state(str(state_path), load_config(config))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert memory.peak < 1 << 20
         code = main(
             ["spectrum", "--config", str(config), "--out", str(tmp_path / "out"), "--state", str(state_path)]
         )
@@ -487,6 +481,27 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
+
+    @pytest.mark.parametrize("failure", ["directory-in-the-way", "unwritable-directory"])
+    def test_an_output_that_cannot_be_written_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, failure
+    ):
+        config, out = write_config(tmp_path), tmp_path / "out"
+        if failure == "directory-in-the-way":
+            path, code = out / "protocol_report.json", errno.EISDIR
+            path.mkdir(parents=True)
+        else:
+            path, code = out, errno.EACCES
+
+            def refuse(self, *args, **kwargs):
+                raise PermissionError(code, os.strerror(code), str(self))
+
+            monkeypatch.setattr(Path, "mkdir", refuse)
+        assert main(["run-protocol", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {path}: {os.strerror(code)}\n"
+        if path != out:
+            # The temp file that could not replace the report is gone.
+            assert [p.name for p in out.iterdir()] == [path.name]
 
     def test_integer_beyond_every_float_is_a_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, protocol={"delays_s": [0, 0.01, 10**400]})

@@ -1,10 +1,5 @@
 """Hamiltonians, pulses, noise channels, and the collective gate."""
 
-import dataclasses
-import subprocess
-import sys
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -25,28 +20,37 @@ from spincat import (
     flip_rate_for_lifetime,
     nq_amplitude,
 )
-from spincat import dynamics, load_config, operators, protocol
-from spincat.dynamics import _KICK_BLOCK, COUPLING_KINDS, _flip_one_site, draw_kick_phases
+from spincat import load_config, operators, protocol
+from spincat.dynamics import COUPLING_KINDS, draw_kick_phases
 from spincat.spectra import _without_couplings_to
 from spincat.states import HERMITIAN_TOL
 from _support import (
+    KICK_BLOCK,
     RING7_CONFIG,
     SZ,
     Pulse,
     apply_pulse,
-    child_env,
     controlled_not_unitary,
     dephasing_reference,
+    elements,
     evolve,
     flip_one_site_reference,
     hamiltonian_reference,
     is_hermitian,
+    kronecker_total_spin_operator,
+    no_characteristic_matrix,
     phase_kicks_reference,
     protocol_config,
     pulse_unitary,
     random_density_matrix,
+    record_pair_scans,
     rk4_evolve,
+    run_child,
     single_spin_operator,
+    state_bytes,
+    state_of_classes,
+    stored_classes,
+    traced_memory,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -80,7 +84,7 @@ PATTERN_IDS = [f"{kind}-{n}" for kind, n in PATTERN_STATES]
 def _check_pattern_state(rho: DensityMatrix) -> None:
     # The channels must see a state stored by a few of its coherence
     # classes r ^ c: at least two, and not all of them.
-    assert 2 <= rho._classes.size < rho.dim
+    assert 2 <= stored_classes(rho)[0].size < rho.dim
 
 
 class TestSpinSystem:
@@ -211,7 +215,7 @@ class TestHamiltonian:
             3, ("control", "system", "system"), tuple(rng.normal(0.0, 100.0, size=3)), tuple(couplings)
         )
         h = build_hamiltonian(system)
-        sz = operators.total_spin_operator("z", [0, 1, 2], 3)
+        sz = kronecker_total_spin_operator("z", [0, 1, 2], 3)
         assert np.abs(h @ sz - sz @ h).max() < 1e-9
         assert is_hermitian(h, 1e-9)
 
@@ -421,16 +425,15 @@ class TestFlipRelaxation:
             np.testing.assert_array_equal(apply_flip_relaxation(rho, noise, t).matrix, expected)
 
     @pytest.mark.parametrize("site", range(4))
-    def test_one_site_updates_its_argument(self, site):
-        # _flip_one_site updates the classes' values in place: all 16 of a
-        # dense 4-spin state, values[k, r] = rho[r, r ^ classes[k]].
+    def test_one_site_of_a_dense_state_matches_reference(self, site):
+        # One spin's flip factor, over all 16 classes of a dense 4-spin
+        # state, bit for bit; the state it was given is left as it was.
         rho = random_density_matrix(np.random.default_rng(site), 4)
-        classes, values = rho._classes, rho._values.copy()
-        np.testing.assert_array_equal(classes, np.arange(16))
-        assert _flip_one_site(values, classes, site, 4, 0.3) is None
+        before = rho.matrix.tobytes()
+        noise = NoiseModel((0.0,) * 4, tuple(0.3 if i == site else 0.0 for i in range(4)))
         expected = flip_one_site_reference(rho.matrix, site, 4, 0.3)
-        index = np.arange(16)
-        np.testing.assert_array_equal(values, expected[index, index ^ classes[:, None]])
+        assert apply_flip_relaxation(rho, noise, 1.0).matrix.tobytes() == expected.tobytes()
+        assert rho.matrix.tobytes() == before
 
     def test_commutes_with_dephasing(self):
         rng = np.random.default_rng(13)
@@ -503,7 +506,7 @@ class TestPhaseKicks:
         assert abs(kicked.matrix[0, 7] - analytic.matrix[0, 7]) < 0.01
 
     @pytest.mark.parametrize(
-        "trajectories", [1, _KICK_BLOCK - 1, _KICK_BLOCK, _KICK_BLOCK + 1, 3 * _KICK_BLOCK + 7]
+        "trajectories", [1, KICK_BLOCK - 1, KICK_BLOCK, KICK_BLOCK + 1, 3 * KICK_BLOCK + 7]
     )
     @pytest.mark.parametrize("n_spins", [1, 2, 3, 5])
     def test_matches_per_trajectory_reference(self, n_spins, trajectories):
@@ -525,7 +528,7 @@ class TestPhaseKicks:
         block = g @ g.conj().T
         matrix = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
         matrix[np.ix_(support, support)] = block / np.trace(block).real
-        trajectories = 2 * _KICK_BLOCK + 3
+        trajectories = 2 * KICK_BLOCK + 3
         rates = tuple(rng.uniform(0.01, 3.2, n_spins))
         noise = NoiseModel(rates, (0.0,) * n_spins, trajectories)
         kicked = apply_phase_kicks_mc(DensityMatrix(matrix, n_spins), noise, 0.7, seed=support_size)
@@ -540,7 +543,7 @@ class TestPhaseKicks:
             rho = cat_state(3, CatWeights(0.6, 0.8))
         else:
             rho = random_density_matrix(np.random.default_rng(8), 3)
-        noise = NoiseModel.uniform(3, dephasing_per_s=0.0, flip_per_s=2.0, mc_trajectories=_KICK_BLOCK + 5)
+        noise = NoiseModel.uniform(3, dephasing_per_s=0.0, flip_per_s=2.0, mc_trajectories=KICK_BLOCK + 5)
         kicked = apply_phase_kicks_mc(rho, noise, 0.4, seed=3)
         assert np.array_equal(kicked.matrix, rho.matrix)
 
@@ -569,21 +572,16 @@ def _pair_state(rng: np.random.Generator, n_spins: int, n_classes: int) -> np.nd
 _TEN_SPIN_CAT_KICK = """
 import dataclasses
 import numpy as np
-from spincat import apply_phase_kicks_mc, dynamics, protocol
-from _support import phase_kicks_reference, protocol_config
+from spincat import apply_phase_kicks_mc, protocol
+from _support import no_characteristic_matrix, phase_kicks_reference, protocol_config
 
-def refuse(*args):
-    raise AssertionError("a state of pairs took the characteristic-matrix route")
-
-dynamics._kick_whole = refuse
 base = protocol_config(10)
 noise = dataclasses.replace(base.noise, mc_trajectories=24)
 config = dataclasses.replace(base, noise=noise, noise_mode="monte_carlo", seed=31)
 rho = protocol.step_a_initialize(config)
 rho = protocol.step_c_entangle(protocol.step_b_create_cat(rho, config), config)
-if rho._blocks is None or not len(rho._blocks):
-    raise AssertionError("the entangled cat is not a state of pairs")
-kicked = apply_phase_kicks_mc(rho, noise, config.delay_s, config.seed)
+with no_characteristic_matrix():
+    kicked = apply_phase_kicks_mc(rho, noise, config.delay_s, config.seed)
 sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * config.delay_s)
 reference = phase_kicks_reference(rho.matrix, 10, sigma, 24, config.seed)
 np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
@@ -595,11 +593,9 @@ class TestPairKicks:
     blocks is kicked at its pairs' elements, with no characteristic matrix."""
 
     @pytest.fixture(autouse=True)
-    def _no_whole_route(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a state of pairs took the characteristic-matrix route")
-
-        monkeypatch.setattr(dynamics, "_kick_whole", refuse)
+    def _no_whole_route(self):
+        with no_characteristic_matrix():
+            yield
 
     @pytest.mark.parametrize(
         "n_spins, n_classes, seed",
@@ -610,19 +606,19 @@ class TestPairKicks:
         rng = np.random.default_rng(10_000 * n_spins + 100 * n_classes + seed)
         matrix = _pair_state(rng, n_spins, n_classes)
         rho = DensityMatrix(matrix, n_spins)
-        assert rho._blocks is not None and len(rho._blocks) > 0
-        assert 2 <= rho._classes.size <= n_classes + 1
-        trajectories = _KICK_BLOCK + 3
+        assert np.count_nonzero(matrix) > rho.dim
+        assert 2 <= stored_classes(rho)[0].size <= n_classes + 1
+        trajectories = KICK_BLOCK + 3
         rates = tuple(rng.uniform(0.01, 3.2, n_spins))
         noise = NoiseModel(rates, (0.0,) * n_spins, trajectories)
         kicked = apply_phase_kicks_mc(rho, noise, 0.7, seed=seed)
         sigma = np.sqrt(np.asarray(rates) * 0.7)
         reference = phase_kicks_reference(matrix, n_spins, sigma, trajectories, seed)
         np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
-        assert kicked._values[0].tobytes() == rho._values[0].tobytes()
+        assert np.diagonal(kicked.matrix).tobytes() == np.diagonal(matrix).tobytes()
 
     @pytest.mark.parametrize("triangle", ["lower", "upper"])
-    def test_pair_in_one_triangle_keeps_its_zero(self, triangle):
+    def test_pair_in_one_triangle_keeps_its_zero(self, monkeypatch, triangle):
         # A pair whose element in one triangle is within HERMITIAN_TOL of
         # zero, and exactly zero in the other: the zero stays as it is.  It
         # is a negative zero, whose sign bits a multiplication would change.
@@ -632,9 +628,10 @@ class TestPairKicks:
         row, col = (high, low) if triangle == "lower" else (low, high)
         matrix[row, col] = small
         matrix[col, row] = complex(-0.0, -0.0)
+        _, scans = record_pair_scans(monkeypatch)
         rho = DensityMatrix(matrix, n)
-        np.testing.assert_array_equal(rho._blocks, [[low, high]])
-        noise = NoiseModel((0.9, 2.5, 0.3, 1.7), (0.0,) * n, _KICK_BLOCK + 9)
+        np.testing.assert_array_equal(scans[0], [[low, high]])
+        noise = NoiseModel((0.9, 2.5, 0.3, 1.7), (0.0,) * n, KICK_BLOCK + 9)
         kicked = apply_phase_kicks_mc(rho, noise, 0.5, seed=6)
         sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * 0.5)
         reference = phase_kicks_reference(matrix, n, sigma, noise.mc_trajectories, 6)
@@ -648,22 +645,14 @@ class TestPairKicks:
         rho = DensityMatrix(np.diag(populations / populations.sum()).astype(complex), 5)
         noise = NoiseModel.uniform(5, dephasing_per_s=2.0, mc_trajectories=300)
         kicked = apply_phase_kicks_mc(rho, noise, 0.3, seed=2)
-        assert kicked._classes.tobytes() == rho._classes.tobytes()
-        assert kicked._values.tobytes() == rho._values.tobytes()
+        assert state_bytes(kicked) == state_bytes(rho)
 
     def test_ten_spin_protocol_cat_matches_reference(self):
         # The state that step D of a Monte Carlo run kicks: the pseudopure
         # cat entangled with the control.  The reference holds D x D arrays,
         # so it runs in a child process: here it would raise this process's
         # peak RSS, which every later child inherits in ru_maxrss.
-        result = subprocess.run(
-            [sys.executable, "-c", _TEN_SPIN_CAT_KICK],
-            env=child_env(),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode == 0, result.stderr
+        run_child("-c", _TEN_SPIN_CAT_KICK)
 
     def test_twelve_spin_pairs_stay_within_a_block_of_phases(self):
         # 2048 pairs cover every index of a 12-spin register, over three
@@ -687,26 +676,22 @@ class TestPairKicks:
         rows = np.searchsorted(classes, low ^ high)
         values[rows, low] = coherence
         values[rows, high] = coherence.conj()
-        rho = DensityMatrix._of_classes(classes, values, n)
-        assert len(rho._blocks) == 2048
+        rho = state_of_classes(classes, values, n)
+        assert low.size == 2048
         rates = rng.uniform(0.5, 3.0, n)
         noise = NoiseModel(tuple(rates), (0.0,) * n, 1000)
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             kicked = apply_phase_kicks_mc(rho, noise, 0.2, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 1024**2
-        assert kicked._values[0].tobytes() == values[0].tobytes()
+        assert memory.peak < 32 * 1024**2
+        assert elements(kicked, index, index).tobytes() == values[0].tobytes()
         # A few pairs against the mean over trajectories of their phases.
         phases = np.random.default_rng(5).normal(0.0, np.sqrt(rates * 0.2), (1000, n))
         sz_signs = 0.5 - operators.bit_table(n)
         k = rng.choice(low.size, 8, replace=False)
         factor = np.exp(-1j * (phases @ (sz_signs[:, low[k]] - sz_signs[:, high[k]]))).mean(axis=0)
         expected = factor * coherence[k]
-        np.testing.assert_allclose(kicked._values[rows[k], low[k]], expected, rtol=1e-12)
-        np.testing.assert_allclose(kicked._values[rows[k], high[k]], expected.conj(), rtol=1e-12)
+        np.testing.assert_allclose(elements(kicked, low[k], high[k]), expected, rtol=1e-12)
+        np.testing.assert_allclose(elements(kicked, high[k], low[k]), expected.conj(), rtol=1e-12)
 
 
 class TestControlledNot:

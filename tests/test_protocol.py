@@ -2,10 +2,7 @@
 
 import dataclasses
 import json
-import subprocess
-import sys
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +14,11 @@ from spincat import (
     apply_unitary,
     cat_state,
     dephasing_rate_for_lifetime,
-    fidelity,
     ferro_state,
     fit_exponential,
     flip_rate_for_lifetime,
     measure_diagonal_decay,
     measure_nq_decay,
-    nq_amplitude,
     reduced_state,
     run_protocol,
     von_neumann_entropy,
@@ -32,13 +27,16 @@ from spincat import protocol, states
 from _support import (
     bare_system,
     cat_rotation_unitary,
-    child_env,
     controlled_not_unitary,
     entangle_unitary,
     phase_kicks_reference,
+    elements,
     protocol_config,
     random_density_matrix,
     random_unitary,
+    run_child,
+    stored_classes,
+    traced_memory,
 )
 
 GAMMA_7Q = dephasing_rate_for_lifetime(0.029, 7)
@@ -338,13 +336,9 @@ def test_run_protocol_holds_at_most_five_and_a_half_states():
     # made eight.
     config = protocol_config(9)
     run_protocol(config)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         run_protocol(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5.5 * 16 * 4**9
+    assert memory.peak <= 5.5 * 16 * 4**9
 
 
 def test_run_protocol_allocates_no_dense_matrix():
@@ -352,30 +346,27 @@ def test_run_protocol_allocates_no_dense_matrix():
     # on, the peak stays under 64 such vectors, where one dense state is 2048.
     config = protocol_config(11)
     run_protocol(config)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         report = run_protocol(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 16 * 2**11
-    assert report.final_state._classes.size == 2
+    assert memory.peak < 64 * 16 * 2**11
+    assert stored_classes(report.final_state)[0].size == 2
 
 
 def test_final_state_matrix_is_a_read_only_view_built_once():
     report = run_protocol(protocol_config(5))
     rho = report.final_state
-    assert rho._dense is None
+    # The first read builds the D x D view, and later reads return it.
+    with traced_memory() as view:
+        rho.matrix
+    assert view.retained >= 16 * rho.dim**2
     matrix = rho.matrix
     assert rho.matrix is matrix
     assert not matrix.flags.writeable
     with pytest.raises(ValueError):
         matrix[0, 0] = 1.0
-    # The dense view holds the two classes and zeros elsewhere.
-    index = np.arange(rho.dim)
-    for x, values in zip(rho._classes, rho._values):
-        assert matrix[index, index ^ x].tobytes() == values.tobytes()
-    assert np.count_nonzero(matrix) == np.count_nonzero(rho._values)
+    # The dense view holds the stored elements and zeros elsewhere.
+    rows, cols = np.divmod(np.arange(rho.dim**2), rho.dim)
+    assert matrix.tobytes() == elements(rho, rows, cols).tobytes()
 
 
 def test_dense_operations_accept_a_state_stored_by_classes():
@@ -402,10 +393,7 @@ def test_run_protocol_does_not_import_numpy_ma():
         "assert 0.0 < report.final_system_fidelity <= 1.0\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
+    run_child("-c", code)
 
 
 # The child reports its own peak RSS, VmHWM.  ru_maxrss would not do:
@@ -430,16 +418,9 @@ print(json.dumps({
 def _run_twelve_spins(noise_mode: str) -> tuple[float, dict]:
     """Wall time and outcome of one 12-spin run in a fresh process."""
     start = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-c", _TWELVE_SPIN_RUN, noise_mode],
-        env=child_env(),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    stdout = run_child("-c", _TWELVE_SPIN_RUN, noise_mode)
     elapsed = time.perf_counter() - start
-    assert result.returncode == 0, result.stderr
-    outcome = json.loads(result.stdout)
+    outcome = json.loads(stdout)
     assert 0.0 < outcome["fidelity"] <= 1.0
     return elapsed, outcome
 

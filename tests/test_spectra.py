@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spincat import (
-    CatWeights,
     Coupling,
     SpinSystem,
     Spectrum,
@@ -14,8 +13,7 @@ from spincat import (
     pseudopure,
     thermal_state,
 )
-from spincat import operators, states
-from _support import random_density_matrix, ring7_system
+from _support import kronecker_total_spin_operator, random_density_matrix, ring7_system
 
 
 def test_single_spin_reference_line():
@@ -52,7 +50,7 @@ def test_total_amplitude_rule(seed):
         ),
     )
     observe = [1, 2]
-    sz_obs = operators.total_spin_operator("z", observe, 3)
+    sz_obs = kronecker_total_spin_operator("z", observe, 3)
     expected = complex(np.trace(rho.matrix @ (2.0 * sz_obs)))
     coupled = linear_response_spectrum(rho, system, observe)
     decoupled = linear_response_spectrum(rho, system, observe, decouple=[0])

@@ -35,10 +35,18 @@ from spincat import (
 from spincat import operators, protocol, states
 from _support import (
     coherence_components,
+    dense_entropy,
     is_hermitian,
+    kronecker_total_spin_operator,
+    popcount_weights,
     protocol_config,
     random_density_matrix,
     random_unitary,
+    record_factorised_sizes,
+    record_pair_scans,
+    state_bytes,
+    stored_classes,
+    traced_memory,
 )
 
 
@@ -106,11 +114,7 @@ def _assert_coherence_orders_match_oracles(rho):
         assert weights[q] == pytest.approx(np.linalg.norm(component), rel=1e-12, abs=1e-15)
     # The whole-matrix histogram: a kept pattern drops only exact zeros
     # from the same sums in the same order, so the weights are bit-identical.
-    n = rho.n_spins
-    ups = n - operators.bit_table(n).sum(axis=0)
-    order = (ups[:, None] - ups[None, :] + n).ravel()
-    totals = np.bincount(order, weights=np.abs(rho.matrix.ravel()) ** 2, minlength=2 * n + 1)
-    assert weights == {q: float(np.sqrt(totals[q + n])) for q in range(-n, n + 1)}
+    assert weights == popcount_weights(rho.matrix, rho.n_spins)
 
 
 def test_coherence_orders_against_popcount_oracle():
@@ -182,41 +186,24 @@ BLOCK_STATES = {
 
 
 @pytest.mark.parametrize("make, max_classes", BLOCK_STATES.values(), ids=BLOCK_STATES)
-def test_coherence_orders_of_block_states_against_popcount_oracle(make, max_classes):
+def test_coherence_orders_of_block_states_against_popcount_oracle(monkeypatch, make, max_classes):
+    # Stored by a few classes and checked block by block, with no
+    # factorisation, not as one dense block.
+    sizes = record_factorised_sizes(monkeypatch)
     rho = make()
-    # Stored by a few classes and checked block by block, not as one dense block.
-    assert rho._blocks is not None and rho._classes.size <= max_classes
+    assert sizes == [] and stored_classes(rho)[0].size <= max_classes
     _assert_coherence_orders_match_oracles(rho)
-    # The route by pairs gives the weights of the route by slices of rows
-    # over the same classes, bit for bit.
-    whole = DensityMatrix._of_classes(rho._classes, np.array(rho._values), rho.n_spins)
-    object.__setattr__(whole, "_blocks", None)
-    assert coherence_orders(rho) == coherence_orders(whole)
 
 
 @pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
 def test_run_protocol_finds_each_pattern_once(monkeypatch, mode):
-    # Validation finds the pairs once per pattern: only pseudopure and
-    # step D's dephasing or kick keep their input's pattern and take its
-    # pairs over unscanned, and entropies reuse the pairs they find.
-    scans = []
-    constructions = []
-    scan = states._block_structure
-    validate = DensityMatrix.__post_init__
-
-    def counted_scan(classes, values):
-        scans.append(values.shape)
-        return scan(classes, values)
-
-    def counted_validate(self):
-        constructions.append(self.n_spins)
-        validate(self)
-
-    monkeypatch.setattr(states, "_block_structure", counted_scan)
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_validate)
+    # Validation finds the pairs once per pattern: pseudopure and step D's
+    # dephasing or kick keep their input's pattern and take its pairs over
+    # unscanned, and entropies reuse the pairs they find.
+    constructions, scans = record_pair_scans(monkeypatch)
     run_protocol(dataclasses.replace(protocol_config(4), noise_mode=mode))
-    assert len(constructions) == 24
-    assert len(scans) == 22
+    assert len(constructions) <= 24
+    assert len(scans) <= len(constructions) - 2
 
 
 def test_coherence_components_are_orthogonal():
@@ -382,7 +369,7 @@ def test_traces_match_dense_products(seed):
     assert states.expectation(rho, observable) == pytest.approx(
         np.trace(rho.matrix @ observable), rel=1e-12
     )
-    sz = operators.total_spin_operator("z", [0, 2], 3)
+    sz = kronecker_total_spin_operator("z", [0, 2], 3)
     assert states.magnetization(rho, [0, 2]) == pytest.approx(
         np.trace(rho.matrix @ sz).real, rel=1e-12, abs=1e-15
     )
@@ -411,11 +398,11 @@ def test_density_matrix_is_immutable_and_copies_by_value():
     with pytest.raises(AttributeError):
         rho.matrix = np.eye(8) / 8.0
     with pytest.raises(ValueError):
-        rho._values[0, 0] = 1.0
+        stored_classes(rho)[1][0, 0] = 1.0
     for twin in (copy.deepcopy(rho), pickle.loads(pickle.dumps(rho))):
         assert twin.n_spins == 3
         assert twin.matrix.tobytes() == rho.matrix.tobytes()
-        assert not twin._values.flags.writeable
+        assert not stored_classes(twin)[1].flags.writeable
 
 
 def _state_with_smallest_eigenvalue(rng, n_spins, eigmin):
@@ -460,13 +447,10 @@ def test_eigenvalue_fallback_decides_when_cholesky_fails(monkeypatch, n_spins):
 
 @pytest.mark.parametrize("fraction", [1.0, 0.7])
 def test_ten_spin_corner_states_pass_without_eigendecomposition(monkeypatch, fraction):
-    def no_eigvalsh(matrix):
-        raise AssertionError("eigvalsh ran on a positive state")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    sizes = record_factorised_sizes(monkeypatch)
     cat = cat_state(10, CatWeights(0.6, 0.8j))
     rho = pseudopure(cat, fraction)
-    assert rho.dim == 1024
+    assert sizes == [] and rho.dim == 1024
     assert np.array_equal(rho.matrix, (1.0 - fraction) * np.eye(1024) / 1024 + fraction * cat.matrix)
 
 
@@ -486,18 +470,15 @@ def test_validation_leaves_matrix_and_input_untouched(seed):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
 def test_non_finite_entries_fail_before_the_factorisation(monkeypatch, value, entry):
-    def not_reached(matrix):
-        raise AssertionError("positivity check ran on a non-finite matrix")
-
     matrix = np.eye(4, dtype=complex) / 4.0
     matrix[entry] = value
     matrix[entry[::-1]] = value
-    monkeypatch.setattr(np.linalg, "cholesky", not_reached)
-    monkeypatch.setattr(np.linalg, "eigvalsh", not_reached)
+    sizes = record_factorised_sizes(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StateInvariantError):
             DensityMatrix(matrix, 2)
+    assert sizes == []
 
 
 def test_thermal_state():
@@ -546,19 +527,6 @@ def _block_permuted_state(rng, layout, eigmin=None, negative_size=None):
     return (matrix + matrix.conj().T) / 2.0
 
 
-def _record_factorised_sizes(monkeypatch):
-    """Patch ``cholesky`` and ``eigvalsh`` to record the order of every matrix they see."""
-    sizes = []
-    for name in ("cholesky", "eigvalsh"):
-
-        def recorded(a, *args, _original=getattr(np.linalg, name), **kwargs):
-            sizes.append(np.shape(a)[-1])
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recorded)
-    return sizes
-
-
 @pytest.mark.parametrize("factor", [0.5, -0.5, -2.0])
 @pytest.mark.parametrize(
     "layout, negative_size, block, largest",
@@ -592,7 +560,7 @@ def test_block_route_verdict_matches_eigenvalue_criterion(
         matrix = _block_permuted_state(rng, layout, factor * tol, negative_size)
     eigmin = float(np.linalg.eigvalsh(matrix)[0])
     assert eigmin == pytest.approx(factor * tol, rel=1e-4)
-    sizes = _record_factorised_sizes(monkeypatch)
+    sizes = record_factorised_sizes(monkeypatch)
     if eigmin >= -tol:
         assert np.array_equal(DensityMatrix(matrix, 6).matrix, matrix)
     else:
@@ -601,8 +569,10 @@ def test_block_route_verdict_matches_eigenvalue_criterion(
         reported = float(str(excinfo.value).split()[2])
         assert reported == pytest.approx(eigmin, rel=1e-4)
     # Pairs and singles are read in closed form, with no factorisation at
-    # all (largest 0); any larger block makes the whole matrix one block.
-    assert max(sizes, default=0) == largest
+    # all (largest 0); any larger block makes the whole matrix one block,
+    # whose factor, shifted by POSITIVITY_TOL, exists exactly when it is
+    # accepted; only a rejection runs eigvalsh as well.
+    assert sizes == [largest] * (0 if largest == 0 else 1 if eigmin >= -tol else 2)
 
 
 # Pair blocks (p, q, smallest eigenvalue in units of POSITIVITY_TOL or None
@@ -643,35 +613,23 @@ def test_pair_blocks_in_closed_form_match_eigvalsh(monkeypatch, case, seed):
     matrix[high, high] = q - 1j * residue * states.HERMITIAN_TOL
     matrix[high, low] = modulus * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     matrix[low, high] = np.conj(matrix[high, low])
-    reference = np.linalg.eigvalsh(matrix)
-    assert (reference[0] < -tol) == (eigmin == -2.0)
-    sizes = _record_factorised_sizes(monkeypatch)
-    if reference[0] < -tol:
-        with pytest.raises(StateInvariantError, match="negative eigenvalue") as excinfo:
-            DensityMatrix(matrix, n_spins)
-        assert float(str(excinfo.value).split()[2]) == pytest.approx(reference[0], abs=1e-12)
-        assert sizes == []
-        return
-    rho = DensityMatrix(matrix, n_spins)
-    entropy = von_neumann_entropy(rho)
+    assert (np.linalg.eigvalsh(matrix)[0] < -tol) == (eigmin == -2.0)
+    sizes, scans = _assert_verdict_of_eigvalsh(monkeypatch, matrix, n_spins)
     assert sizes == []
-    np.testing.assert_array_equal(rho._blocks, [[low, high]])
-    lower = rho._values.take(states._pair_positions(rho._classes, dim, rho._blocks)[1])
-    spectrum = states._block_spectrum(rho._values[0].real, rho._blocks, lower)
-    # In index order: every index outside the pair keeps its diagonal element.
-    assert np.delete(spectrum, [low, high]).tobytes() == rho._values[0].real[rest].tobytes()
-    np.testing.assert_allclose(np.sort(spectrum), reference, rtol=0.0, atol=1e-12)
-    assert entropy == pytest.approx(_entropy_reference(matrix), abs=1e-12)
+    np.testing.assert_array_equal(scans[0], [[low, high]])
 
 
 @pytest.mark.parametrize("noise_mode", ["analytic", "monte_carlo"])
 def test_ten_spin_protocol_makes_no_factorisation(monkeypatch, noise_mode):
-    # Every validation and entropy of the run reads 1x1 and 2x2 blocks in
+    # Every protocol state is a diagonal plus a few corner coherences, so
+    # every validation and entropy of the run reads 1x1 and 2x2 blocks in
     # closed form.
-    sizes = _record_factorised_sizes(monkeypatch)
-    config = dataclasses.replace(protocol_config(10), noise_mode=noise_mode)
-    report = run_protocol(config)
+    sizes = record_factorised_sizes(monkeypatch)
+    n = 10
+    report = run_protocol(dataclasses.replace(protocol_config(n), noise_mode=noise_mode))
     assert sizes == []
+    system = reduced_state(report.final_state, list(range(1, n)))
+    assert report.step("recover").system_entropy == pytest.approx(dense_entropy(system.matrix), abs=1e-12)
     assert report.final_control_entropy > 0.0
 
 
@@ -693,12 +651,6 @@ def test_hermiticity_on_a_one_sided_entry(n_spins, lower, factor):
             DensityMatrix(matrix, n_spins)
 
 
-def _entropy_reference(matrix):
-    eigs = np.linalg.eigvalsh(matrix)
-    eigs = eigs[eigs >= 1e-14]
-    return max(float(-np.sum(eigs * np.log(eigs))), 0.0)
-
-
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize(
     "layout",
@@ -709,33 +661,41 @@ def test_entropy_of_block_states_matches_eigvalsh(layout, seed):
     rng = np.random.default_rng(seed)
     matrix = _block_permuted_state(rng, layout)
     rho = DensityMatrix(matrix, 6)
-    assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(matrix), abs=1e-12)
+    assert von_neumann_entropy(rho) == pytest.approx(dense_entropy(matrix), abs=1e-12)
 
 
 @pytest.mark.parametrize("n_spins", [2, 4, 7])
-def test_dense_state_is_one_block_of_every_index(n_spins):
+def test_dense_state_is_one_block_of_every_index(monkeypatch, n_spins):
     rho = random_density_matrix(np.random.default_rng(n_spins), n_spins)
-    assert rho._blocks is None
-    np.testing.assert_array_equal(rho._classes, np.arange(rho.dim))
-    # The state keeps its classes only; its spectrum, read from the one
-    # block, is the matrix's, bit for bit, and leaves no dense view behind.
-    assert rho._dense is None
+    dim = rho.dim
+    np.testing.assert_array_equal(stored_classes(rho)[0], np.arange(dim))
+    # The state keeps its classes only, so the first read of the dense view
+    # builds it; its spectrum, read from the one block, is the matrix's,
+    # bit for bit, and leaves no dense view behind.
+    with traced_memory() as view:
+        rho.matrix
     dense = np.array(rho.matrix)
+    expected = dense_entropy(dense)
+    sizes = record_factorised_sizes(monkeypatch)
     twin = DensityMatrix(dense, n_spins)
-    assert von_neumann_entropy(twin) == _entropy_reference(dense)
-    assert twin._dense is None
+    assert von_neumann_entropy(twin) == expected
+    assert sizes == [dim, dim]
+    with traced_memory() as twin_view:
+        twin.matrix
+    assert min(view.retained, twin_view.retained) >= 16 * dim * dim
     assert twin.matrix.tobytes() == dense.tobytes()
     assert twin.matrix is twin.matrix
 
 
 @pytest.mark.parametrize("make", ["input", "kicked"])
-def test_dense_ten_spin_state_retains_one_matrix(make):
+def test_dense_ten_spin_state_retains_one_matrix(monkeypatch, make):
     # Traced memory a dense state holds, in units of one D x D complex
     # matrix: its classes (1.0) until the dense view is read (2.0).
     n, dim = 10, 1024
     rho = random_density_matrix(np.random.default_rng(4), n)
     matrix = np.array(rho.matrix)
     noise = NoiseModel.uniform(n, dephasing_per_s=1.0, mc_trajectories=16)
+    sizes = record_factorised_sizes(monkeypatch)
     tracemalloc.start()
     try:
         if make == "input":
@@ -743,11 +703,12 @@ def test_dense_ten_spin_state_retains_one_matrix(make):
         else:
             state = apply_phase_kicks_mc(rho, noise, 0.3, seed=1)
         retained = tracemalloc.get_traced_memory()[0]
-        assert state._blocks is None
         state.matrix
         viewed = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    # Checked whole: factorised as one D x D matrix.
+    assert sizes == [dim]
     assert retained <= 1.05 * dim * dim * 16
     assert viewed >= 2.0 * dim * dim * 16
 
@@ -778,30 +739,7 @@ def test_entropy_of_corner_states_matches_eigvalsh(fraction):
         reduced_state(pseudopure(cat_state(7, w), fraction), [1, 2, 3, 4, 5, 6]),
         reduced_state(pseudopure(cat_state(7, w), fraction), [0]),
     ):
-        assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(rho.matrix), abs=1e-12)
-
-
-def test_ten_spin_protocol_runs_on_blocks_of_at_most_two(monkeypatch):
-    # Every protocol state is a diagonal plus a few corner coherences, so
-    # validation and entropies never factorise more than a 2 x 2 block.
-    def at_most_two(original):
-        def call(a, *args, **kwargs):
-            if np.shape(a)[-1] > 2:
-                raise AssertionError(f"{original.__name__} ran on a {np.shape(a)} array")
-            return original(a, *args, **kwargs)
-
-        return call
-
-    for name in ("cholesky", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, at_most_two(getattr(np.linalg, name)))
-    n = 10
-    report = run_protocol(protocol_config(n))
-    monkeypatch.undo()
-    system = reduced_state(report.final_state, list(range(1, n)))
-    assert report.step("recover").system_entropy == pytest.approx(
-        _entropy_reference(system.matrix), abs=1e-12
-    )
-    assert report.final_control_entropy > 0.0
+        assert von_neumann_entropy(rho) == pytest.approx(dense_entropy(rho.matrix), abs=1e-12)
 
 
 @pytest.mark.parametrize("kind, bound", [("dense", 2.1), ("cat", 1.1)])
@@ -814,26 +752,18 @@ def test_ten_spin_validation_memory(kind, bound):
         matrix = np.array(random_density_matrix(np.random.default_rng(4), n).matrix)
     else:
         matrix = np.array(pseudopure(cat_state(n, CatWeights(0.6, 0.8j)), 0.7).matrix)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         DensityMatrix(matrix, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound * dim * dim * 16
+    assert memory.peak <= bound * dim * dim * 16
 
 
 def test_register_size_is_checked_before_the_copy():
     # The cap is checked on the input as given, before a 1 GiB copy.
     huge = np.broadcast_to(np.complex128(0.0), (8192, 8192))
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         with pytest.raises(ValueError, match="exceeds the dense limit of 12"):
             DensityMatrix(huge, 13)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert memory.peak < 1 << 20
 
 
 @pytest.mark.parametrize("size", [True, 1.0, 0])
@@ -843,12 +773,15 @@ def test_register_size_must_be_a_positive_integer(size):
 
 
 def _scan_case(dim, case):
-    """A ``dim x dim`` complex matrix with a full diagonal and off-diagonal
-    nonzeros laid out for ``case``."""
+    """A ``dim x dim`` matrix with off-diagonal nonzeros laid out for
+    ``case``.  Each is within ``0.5 * HERMITIAN_TOL`` of zero on a
+    diagonal of unit trace, so that every case but ``non-finite`` is a
+    state, whatever its pattern."""
     rng = np.random.default_rng([dim, len(case)])
     matrix = np.zeros((dim, dim), dtype=complex)
     matrix[np.diag_indices(dim)] = rng.uniform(0.5, 1.0, dim)
     last = dim - 1
+    small = 0.4 * states.HERMITIAN_TOL
     if case == "slice-boundary":
         # Classes on both sides of the boundaries of the 32-class slices
         # that D = 1024 is read in, one pair each at rows spread by D / 8,
@@ -857,19 +790,19 @@ def _scan_case(dim, case):
         xs = sorted({31, 32, 63, 64, last} & set(range(1, dim)))
         for k, x in enumerate(xs):
             r = k * dim // 8
-            matrix[r, r ^ x] = 0.25 + 0.5j
+            matrix[r, r ^ x] = small * (0.5 + 1j)
             if k % 2:
-                matrix[r ^ x, r] = 0.25 - 0.5j
+                matrix[r ^ x, r] = small * (0.5 - 1j)
     elif case == "imaginary-only":
-        matrix[0, last] = 0.5j
-        matrix[last, 0] = -0.5j
+        matrix[0, last] = small * 1j
+        matrix[last, 0] = -small * 1j
         odd = np.arange(1, dim, 2)
-        matrix[odd, odd] = 0.5j
+        matrix[odd, odd] = small * 1j * (-1.0) ** np.arange(odd.size)
     elif case == "negative-zero":
         # (-0.0, -0.0) is zero; (-0.0, x) and (x, -0.0) are not.
         matrix[0, last] = complex(-0.0, -0.0)
-        matrix[last, 0] = complex(-0.0, 0.5)
-        matrix[last // 2, 0] = complex(0.5, -0.0)
+        matrix[last, 0] = complex(-0.0, small)
+        matrix[last // 2, 0] = complex(small, -0.0)
         even = np.arange(0, dim, 2)
         matrix.real[even, even] = -0.0
     elif case == "non-finite":
@@ -880,61 +813,57 @@ def _scan_case(dim, case):
         # Exactly D or D + 1 nonzeros at random off-diagonal places.
         count = dim + (case == "count-D+1")
         flat = rng.choice(np.flatnonzero(~np.eye(dim, dtype=bool)), count, replace=False)
-        matrix.ravel()[flat] = rng.normal(size=count) + 1j * rng.normal(size=count)
+        matrix.ravel()[flat] = small * np.exp(2j * np.pi * rng.random(count))
+    diagonal = np.diagonal(matrix).real
+    matrix.real[np.diag_indices(dim)] /= diagonal[np.isfinite(diagonal)].sum()
     return matrix
 
 
 SCAN_CASES = [
     (dim, case)
     for dim in (2, 64, 128, 1024)
-    for case in (
-        "slice-boundary",
-        "imaginary-only",
-        "negative-zero",
-        "non-finite",
-        "count-D",
-        "count-D+1",
-    )
+    for case in ("slice-boundary", "imaginary-only", "negative-zero", "non-finite", "count-D", "count-D+1")
     # Two off-diagonal places cannot hold D + 1 = 3 nonzeros.
     if (dim, case) != (2, "count-D+1")
 ]
 
 
 @pytest.mark.parametrize("dim, case", SCAN_CASES, ids=[f"{d}-{c}" for d, c in SCAN_CASES])
-def test_block_structure_scan_matches_np_nonzero(dim, case):
+def test_block_structure_scan_matches_np_nonzero(monkeypatch, dim, case):
     matrix = _scan_case(dim, case)
     rows, cols = np.nonzero(matrix)
     off_diagonal = np.count_nonzero(rows != cols)
     assert off_diagonal == {"count-D": dim, "count-D+1": dim + 1}.get(case, off_diagonal)
-    classes, values = states._classes_of(matrix)
-    # The occupied classes are those of the nonzero elements, and class 0;
-    # they hold every element of those classes, bit for bit.
-    assert classes.dtype == rows.dtype
-    np.testing.assert_array_equal(classes, np.union1d(rows ^ cols, [0]))
-    index = np.arange(dim)
-    assert values.tobytes() == matrix[index, index ^ classes[:, None]].tobytes()
-    np.testing.assert_array_equal(states._dense_of(classes, values, dim), matrix)
-    pair_table = states._block_structure(classes, values)
+    # The pairs of the nonzero elements, lower index first and ascending,
+    # or none when more than D elements off the diagonal are nonzero or an
+    # index lies in two pairs: then the state is one block of every index.
     pairs = {frozenset(pair) for pair in zip(rows.tolist(), cols.tolist())} - {
         frozenset([i]) for i in range(dim)
     }
     shared = len({i for pair in pairs for i in pair}) < 2 * len(pairs)
-    assert (pair_table is None) == (off_diagonal > dim or shared)
-    if pair_table is not None:
-        # The pairs, lower index first and ascending, are disjoint; every
-        # other index is a 1x1 block, and each nonzero element lies in one
-        # block.
-        expected = np.array(sorted(sorted(pair) for pair in pairs)).reshape(-1, 2)
-        np.testing.assert_array_equal(pair_table, expected)
-        assert np.unique(pair_table).size == pair_table.size
-        # A pair's block is named by its lower index, a single's by itself.
-        block_of = index.copy()
-        block_of[pair_table[:, 1]] = pair_table[:, 0]
-        np.testing.assert_array_equal(block_of[rows], block_of[cols])
-    if off_diagonal == 0:
-        # Every state with nothing off the diagonal shares one read-only table.
-        assert pair_table is states._block_structure(classes[:1], values[:1])
-        assert not pair_table.flags.writeable
+    whole = off_diagonal > dim or shared
+    sizes = record_factorised_sizes(monkeypatch)
+    _, scans = record_pair_scans(monkeypatch)
+    n_spins = dim.bit_length() - 1
+    if case == "non-finite":
+        # At D = 2 the third element lands on the diagonal, and the trace fails.
+        with pytest.raises(StateInvariantError, match="not Hermitian" if dim > 2 else "trace"):
+            DensityMatrix(matrix, n_spins)
+    else:
+        rho = DensityMatrix(matrix, n_spins)
+        # The stored classes are those of the nonzero elements, and class 0;
+        # they hold every element of those classes, bit for bit.
+        classes = stored_classes(rho)[0]
+        assert classes.dtype == rows.dtype
+        np.testing.assert_array_equal(classes, np.union1d(rows ^ cols, [0]))
+        assert rho.matrix.tobytes() == matrix.tobytes()
+        assert sizes == ([dim] if whole else [])
+    # The pairs are scanned for once the trace holds.
+    assert len(scans) == np.isfinite(np.trace(matrix))
+    if scans and whole:
+        assert scans == [None]
+    elif scans:
+        np.testing.assert_array_equal(scans[0], sorted(sorted(pair) for pair in pairs))
 
 
 def _random_pairs_state(rng, n_spins, couple, indefinite):
@@ -977,7 +906,7 @@ def _random_pairs_state(rng, n_spins, couple, indefinite):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_random_pair_states_match_eigvalsh(seed):
+def test_random_pair_states_match_eigvalsh(monkeypatch, seed):
     # Disjoint pairs from several classes are 2x2 blocks; a second partner
     # of any index, also by one element in one triangle, makes the state one
     # block of every index.  Either way the verdict and the entropy are those
@@ -987,15 +916,11 @@ def test_random_pair_states_match_eigvalsh(seed):
         n_spins, indefinite = int(rng.integers(3, 7)), trial % 3 == 2
         couple = (None, None, "both", None, "lower", None, "upper")[trial % 7]
         matrix, pairs = _random_pairs_state(rng, n_spins, couple, indefinite)
-        classes, values = states._classes_of(matrix)
-        pair_table = states._block_structure(classes, values)
+        _, scans = _assert_verdict_of_eigvalsh(monkeypatch, matrix, n_spins)
         if couple:
-            assert pair_table is None
-        else:
-            np.testing.assert_array_equal(pair_table, np.array(pairs).reshape(-1, 2))
-        _assert_verdict_of_eigvalsh(matrix, n_spins)
-        if couple:
+            assert scans == [None]
             continue
+        np.testing.assert_array_equal(scans[0], np.array(pairs).reshape(-1, 2))
         # The same state with its first pair's upper element off by 0.9 or
         # 1.1 times HERMITIAN_TOL, which eigvalsh and the closed form do
         # not read, and its diagonal alone.
@@ -1007,22 +932,26 @@ def test_random_pair_states_match_eigvalsh(seed):
             with pytest.raises(StateInvariantError, match="not Hermitian"):
                 DensityMatrix(skewed, n_spins)
         else:
-            _assert_verdict_of_eigvalsh(skewed, n_spins)
-        _assert_verdict_of_eigvalsh(np.diag(np.diag(matrix)), n_spins)
+            _assert_verdict_of_eigvalsh(monkeypatch, skewed, n_spins)
+        _assert_verdict_of_eigvalsh(monkeypatch, np.diag(np.diag(matrix)), n_spins)
 
 
-def _assert_verdict_of_eigvalsh(matrix, n_spins):
+def _assert_verdict_of_eigvalsh(monkeypatch, matrix, n_spins):
     """Validation accepts ``matrix`` exactly when its smallest eigenvalue,
     by eigvalsh, exceeds ``-POSITIVITY_TOL``, reports that eigenvalue when
-    it does not, and gives an accepted state the dense entropy."""
-    eigmin = float(np.linalg.eigvalsh(matrix)[0])
+    it does not, and gives an accepted state the dense entropy.  Returns
+    the sizes factorised and the pair scans made on the way."""
+    eigmin, expected = float(np.linalg.eigvalsh(matrix)[0]), dense_entropy(matrix)
+    monkeypatch.undo()
+    sizes = record_factorised_sizes(monkeypatch)
+    _, scans = record_pair_scans(monkeypatch)
     if eigmin < -states.POSITIVITY_TOL:
         with pytest.raises(StateInvariantError, match="negative eigenvalue") as excinfo:
             DensityMatrix(matrix, n_spins)
         assert float(str(excinfo.value).split()[2]) == pytest.approx(eigmin, abs=1e-12)
     else:
-        rho = DensityMatrix(matrix, n_spins)
-        assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(matrix), abs=1e-12)
+        assert von_neumann_entropy(DensityMatrix(matrix, n_spins)) == pytest.approx(expected, abs=1e-12)
+    return sizes, scans
 
 
 NAN, INF = float("nan"), float("inf")
@@ -1106,42 +1035,41 @@ def _edited(rng, matrix, pairs, kind, value):
 @pytest.mark.parametrize(
     "edit, hermitian", HERMITIAN_EDGES, ids=[f"{k}-{v}" for (k, v), _ in HERMITIAN_EDGES]
 )
-def test_pair_hermiticity_matches_the_whole_class_check(edit, hermitian, seed):
+def test_pair_hermiticity_matches_the_whole_class_check(monkeypatch, edit, hermitian, seed):
     # A state of 1x1 and 2x2 blocks is checked over its diagonal and its
-    # pairs' two elements; the verdict is that of every element of every
-    # class, for non-finite entries too, and validation raises as it does.
+    # pairs' two elements; the verdict is that of every element of the
+    # whole matrix, for non-finite entries too, and validation raises as
+    # it does.
+    _, scans = record_pair_scans(monkeypatch)
     rng = np.random.default_rng([18, seed])
     for _ in range(4):
         n_spins = int(rng.integers(2, 9))
         matrix, pairs = _random_pairs_state(rng, n_spins, None, False)
         matrix = _edited(rng, matrix, pairs, *edit)
-        classes, values = states._classes_of(matrix)
-        pair_table = states._block_structure(classes, values)
-        expected_pairs = [] if edit[0].startswith("diagonal-state") else pairs
-        np.testing.assert_array_equal(pair_table, np.array(expected_pairs).reshape(-1, 2))
-        upper, lower = values.take(states._pair_positions(classes, 1 << n_spins, pair_table))
-        verdict = states._hermitian_blocks(values[0], upper, lower)
-        assert verdict is states._hermitian_classes(classes, values)
+        verdict = is_hermitian(matrix)
         assert verdict is (hermitian if hermitian is not None else verdict)
-        trace = values[0].sum()
+        trace = np.trace(matrix)
+        scans.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if abs(trace - 1.0) > states.TRACE_TOL:
                 with pytest.raises(StateInvariantError, match="trace"):
                     DensityMatrix(matrix, n_spins)
-            elif not verdict:
+                continue
+            if not verdict:
                 with pytest.raises(StateInvariantError, match="not Hermitian"):
                     DensityMatrix(matrix, n_spins)
             else:
-                assert DensityMatrix(matrix, n_spins)._blocks is not None
+                DensityMatrix(matrix, n_spins)
+        expected_pairs = [] if edit[0].startswith("diagonal-state") else pairs
+        np.testing.assert_array_equal(scans[0], np.array(expected_pairs).reshape(-1, 2))
 
 
 def _assert_blocks_match_a_scan(rho):
-    scanned = states._block_structure(rho._classes, rho._values)
-    assert (rho._blocks is None) == (scanned is None)
-    if scanned is not None:
-        np.testing.assert_array_equal(rho._blocks, scanned)
-    fresh = DensityMatrix._of_classes(rho._classes, np.array(rho._values), rho.n_spins)
+    # A state built afresh from the dense view is scanned: it stores the
+    # same classes, values and pairs, bit for bit.
+    fresh = DensityMatrix(rho.matrix, rho.n_spins)
+    assert state_bytes(rho) == state_bytes(fresh)
     assert von_neumann_entropy(rho) == von_neumann_entropy(fresh)
 
 
@@ -1164,24 +1092,27 @@ def _keep_sets(n_spins):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_carried_blocks_never_outlive_their_pattern(seed):
+def test_carried_blocks_never_outlive_their_pattern(monkeypatch, seed):
     # pseudopure, dephasing and the Monte Carlo kick take their input's
     # pairs over while its nonzero pattern holds.  Where an element or a
     # whole class decays or underflows to zero, the result is scanned.  A
     # reduced state is always scanned, also where a class sums to zero.
     cancelling = _cancelling_state()
-    assert reduced_state(cancelling, [0])._classes.tolist() == [0]
+    assert stored_classes(reduced_state(cancelling, [0]))[0].tolist() == [0]
     for keep in _keep_sets(3):
         _assert_blocks_match_a_scan(reduced_state(cancelling, keep))
     rng = np.random.default_rng([17, seed])
+    sizes = record_factorised_sizes(monkeypatch)
     for trial in range(4):
         n_spins = int(rng.integers(2, 9))
         matrix, _ = _random_pairs_state(rng, n_spins, None, False)
+        sizes.clear()
         rho = DensityMatrix(matrix, n_spins)
-        assert rho._blocks is not None
+        assert sizes == []
         rates = tuple(rng.choice([0.0, 1.0, 2.5], n_spins))
         noise = NoiseModel(rates, (0.0,) * n_spins)
-        decay = 0.5 * np.asarray(rates) @ operators.bit_table(n_spins)[:, rho._classes[1:]]
+        classes = stored_classes(rho)[0]
+        decay = 0.5 * np.asarray(rates) @ operators.bit_table(n_spins)[:, classes[1:]]
         # 0.4 keeps every element; 743.5 / decay brings one class's
         # factor to about 1e-323, so some or all of its elements round to
         # zero;
@@ -1252,7 +1183,7 @@ def test_overlapping_classes_are_checked_whole(monkeypatch, factor):
     eigmin = float(np.linalg.eigvalsh(matrix)[0])
     if factor is not None:
         assert eigmin == pytest.approx(factor * tol, rel=1e-4)
-    sizes = _record_factorised_sizes(monkeypatch)
+    sizes = record_factorised_sizes(monkeypatch)
     if eigmin < -tol:
         with pytest.raises(StateInvariantError, match="negative eigenvalue") as excinfo:
             DensityMatrix(matrix, 4)
@@ -1263,8 +1194,8 @@ def test_overlapping_classes_are_checked_whole(monkeypatch, factor):
     monkeypatch.undo()
     # Classes 3, 5 and 6 share indices, so the state is one block of
     # every index, although only 10 elements off the diagonal are nonzero.
-    np.testing.assert_array_equal(rho._classes, [0, 3, 5, 6])
-    assert rho._blocks is None
+    np.testing.assert_array_equal(stored_classes(rho)[0], [0, 3, 5, 6])
     assert max(sizes) == 16
     assert np.array_equal(rho.matrix, matrix)
-    assert von_neumann_entropy(rho) == pytest.approx(_entropy_reference(matrix), abs=1e-14)
+    assert von_neumann_entropy(rho) == pytest.approx(dense_entropy(matrix), abs=1e-14)
+    _assert_coherence_orders_match_oracles(rho)
