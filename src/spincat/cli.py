@@ -7,10 +7,11 @@ linear-algebra error or running out of memory) or invariant violation,
 3 analysis failure.
 
 Every output file is written atomically (a uniquely named temp file in
-the output directory, then rename).  Every CSV and JSON output starts
-with the sha256 of the configuration and the seed in use, so runs are
-traceable and byte-reproducible: the same config and seed always
-produce identical files.
+the output directory, then rename), but a run is not: one that fails
+part-way keeps the files it had already replaced.  Every CSV and JSON
+output starts with the sha256 of the configuration and the seed in use,
+so runs are traceable and byte-reproducible: the same config and seed
+always produce identical files.
 """
 
 from __future__ import annotations

@@ -11,6 +11,11 @@ coherence, so it has K = 2 rows and costs O(D); a dense matrix occupies
 all ``D`` classes.  The dense matrix itself is built only when
 ``DensityMatrix.matrix`` is first read, and kept.
 
+A state comes in by one of two ways.  ``DensityMatrix(matrix, n_spins)``
+gathers a dense matrix into its occupied classes; the package's own
+constructors hand in classes and values, and never build the dense
+matrix.  Both ways make one call to the same validation.
+
 Construction validates the physical invariants, in this order, and
 violations raise :class:`StateInvariantError`:
 
@@ -80,6 +85,10 @@ TRACE_TOL = 1e-10
 # Largest |M - M^dagger| element accepted as Hermitian.
 HERMITIAN_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
+# Largest |Tr(rho^2) - 1| of a target that fidelity accepts as pure.
+PURITY_TOL = 1e-8
+# Largest ||a|^2 + |b|^2 - 1| of CatWeights renormalized rather than rejected.
+CAT_NORM_TOL = 1e-9
 _ENTROPY_EIG_FLOOR = 1e-14
 # Elements per slice when a dense matrix is converted to or from its
 # classes: bounds the index and value temporaries at 768 KiB.
@@ -96,14 +105,17 @@ class StateInvariantError(ValueError):
 class DensityMatrix:
     """Validated density matrix of an ``n_spins`` register.
 
-    ``DensityMatrix(matrix, n_spins)`` takes a dense ``D x D`` array.  It
-    checks the register size (an integer from 1 to ``MAX_SPINS``, else
-    ``ValueError``) and the dimension before it reads ``matrix``, gathers
-    the occupied classes, and validates them as the module docstring
-    describes: trace, then the pairs, then Hermiticity over the diagonal
-    and the pairs or over every class, then positivity.  A matrix with
-    NaN or inf entries fails the trace or Hermiticity check before any
-    eigenvalue is read.  The input is copied, never modified.
+    ``DensityMatrix(matrix, n_spins)`` takes a dense ``D x D`` array and
+    gathers its occupied classes; the package's constructors hand in
+    classes and values through :meth:`_of_classes`.  Either way
+    :meth:`__post_init__` runs once: it checks the register size (an
+    integer from 1 to ``MAX_SPINS``, else ``ValueError``), and, for a
+    matrix, the dimension before it reads the elements, and then
+    validates the classes as the module docstring describes: trace, then
+    the pairs, then Hermiticity over the diagonal and the pairs or over
+    every class, then positivity.  A matrix with NaN or inf entries fails
+    the trace or Hermiticity check before any eigenvalue is read.  The
+    input is copied, never modified.
 
     ``_classes`` and ``_values`` hold the state; ``_values`` is
     read-only.  ``_blocks`` keeps the pairs validation found or took over,
@@ -111,16 +123,13 @@ class DensityMatrix:
     1x1 block, or ``None`` for one block of every index.
     ``matrix`` is the dense matrix, read-only, built on first access and
     then kept; a dense state holds no D x D array but its classes until
-    then.  Every construction, also the
-    package's own from classes, runs :meth:`__post_init__` once.
+    then.
     """
 
-    __slots__ = ("n_spins", "_source", "_classes", "_values", "_blocks", "_dense")
+    __slots__ = ("n_spins", "_classes", "_values", "_blocks", "_dense")
 
     def __init__(self, matrix: np.ndarray, n_spins: int) -> None:
-        object.__setattr__(self, "_source", matrix)
-        object.__setattr__(self, "n_spins", n_spins)
-        self.__post_init__()
+        self.__post_init__(n_spins, matrix)
 
     @classmethod
     def _of_classes(
@@ -140,27 +149,29 @@ class DensityMatrix:
         elements off the diagonal, and the result is scanned otherwise;
         trace, Hermiticity and positivity are checked either way."""
         rho = cls.__new__(cls)
-        object.__setattr__(rho, "_source", _ClassSource(classes, values, pattern_of))
-        object.__setattr__(rho, "n_spins", n_spins)
-        rho.__post_init__()
+        rho.__post_init__(n_spins, classes=classes, values=values, pattern_of=pattern_of)
         return rho
 
-    def __post_init__(self) -> None:
-        operators._check_register_size(self.n_spins)
-        source = self._source
-        object.__delattr__(self, "_source")
-        gathered = type(source) is not _ClassSource
+    # Named as the package's dataclasses name their validation, because
+    # perfbench traces every construction through ``__post_init__``.
+    def __post_init__(
+        self,
+        n_spins: int,
+        matrix: np.ndarray | None = None,
+        *,
+        classes: np.ndarray | None = None,
+        values: np.ndarray | None = None,
+        pattern_of: DensityMatrix | None = None,
+    ) -> None:
+        operators._check_register_size(n_spins)
+        gathered = classes is None
         if gathered:
-            given = np.asarray(source)
-            if operators.n_spins_of(given) != self.n_spins:
+            given = np.asarray(matrix)
+            if operators.n_spins_of(given) != n_spins:
                 raise StateInvariantError(
-                    f"matrix dimension {given.shape[0]} does not match {self.n_spins} spins"
+                    f"matrix dimension {given.shape[0]} does not match {n_spins} spins"
                 )
             classes, values = _classes_of(given)
-            pattern_of = None
-        else:
-            classes, values, pattern_of = source.classes, source.values, source.pattern_of
-        del source
         occupied = values.any(axis=1)
         occupied[0] = True
         if not occupied.all():
@@ -180,7 +191,7 @@ class DensityMatrix:
             # classes of a dense input are read again from it afterwards, so
             # validation holds at most two D x D arrays at once, the factor
             # included.
-            dense = _dense_of(classes, values, 1 << self.n_spins)
+            dense = _dense_of(classes, values, 1 << n_spins)
             if gathered:
                 del values
             eigmin = _uncertified_eigmin(dense)
@@ -196,6 +207,7 @@ class DensityMatrix:
         if not eigmin >= -POSITIVITY_TOL:
             raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
         values.flags.writeable = False
+        object.__setattr__(self, "n_spins", n_spins)
         object.__setattr__(self, "_classes", classes)
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_blocks", pairs)
@@ -223,21 +235,6 @@ class DensityMatrix:
             dense.flags.writeable = False
             object.__setattr__(self, "_dense", dense)
         return self._dense
-
-
-class _ClassSource:
-    """Classes and values handed to :class:`DensityMatrix` by the package:
-    a type no user input has, so a matrix given as nested tuples is never
-    read as classes, and a user's matrix never takes over a pattern."""
-
-    __slots__ = ("classes", "values", "pattern_of")
-
-    def __init__(
-        self, classes: np.ndarray, values: np.ndarray, pattern_of: DensityMatrix | None
-    ) -> None:
-        self.classes = classes
-        self.values = values
-        self.pattern_of = pattern_of
 
 
 def _classes_of(
@@ -435,7 +432,7 @@ def _uncertified_eigmin(dense: np.ndarray) -> float:
 class CatWeights:
     """Superposition weights (a, b) with ``|a|^2 + |b|^2 = 1``.
 
-    Inputs off unit norm by more than 1e-9, or NaN, are rejected; smaller
+    Inputs off unit norm by more than ``CAT_NORM_TOL``, or NaN, are rejected; smaller
     deviations are renormalized so downstream amplitude identities hold
     to machine precision.
     """
@@ -447,7 +444,7 @@ class CatWeights:
         a = complex(self.a)
         b = complex(self.b)
         norm_sq = abs(a) ** 2 + abs(b) ** 2
-        if not abs(norm_sq - 1.0) <= 1e-9:
+        if not abs(norm_sq - 1.0) <= CAT_NORM_TOL:
             raise ValueError(f"unnormalized weights: |a|^2 + |b|^2 = {norm_sq}")
         norm = math.sqrt(norm_sq)
         object.__setattr__(self, "a", a / norm)
@@ -645,7 +642,7 @@ def fidelity(rho: DensityMatrix, target: DensityMatrix) -> float:
     """Overlap ``Tr(rho * target)`` with a pure target state."""
     if rho.n_spins != target.n_spins:
         raise ValueError("fidelity target and state differ in register size")
-    if abs(purity(target) - 1.0) > 1e-8:
+    if abs(purity(target) - 1.0) > PURITY_TOL:
         raise ValueError("fidelity target must be pure (rank one)")
     # Tr(rho T) = sum_rc conj(T_rc) rho_rc for Hermitian T, over T's nonzero elements.
     ks, rows = np.nonzero(target._values)

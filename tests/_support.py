@@ -97,9 +97,9 @@ def record_pair_scans(monkeypatch) -> tuple[list[int], list]:
         scans.append(scan(classes, values))
         return scans[-1]
 
-    def counted_validate(self):
-        constructions.append(self.n_spins)
-        validate(self)
+    def counted_validate(self, n_spins, *args, **kwargs):
+        constructions.append(n_spins)
+        validate(self, n_spins, *args, **kwargs)
 
     monkeypatch.setattr(states, "_block_structure", counted_scan)
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_validate)

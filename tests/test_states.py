@@ -386,12 +386,16 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]), 2)
     with pytest.raises(StateInvariantError):
         DensityMatrix(np.eye(4) / 4.0, 3)  # wrong register size
+    with pytest.raises(ValueError, match=re.escape("expected a square matrix, got shape ()")):
+        DensityMatrix(None, 1)
+    with pytest.raises(ValueError):
+        DensityMatrix([[0.5, 0.0], [0.5]], 1)  # ragged
     frozen = ferro_state(1, "up")
     with pytest.raises(ValueError):
         frozen.matrix[0, 0] = 2.0
 
 
-def test_density_matrix_is_immutable_and_copies_by_value():
+def test_density_matrix_is_immutable_and_copies_by_value(monkeypatch):
     rho = pseudopure(cat_state(3, CatWeights(0.6, 0.8j)), 0.7)
     with pytest.raises(AttributeError):
         rho.n_spins = 4
@@ -399,10 +403,14 @@ def test_density_matrix_is_immutable_and_copies_by_value():
         rho.matrix = np.eye(8) / 8.0
     with pytest.raises(ValueError):
         stored_classes(rho)[1][0, 0] = 1.0
+    constructions, scans = record_pair_scans(monkeypatch)
     for twin in (copy.deepcopy(rho), pickle.loads(pickle.dumps(rho))):
         assert twin.n_spins == 3
         assert twin.matrix.tobytes() == rho.matrix.tobytes()
         assert not stored_classes(twin)[1].flags.writeable
+    # Each copy is validated once, from its classes.
+    assert constructions == [3, 3]
+    assert len(scans) == 2
 
 
 def _state_with_smallest_eigenvalue(rng, n_spins, eigmin):
@@ -808,14 +816,17 @@ def _scan_case(dim, case):
     elif case == "non-finite":
         matrix[0, last] = np.nan
         matrix[last, 0] = complex(0.0, np.inf)
-        matrix[last // 2, 0] = complex(-np.inf, np.nan)
+        # Off the diagonal, so the trace holds; at D = 2 no place is free.
+        # Its modulus is NaN and its mirror zero: a scan that skipped it
+        # would find one pair, and leave it unchecked.
+        if last // 2:
+            matrix[last // 2, 0] = complex(small, np.nan)
     else:
         # Exactly D or D + 1 nonzeros at random off-diagonal places.
         count = dim + (case == "count-D+1")
         flat = rng.choice(np.flatnonzero(~np.eye(dim, dtype=bool)), count, replace=False)
         matrix.ravel()[flat] = small * np.exp(2j * np.pi * rng.random(count))
-    diagonal = np.diagonal(matrix).real
-    matrix.real[np.diag_indices(dim)] /= diagonal[np.isfinite(diagonal)].sum()
+    matrix.real[np.diag_indices(dim)] /= np.diagonal(matrix).real.sum()
     return matrix
 
 
@@ -846,8 +857,9 @@ def test_block_structure_scan_matches_np_nonzero(monkeypatch, dim, case):
     _, scans = record_pair_scans(monkeypatch)
     n_spins = dim.bit_length() - 1
     if case == "non-finite":
-        # At D = 2 the third element lands on the diagonal, and the trace fails.
-        with pytest.raises(StateInvariantError, match="not Hermitian" if dim > 2 else "trace"):
+        # NaN counts as nonzero, as in np.nonzero, so the scan below meets it.
+        assert np.isnan(matrix[rows, cols]).any()
+        with pytest.raises(StateInvariantError, match="not Hermitian"):
             DensityMatrix(matrix, n_spins)
     else:
         rho = DensityMatrix(matrix, n_spins)
@@ -858,11 +870,11 @@ def test_block_structure_scan_matches_np_nonzero(monkeypatch, dim, case):
         np.testing.assert_array_equal(classes, np.union1d(rows ^ cols, [0]))
         assert rho.matrix.tobytes() == matrix.tobytes()
         assert sizes == ([dim] if whole else [])
-    # The pairs are scanned for once the trace holds.
-    assert len(scans) == np.isfinite(np.trace(matrix))
-    if scans and whole:
+    # The pairs are scanned for once, after the trace.
+    assert len(scans) == 1
+    if whole:
         assert scans == [None]
-    elif scans:
+    else:
         np.testing.assert_array_equal(scans[0], sorted(sorted(pair) for pair in pairs))
 
 
