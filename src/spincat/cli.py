@@ -130,31 +130,31 @@ def _seed(text: str) -> int:
 
 def cmd_run_protocol(args: argparse.Namespace) -> int:
     run = _RunContext(args)
-    reports = [
-        protocol.run_protocol(run.config.protocol_config(delay, run.seed))
-        for delay in run.config.delays_s
-    ]
-    payload = run.meta()
-    payload["runs"] = [report.to_dict() for report in reports]
-    run.write_json("protocol_report.json", payload)
-    rows = [
-        (report.delay_s, record.name, order, weight)
-        for report in reports
-        for record in report.steps
-        for order, weight in sorted(record.coherence_weights.items())
-    ]
-    run.write_csv("coherence_orders.csv", ("delay_s", "step", "order", "weight"), rows)
-    if args.dump_states:
-        for k, report in enumerate(reports):
-            buffer = io.BytesIO()
-            np.save(buffer, report.final_state.matrix)
-            _write_atomic(run.out_dir / f"state_final_{k:02d}.npy", buffer.getvalue())
-    for report in reports:
-        print(
+    runs, rows, lines = [], [], []
+    for k, delay in enumerate(run.config.delays_s):
+        report = protocol.run_protocol(run.config.protocol_config(delay, run.seed))
+        if args.dump_states:
+            # Written before the next delay runs, and the report dropped, so
+            # that one dense view is alive at a time.
+            _write_npy(run.out_dir / f"state_final_{k:02d}.npy", report.final_state.matrix)
+        runs.append(report.to_dict())
+        rows += [
+            (report.delay_s, record.name, order, weight)
+            for record in report.steps
+            for order, weight in sorted(record.coherence_weights.items())
+        ]
+        lines.append(
             f"delay {report.delay_s:.6g} s: system fidelity {report.final_system_fidelity:.9f}, "
             f"control entropy {report.final_control_entropy:.6f} nats, "
             f"total magnetization {report.final_total_magnetization:.6f}"
         )
+        del report
+    payload = run.meta()
+    payload["runs"] = runs
+    run.write_json("protocol_report.json", payload)
+    run.write_csv("coherence_orders.csv", ("delay_s", "step", "order", "weight"), rows)
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -330,6 +330,13 @@ def _format_value(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
+
+
+def _write_npy(path: Path, array: np.ndarray) -> None:
+    """Write ``array`` in the ``.npy`` format, atomically."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    _write_atomic(path, buffer.getvalue())
 
 
 def _write_atomic(path: Path, data: bytes) -> None:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import operators
 from .dynamics import COUPLING_KINDS, ROLES, Coupling, NoiseModel, SpinSystem
 from .protocol import NOISE_MODES, ProtocolConfig
 from .states import CatWeights
@@ -156,6 +157,11 @@ class _Section:
 def _parse_spin_system(data: object) -> SpinSystem:
     section = _Section(data, "spin_system")
     n_spins = _integer(section.take("n_spins"), "spin_system.n_spins")
+    # Checked before the default offsets, one per spin, are built.
+    try:
+        operators._check_register_size(n_spins)
+    except ValueError as error:
+        raise ConfigError(f"spin_system.n_spins: {error}") from error
     roles_raw = section.take("roles")
     if not isinstance(roles_raw, list):
         raise ConfigError("spin_system.roles: expected a list")

@@ -226,7 +226,7 @@ def apply_dephasing(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityM
     decay = np.tensordot(rates, operators.bit_table(rho.n_spins), axes=1)
     factor = np.exp(-0.5 * t * decay)
     values = rho._values * factor[rho._classes][:, None]
-    return DensityMatrix._of_classes(rho._classes, values, rho.n_spins, pattern_of=rho)
+    return DensityMatrix._of_classes(rho._classes, values, rho.n_spins)
 
 
 def apply_flip_relaxation(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityMatrix:
@@ -275,9 +275,9 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
     and its transposed element by the conjugate, see :func:`_kick_pairs`.
     That costs O(K*n*p) for ``p`` pairs, plus the O(D) copy and the
     validated construction of the result, and forms no ``C``.  The kick
-    keeps the state's nonzero pattern, so the result takes its pairs
-    over unless a factor cancelled an element to zero.  A state
-    checked as one whole block is kicked by :func:`_kick_whole`, which
+    keeps the state's classes, so the result is read as pairs again, from
+    its own class row.  A state of three or more classes, checked as one
+    whole block, is kicked by :func:`_kick_whole`, which
     forms ``C`` on the basis states where it has a nonzero element off
     the diagonal.  The ensemble mean multiplies an element that differs
     in spin ``i`` by ``exp(-sigma_i^2/2)``; the widths
@@ -291,23 +291,22 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
         kicked = _kick_whole(rho, phases)
     else:
         kicked = _kick_pairs(rho, phases)
-    return DensityMatrix._of_classes(rho._classes, kicked, rho.n_spins, pattern_of=rho)
+    return DensityMatrix._of_classes(rho._classes, kicked, rho.n_spins)
 
 
 def _kick_pairs(rho: DensityMatrix, phases: np.ndarray) -> np.ndarray:
     """The kicked values of a state of 1x1 and 2x2 blocks, in O(K*n*p).
 
-    A pair ``(low, high)`` of class ``x = low ^ high`` holds
-    ``rho[low, high]`` at ``values[row(x), low]`` and ``rho[high, low]``
-    at ``values[row(x), high]``, where ``states._pair_positions`` finds
-    them.  The first is multiplied by
-    ``f = mean_k exp(-i * phi_k . (s_low - s_high))``, the element
-    ``C[low, high]``, and the second by ``conj(f)``; the difference of
-    the Sz eigenvalues is nonzero only on the bits of ``x``.  Exact zeros,
-    as in a pair with a nonzero element in one triangle only, are kept,
-    so no zero element turns nonzero and the pattern's pairs carry over.
-    The angles of ``_KICK_BLOCK`` trajectories for every pair are held at
-    a time.
+    Every pair ``(low, high)`` lies in the state's last class row, of
+    class ``x = low ^ high``, which holds ``rho[low, high]`` at column
+    ``low`` and ``rho[high, low]`` at column ``high``.  The first is
+    multiplied by ``f = mean_k exp(-i * phi_k . (s_low - s_high))``, the
+    element ``C[low, high]``, and the second by ``conj(f)``; the
+    difference of the Sz eigenvalues is nonzero only on the bits of
+    ``x``.  Exact zeros, as in a pair with a nonzero element in one
+    triangle only, are kept, so no zero element turns nonzero.  The
+    angles of ``_KICK_BLOCK`` trajectories for every pair are held at a
+    time.
     """
     low, high = rho._blocks.T
     bits = operators.bit_table(rho.n_spins)
@@ -320,11 +319,10 @@ def _kick_pairs(rho: DensityMatrix, phases: np.ndarray) -> np.ndarray:
         sin_sum = sin_sum + np.sin(angles).sum(axis=0)
     factor = (cos_sum - 1j * sin_sum) / len(phases)
     kicked = rho._values.copy()
-    flat = kicked.reshape(-1)
-    positions = states._pair_positions(rho._classes, rho.dim, rho._blocks)
-    for at, pair_factor in zip(positions, (factor, factor.conj())):
-        element = flat[at]
-        flat[at] = np.multiply(pair_factor, element, out=element, where=element != 0)
+    row = kicked[-1]
+    for at, pair_factor in zip((low, high), (factor, factor.conj())):
+        element = row[at]
+        row[at] = np.multiply(pair_factor, element, out=element, where=element != 0)
     return kicked
 
 

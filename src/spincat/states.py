@@ -26,40 +26,38 @@ violations raise :class:`StateInvariantError`:
   eigenvalue, which ``eigvalsh`` returns where the spectrum overflows,
   fails it.
 
-The blocks come from the classes, by one rule.  A pair ``(r, r ^ x)``
-whose element of class ``x`` is nonzero, in either triangle, is a 2x2
-block, and every index outside a pair is a 1x1 block.  A matrix is
-Hermitian, or positive semidefinite, exactly when each of its blocks
-is, and its spectrum is the union of the blocks' spectra.  Every state
-of the protocol is such a diagonal plus pairs, whose eigenvalues have a
-closed form, so a table of its pairs describes its blocks completely.
-A state with more than D nonzero elements off the diagonal, such as a
-random state, or with an index in two pairs, which only a user's matrix
-has, is one block of every index: its dense matrix, built for the check
-and dropped again.  Its positivity is certified by a Cholesky
-factorisation of the matrix plus ``POSITIVITY_TOL * I``, which exists, up to
-rounding, exactly when every eigenvalue exceeds ``-POSITIVITY_TOL``,
-and which costs a fraction of an eigendecomposition; only when it fails
-does ``eigvalsh`` run.  Either way the smallest eigenvalue decides the
-verdict, so a rejection always rests on the eigenvalue criterion.  The
-closed form, the factorisation and ``eigvalsh`` read the lower triangle
-only; that is sound because Hermiticity is checked before them.  The
-state keeps its pairs, so :func:`von_neumann_entropy` and
-:func:`coherence_orders` read them without finding them again.
+The blocks come from the class set, by one rule.  A state of class 0
+and at most one other class ``x`` is made of blocks by construction: the
+indices ``r`` and ``r ^ x`` meet only in the pair ``(r, r ^ x)``.  A
+pair whose element is nonzero, in either triangle, is a 2x2 block, and
+every index outside such a pair is a 1x1 block.  A matrix is Hermitian,
+or positive semidefinite, exactly when each of its blocks is, and its
+spectrum is the union of the blocks' spectra, which for 1x1 and 2x2
+blocks have a closed form.  Every state of the protocol is populations
+plus the one coherence between the all-up and all-down corners, so it
+is such a state.  The pairs are read from the last class row, ``x``'s,
+against a table of the class's pairs kept per register size and pattern.
 
-The pairs are found between the trace and Hermiticity, and they say
-where Hermiticity is read.  A state of pairs is nonzero only on its
-diagonal and at each pair's two elements, so it is checked there, in one
-pass that also reads its smallest eigenvalue; the residuals are those of
+A state of three or more classes, such as a random state or a user's
+matrix with pairs in several classes, is one block of every index: its
+dense matrix, built for the check and dropped again.  Its positivity is
+certified by a Cholesky factorisation of the matrix plus
+``POSITIVITY_TOL * I``, which exists, up to rounding, exactly when every
+eigenvalue exceeds ``-POSITIVITY_TOL``, and which costs a fraction of an
+eigendecomposition; only when it fails does ``eigvalsh`` run.  Either way
+the smallest eigenvalue decides the verdict, so a rejection always rests
+on the eigenvalue criterion.  The closed form, the factorisation and
+``eigvalsh`` read the lower triangle only; that is sound because
+Hermiticity is checked before them.  The state keeps its pairs, so
+:func:`von_neumann_entropy`, :func:`coherence_orders` and the Monte
+Carlo kick read them without finding them again.
+
+The pairs are read between the trace and Hermiticity, and they say where
+Hermiticity is read.  A state of pairs is nonzero only on its diagonal
+and at each pair's two elements, so it is checked there, in one pass
+that also reads its smallest eigenvalue; the residuals are those of
 every class at its only nonzero elements, and the verdict is the same.
 A state checked whole is checked over every element of every class.
-
-The pairs are found once per nonzero pattern.  :func:`pseudopure`,
-dephasing and the Monte Carlo kick never turn a zero element nonzero and
-hand their input to the constructor, which takes the input's pairs over
-unscanned when the result holds as many nonzero elements off the
-diagonal, and scans the result otherwise.  Trace, Hermiticity and
-positivity are checked on every construction either way.
 
 Coherence order of a matrix element ``(r, c)`` is the magnetization
 difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
@@ -73,6 +71,7 @@ of a state of blocks from its diagonal and pairs, in O(D).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
@@ -93,9 +92,6 @@ _ENTROPY_EIG_FLOOR = 1e-14
 # Elements per slice when a dense matrix is converted to or from its
 # classes: bounds the index and value temporaries at 768 KiB.
 _SLICE_ELEMENTS = 1 << 15
-# The pairs of every state with nothing off the diagonal, shared.
-_NO_PAIRS = np.empty((0, 2), dtype=np.intp)
-_NO_PAIRS.flags.writeable = False
 
 
 class StateInvariantError(ValueError):
@@ -112,15 +108,17 @@ class DensityMatrix:
     integer from 1 to ``MAX_SPINS``, else ``ValueError``), and, for a
     matrix, the dimension before it reads the elements, and then
     validates the classes as the module docstring describes: trace, then
-    the pairs, then Hermiticity over the diagonal and the pairs or over
-    every class, then positivity.  A matrix with NaN or inf entries fails
-    the trace or Hermiticity check before any eigenvalue is read.  The
-    input is copied, never modified.
+    the pairs of a state of at most two classes, then Hermiticity over
+    the diagonal and the pairs or over every class, then positivity.  A
+    matrix with NaN or inf entries fails the trace or Hermiticity check
+    before any eigenvalue is read.  The input is copied, never modified.
 
     ``_classes`` and ``_values`` hold the state; ``_values`` is
-    read-only.  ``_blocks`` keeps the pairs validation found or took over,
-    the ``(p, 2)`` index array of the 2x2 blocks with every other index a
-    1x1 block, or ``None`` for one block of every index.
+    read-only.  ``_blocks`` keeps the pairs validation read, the
+    ``(p, 2)`` index array of the 2x2 blocks, lower index first and
+    ascending, with every other index a 1x1 block; their elements lie in
+    the last class row, ``_values[-1]``.  It is ``None`` for a state of
+    three or more classes, one block of every index.
     ``matrix`` is the dense matrix, read-only, built on first access and
     then kept; a dense state holds no D x D array but its classes until
     then.
@@ -132,24 +130,14 @@ class DensityMatrix:
         self.__post_init__(n_spins, matrix)
 
     @classmethod
-    def _of_classes(
-        cls,
-        classes: np.ndarray,
-        values: np.ndarray,
-        n_spins: int,
-        pattern_of: DensityMatrix | None = None,
-    ) -> DensityMatrix:
+    def _of_classes(cls, classes: np.ndarray, values: np.ndarray, n_spins: int) -> DensityMatrix:
         """The state whose ascending ``classes``, 0 first, hold ``values``
-        and which is zero elsewhere.  The state takes ``values`` over: the
-        caller must not write to it.
-
-        ``pattern_of``, when given, is a state of the same ``classes`` from
-        which ``values`` were made without turning a zero element nonzero.
-        Its pairs are taken over when ``values`` hold as many nonzero
-        elements off the diagonal, and the result is scanned otherwise;
-        trace, Hermiticity and positivity are checked either way."""
+        and which is zero elsewhere, validated as every state is: a class
+        left all zero is dropped, and a state left with at most two classes
+        is read as pairs.  The state takes ``values`` over: the caller must
+        not write to it."""
         rho = cls.__new__(cls)
-        rho.__post_init__(n_spins, classes=classes, values=values, pattern_of=pattern_of)
+        rho.__post_init__(n_spins, classes=classes, values=values)
         return rho
 
     # Named as the package's dataclasses name their validation, because
@@ -161,7 +149,6 @@ class DensityMatrix:
         *,
         classes: np.ndarray | None = None,
         values: np.ndarray | None = None,
-        pattern_of: DensityMatrix | None = None,
     ) -> None:
         operators._check_register_size(n_spins)
         gathered = classes is None
@@ -179,11 +166,7 @@ class DensityMatrix:
         trace = values[0].sum()
         if abs(trace - 1.0) > TRACE_TOL:
             raise StateInvariantError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
-        # An element that became zero, which may empty a class, changes the
-        # count; an unchanged count is the input's pattern exactly.
-        pairs = None if pattern_of is None else pattern_of._blocks
-        if pairs is None or np.count_nonzero(values[1:]) != np.count_nonzero(pattern_of._values[1:]):
-            pairs = _block_structure(classes, values)
+        pairs = _pairs_of(classes, values, n_spins)
         if pairs is None:
             if not _hermitian_classes(classes, values):
                 raise StateInvariantError("matrix is not Hermitian")
@@ -199,7 +182,7 @@ class DensityMatrix:
                 values = _classes_of(dense, classes)[1]
             del dense
         else:
-            upper, lower = values.take(_pair_positions(classes, values.shape[1], pairs))
+            upper, lower = values[-1].take(pairs.T)
             if not _hermitian_blocks(values[0], upper, lower):
                 raise StateInvariantError("matrix is not Hermitian")
             eigmin = float(_block_spectrum(values[0].real, pairs, lower).min())
@@ -307,36 +290,34 @@ def _hermitian_classes(classes: np.ndarray, values: np.ndarray) -> bool:
     return True
 
 
-def _block_structure(classes: np.ndarray, values: np.ndarray) -> np.ndarray | None:
-    """The pairs of a state, or ``None`` for one block of every index.
+def _pairs_of(classes: np.ndarray, values: np.ndarray, n_spins: int) -> np.ndarray | None:
+    """The pairs of a state of class 0 and at most one other class ``x``,
+    or ``None`` for a state of more classes, one block of every index.
 
-    The pairs are the ``(p, 2)`` array of the pairs ``(r, r ^ x)`` of any
-    class ``x`` that hold a nonzero element in either triangle, lower
-    index first, in ascending order; every other index is a 1x1 block.
-    A state with nothing off the diagonal gets the shared empty table.
-    The result is ``None`` when more than D elements off the diagonal are
-    nonzero, checked first so that a dense state builds no index array,
-    or when an index lies in two pairs.
+    The pairs are the ``(p, 2)`` array of the pairs ``(r, r ^ x)``, lower
+    index first and ascending, whose element in the last class row is
+    nonzero in either triangle, as in ``np.nonzero``: ``-0.0`` is zero,
+    NaN is not.  Every other index is a 1x1 block.  A state of class 0
+    alone has none.
     """
-    dim = values.shape[1]
-    nonzero = values[1:] != 0
-    count = np.count_nonzero(nonzero)
-    if count > dim:
+    if classes.size > 2:
         return None
-    if count == 0:
-        return _NO_PAIRS
-    ks, rows = nonzero.nonzero()
-    cols = rows ^ classes[1:][ks]
-    # Each index's partner, written from both ends of every nonzero element;
-    # an index in two pairs keeps only one of them, and an element of the
-    # other then fails the check.
-    ends, others = np.concatenate((rows, cols)), np.concatenate((cols, rows))
-    partner = np.full(dim, -1)
-    partner[ends] = others
-    if (partner[ends] != others).any():
-        return None
-    low = (np.arange(dim) < partner).nonzero()[0]
-    return np.array((low, partner[low])).T
+    table = _pair_table(n_spins, int(classes[-1]))
+    nonzero = values[-1] != 0
+    return table[nonzero[table[:, 0]] | nonzero[table[:, 1]]]
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_table(n_spins: int, pattern: int) -> np.ndarray:
+    """Every pair ``(r, r ^ pattern)`` of an ``n_spins`` register, lower
+    index first and ascending, as a ``(p, 2)`` array; none for pattern 0.
+    Built once per register size and pattern and kept, so it is
+    read-only."""
+    index = np.arange(1 << n_spins)
+    low = index[index < index ^ pattern]
+    table = np.stack((low, low ^ pattern), axis=1)
+    table.flags.writeable = False
+    return table
 
 
 def _class_set(patterns: np.ndarray, dim: int) -> np.ndarray:
@@ -352,14 +333,6 @@ def _read(classes: np.ndarray, values: np.ndarray, x: np.ndarray, rows: np.ndarr
     is not occupied."""
     position = np.minimum(np.searchsorted(classes, x), classes.size - 1)
     return np.where(classes[position] == x, values[position, rows], 0.0)
-
-
-def _pair_positions(classes: np.ndarray, dim: int, pairs: np.ndarray) -> np.ndarray:
-    """Where each pair ``(low, high)`` holds ``rho[low, high]`` and
-    ``rho[high, low]`` in the flattened ``(K, D)`` values, as a ``(2, p)``
-    array: both lie in the row of class ``low ^ high``, which is occupied,
-    at columns ``low`` and ``high``."""
-    return classes.searchsorted(pairs[:, 0] ^ pairs[:, 1]) * dim + pairs.T
 
 
 def _hermitian_blocks(diagonal: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> bool:
@@ -527,7 +500,7 @@ def pseudopure(target: DensityMatrix, purity_fraction: float) -> DensityMatrix:
     values[0] += (1.0 - f) / target.dim
     # The mixed part's zeros, added as well: a -0.0 part becomes 0.0.
     values[1:] += 0.0
-    return DensityMatrix._of_classes(target._classes, values, target.n_spins, pattern_of=target)
+    return DensityMatrix._of_classes(target._classes, values, target.n_spins)
 
 
 def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
@@ -549,7 +522,7 @@ def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
         # an index in no pair, in column order: the partner of ``high`` is
         # ``low``, which comes first.
         low, high = pairs.T
-        upper, lower = values.take(_pair_positions(classes, rho.dim, pairs))
+        upper, lower = values[-1].take(pairs.T)
         power = np.zeros((rho.dim, 2))
         power[:, 0] = np.abs(values[0]) ** 2
         power[high, 1] = power[high, 0]
@@ -627,7 +600,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     if pairs is None:
         eigs = np.linalg.eigvalsh(_dense_of(classes, values, rho.dim))
     else:
-        lower = values.take(_pair_positions(classes, rho.dim, pairs)[1])
+        lower = values[-1].take(pairs[:, 1])
         eigs = np.sort(_block_spectrum(values[0].real, pairs, lower))
     eigs = eigs[eigs >= _ENTROPY_EIG_FLOOR]
     return max(float(-np.sum(eigs * np.log(eigs))), 0.0)

@@ -32,8 +32,8 @@ _HERMITIAN_ROWS = 64
 # operations.  They are the only code outside the package that names its
 # private parts (REPRESENTATION_NAMES; test_api checks that no test
 # module does), so a change of representation edits only this section.
-REPRESENTATION_NAMES = """_blocks _classes _values _dense _of_classes _block_structure
-_block_spectrum _hermitian_blocks _hermitian_classes _pair_positions _classes_of _dense_of
+REPRESENTATION_NAMES = """_blocks _classes _values _dense _of_classes _pairs_of _pair_table
+_block_spectrum _hermitian_blocks _hermitian_classes _classes_of _dense_of
 _kick_pairs _kick_whole _KICK_BLOCK _flip_one_site""".split()
 
 # Trajectories per block of the Monte Carlo kick; kick tests straddle it.
@@ -84,26 +84,33 @@ def record_factorised_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
-def record_pair_scans(monkeypatch) -> tuple[list[int], list]:
+def record_pair_reads(monkeypatch) -> tuple[list[int], list]:
     """Record every ``DensityMatrix`` construction, by its register size,
-    and every scan for a state's pairs, by its result: the ascending
-    ``(p, 2)`` array of the pairs ``(low, high)`` of its 2x2 blocks, or
-    ``None`` for one block of every index.  A construction that takes its
-    input's pairs over scans nothing."""
-    constructions, scans = [], []
-    scan, validate = states._block_structure, DensityMatrix.__post_init__
+    and the pairs validation reads for it once its trace holds: the
+    ascending ``(p, 2)`` array of the pairs ``(low, high)`` of its 2x2
+    blocks, or ``None`` for a state of three or more classes, checked as
+    one block of every index."""
+    constructions, reads = [], []
+    read, validate = states._pairs_of, DensityMatrix.__post_init__
 
-    def counted_scan(classes, values):
-        scans.append(scan(classes, values))
-        return scans[-1]
+    def counted_read(classes, values, n_spins):
+        reads.append(read(classes, values, n_spins))
+        return reads[-1]
 
     def counted_validate(self, n_spins, *args, **kwargs):
         constructions.append(n_spins)
         validate(self, n_spins, *args, **kwargs)
 
-    monkeypatch.setattr(states, "_block_structure", counted_scan)
+    monkeypatch.setattr(states, "_pairs_of", counted_read)
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_validate)
-    return constructions, scans
+    return constructions, reads
+
+
+def pair_tables_built() -> int:
+    """How many tables of a class's pairs validation has built in this
+    process; each is built once per register size and pattern, then kept
+    while it is in use."""
+    return states._pair_table.cache_info().misses
 
 
 @contextlib.contextmanager

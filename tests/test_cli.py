@@ -94,6 +94,24 @@ class TestRunProtocol:
             "state_final_01.npy",
         ]
 
+    def test_dump_states_holds_one_dense_view_at_a_time(self, tmp_path):
+        # Traced peak of a 9-spin run of six delays, in units of one D x D
+        # complex matrix: each delay's dense view, its .npy bytes and their
+        # buffer (3.0), written before the next delay runs.  Views kept for
+        # every delay would add one per delay.
+        n, dim = 9, 512
+        config = write_config(
+            tmp_path,
+            spin_system={"n_spins": n, "roles": ["control"] + ["system"] * (n - 1)},
+            noise={"dephasing_per_s": [GAMMA_7Q] * n, "flip_per_s": [0.0] * n},
+            protocol={"delays_s": [0.0, 0.01, 0.02, 0.03, 0.04, 0.05]},
+        )
+        out = tmp_path / "out"
+        with traced_memory() as memory:
+            main(["run-protocol", "--config", str(config), "--out", str(out), "--dump-states"])
+        assert len(list(out.glob("state_final_*.npy"))) == 6
+        assert memory.peak <= 3.5 * dim * dim * 16
+
     def test_atomic_write_leaves_other_temp_files_alone(self, tmp_path):
         # A fixed "<name>.tmp" is what another run writing here could be using.
         other = tmp_path / "protocol_report.json.tmp"

@@ -119,6 +119,9 @@ class TestValidation:
             (lambda d: d["spin_system"].pop("n_spins"), "spin_system.n_spins"),
             (lambda d: d["spin_system"].update(n_spins="two"), "spin_system.n_spins"),
             (lambda d: d["spin_system"].update(n_spins=True), "spin_system.n_spins"),
+            (lambda d: d["spin_system"].update(n_spins=0), "spin_system.n_spins"),
+            (lambda d: d["spin_system"].update(n_spins=13), "spin_system.n_spins"),
+            (lambda d: d["spin_system"].update(n_spins=10**12), "spin_system.n_spins"),
             (lambda d: d["spin_system"].update(rolez=[]), "spin_system.rolez"),
             (lambda d: d.update(extra=1), "config.extra"),
             (lambda d: d["spin_system"].update(roles=["control", "ancilla"]), "roles[1]"),

@@ -1,5 +1,7 @@
 """Hamiltonians, pulses, noise channels, and the collective gate."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,8 @@ from _support import (
     protocol_config,
     pulse_unitary,
     random_density_matrix,
-    record_pair_scans,
+    record_factorised_sizes,
+    record_pair_reads,
     rk4_evolve,
     run_child,
     single_spin_operator,
@@ -590,28 +593,30 @@ np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
 
 class TestPairKicks:
     """The pair route of ``apply_phase_kicks_mc``: a state of 1x1 and 2x2
-    blocks is kicked at its pairs' elements, with no characteristic matrix."""
-
-    @pytest.fixture(autouse=True)
-    def _no_whole_route(self):
-        with no_characteristic_matrix():
-            yield
+    blocks, class 0 and at most one other, is kicked at its pairs'
+    elements, with no characteristic matrix."""
 
     @pytest.mark.parametrize(
         "n_spins, n_classes, seed",
         [(n, c, seed) for n in (3, 5) for c in (1, 2, 3) for seed in (0, 1)]
         + [(8, c, 0) for c in (1, 2, 3)],
     )
-    def test_disjoint_pairs_match_reference(self, n_spins, n_classes, seed):
+    def test_disjoint_pairs_match_reference(self, monkeypatch, n_spins, n_classes, seed):
         rng = np.random.default_rng(10_000 * n_spins + 100 * n_classes + seed)
         matrix = _pair_state(rng, n_spins, n_classes)
         rho = DensityMatrix(matrix, n_spins)
         assert np.count_nonzero(matrix) > rho.dim
-        assert 2 <= stored_classes(rho)[0].size <= n_classes + 1
+        classes = stored_classes(rho)[0]
+        assert 2 <= classes.size <= n_classes + 1
         trajectories = KICK_BLOCK + 3
         rates = tuple(rng.uniform(0.01, 3.2, n_spins))
         noise = NoiseModel(rates, (0.0,) * n_spins, trajectories)
-        kicked = apply_phase_kicks_mc(rho, noise, 0.7, seed=seed)
+        # Pairs of one class are kicked as pairs; pairs of more classes make
+        # a state checked, and kicked, as one whole block.
+        sizes = record_factorised_sizes(monkeypatch)
+        with no_characteristic_matrix() if classes.size == 2 else contextlib.nullcontext():
+            kicked = apply_phase_kicks_mc(rho, noise, 0.7, seed=seed)
+        assert sizes == ([] if classes.size == 2 else [rho.dim])
         sigma = np.sqrt(np.asarray(rates) * 0.7)
         reference = phase_kicks_reference(matrix, n_spins, sigma, trajectories, seed)
         np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
@@ -628,11 +633,12 @@ class TestPairKicks:
         row, col = (high, low) if triangle == "lower" else (low, high)
         matrix[row, col] = small
         matrix[col, row] = complex(-0.0, -0.0)
-        _, scans = record_pair_scans(monkeypatch)
+        _, reads = record_pair_reads(monkeypatch)
         rho = DensityMatrix(matrix, n)
-        np.testing.assert_array_equal(scans[0], [[low, high]])
+        np.testing.assert_array_equal(reads[0], [[low, high]])
         noise = NoiseModel((0.9, 2.5, 0.3, 1.7), (0.0,) * n, KICK_BLOCK + 9)
-        kicked = apply_phase_kicks_mc(rho, noise, 0.5, seed=6)
+        with no_characteristic_matrix():
+            kicked = apply_phase_kicks_mc(rho, noise, 0.5, seed=6)
         sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * 0.5)
         reference = phase_kicks_reference(matrix, n, sigma, noise.mc_trajectories, 6)
         np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
@@ -644,7 +650,8 @@ class TestPairKicks:
         populations = rng.uniform(size=32)
         rho = DensityMatrix(np.diag(populations / populations.sum()).astype(complex), 5)
         noise = NoiseModel.uniform(5, dephasing_per_s=2.0, mc_trajectories=300)
-        kicked = apply_phase_kicks_mc(rho, noise, 0.3, seed=2)
+        with no_characteristic_matrix():
+            kicked = apply_phase_kicks_mc(rho, noise, 0.3, seed=2)
         assert state_bytes(kicked) == state_bytes(rho)
 
     def test_ten_spin_protocol_cat_matches_reference(self):
@@ -655,32 +662,29 @@ class TestPairKicks:
         run_child("-c", _TEN_SPIN_CAT_KICK)
 
     def test_twelve_spin_pairs_stay_within_a_block_of_phases(self):
-        # 2048 pairs cover every index of a 12-spin register, over three
-        # classes that keep the top two bits.  C over that support alone
-        # would be 4096 x 4096 complex, 256 MiB.
+        # 2048 pairs of one class cover every index of a 12-spin register.
+        # C over that support would be 4096 x 4096 complex, 256 MiB.
         n, dim = 12, 4096
         rng = np.random.default_rng(12)
         index = np.arange(dim)
-        top = index >> (n - 2)
-        patterns = np.array([0b0000_0000_0001, 0b0000_0110_0000, 0b0011_1111_1111])
-        partner = index ^ patterns[np.maximum(top - 1, 0)]
+        pattern = 0b0011_1111_1111
+        partner = index ^ pattern
         populations = rng.uniform(0.1, 1.0, dim)
         populations /= populations.sum()
         low = index[index < partner]
         high = partner[low]
         bound = np.sqrt(populations[low] * populations[high])
         coherence = 0.9 * bound * np.exp(1j * rng.uniform(0.0, 2 * np.pi, low.size))
-        classes = np.concatenate(([0], np.sort(patterns)))
+        classes = np.array([0, pattern])
         values = np.zeros((classes.size, dim), dtype=complex)
         values[0] = populations
-        rows = np.searchsorted(classes, low ^ high)
-        values[rows, low] = coherence
-        values[rows, high] = coherence.conj()
+        values[1, low] = coherence
+        values[1, high] = coherence.conj()
         rho = state_of_classes(classes, values, n)
         assert low.size == 2048
         rates = rng.uniform(0.5, 3.0, n)
         noise = NoiseModel(tuple(rates), (0.0,) * n, 1000)
-        with traced_memory() as memory:
+        with traced_memory() as memory, no_characteristic_matrix():
             kicked = apply_phase_kicks_mc(rho, noise, 0.2, seed=5)
         assert memory.peak < 32 * 1024**2
         assert elements(kicked, index, index).tobytes() == values[0].tobytes()

@@ -24,7 +24,10 @@ from spincat import (
     von_neumann_entropy,
 )
 from spincat import protocol, states
+from spincat.analysis import scaling_study
+from spincat.cli import STATE_NAMES, main
 from _support import (
+    RING7_CONFIG,
     bare_system,
     cat_rotation_unitary,
     controlled_not_unitary,
@@ -34,6 +37,7 @@ from _support import (
     protocol_config,
     random_density_matrix,
     random_unitary,
+    record_pair_reads,
     run_child,
     stored_classes,
     traced_memory,
@@ -445,3 +449,43 @@ def test_twelve_spin_monte_carlo_run_fits_the_advertised_limit():
     assert outcome["trajectories"] == 1000
     assert elapsed < 1.05
     assert outcome["max_rss_kib"] * 1024 < 120 * 1024**2
+
+
+def _premise_runs(mode: str) -> dict:
+    """Every way the package builds states, by name, as a call that takes
+    an output directory: the protocol and its decay scans, the scaling
+    study and every built-in state of ``spectrum``."""
+    config = dataclasses.replace(protocol_config(5), noise_mode=mode)
+    delays = [0.0, 0.01, 0.02]
+    noise = NoiseModel.uniform(2, dephasing_per_s=9.85, mc_trajectories=200)
+    runs = {
+        **{
+            f"run_protocol-{n}-{purity}": lambda out, n=n, purity=purity: run_protocol(
+                dataclasses.replace(protocol_config(n, purity), noise_mode=mode)
+            )
+            for n in (2, 3, 7)
+            for purity in (0.83, 1.0)
+        },
+        "measure_nq_decay": lambda out: measure_nq_decay(config, delays),
+        "measure_diagonal_decay": lambda out: measure_diagonal_decay(config, delays),
+        "scaling_study": lambda out: scaling_study(range(2, 6), noise, delays, mode, seed=3),
+    }
+    if mode == "analytic":
+        for name in STATE_NAMES:
+            runs[f"spectrum-{name}"] = lambda out, name=name: main(
+                ["spectrum", "--config", str(RING7_CONFIG), "--state", name, "--out", str(out)]
+            )
+    return runs
+
+
+@pytest.mark.parametrize("mode", protocol.NOISE_MODES)
+def test_every_state_the_package_builds_has_at_most_two_classes(monkeypatch, tmp_path, mode):
+    # Populations plus the coherence between the two corners: class 0 and
+    # at most one other, so validation reads every state as pairs.  A state
+    # of more classes would be checked, and kicked, as one dense block.
+    for name, run in _premise_runs(mode).items():
+        constructions, reads = record_pair_reads(monkeypatch)
+        run(tmp_path / name)
+        monkeypatch.undo()
+        assert constructions and len(reads) == len(constructions), name
+        assert all(pairs is not None for pairs in reads), name

@@ -38,12 +38,13 @@ from _support import (
     dense_entropy,
     is_hermitian,
     kronecker_total_spin_operator,
+    pair_tables_built,
     popcount_weights,
     protocol_config,
     random_density_matrix,
     random_unitary,
     record_factorised_sizes,
-    record_pair_scans,
+    record_pair_reads,
     state_bytes,
     stored_classes,
     traced_memory,
@@ -171,7 +172,8 @@ BLOCK_STATES = {
         f"order-zero-pair-{seed}": (lambda seed=seed: _order_zero_pair_state(seed), 2)
         for seed in (3, 12)
     },
-    # One to three classes, of any order, with pairs in any rows.
+    # One to three classes off the diagonal, of any order, with pairs in
+    # any rows: two classes or more make the state one block of every index.
     **{
         f"random-pairs-{n_spins}": (
             lambda n_spins=n_spins: DensityMatrix(
@@ -187,23 +189,30 @@ BLOCK_STATES = {
 
 @pytest.mark.parametrize("make, max_classes", BLOCK_STATES.values(), ids=BLOCK_STATES)
 def test_coherence_orders_of_block_states_against_popcount_oracle(monkeypatch, make, max_classes):
-    # Stored by a few classes and checked block by block, with no
-    # factorisation, not as one dense block.
+    # Stored by a few classes.  A state of at most two is checked block by
+    # block, with no factorisation; a state of more is checked whole.
     sizes = record_factorised_sizes(monkeypatch)
     rho = make()
-    assert sizes == [] and stored_classes(rho)[0].size <= max_classes
+    classes = stored_classes(rho)[0]
+    assert classes.size <= max_classes
+    assert sizes == ([] if classes.size <= 2 else [rho.dim])
     _assert_coherence_orders_match_oracles(rho)
 
 
 @pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
 def test_run_protocol_finds_each_pattern_once(monkeypatch, mode):
-    # Validation finds the pairs once per pattern: pseudopure and step D's
-    # dephasing or kick keep their input's pattern and take its pairs over
-    # unscanned, and entropies reuse the pairs they find.
-    constructions, scans = record_pair_scans(monkeypatch)
-    run_protocol(dataclasses.replace(protocol_config(4), noise_mode=mode))
+    # Every state of a run is read as pairs, from the table of its class
+    # pattern, which is built once per register size and pattern and kept:
+    # a second run builds none.  Entropies reuse the pairs validation read.
+    config = dataclasses.replace(protocol_config(4), noise_mode=mode)
+    run_protocol(config)
+    built = pair_tables_built()
+    constructions, reads = record_pair_reads(monkeypatch)
+    run_protocol(config)
+    assert pair_tables_built() == built
     assert len(constructions) <= 24
-    assert len(scans) <= len(constructions) - 2
+    assert len(reads) == len(constructions)
+    assert all(pairs is not None for pairs in reads)
 
 
 def test_coherence_components_are_orthogonal():
@@ -403,14 +412,14 @@ def test_density_matrix_is_immutable_and_copies_by_value(monkeypatch):
         rho.matrix = np.eye(8) / 8.0
     with pytest.raises(ValueError):
         stored_classes(rho)[1][0, 0] = 1.0
-    constructions, scans = record_pair_scans(monkeypatch)
+    constructions, reads = record_pair_reads(monkeypatch)
     for twin in (copy.deepcopy(rho), pickle.loads(pickle.dumps(rho))):
         assert twin.n_spins == 3
         assert twin.matrix.tobytes() == rho.matrix.tobytes()
         assert not stored_classes(twin)[1].flags.writeable
     # Each copy is validated once, from its classes.
     assert constructions == [3, 3]
-    assert len(scans) == 2
+    assert len(reads) == 2
 
 
 def _state_with_smallest_eigenvalue(rng, n_spins, eigmin):
@@ -499,19 +508,20 @@ def test_thermal_state():
 
 
 # 4 blocks of 3, 8 of 2 and 36 of 1: 40 nonzeros off the diagonal of a
-# 64 x 64 matrix, but its 3x3 blocks put indices in two pairs, so it is
-# checked whole.
+# 64 x 64 matrix, in many classes, so it is checked whole.
 SPARSE_LAYOUT = (3,) * 4 + (2,) * 8 + (1,) * 36
-# 16 pairs, each in its own class, and 32 singles: checked block by block.
+# 16 pairs, all of one class, and 32 singles: checked block by block.
 PAIRS_LAYOUT = (2,) * 16 + (1,) * 32
-# 21 blocks of 3 and one of 1: 126 nonzeros off the diagonal, more than
-# D = 64, so the same kind of matrix is checked whole.
+# 21 blocks of 3 and one of 1: 126 nonzeros off the diagonal, so the same
+# kind of matrix is checked whole.
 DENSE_LAYOUT = (3,) * 21 + (1,)
 
 
 def _block_permuted_state(rng, layout, eigmin=None, negative_size=None):
     """Unit-trace Hermitian matrix, block-diagonal with blocks of the sizes
-    in ``layout`` after a random permutation of the basis.
+    in ``layout`` after a random permutation of the basis.  A layout of
+    pairs, then singles, places every pair as ``(r, r ^ x)`` of one random
+    class ``x``, so that the matrix has two classes.
 
     With ``eigmin``, the first block of size ``negative_size`` has
     smallest eigenvalue ``eigmin``, and every other eigenvalue is larger.
@@ -530,7 +540,16 @@ def _block_permuted_state(rng, layout, eigmin=None, negative_size=None):
     for start, k in zip(starts, layout):
         u = random_unitary(rng, k)
         blocks[start : start + k, start : start + k] = (u * eigs[start : start + k]) @ u.conj().T
-    perm = rng.permutation(dim)
+    n_pairs = layout.count(2)
+    if layout == (2,) * n_pairs + (1,) * (dim - 2 * n_pairs):
+        # Basis index of each block position: the pairs of class x first.
+        x = int(rng.integers(1, dim))
+        index = np.arange(dim)
+        low = rng.permutation(index[index < index ^ x])[:n_pairs]
+        rest = rng.permutation(np.setdiff1d(index, np.concatenate((low, low ^ x))))
+        perm = np.argsort(np.concatenate((np.stack((low, low ^ x), axis=1).ravel(), rest)))
+    else:
+        perm = rng.permutation(dim)
     matrix = blocks[np.ix_(perm, perm)]
     return (matrix + matrix.conj().T) / 2.0
 
@@ -576,10 +595,11 @@ def test_block_route_verdict_matches_eigenvalue_criterion(
             DensityMatrix(matrix, 6)
         reported = float(str(excinfo.value).split()[2])
         assert reported == pytest.approx(eigmin, rel=1e-4)
-    # Pairs and singles are read in closed form, with no factorisation at
-    # all (largest 0); any larger block makes the whole matrix one block,
-    # whose factor, shifted by POSITIVITY_TOL, exists exactly when it is
-    # accepted; only a rejection runs eigvalsh as well.
+    # Pairs of one class and singles are read in closed form, with no
+    # factorisation at all (largest 0); blocks in more classes make the
+    # whole matrix one block, whose factor, shifted by POSITIVITY_TOL,
+    # exists exactly when it is accepted; only a rejection runs eigvalsh
+    # as well.
     assert sizes == [largest] * (0 if largest == 0 else 1 if eigmin >= -tol else 2)
 
 
@@ -622,9 +642,9 @@ def test_pair_blocks_in_closed_form_match_eigvalsh(monkeypatch, case, seed):
     matrix[high, low] = modulus * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     matrix[low, high] = np.conj(matrix[high, low])
     assert (np.linalg.eigvalsh(matrix)[0] < -tol) == (eigmin == -2.0)
-    sizes, scans = _assert_verdict_of_eigvalsh(monkeypatch, matrix, n_spins)
+    sizes, reads = _assert_verdict_of_eigvalsh(monkeypatch, matrix, n_spins)
     assert sizes == []
-    np.testing.assert_array_equal(scans[0], [[low, high]])
+    np.testing.assert_array_equal(reads[0], [[low, high]])
 
 
 @pytest.mark.parametrize("noise_mode", ["analytic", "monte_carlo"])
@@ -793,8 +813,8 @@ def _scan_case(dim, case):
     if case == "slice-boundary":
         # Classes on both sides of the boundaries of the 32-class slices
         # that D = 1024 is read in, one pair each at rows spread by D / 8,
-        # alternately in one triangle and in both.  At D = 128 the pairs
-        # of classes 31 and 63 share index 31.
+        # alternately in one triangle and in both: a state of more than
+        # two classes, checked whole, except at D = 2.
         xs = sorted({31, 32, 63, 64, last} & set(range(1, dim)))
         for k, x in enumerate(xs):
             r = k * dim // 8
@@ -816,11 +836,12 @@ def _scan_case(dim, case):
     elif case == "non-finite":
         matrix[0, last] = np.nan
         matrix[last, 0] = complex(0.0, np.inf)
-        # Off the diagonal, so the trace holds; at D = 2 no place is free.
-        # Its modulus is NaN and its mirror zero: a scan that skipped it
-        # would find one pair, and leave it unchecked.
+        # Off the diagonal, so the trace holds, in the class of the pair
+        # above; at D = 2 no place is free.  Its modulus is NaN and its
+        # mirror zero: a read that skipped it would miss its pair, and
+        # leave it unchecked.
         if last // 2:
-            matrix[last // 2, 0] = complex(small, np.nan)
+            matrix[1, last ^ 1] = complex(small, np.nan)
     else:
         # Exactly D or D + 1 nonzeros at random off-diagonal places.
         count = dim + (case == "count-D+1")
@@ -846,18 +867,17 @@ def test_block_structure_scan_matches_np_nonzero(monkeypatch, dim, case):
     off_diagonal = np.count_nonzero(rows != cols)
     assert off_diagonal == {"count-D": dim, "count-D+1": dim + 1}.get(case, off_diagonal)
     # The pairs of the nonzero elements, lower index first and ascending,
-    # or none when more than D elements off the diagonal are nonzero or an
-    # index lies in two pairs: then the state is one block of every index.
+    # or none when they lie in more than one class off the diagonal: then
+    # the state is one block of every index.
     pairs = {frozenset(pair) for pair in zip(rows.tolist(), cols.tolist())} - {
         frozenset([i]) for i in range(dim)
     }
-    shared = len({i for pair in pairs for i in pair}) < 2 * len(pairs)
-    whole = off_diagonal > dim or shared
+    whole = len({int(r ^ c) for r, c in zip(rows, cols)} - {0}) > 1
     sizes = record_factorised_sizes(monkeypatch)
-    _, scans = record_pair_scans(monkeypatch)
+    _, reads = record_pair_reads(monkeypatch)
     n_spins = dim.bit_length() - 1
     if case == "non-finite":
-        # NaN counts as nonzero, as in np.nonzero, so the scan below meets it.
+        # NaN counts as nonzero, as in np.nonzero, so the read below meets it.
         assert np.isnan(matrix[rows, cols]).any()
         with pytest.raises(StateInvariantError, match="not Hermitian"):
             DensityMatrix(matrix, n_spins)
@@ -870,19 +890,20 @@ def test_block_structure_scan_matches_np_nonzero(monkeypatch, dim, case):
         np.testing.assert_array_equal(classes, np.union1d(rows ^ cols, [0]))
         assert rho.matrix.tobytes() == matrix.tobytes()
         assert sizes == ([dim] if whole else [])
-    # The pairs are scanned for once, after the trace.
-    assert len(scans) == 1
+    # The pairs are read once, after the trace.
+    assert len(reads) == 1
     if whole:
-        assert scans == [None]
+        assert reads == [None]
     else:
-        np.testing.assert_array_equal(scans[0], sorted(sorted(pair) for pair in pairs))
+        np.testing.assert_array_equal(reads[0], sorted(sorted(pair) for pair in pairs))
 
 
 def _random_pairs_state(rng, n_spins, couple, indefinite):
     """A sparse matrix of unit trace, Hermitian to ``HERMITIAN_TOL``, and
     the pairs it holds: a positive diagonal plus disjoint pairs
-    ``(r, r ^ x)``, lower index first, from one to three classes ``x``.
-    Every pair is positive definite but, with ``indefinite``, one.  With
+    ``(r, r ^ x)``, lower index first, from one to three classes ``x``;
+    with more than one, the matrix is checked whole.  Every pair is
+    positive definite but, with ``indefinite``, one.  With
     ``couple``, one more element joins an index of a pair to a second
     partner: a Hermitian pair of elements (``"both"``), or one element
     within ``HERMITIAN_TOL`` in the lower or upper triangle."""
@@ -919,20 +940,23 @@ def _random_pairs_state(rng, n_spins, couple, indefinite):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_random_pair_states_match_eigvalsh(monkeypatch, seed):
-    # Disjoint pairs from several classes are 2x2 blocks; a second partner
-    # of any index, also by one element in one triangle, makes the state one
-    # block of every index.  Either way the verdict and the entropy are those
-    # of the dense spectrum.
+    # Disjoint pairs of one class are 2x2 blocks; pairs of several classes,
+    # or a second partner of any index, also by one element in one
+    # triangle, make the state one block of every index.  Either way the
+    # verdict and the entropy are those of the dense spectrum.
     rng = np.random.default_rng([14, seed])
     for trial in range(20):
         n_spins, indefinite = int(rng.integers(3, 7)), trial % 3 == 2
         couple = (None, None, "both", None, "lower", None, "upper")[trial % 7]
         matrix, pairs = _random_pairs_state(rng, n_spins, couple, indefinite)
-        _, scans = _assert_verdict_of_eigvalsh(monkeypatch, matrix, n_spins)
+        _, reads = _assert_verdict_of_eigvalsh(monkeypatch, matrix, n_spins)
         if couple:
-            assert scans == [None]
+            assert reads == [None]
             continue
-        np.testing.assert_array_equal(scans[0], np.array(pairs).reshape(-1, 2))
+        if _class_count(pairs) > 1:
+            assert reads == [None]
+        else:
+            np.testing.assert_array_equal(reads[0], np.array(pairs).reshape(-1, 2))
         # The same state with its first pair's upper element off by 0.9 or
         # 1.1 times HERMITIAN_TOL, which eigvalsh and the closed form do
         # not read, and its diagonal alone.
@@ -952,18 +976,23 @@ def _assert_verdict_of_eigvalsh(monkeypatch, matrix, n_spins):
     """Validation accepts ``matrix`` exactly when its smallest eigenvalue,
     by eigvalsh, exceeds ``-POSITIVITY_TOL``, reports that eigenvalue when
     it does not, and gives an accepted state the dense entropy.  Returns
-    the sizes factorised and the pair scans made on the way."""
+    the sizes factorised and the pairs read on the way."""
     eigmin, expected = float(np.linalg.eigvalsh(matrix)[0]), dense_entropy(matrix)
     monkeypatch.undo()
     sizes = record_factorised_sizes(monkeypatch)
-    _, scans = record_pair_scans(monkeypatch)
+    _, reads = record_pair_reads(monkeypatch)
     if eigmin < -states.POSITIVITY_TOL:
         with pytest.raises(StateInvariantError, match="negative eigenvalue") as excinfo:
             DensityMatrix(matrix, n_spins)
         assert float(str(excinfo.value).split()[2]) == pytest.approx(eigmin, abs=1e-12)
     else:
         assert von_neumann_entropy(DensityMatrix(matrix, n_spins)) == pytest.approx(expected, abs=1e-12)
-    return sizes, scans
+    return sizes, reads
+
+
+def _class_count(pairs):
+    """The number of classes ``low ^ high`` of ``pairs``."""
+    return len({low ^ high for low, high in pairs})
 
 
 NAN, INF = float("nan"), float("inf")
@@ -1049,10 +1078,11 @@ def _edited(rng, matrix, pairs, kind, value):
 )
 def test_pair_hermiticity_matches_the_whole_class_check(monkeypatch, edit, hermitian, seed):
     # A state of 1x1 and 2x2 blocks is checked over its diagonal and its
-    # pairs' two elements; the verdict is that of every element of the
-    # whole matrix, for non-finite entries too, and validation raises as
-    # it does.
-    _, scans = record_pair_scans(monkeypatch)
+    # pairs' two elements, and a state of more than two classes over every
+    # element of every class; either way the verdict is that of every
+    # element of the whole matrix, for non-finite entries too, and
+    # validation raises as it does.
+    _, reads = record_pair_reads(monkeypatch)
     rng = np.random.default_rng([18, seed])
     for _ in range(4):
         n_spins = int(rng.integers(2, 9))
@@ -1061,7 +1091,7 @@ def test_pair_hermiticity_matches_the_whole_class_check(monkeypatch, edit, hermi
         verdict = is_hermitian(matrix)
         assert verdict is (hermitian if hermitian is not None else verdict)
         trace = np.trace(matrix)
-        scans.clear()
+        reads.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if abs(trace - 1.0) > states.TRACE_TOL:
@@ -1073,13 +1103,17 @@ def test_pair_hermiticity_matches_the_whole_class_check(monkeypatch, edit, hermi
                     DensityMatrix(matrix, n_spins)
             else:
                 DensityMatrix(matrix, n_spins)
-        expected_pairs = [] if edit[0].startswith("diagonal-state") else pairs
-        np.testing.assert_array_equal(scans[0], np.array(expected_pairs).reshape(-1, 2))
+        if edit[0].startswith("diagonal-state"):
+            np.testing.assert_array_equal(reads[0], np.empty((0, 2)))
+        elif _class_count(pairs) > 1:
+            assert reads == [None]
+        else:
+            np.testing.assert_array_equal(reads[0], pairs)
 
 
-def _assert_blocks_match_a_scan(rho):
-    # A state built afresh from the dense view is scanned: it stores the
-    # same classes, values and pairs, bit for bit.
+def _assert_blocks_match_a_fresh_state(rho):
+    # A state built afresh from its dense view stores the same classes,
+    # values and pairs, bit for bit.
     fresh = DensityMatrix(rho.matrix, rho.n_spins)
     assert state_bytes(rho) == state_bytes(fresh)
     assert von_neumann_entropy(rho) == von_neumann_entropy(fresh)
@@ -1105,14 +1139,15 @@ def _keep_sets(n_spins):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_carried_blocks_never_outlive_their_pattern(monkeypatch, seed):
-    # pseudopure, dephasing and the Monte Carlo kick take their input's
-    # pairs over while its nonzero pattern holds.  Where an element or a
-    # whole class decays or underflows to zero, the result is scanned.  A
-    # reduced state is always scanned, also where a class sums to zero.
+    # Each state's pairs are read from its own classes, whatever made it:
+    # where an element or a whole class of pseudopure, dephasing or the
+    # Monte Carlo kick decays or underflows to zero, or a class of a
+    # reduced state sums to zero, the pairs are those of a state built
+    # afresh from the dense view.
     cancelling = _cancelling_state()
     assert stored_classes(reduced_state(cancelling, [0]))[0].tolist() == [0]
     for keep in _keep_sets(3):
-        _assert_blocks_match_a_scan(reduced_state(cancelling, keep))
+        _assert_blocks_match_a_fresh_state(reduced_state(cancelling, keep))
     rng = np.random.default_rng([17, seed])
     sizes = record_factorised_sizes(monkeypatch)
     for trial in range(4):
@@ -1120,7 +1155,7 @@ def test_carried_blocks_never_outlive_their_pattern(monkeypatch, seed):
         matrix, _ = _random_pairs_state(rng, n_spins, None, False)
         sizes.clear()
         rho = DensityMatrix(matrix, n_spins)
-        assert sizes == []
+        assert sizes == ([] if stored_classes(rho)[0].size <= 2 else [rho.dim])
         rates = tuple(rng.choice([0.0, 1.0, 2.5], n_spins))
         noise = NoiseModel(rates, (0.0,) * n_spins)
         classes = stored_classes(rho)[0]
@@ -1137,7 +1172,7 @@ def test_carried_blocks_never_outlive_their_pattern(monkeypatch, seed):
         results += [pseudopure(rho, f) for f in (0.83, 1.0, 1e-322)]
         results += [reduced_state(rho, keep) for keep in _keep_sets(n_spins)]
         for result in results:
-            _assert_blocks_match_a_scan(result)
+            _assert_blocks_match_a_fresh_state(result)
 
 
 @pytest.mark.parametrize("route, reported", [("pairs", "-inf"), ("whole", "nan")])
