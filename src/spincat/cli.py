@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -136,7 +137,10 @@ def cmd_run_protocol(args: argparse.Namespace) -> int:
         if args.dump_states:
             # Written before the next delay runs, and the report dropped, so
             # that one dense view is alive at a time.
-            _write_npy(run.out_dir / f"state_final_{k:02d}.npy", report.final_state.matrix)
+            _write_atomic(
+                run.out_dir / f"state_final_{k:02d}.npy",
+                lambda handle: np.save(handle, report.final_state.matrix),
+            )
         runs.append(report.to_dict())
         rows += [
             (report.delay_s, record.name, order, weight)
@@ -276,7 +280,7 @@ class _RunContext:
         if "json" not in self.formats:
             return
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        _write_atomic(self.out_dir / name, text.encode())
+        _write_atomic(self.out_dir / name, lambda handle: handle.write(text.encode()))
 
     def write_csv(self, name: str, columns: tuple[str, ...], rows) -> None:
         if "csv" not in self.formats:
@@ -288,7 +292,8 @@ class _RunContext:
         ]
         for row in rows:
             lines.append(",".join(_format_value(value) for value in row))
-        _write_atomic(self.out_dir / name, ("\n".join(lines) + "\n").encode())
+        text = "\n".join(lines) + "\n"
+        _write_atomic(self.out_dir / name, lambda handle: handle.write(text.encode()))
 
 
 def _resolve_state(name: str, config: RunConfig) -> DensityMatrix:
@@ -332,15 +337,10 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _write_npy(path: Path, array: np.ndarray) -> None:
-    """Write ``array`` in the ``.npy`` format, atomically."""
-    buffer = io.BytesIO()
-    np.save(buffer, array)
-    _write_atomic(path, buffer.getvalue())
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write to a temp file beside ``path``, then rename it over ``path``.
+def _write_atomic(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Call ``write`` on a temp file beside ``path``, opened for binary
+    writing, then rename the file over ``path``.  ``np.save`` given the
+    file writes straight from the array, with no copy of its bytes.
 
     The temp name is random and created exclusively, so runs writing
     into one directory at once cannot clash.  Unlike ``mkstemp``, which
@@ -351,7 +351,7 @@ def _write_atomic(path: Path, data: bytes) -> None:
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as handle:
-            handle.write(data)
+            write(handle)
         os.replace(tmp, path)
     except BaseException as error:
         tmp.unlink(missing_ok=True)

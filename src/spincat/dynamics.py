@@ -117,6 +117,9 @@ class SpinSystem:
                 raise ValueError(f"unknown role {role!r}")
         if len(self.offsets_hz) != self.n_spins:
             raise ValueError(f"expected {self.n_spins} offsets, got {len(self.offsets_hz)}")
+        for offset in self.offsets_hz:
+            if not math.isfinite(offset):
+                raise ValueError(f"non-finite offset {offset}")
         seen: set[tuple[int, int]] = set()
         for coupling in self.couplings:
             for site in (coupling.site_a, coupling.site_b):
@@ -176,17 +179,22 @@ class NoiseModel:
 def dephasing_rate_for_lifetime(lifetime_s: float, n_sites: int) -> float:
     """Per-spin rate gamma such that the ``n_sites``-order coherence decays
     with the given lifetime: amplitude(t) = amplitude(0) * exp(-t/lifetime)."""
-    if lifetime_s <= 0.0:
-        raise ValueError("lifetime must be positive")
+    _check_lifetime(lifetime_s)
+    if not n_sites >= 1:
+        raise ValueError(f"need at least one site, got {n_sites}")
     return 2.0 / (n_sites * lifetime_s)
 
 
 def flip_rate_for_lifetime(lifetime_s: float) -> float:
     """Per-spin rate kappa such that polarization <Sz_i> decays with the
     given lifetime."""
-    if lifetime_s <= 0.0:
-        raise ValueError("lifetime must be positive")
+    _check_lifetime(lifetime_s)
     return 1.0 / (2.0 * lifetime_s)
+
+
+def _check_lifetime(lifetime_s: float) -> None:
+    if not (math.isfinite(lifetime_s) and lifetime_s > 0.0):
+        raise ValueError(f"lifetime must be finite and positive, got {lifetime_s}")
 
 
 def build_hamiltonian(system: SpinSystem) -> np.ndarray:

@@ -107,24 +107,17 @@ def linear_response_spectrum(
 def peak_list(spectrum: Spectrum, threshold_fraction: float = 0.01) -> list[Peak]:
     """Merge sticks closer than half a linewidth and drop weak clusters.
 
-    Clusters whose total magnitude falls below ``threshold_fraction``
-    of the strongest cluster are discarded.
+    A cluster ends where the next stick lies half a linewidth or more
+    above the last.  Clusters whose total magnitude falls below
+    ``threshold_fraction`` of the strongest cluster are discarded.
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError("threshold fraction must lie strictly between 0 and 1")
-    if spectrum.frequencies_hz.size == 0:
-        return []
-    gap = 0.5 * spectrum.linewidth_hz
-    clusters: list[list[int]] = [[0]]
-    for k in range(1, spectrum.frequencies_hz.size):
-        if spectrum.frequencies_hz[k] - spectrum.frequencies_hz[clusters[-1][-1]] < gap:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
+    starts = np.flatnonzero(np.diff(spectrum.frequencies_hz) >= 0.5 * spectrum.linewidth_hz) + 1
     peaks = []
-    for members in clusters:
-        amps = spectrum.amplitudes[members]
-        freqs = spectrum.frequencies_hz[members]
+    for freqs, amps in zip(
+        np.split(spectrum.frequencies_hz, starts), np.split(spectrum.amplitudes, starts)
+    ):
         weights = np.abs(amps)
         total_weight = float(weights.sum())
         if total_weight == 0.0:

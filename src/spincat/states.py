@@ -49,8 +49,8 @@ the smallest eigenvalue decides the verdict, so a rejection always rests
 on the eigenvalue criterion.  The closed form, the factorisation and
 ``eigvalsh`` read the lower triangle only; that is sound because
 Hermiticity is checked before them.  The state keeps its pairs, so
-:func:`von_neumann_entropy`, :func:`coherence_orders` and the Monte
-Carlo kick read them without finding them again.
+:func:`von_neumann_entropy` and the Monte Carlo kick read them without
+finding them again.
 
 The pairs are read between the trace and Hermiticity, and they say where
 Hermiticity is read.  A state of pairs is nonzero only on its diagonal
@@ -65,8 +65,12 @@ up spins in ``r`` minus the number in ``c``.  A cat state of ``n``
 spins carries orders ``-n``, ``0`` and ``+n`` only.
 
 Traces of products, partial traces and coherence weights are read from
-the classes, in O(K·D), without a matrix product; the coherence weights
-of a state of blocks from its diagonal and pairs, in O(D).
+the classes, in O(K·D), without a matrix product.  The coherence weights
+are summed class by class, a slice of classes at a time.  In every
+state the package builds, each order's nonzero terms come from one
+class, in ascending row order, so the weights equal those of one
+histogram over the whole matrix bit for bit; for any other state they
+agree with it within a relative 1e-13.
 """
 
 from __future__ import annotations
@@ -89,8 +93,9 @@ PURITY_TOL = 1e-8
 # Largest ||a|^2 + |b|^2 - 1| of CatWeights renormalized rather than rejected.
 CAT_NORM_TOL = 1e-9
 _ENTROPY_EIG_FLOOR = 1e-14
-# Elements per slice when a dense matrix is converted to or from its
-# classes: bounds the index and value temporaries at 768 KiB.
+# Elements per slice when classes are read a slice at a time: to convert
+# a dense matrix to or from its classes, to check Hermiticity and to sum
+# coherence weights.  Bounds the index and value temporaries at 768 KiB.
 _SLICE_ELEMENTS = 1 << 15
 
 
@@ -509,51 +514,22 @@ def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
     The fixed-order components are elementwise disjoint, so each weight
     is the square root of the sum of ``|rho_rc|^2`` over the elements of
     that order, whose order is ``ups[r] - ups[r ^ x]`` in class ``x``.
-    The sums run over the elements in C order, row by row with ascending
-    columns, as over the whole matrix, whose other elements are zero.  A
-    row of a state of 1x1 and 2x2 blocks holds its diagonal element and,
-    in a pair, one partner, so two elements per row are summed; a state
-    checked whole is read a slice of rows and all its classes at a time.
+    The sums run class by class, a slice of classes at a time, and within
+    a class by ascending row.  Every state the package builds is class 0
+    plus at most one class ``x``, whose nonzero elements pair the all-up
+    and all-down settings of ``x``'s spins and so have order ``+-|x|``,
+    never 0.  Each order's nonzero terms then come from one class, in
+    ascending row order, and the weights equal those of one histogram
+    over the whole matrix bit for bit.  For any other state the additions
+    come in another order, and the weights agree within a relative 1e-13.
     """
     n = rho.n_spins
-    classes, values, pairs = rho._classes, rho._values, rho._blocks
-    if pairs is not None:
-        # Row by row, the diagonal element and the partner, or a zero for
-        # an index in no pair, in column order: the partner of ``high`` is
-        # ``low``, which comes first.
-        low, high = pairs.T
-        upper, lower = values[-1].take(pairs.T)
-        power = np.zeros((rho.dim, 2))
-        power[:, 0] = np.abs(values[0]) ** 2
-        power[high, 1] = power[high, 0]
-        power[high, 0] = np.abs(lower) ** 2
-        power[low, 1] = np.abs(upper) ** 2
-        # ups[low] - ups[high], the order of rho[low, high].
-        downs = operators._popcounts(n)
-        order = downs[high] - downs[low]
-        shifted_order = np.full((rho.dim, 2), n)
-        shifted_order[high, 0] = n - order
-        shifted_order[low, 1] = n + order
-        totals = np.bincount(shifted_order.ravel(), weights=power.ravel(), minlength=2 * n + 1)
-    else:
-        bins = np.arange(2 * n + 1)
-        ups = n - operators._popcounts(n)
-        # Each slice's sums continue from the totals so far, which lead its
-        # weights, so the order of the additions holds.
-        totals = np.zeros(bins.size)
-        step = max(1, _SLICE_ELEMENTS // classes.size)
-        for start in range(0, rho.dim, step):
-            rows = np.arange(start, min(start + step, rho.dim))
-            cols = rows[:, None] ^ classes
-            by_column = np.argsort(cols, axis=1)
-            cols = np.take_along_axis(cols, by_column, axis=1)
-            power = np.abs(np.take_along_axis(values[:, rows].T, by_column, axis=1)) ** 2
-            shifted_order = ups[rows, None] - ups[cols] + n
-            totals = np.bincount(
-                np.concatenate((bins, shifted_order.ravel())),
-                weights=np.concatenate((totals, power.ravel())),
-                minlength=bins.size,
-            )
+    ups = n - operators._popcounts(n)
+    totals = np.zeros(2 * n + 1)
+    for part, cols in _class_slices(rho._classes, rho.dim):
+        order = ups - ups[cols] + n
+        power = np.abs(rho._values[part]) ** 2
+        totals += np.bincount(order.ravel(), weights=power.ravel(), minlength=totals.size)
     return dict(zip(range(-n, n + 1), np.sqrt(totals).tolist()))
 
 

@@ -106,6 +106,19 @@ def record_pair_reads(monkeypatch) -> tuple[list[int], list]:
     return constructions, reads
 
 
+def record_states(monkeypatch) -> list[DensityMatrix]:
+    """Record every ``DensityMatrix`` that passes validation, in the order
+    they are built."""
+    built, validate = [], DensityMatrix.__post_init__
+
+    def recorded_validate(self, *args, **kwargs):
+        validate(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", recorded_validate)
+    return built
+
+
 def pair_tables_built() -> int:
     """How many tables of a class's pairs validation has built in this
     process; each is built once per register size and pattern, then kept

@@ -96,9 +96,9 @@ class TestRunProtocol:
 
     def test_dump_states_holds_one_dense_view_at_a_time(self, tmp_path):
         # Traced peak of a 9-spin run of six delays, in units of one D x D
-        # complex matrix: each delay's dense view, its .npy bytes and their
-        # buffer (3.0), written before the next delay runs.  Views kept for
-        # every delay would add one per delay.
+        # complex matrix: each delay's dense view, written straight from the
+        # array before the next delay runs.  A copy of its .npy bytes would
+        # add one view, and views kept for every delay one per delay.
         n, dim = 9, 512
         config = write_config(
             tmp_path,
@@ -110,13 +110,13 @@ class TestRunProtocol:
         with traced_memory() as memory:
             main(["run-protocol", "--config", str(config), "--out", str(out), "--dump-states"])
         assert len(list(out.glob("state_final_*.npy"))) == 6
-        assert memory.peak <= 3.5 * dim * dim * 16
+        assert memory.peak <= 1.5 * dim * dim * 16
 
     def test_atomic_write_leaves_other_temp_files_alone(self, tmp_path):
         # A fixed "<name>.tmp" is what another run writing here could be using.
         other = tmp_path / "protocol_report.json.tmp"
         other.write_text("partial output of another run")
-        _write_atomic(tmp_path / "protocol_report.json", b"{}\n")
+        _write_atomic(tmp_path / "protocol_report.json", lambda handle: handle.write(b"{}\n"))
         assert (tmp_path / "protocol_report.json").read_bytes() == b"{}\n"
         assert other.read_text() == "partial output of another run"
         assert sorted(p.name for p in tmp_path.iterdir()) == [

@@ -1,6 +1,7 @@
 """Hamiltonians, pulses, noise channels, and the collective gate."""
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -98,6 +99,11 @@ class TestSpinSystem:
             SpinSystem(2, ("control", "carbon"), (0.0, 0.0))
         with pytest.raises(ValueError):
             SpinSystem(2, ("control", "system"), (0.0,))
+        # A non-finite offset, rejected as a non-finite coupling strength is,
+        # would otherwise reach the spectrum as NaN sticks.
+        for offset in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite offset"):
+                SpinSystem(2, ("control", "system"), (offset, 0.0))
 
     def test_coupling_validation(self):
         with pytest.raises(ValueError):
@@ -171,10 +177,23 @@ class TestNoiseModel:
         rho = cat_state(7, CatWeights.balanced())
         decayed = apply_dephasing(rho, NoiseModel.uniform(7, dephasing_per_s=gamma), 0.029)
         assert abs(nq_amplitude(decayed)) == pytest.approx(0.5 * np.exp(-1.0), rel=1e-12)
-        with pytest.raises(ValueError):
-            dephasing_rate_for_lifetime(0.0, 7)
-        with pytest.raises(ValueError):
-            flip_rate_for_lifetime(-1.0)
+
+    @pytest.mark.parametrize(
+        "helper, args, message",
+        [
+            (dephasing_rate_for_lifetime, (0.0, 7), "lifetime"),
+            (flip_rate_for_lifetime, (-1.0,), "lifetime"),
+            (dephasing_rate_for_lifetime, (0.1, 0), "at least one site"),
+            (dephasing_rate_for_lifetime, (0.1, -2), "at least one site"),
+            (dephasing_rate_for_lifetime, (math.nan, 3), "lifetime"),
+            (dephasing_rate_for_lifetime, (math.inf, 3), "lifetime"),
+            (flip_rate_for_lifetime, (math.nan,), "lifetime"),
+            (flip_rate_for_lifetime, (math.inf,), "lifetime"),
+        ],
+    )
+    def test_lifetime_helpers_reject_bad_inputs(self, helper, args, message):
+        with pytest.raises(ValueError, match=message):
+            helper(*args)
 
 
 class TestHamiltonian:

@@ -13,6 +13,7 @@ from spincat import (
     ProtocolConfig,
     apply_unitary,
     cat_state,
+    coherence_orders,
     dephasing_rate_for_lifetime,
     ferro_state,
     fit_exponential,
@@ -34,10 +35,12 @@ from _support import (
     entangle_unitary,
     phase_kicks_reference,
     elements,
+    popcount_weights,
     protocol_config,
     random_density_matrix,
     random_unitary,
     record_pair_reads,
+    record_states,
     run_child,
     stored_classes,
     traced_memory,
@@ -483,9 +486,16 @@ def test_every_state_the_package_builds_has_at_most_two_classes(monkeypatch, tmp
     # Populations plus the coherence between the two corners: class 0 and
     # at most one other, so validation reads every state as pairs.  A state
     # of more classes would be checked, and kicked, as one dense block.
+    # Their coherence weights, summed class by class, are those of one
+    # histogram over the whole matrix bit for bit, which keeps the outputs'
+    # bytes.
     for name, run in _premise_runs(mode).items():
         constructions, reads = record_pair_reads(monkeypatch)
+        built = record_states(monkeypatch)
         run(tmp_path / name)
         monkeypatch.undo()
         assert constructions and len(reads) == len(constructions), name
         assert all(pairs is not None for pairs in reads), name
+        assert len(built) == len(constructions), name
+        for rho in built:
+            assert coherence_orders(rho) == popcount_weights(rho.matrix, rho.n_spins), name

@@ -113,9 +113,28 @@ def _assert_coherence_orders_match_oracles(rho):
     assert sorted(weights) == sorted(components)
     for q, component in components.items():
         assert weights[q] == pytest.approx(np.linalg.norm(component), rel=1e-12, abs=1e-15)
-    # The whole-matrix histogram: a kept pattern drops only exact zeros
-    # from the same sums in the same order, so the weights are bit-identical.
-    assert weights == popcount_weights(rho.matrix, rho.n_spins)
+    # The whole-matrix histogram.  In a state of at most two classes with
+    # no order-0 element off the diagonal, as every state the package
+    # builds, each order's nonzero terms come from one class, in the same
+    # order as over the whole matrix, so the weights are bit-identical.
+    # Otherwise the class-by-class sum adds them in another order: the
+    # bound is about ten times the largest deviation measured, 8.8e-15 of
+    # a random 10-spin state.
+    oracle = popcount_weights(rho.matrix, rho.n_spins)
+    if _sums_in_matrix_order(rho):
+        assert weights == oracle
+    else:
+        assert weights == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+def _sums_in_matrix_order(rho):
+    """Whether ``rho`` has at most two classes and no nonzero element of
+    coherence order 0 off the diagonal."""
+    n = rho.n_spins
+    ups = n - operators.bit_table(n).sum(axis=0)
+    order_zero = ups[:, None] == ups[None, :]
+    np.fill_diagonal(order_zero, False)
+    return stored_classes(rho)[0].size <= 2 and not rho.matrix[order_zero].any()
 
 
 def test_coherence_orders_against_popcount_oracle():
@@ -142,9 +161,10 @@ def _four_spin_protocol_states(mode="analytic"):
 
 def _order_zero_pair_state(seed):
     """A 2-spin state with one pair ``(1, 2)`` of coherence order 0, whose
-    elements fall in the diagonal's bin.  Row 2 holds its partner before its
-    diagonal element, and on the seeds used the two orders of addition
-    round the sum of order 0 differently."""
+    elements fall in the diagonal's bin.  Summed class by class, the pair's
+    two elements come after the whole diagonal, where the whole matrix
+    puts them between its rows 1 and 2; on the seeds used the two orders of
+    addition round the sum of order 0 differently."""
     rng = np.random.default_rng([19, seed])
     matrix = np.diag(rng.uniform(0.2, 1.0, 4)).astype(complex)
     element = 0.9 * math.sqrt(matrix[1, 1].real * matrix[2, 2].real)
@@ -152,7 +172,7 @@ def _order_zero_pair_state(seed):
     matrix[1, 2] = np.conj(matrix[2, 1])
     matrix /= np.trace(matrix).real
     d, c = np.abs(np.diag(matrix)) ** 2, np.abs(matrix[2, 1]) ** 2
-    assert d[0] + d[1] + c + c + d[2] + d[3] != d[0] + d[1] + c + d[2] + c + d[3]
+    assert d[0] + d[1] + c + c + d[2] + d[3] != d[0] + d[1] + d[2] + d[3] + c + c
     return DensityMatrix(matrix, 2)
 
 
