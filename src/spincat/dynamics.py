@@ -37,14 +37,13 @@ occupies two classes, the diagonal and the top-order cat coherence, so
 a channel costs O(D); a dense state occupies all ``D`` classes.  The
 controlled flips move each element ``(r, r ^ x)`` to ``(pr, p(r ^ x))``
 under their permutation ``p``, which lands it in class ``x`` or
-``x ^ flip_mask``, again in O(D) per class; the permutation is built
-once per register size and masks, and kept, like the layout tables of
-:mod:`~spincat.operators`.
+``x ^ flip_mask``, again in O(D) per class; the permutation is one of
+the layout tables of :mod:`~spincat.operators`, as is the partner that
+flip relaxation mixes each element with.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -180,8 +179,8 @@ def dephasing_rate_for_lifetime(lifetime_s: float, n_sites: int) -> float:
     """Per-spin rate gamma such that the ``n_sites``-order coherence decays
     with the given lifetime: amplitude(t) = amplitude(0) * exp(-t/lifetime)."""
     _check_lifetime(lifetime_s)
-    if not n_sites >= 1:
-        raise ValueError(f"need at least one site, got {n_sites}")
+    if not (operators._is_integer(n_sites) and n_sites >= 1):
+        raise ValueError(f"need an integer count of at least one site, got {n_sites!r}")
     return 2.0 / (n_sites * lifetime_s)
 
 
@@ -390,7 +389,7 @@ def conditional_flip(rho: DensityMatrix, condition_mask: int, flip_mask: int) ->
     if not flip_mask:
         raise ValueError("empty target set")
     dim = rho.dim
-    index, perm = _flip_permutation(rho.n_spins, condition_mask, flip_mask)
+    index, perm = operators._flip_permutation(rho.n_spins, condition_mask, flip_mask)
     classes, values = rho._classes, rho._values
     # Element (r, r ^ x) moves to (perm[r], perm[r ^ x]), of class x or x ^ flip_mask.
     moved = perm ^ perm[index ^ classes[:, None]]
@@ -398,20 +397,6 @@ def conditional_flip(rho: DensityMatrix, condition_mask: int, flip_mask: int) ->
     image = np.zeros((image_classes.size, dim), dtype=complex)
     image[np.searchsorted(image_classes, moved), perm] = values
     return DensityMatrix._of_classes(image_classes, image, rho.n_spins)
-
-
-@functools.lru_cache(maxsize=32, typed=True)
-def _flip_permutation(
-    n_spins: int, condition_mask: int, flip_mask: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The basis indices and their images under :func:`conditional_flip`'s
-    permutation, built once per register size and masks and kept, so
-    both are read-only."""
-    index = np.arange(1 << n_spins)
-    perm = np.where(index & condition_mask == condition_mask, index ^ flip_mask, index)
-    index.flags.writeable = False
-    perm.flags.writeable = False
-    return index, perm
 
 
 def controlled_not_all(rho: DensityMatrix, control: int, targets: Sequence[int]) -> DensityMatrix:
@@ -427,23 +412,18 @@ def _flip_one_site(
     """Apply one spin's flip factor in place to the classes' values.
 
     A class that differs in the spin decays at kappa.  In a class that
-    does not, the elements with the spin up in both indices and those
-    with it down in both mix toward their average at rate 2*kappa.
+    does not, each element and its partner at ``r ^ b`` in the same class,
+    ``b`` the spin's bit, move toward their average at rate 2*kappa.
     """
     e1 = math.exp(-kappa_t)
     e2 = math.exp(-2.0 * kappa_t)
-    bit = 1 << (n_spins - 1 - site)
+    bit = operators.site_mask([site], n_spins)
+    partner = operators._flip_permutation(n_spins, 0, bit)[1]
     differs = (classes & bit) != 0
     values[differs] *= e1
     kept = np.flatnonzero(~differs)
-    # Row index split as (spins before, this spin, spins after).
-    block = values[kept].reshape(kept.size, 1 << site, 2, bit)
-    uu = block[:, :, 0, :]
-    dd = block[:, :, 1, :]
-    mixed_up = 0.5 * (1.0 + e2) * uu + 0.5 * (1.0 - e2) * dd
-    dd[...] = 0.5 * (1.0 - e2) * uu + 0.5 * (1.0 + e2) * dd
-    uu[...] = mixed_up
-    values[kept] = block.reshape(kept.size, -1)
+    own = values[kept]
+    values[kept] = 0.5 * (1.0 + e2) * own + 0.5 * (1.0 - e2) * own.take(partner, axis=1)
 
 
 def _check_channel_args(rho: DensityMatrix, noise: NoiseModel, t: float) -> None:

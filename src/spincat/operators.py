@@ -17,16 +17,19 @@ Kronecker products: ``Sz`` is diagonal, and ``S+`` of spin ``i`` maps
 index ``r`` to ``r ^ b_i`` wherever spin ``i`` of ``r`` is down, where
 ``b_i`` is the bit of spin ``i``.
 
-Tables that depend only on the register layout are built on first use
-and kept, read-only, in bounded caches, so a layout in use is worked out
-once:
+Every table that depends only on the register layout, the map of a spin
+to its bit included, is built here on first use and kept, read-only, in
+a bounded cache, so a layout in use is worked out once:
 
 - :func:`bit_table`, each spin's bit of every index, per register size;
 - ``_popcounts``, the number of down spins of every index, per size;
 - ``_sz_table``, the total Sz over a site list, per size and sites;
 - ``_site_mask``, the bitmask of a site list, per size and sites;
 - ``_trace_plan``, the index tables of a partial trace, per size and
-  kept sites.
+  kept sites;
+- ``_flip_permutation``, each index's image under a conditional flip, per
+  size and masks; with no condition, its partner ``r ^ flip_mask``;
+- ``_pair_table``, the pairs ``(r, r ^ x)`` of a pattern, per size and ``x``.
 
 The caches keyed on sites are typed, so a site such as ``True`` or
 ``1.0`` is checked on its own first call and never reads the table of
@@ -222,6 +225,33 @@ def _trace_plan(n_spins: int, *keep: int) -> _TracePlan:
         (1 << len(keep), 1 << len(traced)),
         reduced_classes,
     )
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _flip_permutation(
+    n_spins: int, condition_mask: int, flip_mask: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The basis indices and their images under the permutation that flips
+    the ``flip_mask`` bits of every index whose ``condition_mask`` bits are
+    all set (down); kept, so both are read-only."""
+    index = np.arange(1 << n_spins)
+    perm = np.where(index & condition_mask == condition_mask, index ^ flip_mask, index)
+    index.flags.writeable = False
+    perm.flags.writeable = False
+    return index, perm
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_table(n_spins: int, pattern: int) -> np.ndarray:
+    """Every pair ``(r, r ^ pattern)`` of an ``n_spins`` register, lower
+    index first and ascending, as a ``(p, 2)`` array; none for pattern 0.
+    Built once per register size and pattern and kept, so it is
+    read-only."""
+    index = np.arange(1 << n_spins)
+    low = index[index < index ^ pattern]
+    table = np.stack((low, low ^ pattern), axis=1)
+    table.flags.writeable = False
+    return table
 
 
 def _check_register_size(n_spins: int) -> None:

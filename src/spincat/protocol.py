@@ -165,8 +165,9 @@ def step_b_create_cat(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatr
     are rotated pairwise, in O(D) per class.
     """
     mask = operators.site_mask(config.system.system_sites, config.n_total)
+    # Every index and its partner r ^ mask.
+    index, flipped = operators._flip_permutation(config.n_total, 0, mask)
     dim = rho.dim
-    index = np.arange(dim)
     classes = states._class_set(np.concatenate((rho._classes, rho._classes ^ mask)), dim)
     values = np.zeros((classes.size, dim), dtype=complex)
     values[np.searchsorted(classes, rho._classes)] = rho._values
@@ -176,10 +177,12 @@ def step_b_create_cat(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatr
     rotation = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
     # Rows: (r, r ^ x) pairs with (r ^ mask, r ^ x), which lies in class x ^ mask.
     rows = np.broadcast_to(index & mask, values.shape)
-    _rotate_pairs(values, values[partner][:, index ^ mask], rows == 0, rows == mask, rotation)
+    partners = values.take(partner, axis=0).take(flipped, axis=1)
+    _rotate_pairs(values, partners, rows == 0, rows == mask, rotation)
     # Columns: (r, r ^ x) pairs with (r, r ^ x ^ mask), in class x ^ mask.
     columns = (index ^ classes[:, None]) & mask
-    _rotate_pairs(values, values[partner], columns == 0, columns == mask, rotation.conj())
+    partners = values.take(partner, axis=0)
+    _rotate_pairs(values, partners, columns == 0, columns == mask, rotation.conj())
     return DensityMatrix._of_classes(classes, values, rho.n_spins)
 
 

@@ -77,8 +77,8 @@ def linear_response_spectrum(
         raise ValueError("empty observe set")
     if set(observe) & set(decouple):
         raise ValueError("observe and decouple sets overlap")
-    if linewidth_hz <= 0.0:
-        raise ValueError("linewidth must be positive")
+    if not (math.isfinite(linewidth_hz) and linewidth_hz > 0.0):
+        raise ValueError(f"linewidth must be finite and positive, got {linewidth_hz}")
 
     h = dynamics.build_hamiltonian(_without_couplings_to(system, decouple))
     energies, vectors = np.linalg.eigh(h)

@@ -75,7 +75,6 @@ agree with it within a relative 1e-13.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
@@ -307,22 +306,9 @@ def _pairs_of(classes: np.ndarray, values: np.ndarray, n_spins: int) -> np.ndarr
     """
     if classes.size > 2:
         return None
-    table = _pair_table(n_spins, int(classes[-1]))
+    table = operators._pair_table(n_spins, int(classes[-1]))
     nonzero = values[-1] != 0
     return table[nonzero[table[:, 0]] | nonzero[table[:, 1]]]
-
-
-@functools.lru_cache(maxsize=32)
-def _pair_table(n_spins: int, pattern: int) -> np.ndarray:
-    """Every pair ``(r, r ^ pattern)`` of an ``n_spins`` register, lower
-    index first and ascending, as a ``(p, 2)`` array; none for pattern 0.
-    Built once per register size and pattern and kept, so it is
-    read-only."""
-    index = np.arange(1 << n_spins)
-    low = index[index < index ^ pattern]
-    table = np.stack((low, low ^ pattern), axis=1)
-    table.flags.writeable = False
-    return table
 
 
 def _class_set(patterns: np.ndarray, dim: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from spincat import CatWeights, Coupling, DensityMatrix, NoiseModel, ProtocolConfig, SpinSystem
-from spincat import dynamics, states
+from spincat import dynamics, operators, states
 from spincat.dynamics import apply_unitary, dephasing_rate_for_lifetime, flip_rate_for_lifetime
 from spincat.operators import _check_register_size, _check_site, bit_table
 from spincat.states import HERMITIAN_TOL
@@ -123,7 +123,15 @@ def pair_tables_built() -> int:
     """How many tables of a class's pairs validation has built in this
     process; each is built once per register size and pattern, then kept
     while it is in use."""
-    return states._pair_table.cache_info().misses
+    return operators._pair_table.cache_info().misses
+
+
+def pair_table_cache():
+    """The kept table of a class's pairs that validation reads: called
+    with a register size and a pattern it returns the ``(p, 2)`` table,
+    and it has ``cache_info`` and ``cache_parameters`` like the other
+    layout tables of ``spincat.operators``."""
+    return operators._pair_table
 
 
 @contextlib.contextmanager

@@ -174,6 +174,7 @@ class TestNoiseModel:
         assert dephasing_rate_for_lifetime(0.029, 7) == pytest.approx(9.852216748768472)
         assert flip_rate_for_lifetime(0.49) == pytest.approx(1.0204081632653061)
         gamma = dephasing_rate_for_lifetime(0.029, 7)
+        assert dephasing_rate_for_lifetime(0.029, np.int64(7)) == gamma
         rho = cat_state(7, CatWeights.balanced())
         decayed = apply_dephasing(rho, NoiseModel.uniform(7, dephasing_per_s=gamma), 0.029)
         assert abs(nq_amplitude(decayed)) == pytest.approx(0.5 * np.exp(-1.0), rel=1e-12)
@@ -185,6 +186,9 @@ class TestNoiseModel:
             (flip_rate_for_lifetime, (-1.0,), "lifetime"),
             (dephasing_rate_for_lifetime, (0.1, 0), "at least one site"),
             (dephasing_rate_for_lifetime, (0.1, -2), "at least one site"),
+            (dephasing_rate_for_lifetime, (0.1, True), "at least one site"),
+            (dephasing_rate_for_lifetime, (0.1, 2.5), "at least one site"),
+            (dephasing_rate_for_lifetime, (0.1, np.float64(3.0)), "at least one site"),
             (dephasing_rate_for_lifetime, (math.nan, 3), "lifetime"),
             (dephasing_rate_for_lifetime, (math.inf, 3), "lifetime"),
             (flip_rate_for_lifetime, (math.nan,), "lifetime"),
@@ -381,6 +385,32 @@ def test_channel_time_validation(channel, t):
         channel(_plus_state(), NoiseModel.uniform(2, dephasing_per_s=1.0, flip_per_s=1.0), 0.1)
 
 
+# Flip relaxation of the state that step D of a run relaxes, classes 0
+# and D - 1, at every site, against the dense reference bit for bit.  The
+# reference holds D x D arrays, so it runs in a child process, as the
+# ten-spin kick below does.  Its peak RSS is 0.37 GB at 11 spins and
+# 1.35 GB at 12, so 11 spins is the largest case run.
+_PROTOCOL_FLIPS = """
+import sys
+import numpy as np
+from spincat import NoiseModel, apply_flip_relaxation, protocol
+from _support import flip_one_site_reference, protocol_config, stored_classes
+
+n = int(sys.argv[1])
+config = protocol_config(n)
+rho = protocol.step_a_initialize(config)
+rho = protocol.step_c_entangle(protocol.step_b_create_cat(rho, config), config)
+np.testing.assert_array_equal(stored_classes(rho)[0], [0, rho.dim - 1])
+rates = np.random.default_rng(n).uniform(0.2, 3.0, n)
+t = 0.37
+expected = rho.matrix
+for site, rate in enumerate(rates):
+    expected = flip_one_site_reference(expected, site, n, rate * t)
+relaxed = apply_flip_relaxation(rho, NoiseModel((0.0,) * n, tuple(rates)), t)
+assert relaxed.matrix.tobytes() == expected.tobytes()
+"""
+
+
 class TestFlipRelaxation:
     def test_polarization_decay_rate(self):
         # <Sz>(t) = <Sz>(0) * exp(-2*kappa*t)
@@ -456,6 +486,10 @@ class TestFlipRelaxation:
         expected = flip_one_site_reference(rho.matrix, site, 4, 0.3)
         assert apply_flip_relaxation(rho, noise, 1.0).matrix.tobytes() == expected.tobytes()
         assert rho.matrix.tobytes() == before
+
+    @pytest.mark.parametrize("n_spins", [10, 11])
+    def test_protocol_state_matches_reference(self, n_spins):
+        run_child("-c", _PROTOCOL_FLIPS, str(n_spins))
 
     def test_commutes_with_dephasing(self):
         rng = np.random.default_rng(13)

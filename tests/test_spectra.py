@@ -1,5 +1,7 @@
 """Linear-response stick spectra, broadening, and peak clustering."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -158,8 +160,13 @@ def test_argument_validation():
         linear_response_spectrum(rho, system, observe=[1], decouple=[1])
     with pytest.raises(ValueError):
         linear_response_spectrum(ferro_state(1, "up"), system, observe=[0])
-    with pytest.raises(ValueError):
-        linear_response_spectrum(rho, system, observe=[1], linewidth_hz=0.0)
+
+
+@pytest.mark.parametrize("linewidth", [math.nan, math.inf, 0.0, -1.0])
+def test_linewidth_must_be_finite_and_positive(linewidth):
+    system = SpinSystem(2, ("control", "system"), (0.0, 0.0))
+    with pytest.raises(ValueError, match="linewidth must be finite and positive"):
+        linear_response_spectrum(ferro_state(2, "up"), system, observe=[1], linewidth_hz=linewidth)
 
 
 class TestPeakList:
