@@ -3,12 +3,13 @@
 Unknown keys anywhere in the file are rejected, and every error message
 names the offending key by its dotted path (for example
 ``spin_system.couplings[2].kind``), so typos fail loudly instead of
-silently falling back to defaults.
+silently falling back to defaults.  The sha256 of a configuration, over
+its JSON with sorted keys, is taken only after it has validated, so any
+input that is not a valid configuration raises ``ConfigError``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -75,21 +76,23 @@ class RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as error:
         raise ConfigError(f"cannot read config file {path}: {error}") from error
+    except UnicodeDecodeError as error:
+        raise ConfigError(f"{path}: not UTF-8 text: {error}") from error
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers JSONDecodeError and an integer literal past
+        # Python's digit limit; RecursionError, arrays or objects nested
+        # deeper than the interpreter's recursion limit.
         raise ConfigError(f"{path}: invalid JSON: {error}") from error
     return parse_config(data)
 
 
 def parse_config(data: object) -> RunConfig:
     """Validate a decoded JSON object and build the typed configuration."""
-    sha256 = hashlib.sha256(
-        json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
     root = _Section(data, "config")
     system = _parse_spin_system(root.take("spin_system"))
     noise = _parse_noise(root.take("noise", default={}), system.n_spins)
@@ -117,6 +120,11 @@ def parse_config(data: object) -> RunConfig:
     spectrum = _parse_spectrum(root.take("spectrum", default={}))
     output = _parse_output(root.take("output", default={}))
     root.finish()
+    import hashlib  # not at the top: it loads OpenSSL, which only this hash needs
+
+    sha256 = hashlib.sha256(
+        json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
     return RunConfig(
         system=system,
         noise=noise,
@@ -150,7 +158,8 @@ class _Section:
 
     def finish(self) -> None:
         if self.data:
-            key = sorted(self.data)[0]
+            # str: a dict built in Python may mix key types.
+            key = min(self.data, key=str)
             raise ConfigError(f"{self.path}.{key}: unknown key")
 
 

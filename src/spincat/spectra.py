@@ -150,8 +150,8 @@ def _make_grid(
         lo, hi, points = grid_hz
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
             raise ValueError("grid bounds must be finite with max > min")
-        if int(points) < 2:
-            raise ValueError("grid needs at least two points")
+        if not operators._is_integer(points) or points < 2:
+            raise ValueError(f"grid needs an integer count of at least two points, got {points!r}")
         return np.linspace(float(lo), float(hi), int(points))
     pad = 10.0 * linewidth_hz
     lo = (float(frequencies.min()) if frequencies.size else 0.0) - pad

@@ -163,14 +163,18 @@ def traced_memory():
         tracemalloc.stop()
 
 
-def run_child(*args: str, timeout: float = 60) -> str:
-    """The output of ``python *args`` in a child process with the package
-    and the test support on the path and one BLAS thread, which must exit
-    with 0."""
+def child_process(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """``python *args`` run to its end in a child process with the package
+    and the test support on the path and one BLAS thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     paths = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"), env.get("PYTHONPATH", "")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def run_child(*args: str, timeout: float = 60) -> str:
+    """The output of :func:`child_process`, which must exit with 0."""
+    result = child_process(*args, timeout=timeout)
     assert result.returncode == 0, result.stderr
     return result.stdout
 

@@ -20,7 +20,7 @@ from spincat import (
     run_protocol,
 )
 from spincat.cli import MAX_SCALING_SPINS, _resolve_state, _write_atomic, main
-from _support import RING7_CONFIG, traced_memory
+from _support import RING7_CONFIG, child_process, traced_memory
 
 GAMMA_7Q = 9.852216748768472
 KAPPA_PROTON = 1.0204081632653061
@@ -478,6 +478,21 @@ class TestErrorPaths:
         code = main(["run-protocol", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "config.protcol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content", [b"[" * 100_000, b"\xff\xfe{"], ids=["nested-too-deep", "not-utf-8"]
+    )
+    def test_undecodable_config_is_one_error_line_naming_it(self, tmp_path, content):
+        # A fresh process, so that an uncaught error would print Python's traceback.
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        result = child_process(
+            "-m", "spincat.cli", "run-protocol", "--config", str(path), "--out", str(tmp_path / "o")
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {path}: ") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run-protocol", "scaling"])
     def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys, command):

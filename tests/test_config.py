@@ -207,6 +207,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="config"):
             parse_config([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: object(), "config: expected an object"),
+            (
+                lambda: dict(json.loads(RING7_CONFIG.read_text()), extra={1, 2}),
+                "config.extra: unknown key",
+            ),
+            (lambda: {"a": 1, 2: 3}, "config.spin_system: missing required key"),
+            (lambda: {**minimal_config(), "a": 1, 2: 3}, "config.2: unknown key"),
+        ],
+        ids=["object", "set-value", "mixed-keys", "mixed-leftover-keys"],
+    )
+    def test_input_json_cannot_encode_is_a_config_error(self, make, message):
+        # The hash is taken after validation, so these never reach json.dumps.
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(make())
+
     def test_non_finite_number_rejected(self):
         data = minimal_config(noise={"dephasing_per_s": [float("inf"), 0.0]})
         with pytest.raises(ConfigError, match="dephasing_per_s"):
@@ -234,6 +252,21 @@ class TestLoadConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "content, fragment",
+        [
+            (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+            (b"\xff\xfe{", "not UTF-8 text"),
+            (b'{"seed": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit"),
+        ],
+        ids=["nested-too-deep", "not-utf-8", "integer-past-digit-limit"],
+    )
+    def test_undecodable_file_is_a_config_error_naming_it(self, tmp_path, content, fragment):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"^{path}: {fragment}"):
             load_config(path)
 
     def test_round_trip_matches_parse(self, tmp_path):

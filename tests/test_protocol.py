@@ -403,6 +403,22 @@ def test_run_protocol_does_not_import_numpy_ma():
     run_child("-c", code)
 
 
+def test_run_protocol_does_not_import_hashlib():
+    # hashlib maps OpenSSL's libcrypto into the process, 3.6 MB of RSS, and
+    # only parse_config's hash needs it; test_ring7_outputs_match_the_stored_reference
+    # pins the config_sha256 that hash gives.  _support imports neither module.
+    code = (
+        "import sys\n"
+        "from spincat import run_protocol\n"
+        "from _support import protocol_config\n"
+        "report = run_protocol(protocol_config(10))\n"
+        "assert 0.0 < report.final_system_fidelity <= 1.0\n"
+        "loaded = [m for m in ('hashlib', '_hashlib') if m in sys.modules]\n"
+        "assert not loaded, f'imported {loaded}'\n"
+    )
+    run_child("-c", code)
+
+
 # The child reports its own peak RSS, VmHWM.  ru_maxrss would not do:
 # Linux carries it from the pytest process across fork and exec.
 _TWELVE_SPIN_RUN = """
@@ -434,9 +450,10 @@ def _run_twelve_spins(noise_mode: str) -> tuple[float, dict]:
 
 # MAX_SPINS is 12: one run with 11 system spins and flips, in a fresh process
 # with one BLAS thread, the import included.  On a 2-core host analytic
-# dephasing measured 0.30 s and 37.2 MiB RSS, Monte Carlo with the ring7 count
-# of 1000 trajectories 0.29 s and 39.6 MiB (medians of 5 fresh processes); each
-# bound is under three times that.
+# dephasing measured 0.21 s and 33.9 MiB VmHWM, Monte Carlo with the ring7 count
+# of 1000 trajectories 0.21 s and 39.8 MiB, with the hashlib that numpy.random
+# imports (medians of 5 fresh processes).  The bounds were set from an earlier
+# 0.30 s, 37.2 MiB and 0.29 s, 39.6 MiB.
 
 
 @pytest.mark.slow

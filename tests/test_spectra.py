@@ -145,6 +145,10 @@ def test_explicit_grid_is_honored():
     assert spectrum.grid_hz[0] == -5.0
     assert spectrum.grid_hz[-1] == 25.0
     assert spectrum.grid_hz.size == 31
+    numpy_count = linear_response_spectrum(
+        ferro_state(1, "up"), system, observe=[0], grid_hz=(-5.0, 25.0, np.int64(31))
+    )
+    np.testing.assert_array_equal(numpy_count.grid_hz, spectrum.grid_hz)
     with pytest.raises(ValueError):
         linear_response_spectrum(
             ferro_state(1, "up"), system, observe=[0], grid_hz=(5.0, -5.0, 31)
@@ -160,6 +164,16 @@ def test_argument_validation():
         linear_response_spectrum(rho, system, observe=[1], decouple=[1])
     with pytest.raises(ValueError):
         linear_response_spectrum(ferro_state(1, "up"), system, observe=[0])
+
+
+@pytest.mark.parametrize("points", [2.7, "5", np.float64(3.0), True, 1])
+def test_grid_point_count_must_be_an_integer_of_at_least_two(points):
+    # The rule spectrum.grid.points follows in a config; 2.7 once gave a 2-point grid.
+    system = SpinSystem(1, ("system",), (10.0,))
+    with pytest.raises(ValueError, match="grid needs an integer count of at least two points"):
+        linear_response_spectrum(
+            ferro_state(1, "up"), system, observe=[0], grid_hz=(0.0, 50.0, points)
+        )
 
 
 @pytest.mark.parametrize("linewidth", [math.nan, math.inf, 0.0, -1.0])
