@@ -1,4 +1,5 @@
-"""Dense operator algebra for registers of spin-1/2 particles.
+"""Basis conventions and register layout tables for registers of spin-1/2
+particles, and the two operators the package builds as dense matrices.
 
 Conventions used throughout the package:
 
@@ -35,9 +36,11 @@ The caches keyed on sites are typed, so a site such as ``True`` or
 ``1.0`` is checked on its own first call and never reads the table of
 site 1.  None of them holds a state or a noise rate.
 
-The operators here are dense complex128 matrices.  Registers beyond 12
-spins are rejected because a dense matrix, which the spectrum and the
-dense view of a state still need, no longer fits comfortably in memory.
+Only :func:`total_spin_operator`, the spectrum's ``S+``, and
+:func:`partial_trace` build dense complex128 matrices; the rest of the
+module is index tables.  Registers beyond 12 spins are rejected because
+a dense matrix, which the spectrum and the dense view of a state still
+need, no longer fits comfortably in memory.
 """
 
 from __future__ import annotations

@@ -75,10 +75,14 @@ def linear_response_spectrum(
         raise ValueError("state and spin system sizes differ")
     if not observe:
         raise ValueError("empty observe set")
+    for site in decouple:
+        operators._check_site(site, system.n_spins)
     if set(observe) & set(decouple):
         raise ValueError("observe and decouple sets overlap")
     if not (math.isfinite(linewidth_hz) and linewidth_hz > 0.0):
         raise ValueError(f"linewidth must be finite and positive, got {linewidth_hz}")
+    if grid_hz is not None:
+        _check_grid(grid_hz)
 
     h = dynamics.build_hamiltonian(_without_couplings_to(system, decouple))
     energies, vectors = np.linalg.eigh(h)
@@ -131,14 +135,19 @@ def peak_list(spectrum: Spectrum, threshold_fraction: float = 0.01) -> list[Peak
 
 
 def _without_couplings_to(system: SpinSystem, decouple: Sequence[int]) -> SpinSystem:
-    for site in decouple:
-        if not 0 <= site < system.n_spins:
-            raise ValueError(f"decoupled site {site} outside register")
     dropped = set(decouple)
     kept = tuple(
         c for c in system.couplings if c.site_a not in dropped and c.site_b not in dropped
     )
     return dataclasses.replace(system, couplings=kept)
+
+
+def _check_grid(grid_hz: tuple[float, float, int]) -> None:
+    lo, hi, points = grid_hz
+    if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
+        raise ValueError("grid bounds must be finite with max > min")
+    if not operators._is_integer(points) or points < 2:
+        raise ValueError(f"grid needs an integer count of at least two points, got {points!r}")
 
 
 def _make_grid(
@@ -148,10 +157,6 @@ def _make_grid(
 ) -> np.ndarray:
     if grid_hz is not None:
         lo, hi, points = grid_hz
-        if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-            raise ValueError("grid bounds must be finite with max > min")
-        if not operators._is_integer(points) or points < 2:
-            raise ValueError(f"grid needs an integer count of at least two points, got {points!r}")
         return np.linspace(float(lo), float(hi), int(points))
     pad = 10.0 * linewidth_hz
     lo = (float(frequencies.min()) if frequencies.size else 0.0) - pad

@@ -544,9 +544,10 @@ def reduced_state(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 def nq_amplitude(rho: DensityMatrix, sites: Sequence[int] | None = None) -> complex:
     """Highest-order coherence amplitude ``<u|rho|d>`` over the listed spins.
 
-    Spins outside ``sites`` are traced out first.
+    Spins outside ``sites`` are traced out first.  ``sites`` is checked
+    as :func:`reduced_state` checks it, also when it lists every spin.
     """
-    if sites is not None and list(sites) != list(range(rho.n_spins)):
+    if sites is not None and operators._kept_sites(sites, rho.n_spins) != list(range(rho.n_spins)):
         rho = reduced_state(rho, sites)
     # rho[0, D - 1] lies in the highest class, D - 1, the last one when occupied.
     return complex(rho._values[-1, 0]) if rho._classes[-1] == rho.dim - 1 else 0j

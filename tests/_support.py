@@ -549,7 +549,11 @@ def _dense_partial_trace(rho: np.ndarray, n_spins: int, keep) -> np.ndarray:
 def dense_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy from ``eigvalsh`` of the whole matrix, in nats;
     eigenvalues below 1e-14 are dropped."""
-    eigs = np.linalg.eigvalsh(rho)
+    return spectrum_entropy(np.linalg.eigvalsh(rho))
+
+
+def spectrum_entropy(eigs: np.ndarray) -> float:
+    """:func:`dense_entropy` of a matrix whose ``eigvalsh`` is ``eigs``."""
     eigs = eigs[eigs >= 1e-14]
     return max(float(-np.sum(eigs * np.log(eigs))), 0.0)
 

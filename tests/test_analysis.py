@@ -16,6 +16,7 @@ from spincat import (
     nq_amplitude,
     scaling_study,
 )
+import mutants
 from _support import REPO_ROOT, phase_kicks_reference, run_child, traced_memory
 
 GAMMA_7Q = 9.852216748768472  # 2 / (7 * 0.029)
@@ -215,6 +216,19 @@ def test_seed_sweep_script_runs():
     stdout = run_child(str(REPO_ROOT / "tests" / "seed_sweep.py"), "--seeds", "2", timeout=120)
     lines = [line for line in stdout.splitlines() if ": passed " in line]
     assert len(lines) == 3, stdout
+
+
+def test_mutation_table_runs():
+    # tests/mutants.py plants each recorded fault in a copy of the checkout
+    # and runs tier-1 there.  One mutant no entry touches, run against one
+    # test file, shows that it still runs (whatever the copy it is run in),
+    # and a mutant whose text is gone is reported, not run.
+    popcounts = "= bit_table(n_spins).sum(axis=0)\n"
+    read_only = popcounts + "    table.flags.writeable = False"
+    writable = mutants.Mutant("writable popcounts", "src/spincat/operators.py", read_only, popcounts)
+    operators_tests = ("tests/test_operators.py",)
+    assert mutants.outcome(writable, operators_tests).startswith("killed by tests/test_operators.py::")
+    assert mutants.outcome(writable._replace(old="no such text"), operators_tests) == "does not apply"
 
 
 def test_output_digest_script_runs():

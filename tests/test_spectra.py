@@ -1,6 +1,7 @@
 """Linear-response stick spectra, broadening, and peak clustering."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spincat import (
     pseudopure,
     thermal_state,
 )
+from spincat import dynamics
 from _support import kronecker_total_spin_operator, random_density_matrix, ring7_system
 
 
@@ -174,6 +176,26 @@ def test_grid_point_count_must_be_an_integer_of_at_least_two(points):
         linear_response_spectrum(
             ferro_state(1, "up"), system, observe=[0], grid_hz=(0.0, 50.0, points)
         )
+
+
+@pytest.mark.parametrize("grid", [(5.0, -5.0, 31), (0.0, math.inf, 31), (0.0, 50.0, 2.7)])
+def test_a_bad_grid_is_rejected_before_the_hamiltonian_is_built(monkeypatch, grid):
+    def unreachable(system):
+        raise AssertionError("the Hamiltonian was built before the grid was checked")
+
+    monkeypatch.setattr(dynamics, "build_hamiltonian", unreachable)
+    with pytest.raises(ValueError, match="grid"):
+        linear_response_spectrum(ferro_state(1, "up"), SpinSystem(1, ("system",), (10.0,)), [0], grid_hz=grid)
+
+
+@pytest.mark.parametrize("site", [1.5, True, np.float64(0.0), -1, 3])
+def test_decoupled_sites_are_checked_as_observed_sites_are(site):
+    # 1.5 once decoupled nothing, True site 1 and np.float64(0.0) site 0.
+    coupling = Coupling(0, 1, 50.0, "heteronuclear_zz")
+    system = SpinSystem(3, ("control", "system", "system"), (0.0, 10.0, 30.0), (coupling,))
+    for observe, decouple in (([2], [site]), ([site], [])):
+        with pytest.raises(ValueError, match=rf"^site {re.escape(repr(site))} outside register of 3 spins$"):
+            linear_response_spectrum(ferro_state(3, "up"), system, observe=observe, decouple=decouple)
 
 
 @pytest.mark.parametrize("linewidth", [math.nan, math.inf, 0.0, -1.0])
