@@ -120,6 +120,7 @@ def scaling_study(
     """
     if mode not in NOISE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    operators._check_seed(seed)
     rates = set(noise.dephasing_per_s)
     if len(rates) != 1:
         raise ValueError("scaling study needs a uniform per-spin dephasing rate")

@@ -291,6 +291,7 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
     ``sigma_i = sqrt(gamma_i * t)`` make that the analytic channel's
     factor for time ``t``.
     """
+    operators._check_seed(seed)
     _check_channel_args(rho, noise, t)
     sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * t)
     phases = draw_kick_phases(sigma, noise.mc_trajectories, seed)

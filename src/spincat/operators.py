@@ -267,3 +267,9 @@ def _check_register_size(n_spins: int) -> None:
 def _check_site(site: int, n_spins: int) -> None:
     if not _is_integer(site) or not 0 <= site < n_spins:
         raise ValueError(f"site {site!r} outside register of {n_spins} spins")
+
+
+def _check_seed(seed: int) -> None:
+    """A library seed must be a non-negative integer; ``bool`` is not one."""
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

@@ -78,8 +78,7 @@ class ProtocolConfig:
             raise ValueError(f"purity fraction must lie in (0, 1], got {self.purity_fraction}")
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"noise mode must be one of {NOISE_MODES}, got {self.noise_mode!r}")
-        if not operators._is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        operators._check_seed(self.seed)
 
     @property
     def n_total(self) -> int:

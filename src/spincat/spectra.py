@@ -75,8 +75,10 @@ def linear_response_spectrum(
         raise ValueError("state and spin system sizes differ")
     if not observe:
         raise ValueError("empty observe set")
-    for site in decouple:
+    for site in observe + decouple:
         operators._check_site(site, system.n_spins)
+    if len(set(observe)) != len(observe):
+        raise ValueError("duplicate observed sites")
     if set(observe) & set(decouple):
         raise ValueError("observe and decouple sets overlap")
     if not (math.isfinite(linewidth_hz) and linewidth_hz > 0.0):

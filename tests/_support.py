@@ -427,16 +427,18 @@ def nq_coherence_operator(n_spins: int, sites=None) -> np.ndarray:
 def phase_kicks_reference(rho: np.ndarray, n_spins: int, sigma, trajectories: int, seed: int) -> np.ndarray:
     """Per-trajectory reference for ``apply_phase_kicks_mc``: applies each
     trajectory's diagonal unitary ``exp(-i * sum_i phi_i * Sz_i)`` to
-    ``rho`` and averages.  Row ``k`` of one ``normal(0, sigma, (K, n))``
-    draw from ``default_rng(seed)`` holds trajectory ``k``'s phases."""
+    ``rho`` and averages, at the nonzero elements; the rest stay zero.  Row
+    ``k`` of one ``normal(0, sigma, (K, n))`` draw from ``default_rng(seed)``
+    holds trajectory ``k``'s phases."""
     sigma = np.asarray(sigma)
     # Sz eigenvalue of every spin in every basis state: +1/2 or -1/2.
     sz_signs = 0.5 - bit_table(n_spins)
+    rows, cols = np.nonzero(rho)
     accumulated = np.zeros_like(rho, dtype=complex)
     draws = np.random.default_rng(seed).normal(0.0, sigma, size=(trajectories, sigma.size))
     for phases in draws:
         diag = np.exp(-1j * (phases @ sz_signs))
-        accumulated += (diag[:, None] * rho) * diag.conj()[None, :]
+        accumulated[rows, cols] += (diag[rows] * rho[rows, cols]) * diag.conj()[cols]
     return accumulated / trajectories
 
 
@@ -544,6 +546,29 @@ def _dense_partial_trace(rho: np.ndarray, n_spins: int, keep) -> np.ndarray:
     out = keep + [n_spins + i for i in keep]
     reduced = np.einsum(rho.reshape((2,) * (2 * n_spins)), rows + cols, out)
     return reduced.reshape(1 << len(keep), 1 << len(keep))
+
+
+def index_order_partial_trace(rho: np.ndarray, n_spins: int, keep) -> np.ndarray:
+    """Partial trace that sums each element over the traced spins one
+    addition at a time, from traced index 0 upwards, the order in which
+    ``reduced_state`` sums, so that the two agree bit for bit."""
+    traced = [site for site in range(n_spins) if site not in keep]
+    kept = _spread(np.arange(1 << len(keep)), keep, n_spins)
+    rows, cols = kept[:, None], kept[None, :]
+    total = rho[rows, cols]
+    for t in range(1, 1 << len(traced)):
+        spread = _spread(t, traced, n_spins)
+        total = total + rho[rows | spread, cols | spread]
+    return total + 0.0
+
+
+def _spread(bits, sites, n_spins: int):
+    """The basis index whose ``sites`` read ``bits``, first site most
+    significant, and whose other spins are up."""
+    index = 0
+    for j, site in enumerate(sites):
+        index = index | ((bits >> (len(sites) - 1 - j)) & 1) << (n_spins - 1 - site)
+    return index
 
 
 def dense_entropy(rho: np.ndarray) -> float:

@@ -11,7 +11,9 @@ child processes and the benchmark's unit tests all see the mutant, and
 the checkout is never written.  One line is printed per mutant:
 ``killed by <nodeid>``, the first test that failed; ``SURVIVED``, tier-1
 passed; or ``does not apply``, the old text is not found exactly once.
-The unmutated copy must pass first.
+The unmutated copy must pass first.  Tier-1 in a mutated copy runs with
+the mutant's name in the environment variable ``SPINCAT_PLANTED_MUTANT``,
+so that the test that every entry applies knows that one text is gone.
 
 The script takes no options and reads no environment variable;
 :func:`outcome` runs one mutant with any pytest arguments.  pytest does
@@ -38,6 +40,8 @@ TIER_1 = ("-x", "-q", "-p", "no:cacheprovider")
 _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_work")
 # A failure in pytest's short summary: "FAILED <nodeid> - <message>".
 _FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
+# The environment variable that names the mutant planted in a copy.
+PLANTED = "SPINCAT_PLANTED_MUTANT"
 
 
 class Mutant(NamedTuple):
@@ -84,8 +88,8 @@ MUTANTS = (
       "operators._check_register_size(n)\n        n = int(n)",
       "n = int(n)\n        operators._check_register_size(n)"),
     M("flip relaxation without e^(-kappa t) (2a500c8)", DYNAMICS, "values[differs] *= e1", "pass"),
-    M("seed checked by isinstance(seed, int) (2a500c8)", PROTOCOL,
-      "operators._is_integer(self.seed)", "isinstance(self.seed, int)"),
+    M("seed checked by isinstance(seed, int) (2a500c8)", OPERATORS,
+      "not _is_integer(seed)", "not isinstance(seed, int)"),
     M("cat and entangled references swapped (2a500c8)", PROTOCOL,
       '"create_cat": {0: a, system_mask: b},\n        "entangle": entangled,',
       '"create_cat": entangled,\n        "entangle": {0: a, system_mask: b},'),
@@ -143,6 +147,17 @@ MUTANTS = (
       "(n_spins, 0, bit)", "(n_spins, 0, bit if n_spins < 10 else bit >> 1 or 2)"),
     M("hashlib imported with the package (9c30b6f)", CONFIG,
       "import json\n", "import hashlib  # noqa: F401\nimport json\n"),
+    M("coherence weights of the first two classes only (state zoo)", STATES,
+      "_class_slices(rho._classes, rho.dim):\n        order", "_class_slices(rho._classes[:2], rho.dim):\n        order"),
+    M("purity of the first two classes only (state zoo)", STATES,
+      "np.vdot(rho._values, rho._values)", "np.vdot(rho._values[:2], rho._values[:2])"),
+    M("fidelity over the target's first two classes only (state zoo)", STATES,
+      "np.nonzero(target._values)", "np.nonzero(target._values[:2])"),
+    M("the whole kick's C read at basis indices, not support positions (state zoo)", DYNAMICS,
+      "position = np.cumsum(supported) - 1", "position = np.arange(rho.dim)"),
+    M("the whole kick drops its last partial block of trajectories (state zoo)", DYNAMICS,
+      "range(0, len(phases), _KICK_BLOCK):\n        phi",
+      "range(0, max(len(phases) - _KICK_BLOCK + 1, 1), _KICK_BLOCK):\n        phi"),
 )
 
 
@@ -155,10 +170,12 @@ def _checkout():
         yield root
 
 
-def _first_failure(root: Path, pytest_args: tuple[str, ...]) -> str | None:
+def _first_failure(root: Path, pytest_args: tuple[str, ...], planted: str = "") -> str | None:
     """The node id of the first failure of ``TIER_1`` and ``pytest_args``
-    run in the copy at ``root``, or ``None`` if it passed."""
+    run in the copy at ``root``, in which the mutant named ``planted``, if
+    any, is planted, or ``None`` if it passed."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env[PLANTED] = planted
     command = [sys.executable, "-m", "pytest", *TIER_1, *pytest_args]
     result = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
     if result.returncode == 0:
@@ -167,16 +184,21 @@ def _first_failure(root: Path, pytest_args: tuple[str, ...]) -> str | None:
     return failure.group(1) if failure else f"pytest exit {result.returncode}"
 
 
+def applies(mutant: Mutant) -> bool:
+    """Whether ``mutant.old`` occurs exactly once in its file."""
+    return (REPO_ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1
+
+
 def outcome(mutant: Mutant, pytest_args: tuple[str, ...] = ()) -> str:
     """``killed by <nodeid>``, ``SURVIVED`` or ``does not apply``: ``mutant``
     in a fresh copy, under ``TIER_1`` and ``pytest_args`` (the whole suite
     by default)."""
-    text = (REPO_ROOT / mutant.path).read_text(encoding="utf-8")
-    if text.count(mutant.old) != 1:
+    if not applies(mutant):
         return "does not apply"
+    text = (REPO_ROOT / mutant.path).read_text(encoding="utf-8")
     with _checkout() as root:
         (root / mutant.path).write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-        failure = _first_failure(root, tuple(pytest_args))
+        failure = _first_failure(root, tuple(pytest_args), mutant.name)
     return "SURVIVED" if failure is None else f"killed by {failure}"
 
 

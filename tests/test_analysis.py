@@ -1,6 +1,7 @@
 """Exponential fitting and coherence-order scaling studies."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -229,6 +230,13 @@ def test_mutation_table_runs():
     operators_tests = ("tests/test_operators.py",)
     assert mutants.outcome(writable, operators_tests).startswith("killed by tests/test_operators.py::")
     assert mutants.outcome(writable._replace(old="no such text"), operators_tests) == "does not apply"
+    # Every entry applies to the checkout, and so a change that moves the
+    # text of one fails here.  In a copy with a mutant planted, that
+    # mutant's text is gone, and the unmutated copy has made this check.
+    names = [mutant.name for mutant in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    if not os.environ.get(mutants.PLANTED):
+        assert [mutant.name for mutant in mutants.MUTANTS if not mutants.applies(mutant)] == []
 
 
 def test_output_digest_script_runs():

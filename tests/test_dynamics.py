@@ -1,6 +1,5 @@
 """Hamiltonians, pulses, noise channels, and the collective gate."""
 
-import contextlib
 import math
 
 import numpy as np
@@ -23,7 +22,7 @@ from spincat import (
     flip_rate_for_lifetime,
     nq_amplitude,
 )
-from spincat import load_config, operators, protocol
+from spincat import load_config, operators
 from spincat.dynamics import COUPLING_KINDS, draw_kick_phases
 from spincat.spectra import _without_couplings_to
 from spincat.states import HERMITIAN_TOL
@@ -34,26 +33,20 @@ from _support import (
     Pulse,
     apply_pulse,
     controlled_not_unitary,
-    dephasing_reference,
     elements,
     evolve,
-    flip_one_site_reference,
     hamiltonian_reference,
     is_hermitian,
     kronecker_total_spin_operator,
     no_characteristic_matrix,
     phase_kicks_reference,
-    protocol_config,
     pulse_unitary,
     random_density_matrix,
-    record_factorised_sizes,
     record_pair_reads,
     rk4_evolve,
     run_child,
     single_spin_operator,
-    state_bytes,
     state_of_classes,
-    stored_classes,
     traced_memory,
 )
 
@@ -62,33 +55,6 @@ TWO_PI = 2.0 * np.pi
 
 def _plus_state() -> DensityMatrix:
     return DensityMatrix(np.full((2, 2), 0.5, dtype=complex), 1)
-
-
-def _pattern_state(kind: str, n_spins: int) -> DensityMatrix:
-    """A state with a kept nonzero pattern: the step-B or step-C state of
-    a run at purity 0.7, or a mixture of kets on a few indices each."""
-    if kind == "mixture":
-        kets = [{1: 0.6, 6: 0.8j}, {3: 0.5, 20: -0.5j, 9: np.sqrt(0.5)}, {30: 1.0}, {12: 0.8, 17: 0.6}]
-        matrix = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
-        for weight, amplitudes in zip((0.4, 0.3, 0.2, 0.1), kets):
-            psi = np.zeros(1 << n_spins, dtype=complex)
-            psi[list(amplitudes)] = list(amplitudes.values())
-            matrix += weight * np.outer(psi, psi.conj())
-        return DensityMatrix(matrix, n_spins)
-    config = protocol_config(n_spins, purity_fraction=0.7)
-    rho = protocol.step_b_create_cat(protocol.step_a_initialize(config), config)
-    return rho if kind == "step-b" else protocol.step_c_entangle(rho, config)
-
-
-PATTERN_STATES = [("step-b", n) for n in range(3, 7)] + [("step-c", n) for n in range(3, 7)]
-PATTERN_STATES += [("mixture", 5)]
-PATTERN_IDS = [f"{kind}-{n}" for kind, n in PATTERN_STATES]
-
-
-def _check_pattern_state(rho: DensityMatrix) -> None:
-    # The channels must see a state stored by a few of its coherence
-    # classes r ^ c: at least two, and not all of them.
-    assert 2 <= stored_classes(rho)[0].size < rho.dim
 
 
 class TestSpinSystem:
@@ -345,28 +311,6 @@ class TestDephasing:
         b = evolve(apply_dephasing(rho, noise, 0.2), h, 0.01)
         np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-12)
 
-    @pytest.mark.parametrize("n_spins", range(1, 7))
-    def test_pattern_table_matches_dense_reference(self, n_spins):
-        rng = np.random.default_rng(40 + n_spins)
-        rho = random_density_matrix(rng, n_spins)
-        rates = tuple(rng.uniform(0.1, 20.0, n_spins))
-        noise = NoiseModel(rates, (0.0,) * n_spins)
-        for t in (0.0, 0.004, 0.17, 2.5):
-            expected = dephasing_reference(rho.matrix, n_spins, rates, t)
-            np.testing.assert_array_equal(apply_dephasing(rho, noise, t).matrix, expected)
-
-    @pytest.mark.parametrize("kind, n_spins", PATTERN_STATES, ids=PATTERN_IDS)
-    def test_coherence_classes_match_dense_reference(self, kind, n_spins):
-        rho = _pattern_state(kind, n_spins)
-        _check_pattern_state(rho)
-        rng = np.random.default_rng(60 + n_spins)
-        rates = tuple(rng.uniform(0.1, 20.0, n_spins))
-        noise = NoiseModel(rates, (0.0,) * n_spins)
-        for t in (0.0, 0.004, 0.17, 2.5):
-            expected = dephasing_reference(rho.matrix, n_spins, rates, t)
-            np.testing.assert_array_equal(apply_dephasing(rho, noise, t).matrix, expected)
-
-
 @pytest.mark.parametrize("t", [-0.1, float("nan")])
 @pytest.mark.parametrize(
     "channel",
@@ -443,50 +387,6 @@ class TestFlipRelaxation:
         channel = apply_flip_relaxation(rho, NoiseModel((0.0, 0.0), rates), t)
         assert np.abs(channel.matrix - oracle).max() < 1e-8
 
-    @pytest.mark.parametrize("where", ["first", "last", "every"])
-    @pytest.mark.parametrize("n_spins", [1, 2, 3, 5])
-    def test_in_place_sites_match_copying_reference(self, n_spins, where):
-        rng = np.random.default_rng(20 + n_spins)
-        rho = random_density_matrix(rng, n_spins)
-        rates = rng.uniform(0.2, 3.0, n_spins)
-        if where == "first":
-            rates[1:] = 0.0
-        elif where == "last":
-            rates[:-1] = 0.0
-        noise = NoiseModel((0.0,) * n_spins, tuple(rates))
-        t = 0.37
-        expected = rho.matrix
-        for site, rate in enumerate(noise.flip_per_s):
-            if rate > 0.0:
-                expected = flip_one_site_reference(expected, site, n_spins, rate * t)
-        np.testing.assert_array_equal(apply_flip_relaxation(rho, noise, t).matrix, expected)
-
-    @pytest.mark.parametrize("kind, n_spins", PATTERN_STATES, ids=PATTERN_IDS)
-    def test_coherence_classes_match_copying_reference(self, kind, n_spins):
-        rho = _pattern_state(kind, n_spins)
-        _check_pattern_state(rho)
-        rng = np.random.default_rng(70 + n_spins)
-        rates = rng.uniform(0.2, 3.0, n_spins)
-        rates[1] = 0.0
-        noise = NoiseModel((0.0,) * n_spins, tuple(rates))
-        for t in (0.0, 0.37):
-            expected = rho.matrix
-            for site, rate in enumerate(noise.flip_per_s):
-                if rate > 0.0:
-                    expected = flip_one_site_reference(expected, site, n_spins, rate * t)
-            np.testing.assert_array_equal(apply_flip_relaxation(rho, noise, t).matrix, expected)
-
-    @pytest.mark.parametrize("site", range(4))
-    def test_one_site_of_a_dense_state_matches_reference(self, site):
-        # One spin's flip factor, over all 16 classes of a dense 4-spin
-        # state, bit for bit; the state it was given is left as it was.
-        rho = random_density_matrix(np.random.default_rng(site), 4)
-        before = rho.matrix.tobytes()
-        noise = NoiseModel((0.0,) * 4, tuple(0.3 if i == site else 0.0 for i in range(4)))
-        expected = flip_one_site_reference(rho.matrix, site, 4, 0.3)
-        assert apply_flip_relaxation(rho, noise, 1.0).matrix.tobytes() == expected.tobytes()
-        assert rho.matrix.tobytes() == before
-
     @pytest.mark.parametrize("n_spins", [10, 11])
     def test_protocol_state_matches_reference(self, n_spins):
         run_child("-c", _PROTOCOL_FLIPS, str(n_spins))
@@ -536,13 +436,6 @@ class TestPhaseKicks:
         c = apply_phase_kicks_mc(rho, noise, 1.0, seed=18)
         assert np.abs(a.matrix - c.matrix).max() > 0.0
 
-    def test_diagonal_untouched(self):
-        noise = NoiseModel.uniform(2, dephasing_per_s=0.64, mc_trajectories=50)
-        rng = np.random.default_rng(21)
-        rho = random_density_matrix(rng, 2)
-        kicked = apply_phase_kicks_mc(rho, noise, 1.0, seed=5)
-        np.testing.assert_allclose(np.diag(kicked.matrix), np.diag(rho.matrix), atol=1e-14)
-
     def test_single_spin_mean_within_standard_error(self):
         sigma = 0.6
         trials = 20000
@@ -561,37 +454,6 @@ class TestPhaseKicks:
         kicked = apply_phase_kicks_mc(rho, noise, t, seed=42)
         assert abs(kicked.matrix[0, 7] - analytic.matrix[0, 7]) < 0.01
 
-    @pytest.mark.parametrize(
-        "trajectories", [1, KICK_BLOCK - 1, KICK_BLOCK, KICK_BLOCK + 1, 3 * KICK_BLOCK + 7]
-    )
-    @pytest.mark.parametrize("n_spins", [1, 2, 3, 5])
-    def test_matches_per_trajectory_reference(self, n_spins, trajectories):
-        rng = np.random.default_rng(1000 * n_spins + trajectories)
-        rho = random_density_matrix(rng, n_spins)
-        rates = tuple(rng.uniform(0.01, 3.2, n_spins))
-        noise = NoiseModel(rates, (0.0,) * n_spins, trajectories)
-        kicked = apply_phase_kicks_mc(rho, noise, 0.7, seed=trajectories)
-        sigma = np.sqrt(np.asarray(rates) * 0.7)
-        reference = phase_kicks_reference(rho.matrix, n_spins, sigma, trajectories, seed=trajectories)
-        np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
-
-    @pytest.mark.parametrize("n_spins, support_size", [(1, 1), (3, 2), (3, 5), (5, 1), (5, 2), (5, 31)])
-    def test_state_on_few_basis_states_matches_reference(self, n_spins, support_size):
-        # The characteristic matrix is formed on the support of rho only.
-        rng = np.random.default_rng(100 * n_spins + support_size)
-        support = np.sort(rng.choice(1 << n_spins, support_size, replace=False))
-        g = rng.normal(size=(support_size, support_size)) + 1j * rng.normal(size=(support_size, support_size))
-        block = g @ g.conj().T
-        matrix = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
-        matrix[np.ix_(support, support)] = block / np.trace(block).real
-        trajectories = 2 * KICK_BLOCK + 3
-        rates = tuple(rng.uniform(0.01, 3.2, n_spins))
-        noise = NoiseModel(rates, (0.0,) * n_spins, trajectories)
-        kicked = apply_phase_kicks_mc(DensityMatrix(matrix, n_spins), noise, 0.7, seed=support_size)
-        sigma = np.sqrt(np.asarray(rates) * 0.7)
-        reference = phase_kicks_reference(matrix, n_spins, sigma, trajectories, seed=support_size)
-        np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
-
     @pytest.mark.parametrize("state", ["full_rank", "cat"])
     def test_zero_rates_return_the_state_unchanged(self, state):
         # Zero widths give unit phases, so C is exactly one everywhere.
@@ -602,24 +464,6 @@ class TestPhaseKicks:
         noise = NoiseModel.uniform(3, dephasing_per_s=0.0, flip_per_s=2.0, mc_trajectories=KICK_BLOCK + 5)
         kicked = apply_phase_kicks_mc(rho, noise, 0.4, seed=3)
         assert np.array_equal(kicked.matrix, rho.matrix)
-
-
-def _pair_state(rng: np.random.Generator, n_spins: int, n_classes: int) -> np.ndarray:
-    """A random dense state of disjoint 2x2 blocks ``(r, r ^ x)`` over
-    ``n_classes`` patterns ``x``, with some indices left as 1x1 blocks."""
-    dim = 1 << n_spins
-    patterns = rng.choice(np.arange(1, dim), n_classes, replace=False)
-    populations = rng.uniform(0.1, 1.0, dim)
-    matrix = np.diag(populations).astype(complex)
-    free = np.ones(dim, dtype=bool)
-    for r in rng.permutation(dim):
-        partner = r ^ patterns[rng.integers(n_classes)]
-        if free[r] and free[partner] and rng.random() < 0.8:
-            free[r] = free[partner] = False
-            bound = rng.uniform(0.1, 1.0) * np.sqrt(populations[r] * populations[partner])
-            matrix[r, partner] = bound * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            matrix[partner, r] = np.conj(matrix[r, partner])
-    return matrix / populations.sum()
 
 
 # The kick of the state that step D of a 10-spin Monte Carlo run kicks,
@@ -649,32 +493,6 @@ class TestPairKicks:
     blocks, class 0 and at most one other, is kicked at its pairs'
     elements, with no characteristic matrix."""
 
-    @pytest.mark.parametrize(
-        "n_spins, n_classes, seed",
-        [(n, c, seed) for n in (3, 5) for c in (1, 2, 3) for seed in (0, 1)]
-        + [(8, c, 0) for c in (1, 2, 3)],
-    )
-    def test_disjoint_pairs_match_reference(self, monkeypatch, n_spins, n_classes, seed):
-        rng = np.random.default_rng(10_000 * n_spins + 100 * n_classes + seed)
-        matrix = _pair_state(rng, n_spins, n_classes)
-        rho = DensityMatrix(matrix, n_spins)
-        assert np.count_nonzero(matrix) > rho.dim
-        classes = stored_classes(rho)[0]
-        assert 2 <= classes.size <= n_classes + 1
-        trajectories = KICK_BLOCK + 3
-        rates = tuple(rng.uniform(0.01, 3.2, n_spins))
-        noise = NoiseModel(rates, (0.0,) * n_spins, trajectories)
-        # Pairs of one class are kicked as pairs; pairs of more classes make
-        # a state checked, and kicked, as one whole block.
-        sizes = record_factorised_sizes(monkeypatch)
-        with no_characteristic_matrix() if classes.size == 2 else contextlib.nullcontext():
-            kicked = apply_phase_kicks_mc(rho, noise, 0.7, seed=seed)
-        assert sizes == ([] if classes.size == 2 else [rho.dim])
-        sigma = np.sqrt(np.asarray(rates) * 0.7)
-        reference = phase_kicks_reference(matrix, n_spins, sigma, trajectories, seed)
-        np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
-        assert np.diagonal(kicked.matrix).tobytes() == np.diagonal(matrix).tobytes()
-
     @pytest.mark.parametrize("triangle", ["lower", "upper"])
     def test_pair_in_one_triangle_keeps_its_zero(self, monkeypatch, triangle):
         # A pair whose element in one triangle is within HERMITIAN_TOL of
@@ -697,15 +515,6 @@ class TestPairKicks:
         np.testing.assert_allclose(kicked.matrix, reference, rtol=0.0, atol=1e-13)
         assert kicked.matrix[col, row].tobytes() == matrix[col, row].tobytes()
         assert kicked.matrix[row, col] != small and abs(kicked.matrix[row, col]) < abs(small)
-
-    def test_diagonal_state_is_bit_identical(self):
-        rng = np.random.default_rng(3)
-        populations = rng.uniform(size=32)
-        rho = DensityMatrix(np.diag(populations / populations.sum()).astype(complex), 5)
-        noise = NoiseModel.uniform(5, dephasing_per_s=2.0, mc_trajectories=300)
-        with no_characteristic_matrix():
-            kicked = apply_phase_kicks_mc(rho, noise, 0.3, seed=2)
-        assert state_bytes(kicked) == state_bytes(rho)
 
     def test_ten_spin_protocol_cat_matches_reference(self):
         # The state that step D of a Monte Carlo run kicks: the pseudopure

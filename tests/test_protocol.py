@@ -11,6 +11,7 @@ from spincat import (
     CatWeights,
     NoiseModel,
     ProtocolConfig,
+    apply_phase_kicks_mc,
     apply_unitary,
     cat_state,
     coherence_orders,
@@ -88,14 +89,27 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, "3", None, True, False])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        # Rejected up front, naming the seed, rather than inside step D's SeedSequence.
-        with pytest.raises(ValueError, match="seed"):
-            make_config(n_total=3, noise_mode="monte_carlo", seed=seed)
+        # Rejected up front, naming the seed, by the config, the kick and the
+        # scaling study alike, rather than inside numpy's generators (True
+        # once ran as seed 1, and None as a fresh random seed).
+        noise = NoiseModel.uniform(3, dephasing_per_s=10.0, mc_trajectories=8)
+        for call in (
+            lambda: make_config(n_total=3, noise_mode="monte_carlo", seed=seed),
+            lambda: apply_phase_kicks_mc(cat_state(3, CatWeights.balanced()), noise, 0.01, seed),
+            lambda: scaling_study([2, 3], noise, [0.0, 0.05, 0.1], "monte_carlo", seed),
+        ):
+            with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
+                call()
 
     @pytest.mark.parametrize("seed", [0, np.int64(7), 2**70])
     def test_integer_seeds_are_accepted(self, seed):
         config = make_config(n_total=3, noise_mode="monte_carlo", delay=0.01, seed=seed)
         assert run_protocol(config).steps[-1].fidelity > 0.0
+        noise = NoiseModel.uniform(3, dephasing_per_s=10.0, mc_trajectories=200)
+        kicked = apply_phase_kicks_mc(cat_state(3, CatWeights.balanced()), noise, 0.01, seed)
+        assert 0.0 < abs(states.nq_amplitude(kicked)) < 0.5
+        rates = scaling_study([2, 3], noise, [0.0, 0.05, 0.1, 0.2], "monte_carlo", seed)
+        assert [n for n, _ in rates] == [2, 3] and all(rate > 0.0 for _, rate in rates)
 
 
 class TestIdealSteps:

@@ -178,14 +178,33 @@ def test_grid_point_count_must_be_an_integer_of_at_least_two(points):
         )
 
 
+def _not_built(system):
+    raise AssertionError("the Hamiltonian was built before the arguments were checked")
+
+
 @pytest.mark.parametrize("grid", [(5.0, -5.0, 31), (0.0, math.inf, 31), (0.0, 50.0, 2.7)])
 def test_a_bad_grid_is_rejected_before_the_hamiltonian_is_built(monkeypatch, grid):
-    def unreachable(system):
-        raise AssertionError("the Hamiltonian was built before the grid was checked")
-
-    monkeypatch.setattr(dynamics, "build_hamiltonian", unreachable)
+    monkeypatch.setattr(dynamics, "build_hamiltonian", _not_built)
     with pytest.raises(ValueError, match="grid"):
         linear_response_spectrum(ferro_state(1, "up"), SpinSystem(1, ("system",), (10.0,)), [0], grid_hz=grid)
+
+
+@pytest.mark.parametrize(
+    "observe, message",
+    [
+        ([1.5], "site 1.5 outside register of 3 spins"),
+        ([1, True], "site True outside register of 3 spins"),
+        ([2, 2], "duplicate observed sites"),
+        ([1, 2, 1, 1], "duplicate observed sites"),
+    ],
+    ids=["float", "bool", "repeated", "repeated-thrice"],
+)
+def test_bad_observed_sites_are_rejected_before_the_hamiltonian_is_built(monkeypatch, observe, message):
+    # Observed sites were once checked only after the eigendecomposition.
+    monkeypatch.setattr(dynamics, "build_hamiltonian", _not_built)
+    system = SpinSystem(3, ("control", "system", "system"), (0.0, 10.0, 30.0))
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        linear_response_spectrum(ferro_state(3, "up"), system, observe)
 
 
 @pytest.mark.parametrize("site", [1.5, True, np.float64(0.0), -1, 3])

@@ -4,7 +4,6 @@ import contextlib
 import copy
 import dataclasses
 import functools
-import itertools
 import math
 import pickle
 import re
@@ -22,6 +21,7 @@ from spincat import (
     NoiseModel,
     StateInvariantError,
     apply_dephasing,
+    apply_flip_relaxation,
     apply_phase_kicks_mc,
     cat_state,
     coherence_orders,
@@ -38,11 +38,17 @@ from spincat import (
 )
 from spincat import operators, protocol, states
 from _support import (
+    KICK_BLOCK,
     coherence_components,
     dense_entropy,
+    dephasing_reference,
+    flip_one_site_reference,
+    index_order_partial_trace,
     is_hermitian,
     kronecker_total_spin_operator,
+    no_characteristic_matrix,
     pair_tables_built,
+    phase_kicks_reference,
     popcount_weights,
     protocol_config,
     random_density_matrix,
@@ -112,120 +118,6 @@ def test_coherence_orders_of_cat_state():
     assert weights[0] == pytest.approx(np.sqrt(0.5))
 
 
-def _assert_coherence_orders_match_oracles(rho):
-    weights = coherence_orders(rho)
-    components = coherence_components(rho.matrix, rho.n_spins)
-    assert sorted(weights) == sorted(components)
-    for q, component in components.items():
-        assert weights[q] == pytest.approx(np.linalg.norm(component), rel=1e-12, abs=1e-15)
-    # The whole-matrix histogram.  In a state of at most two classes with
-    # no order-0 element off the diagonal, as every state the package
-    # builds, each order's nonzero terms come from one class, in the same
-    # order as over the whole matrix, so the weights are bit-identical.
-    # Otherwise the class-by-class sum adds them in another order: the
-    # bound is about ten times the largest deviation measured, 8.8e-15 of
-    # a random 10-spin state.
-    oracle = popcount_weights(rho.matrix, rho.n_spins)
-    if _sums_in_matrix_order(rho):
-        assert weights == oracle
-    else:
-        assert weights == pytest.approx(oracle, rel=1e-13, abs=0.0)
-
-
-def _sums_in_matrix_order(rho):
-    """Whether ``rho`` has at most two classes and no nonzero element of
-    coherence order 0 off the diagonal."""
-    n = rho.n_spins
-    ups = n - operators.bit_table(n).sum(axis=0)
-    order_zero = ups[:, None] == ups[None, :]
-    np.fill_diagonal(order_zero, False)
-    return stored_classes(rho)[0].size <= 2 and not rho.matrix[order_zero].any()
-
-
-def test_coherence_orders_against_popcount_oracle():
-    rng = np.random.default_rng(2)
-    for n_spins in (1, 3, 5):
-        _assert_coherence_orders_match_oracles(random_density_matrix(rng, n_spins))
-
-
-def _four_spin_protocol_states(mode="analytic"):
-    """The state after each of the steps A-E of a 4-spin ``run_protocol``."""
-    config = dataclasses.replace(protocol_config(4), noise_mode=mode)
-    rho = protocol.step_a_initialize(config)
-    out = [rho]
-    for step in (
-        protocol.step_b_create_cat,
-        protocol.step_c_entangle,
-        protocol.step_d_decohere,
-        protocol.step_e_recover,
-    ):
-        rho = step(rho, config)
-        out.append(rho)
-    return out
-
-
-def _order_zero_pair_state(seed):
-    """A 2-spin state with one pair ``(1, 2)`` of coherence order 0, whose
-    elements fall in the diagonal's bin.  Summed class by class, the pair's
-    two elements come after the whole diagonal, where the whole matrix
-    puts them between its rows 1 and 2; on the seeds used the two orders of
-    addition round the sum of order 0 differently."""
-    rng = np.random.default_rng([19, seed])
-    matrix = np.diag(rng.uniform(0.2, 1.0, 4)).astype(complex)
-    element = 0.9 * math.sqrt(matrix[1, 1].real * matrix[2, 2].real)
-    matrix[2, 1] = element * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    matrix[1, 2] = np.conj(matrix[2, 1])
-    matrix /= np.trace(matrix).real
-    d, c = np.abs(np.diag(matrix)) ** 2, np.abs(matrix[2, 1]) ** 2
-    assert d[0] + d[1] + c + c + d[2] + d[3] != d[0] + d[1] + d[2] + d[3] + c + c
-    return DensityMatrix(matrix, 2)
-
-
-BLOCK_STATES = {
-    "cat": (lambda: cat_state(5, CatWeights(0.6, 0.8j)), 2),
-    "pseudopure-cat": (lambda: pseudopure(cat_state(5, CatWeights(0.6, 0.8j)), 0.7), 2),
-    **{
-        f"protocol-{name}": (lambda k=k: _four_spin_protocol_states()[k], 2)
-        for k, name in enumerate(protocol.STEP_NAMES)
-    },
-    **{
-        f"protocol-monte_carlo-{name}": (lambda k=k: _four_spin_protocol_states("monte_carlo")[k], 2)
-        for k, name in enumerate(protocol.STEP_NAMES)
-    },
-    "diagonal": (lambda: thermal_state(6, polarization=0.01), 1),
-    **{
-        f"order-zero-pair-{seed}": (lambda seed=seed: _order_zero_pair_state(seed), 2)
-        for seed in (3, 12)
-    },
-    # One to three classes off the diagonal, of any order, with pairs in
-    # any rows: two classes or more make the state one block of every index.
-    **{
-        f"random-pairs-{n_spins}": (
-            lambda n_spins=n_spins: DensityMatrix(
-                _random_pairs_state(np.random.default_rng([20, n_spins]), n_spins, None, False)[0],
-                n_spins,
-            ),
-            4,
-        )
-        for n_spins in range(2, 9)
-    },
-    # Classes 3, 5 and 6 that share indices: one block of every index.
-    "overlapping-classes": (lambda: DensityMatrix(_overlapping_classes_state(), 4), 4),
-}
-
-
-@pytest.mark.parametrize("make, max_classes", BLOCK_STATES.values(), ids=BLOCK_STATES)
-def test_coherence_orders_of_block_states_against_popcount_oracle(monkeypatch, make, max_classes):
-    # Stored by a few classes.  A state of at most two is checked block by
-    # block, with no factorisation; a state of more is checked whole.
-    sizes = record_factorised_sizes(monkeypatch)
-    rho = make()
-    classes = stored_classes(rho)[0]
-    assert classes.size <= max_classes
-    assert sizes == ([] if classes.size <= 2 else [rho.dim])
-    _assert_coherence_orders_match_oracles(rho)
-
-
 @pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
 def test_run_protocol_finds_each_pattern_once(monkeypatch, mode):
     # Every state of a run is read as pairs, from the table of its class
@@ -240,16 +132,6 @@ def test_run_protocol_finds_each_pattern_once(monkeypatch, mode):
     assert len(constructions) <= 24
     assert len(reads) == len(constructions)
     assert all(pairs is not None for pairs in reads)
-
-
-def test_coherence_components_are_orthogonal():
-    # Fixed-order components are elementwise disjoint, hence orthogonal,
-    # so their squared weights partition the squared Frobenius norm.
-    rng = np.random.default_rng(8)
-    rho = random_density_matrix(rng, 3)
-    total = sum(w**2 for w in coherence_orders(rho).values())
-    assert total == pytest.approx(np.linalg.norm(rho.matrix) ** 2, rel=1e-14)
-    assert total == pytest.approx(purity(rho), rel=1e-14)
 
 
 def test_decohered_mixture_is_stripped_entangled_state():
@@ -279,36 +161,6 @@ def test_decohered_mixture_matrix_is_unchanged(n_system, weights):
     rho = decohered_mixture(n_system, weights)
     assert rho.n_spins == n_system + 1
     assert rho.matrix.tobytes() == expected.tobytes()
-
-
-def _spread(bits: int, sites: tuple[int, ...], n_spins: int) -> int:
-    """The basis index whose ``sites`` read ``bits``, first site most
-    significant, and whose other spins are up."""
-    index = 0
-    for j, site in enumerate(sites):
-        index |= ((bits >> (len(sites) - 1 - j)) & 1) << (n_spins - 1 - site)
-    return index
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_reduced_state_sums_the_traced_spins_in_index_order(seed):
-    # Each element is summed over the traced spins from traced index 0
-    # upwards, one addition at a time, whether one spin or several are traced.
-    n = 4
-    rho = random_density_matrix(np.random.default_rng(seed), n)
-    dense = rho.matrix
-    for size in range(1, n + 1):
-        for keep in itertools.combinations(range(n), size):
-            traced = tuple(site for site in range(n) if site not in keep)
-            expected = np.zeros((1 << size, 1 << size), dtype=complex)
-            for row, col in itertools.product(range(1 << size), repeat=2):
-                r, c = _spread(row, keep, n), _spread(col, keep, n)
-                total = dense[r, c]
-                for t in range(1, 1 << len(traced)):
-                    u = _spread(t, traced, n)
-                    total = total + dense[r | u, c | u]
-                expected[row, col] = total + 0.0
-            assert reduced_state(rho, keep).matrix.tobytes() == expected.tobytes(), keep
 
 
 _S = 1.0 / math.sqrt(2.0)
@@ -386,15 +238,6 @@ def test_von_neumann_entropy_reference_values():
     assert von_neumann_entropy(control) == pytest.approx(np.log(2.0))
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_entropy_invariant_under_unitaries(seed):
-    rng = np.random.default_rng(seed)
-    rho = random_density_matrix(rng, 2)
-    u = random_unitary(rng, 4)
-    rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, 2)
-    assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) < 1e-10
-
-
 def test_fidelity_values_and_validation():
     target = cat_state(2, CatWeights.balanced())
     assert fidelity(target, target) == pytest.approx(1.0)
@@ -404,26 +247,6 @@ def test_fidelity_values_and_validation():
     mixed = DensityMatrix(np.eye(4) / 4.0, 2)
     with pytest.raises(ValueError):
         fidelity(target, mixed)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_traces_match_dense_products(seed):
-    rng = np.random.default_rng(seed)
-    rho = random_density_matrix(rng, 3)
-    psi = random_unitary(rng, 8)[:, 0]
-    target = DensityMatrix(np.outer(psi, psi.conj()), 3)
-    observable = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    assert purity(rho) == pytest.approx(np.trace(rho.matrix @ rho.matrix).real, rel=1e-13)
-    assert fidelity(rho, target) == pytest.approx(
-        np.trace(rho.matrix @ target.matrix).real, rel=1e-12, abs=1e-15
-    )
-    assert states.expectation(rho, observable) == pytest.approx(
-        np.trace(rho.matrix @ observable), rel=1e-12
-    )
-    sz = kronecker_total_spin_operator("z", [0, 2], 3)
-    assert states.magnetization(rho, [0, 2]) == pytest.approx(
-        np.trace(rho.matrix @ sz).real, rel=1e-12, abs=1e-15
-    )
 
 
 def test_density_matrix_validation():
@@ -590,70 +413,6 @@ def test_register_size_is_checked_before_the_copy():
 def test_register_size_must_be_a_positive_integer(size):
     with pytest.raises(ValueError, match="positive integer"):
         DensityMatrix(np.eye(2) / 2.0, size)
-
-
-def _assert_blocks_match_a_fresh_state(rho):
-    # A state built afresh from its dense view stores the same classes,
-    # values and pairs, bit for bit.
-    fresh = DensityMatrix(rho.matrix, rho.n_spins)
-    assert state_bytes(rho) == state_bytes(fresh)
-    assert von_neumann_entropy(rho) == von_neumann_entropy(fresh)
-
-
-def _cancelling_state():
-    """A 3-spin state whose class 0b100, of spin 0 alone, holds
-    ``rho[0, 4] = 0.1`` and ``rho[1, 5] = -0.1``: its partial sums over
-    spins 1 and 2 cancel to zero, so the reduced state of spin 0 keeps the
-    class, all zeros, until validation drops it."""
-    matrix = np.eye(8, dtype=complex) / 8
-    matrix[0, 4] = matrix[4, 0] = 0.1
-    matrix[1, 5] = matrix[5, 1] = -0.1
-    return DensityMatrix(matrix, 3)
-
-
-def _keep_sets(n_spins):
-    """Every nonempty ascending list of sites of an ``n_spins`` register."""
-    return [
-        [site for site in range(n_spins) if mask >> site & 1] for mask in range(1, 1 << n_spins)
-    ]
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_carried_blocks_never_outlive_their_pattern(monkeypatch, seed):
-    # Each state's pairs are read from its own classes, whatever made it:
-    # where an element or a whole class of pseudopure, dephasing or the
-    # Monte Carlo kick decays or underflows to zero, or a class of a
-    # reduced state sums to zero, the pairs are those of a state built
-    # afresh from the dense view.
-    cancelling = _cancelling_state()
-    assert stored_classes(reduced_state(cancelling, [0]))[0].tolist() == [0]
-    for keep in _keep_sets(3):
-        _assert_blocks_match_a_fresh_state(reduced_state(cancelling, keep))
-    rng = np.random.default_rng([17, seed])
-    sizes = record_factorised_sizes(monkeypatch)
-    for trial in range(4):
-        n_spins = int(rng.integers(2, 9))
-        matrix, _ = _random_pairs_state(rng, n_spins, None, False)
-        sizes.clear()
-        rho = DensityMatrix(matrix, n_spins)
-        assert sizes == ([] if stored_classes(rho)[0].size <= 2 else [rho.dim])
-        rates = tuple(rng.choice([0.0, 1.0, 2.5], n_spins))
-        noise = NoiseModel(rates, (0.0,) * n_spins)
-        classes = stored_classes(rho)[0]
-        decay = 0.5 * np.asarray(rates) @ operators.bit_table(n_spins)[:, classes[1:]]
-        # 0.4 keeps every element; 743.5 / decay brings one class's
-        # factor to about 1e-323, so some or all of its elements round to
-        # zero;
-        # 1e5 zeroes every class that differs in a spin of nonzero rate.
-        times = [0.4, 1e5] + [743.5 / d for d in decay[decay > 0][:1]]
-        results = [apply_dephasing(rho, noise, t) for t in times]
-        for trajectories in (1, 200):
-            kick_noise = dataclasses.replace(noise, mc_trajectories=trajectories)
-            results.append(apply_phase_kicks_mc(rho, kick_noise, 0.7, seed=trial))
-        results += [pseudopure(rho, f) for f in (0.83, 1.0, 1e-322)]
-        results += [reduced_state(rho, keep) for keep in _keep_sets(n_spins)]
-        for result in results:
-            _assert_blocks_match_a_fresh_state(result)
 
 
 # The validation zoo: named matrices, and a few states the package builds,
@@ -847,11 +606,12 @@ SCAN_CASES = [
 ]
 
 
-def _random_pairs_state(rng, n_spins, couple, indefinite):
+def _random_pairs_state(rng, n_spins, couple, indefinite, n_classes=None):
     """A sparse matrix of unit trace, Hermitian to ``HERMITIAN_TOL``, and
     the pairs it holds: a positive diagonal plus disjoint pairs
-    ``(r, r ^ x)``, lower index first, from one to three classes ``x``;
-    with more than one, the matrix is checked whole.  Every pair is
+    ``(r, r ^ x)``, lower index first, from ``n_classes`` classes ``x``,
+    by default one to three drawn at random; with more than one, the
+    matrix is checked whole.  Every pair is
     positive definite but, with ``indefinite``, one.  With
     ``couple``, one more element joins an index of a pair to a second
     partner: a Hermitian pair of elements (``"both"``), or one element
@@ -860,7 +620,7 @@ def _random_pairs_state(rng, n_spins, couple, indefinite):
     matrix = np.diag(rng.uniform(0.2, 1.0, dim)).astype(complex)
     free = np.ones(dim, dtype=bool)
     pairs = []
-    for x in rng.choice(np.arange(1, dim), size=rng.integers(1, 4), replace=False):
+    for x in rng.choice(np.arange(1, dim), size=n_classes or rng.integers(1, 4), replace=False):
         # The first free pair of each class, then some of the rest.
         first = len(pairs)
         for r in rng.permutation(dim):
@@ -1211,3 +971,195 @@ def test_validation_matches_the_dense_oracles(monkeypatch, name):
         for state in (rho, built) if isinstance(built, DensityMatrix) else (rho,):
             assert von_neumann_entropy(state) == pytest.approx(spectrum_entropy(eigs), abs=1e-14)
         assert pairs is None or sizes == []
+
+
+# The state zoo: states of every kind the state functions and channels
+# meet, each passed through all of them by one oracle,
+# test_state_functions_match_the_dense_oracles.
+def _run_states(n_spins, mode="analytic", purity_fraction=0.83):
+    """The state after each of the steps A-E of a run on a bare register."""
+    config = dataclasses.replace(protocol_config(n_spins, purity_fraction), noise_mode=mode)
+    out = [protocol.step_a_initialize(config)]
+    for step in (protocol.step_b_create_cat, protocol.step_c_entangle,
+                 protocol.step_d_decohere, protocol.step_e_recover):
+        out.append(step(out[-1], config))
+    return out
+
+
+def _ket_mixture():
+    """A 5-spin mixture of four kets on a few indices each."""
+    kets = [{1: 0.6, 6: 0.8j}, {3: 0.5, 20: -0.5j, 9: np.sqrt(0.5)}, {30: 1.0}, {12: 0.8, 17: 0.6}]
+    psi = np.zeros((4, 32), dtype=complex)
+    for row, amplitudes in zip(psi, kets):
+        row[list(amplitudes)] = list(amplitudes.values())
+    return DensityMatrix((psi.T * [0.4, 0.3, 0.2, 0.1]) @ psi.conj(), 5)
+
+
+def _on_basis_states(n_spins, size):
+    """A random state whose nonzero elements fill a block on ``size`` basis states."""
+    rng = np.random.default_rng([24, n_spins, size])
+    support = np.sort(rng.choice(1 << n_spins, size, replace=False))
+    g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    matrix = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
+    matrix[np.ix_(support, support)] = g @ g.conj().T / np.linalg.norm(g) ** 2
+    return DensityMatrix(matrix, n_spins)
+
+
+def _pairs_of_classes(n_spins, n_classes, one_sided=False):
+    """Disjoint pairs of ``n_classes`` classes on a diagonal: read as pairs
+    for one class, checked whole for more.  With ``one_sided``, one more
+    element within ``HERMITIAN_TOL`` above the diagonal at ``(r, c)``, in
+    no pair: row ``c`` holds nothing off the diagonal, so the kick of a
+    state checked whole finds ``c`` only as the column of that element."""
+    rng = np.random.default_rng([38, n_spins, n_classes])
+    matrix, pairs = _random_pairs_state(rng, n_spins, None, False, n_classes)
+    assert len({low ^ high for low, high in pairs}) == n_classes
+    if one_sided:
+        r, c = np.setdiff1d(np.arange(1 << n_spins), pairs)[:2]
+        matrix[r, c] = 0.5 * HTOL * np.exp(0.4j)
+    return DensityMatrix(matrix, n_spins)
+
+
+def _order_zero_pair_state(seed):
+    """A 2-spin state with one pair ``(1, 2)`` of coherence order 0.  Its
+    weight of order 0, summed class by class or over the whole matrix, adds
+    the same terms in two orders, which round differently on the seeds used."""
+    rng = np.random.default_rng([19, seed])
+    matrix = np.diag(rng.uniform(0.2, 1.0, 4)).astype(complex)
+    element = 0.9 * math.sqrt(matrix[1, 1].real * matrix[2, 2].real)
+    matrix[2, 1] = element * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    matrix[1, 2] = np.conj(matrix[2, 1])
+    matrix /= np.trace(matrix).real
+    d, c = np.abs(np.diag(matrix)) ** 2, np.abs(matrix[2, 1]) ** 2
+    assert d[0] + d[1] + c + c + d[2] + d[3] != d[0] + d[1] + d[2] + d[3] + c + c
+    return DensityMatrix(matrix, 2)
+
+
+def _cancelling_state():
+    """A 3-spin state whose elements ``rho[0, 4] = 0.1`` and ``rho[1, 5] =
+    -0.1`` cancel in the reduced state of spin 0, leaving their class zero."""
+    matrix = _with_entries(8, 0.1, (0, 4), (4, 0))
+    matrix[1, 5] = matrix[5, 1] = -0.1
+    return DensityMatrix(matrix, 3)
+
+
+STATE_ZOO = {
+    **{
+        f"random-{n}": lambda n=n: random_density_matrix(np.random.default_rng([21, n]), n)
+        for n in range(1, 7)
+    },
+    "cat-5": lambda: cat_state(5, W),
+    "pseudopure-cat-5": lambda: pseudopure(cat_state(5, W), 0.7),
+    **{
+        f"protocol-{mode}-{name}": lambda mode=mode, k=k: _run_states(4, mode)[k]
+        for mode in protocol.NOISE_MODES
+        for k, name in enumerate(protocol.STEP_NAMES)
+    },
+    **{
+        f"step-{step}-{n}": lambda n=n, k=k: _run_states(n, "analytic", 0.7)[k]
+        for k, step in ((1, "b"), (2, "c"))
+        for n in range(3, 7)
+    },
+    "mixture-5": _ket_mixture,
+    **{f"pairs-{n}-{c}": lambda n=n, c=c: _pairs_of_classes(n, c) for n in (3, 5, 8) for c in (1, 2, 3)},
+    **{
+        f"support-{n}-{k}": lambda n=n, k=k: _on_basis_states(n, k)
+        for n, k in ((5, 1), (3, 2), (3, 5), (5, 31))
+    },
+    "diagonal": lambda: thermal_state(6, polarization=0.01),
+    "one-triangle": lambda: DensityMatrix(_with_entries(16, 0.6 * HTOL * np.exp(0.4j), (12, 3)), 4),
+    **{f"order-zero-pair-{seed}": lambda seed=seed: _order_zero_pair_state(seed) for seed in (3, 12)},
+    "cancelling": _cancelling_state,
+    # Classes 3, 5 and 6 that share indices: one block of every index.
+    "overlapping-classes": lambda: DensityMatrix(_overlapping_classes_state(), 4),
+    "one-sided-whole": lambda: _pairs_of_classes(5, 2, one_sided=True),
+}
+
+
+def _keep_sets(n_spins):
+    """Every nonempty ascending list of sites of a register of up to four
+    spins; above that, the control and the system of a run."""
+    if n_spins > 4:
+        return [[0], list(range(1, n_spins))]
+    return [[site for site in range(n_spins) if mask >> site & 1] for mask in range(1, 1 << n_spins)]
+
+
+@pytest.mark.parametrize("name", STATE_ZOO)
+def test_state_functions_match_the_dense_oracles(name):
+    rho = STATE_ZOO[name]()
+    n, dense, given = rho.n_spins, np.array(rho.matrix), state_bytes(rho)
+    classes = stored_classes(rho)[0]
+    rng = np.random.default_rng([28, n])
+    # Coherence weights: bit-identical where each order's terms come in the
+    # matrix's order, as in every state the package builds (at most two
+    # classes, none of order 0 off the diagonal); else within ten times the
+    # largest deviation measured, 8.8e-15.  Their squares partition the norm.
+    weights, oracle = coherence_orders(rho), popcount_weights(dense, n)
+    ups = n - operators.bit_table(n).sum(axis=0)
+    order_zero = (ups[:, None] == ups[None, :]) & ~np.eye(rho.dim, dtype=bool)
+    if classes.size <= 2 and not dense[order_zero].any():
+        assert weights == oracle
+    else:
+        assert weights == pytest.approx(oracle, rel=1e-13, abs=0.0)
+    total = sum(w**2 for w in weights.values())
+    assert total == pytest.approx(np.linalg.norm(dense) ** 2, rel=1e-14)
+    assert total == pytest.approx(purity(rho), rel=1e-14)
+    # Traces of products, the entropy, magnetizations and reduced states.
+    assert purity(rho) == pytest.approx(np.trace(dense @ dense).real, rel=1e-13)
+    psi = rng.normal(size=rho.dim) + 1j * rng.normal(size=rho.dim)
+    psi /= np.linalg.norm(psi)
+    for target in (DensityMatrix(np.outer(psi, psi.conj()), n), cat_state(n, W)):
+        expected = np.trace(dense @ target.matrix).real
+        assert fidelity(rho, target) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    observable = rng.normal(size=dense.shape) + 1j * rng.normal(size=dense.shape)
+    assert states.expectation(rho, observable) == pytest.approx(np.trace(dense @ observable), rel=1e-12)
+    assert von_neumann_entropy(rho) == pytest.approx(dense_entropy(dense), abs=1e-14)
+    results = []
+    for keep in _keep_sets(n):
+        sz = kronecker_total_spin_operator("z", keep, n)
+        expected = np.trace(dense @ sz).real
+        assert states.magnetization(rho, keep) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        results.append(reduced_state(rho, keep))
+        assert results[-1].matrix.tobytes() == index_order_partial_trace(dense, n, keep).tobytes(), keep
+    # Dephasing, one spin left undephased, at times up to one that takes
+    # one class's factor to about 1e-323, so that some or all of its
+    # elements round to zero, and 1e5, which zeroes every class that
+    # differs in a dephased spin.
+    rates = rng.uniform(0.1, 20.0, n)
+    if n > 1:
+        rates[-1] = 0.0
+    noise = NoiseModel(tuple(rates), (0.0,) * n)
+    decay = 0.5 * rates @ operators.bit_table(n)[:, classes[1:]]
+    for t in (0.0, 0.004, 0.17, 2.5, 1e5, *(743.5 / decay[decay > 0])[:1]):
+        results.append(apply_dephasing(rho, noise, t))
+        np.testing.assert_array_equal(results[-1].matrix, dephasing_reference(dense, n, rates, t))
+    # Flip relaxation at the first site, the last and every one.
+    flips = rng.uniform(0.2, 3.0, n)
+    for sites in ([0], [n - 1], list(range(n))):
+        at_sites = np.zeros(n)
+        at_sites[sites] = flips[sites]
+        noise = NoiseModel((0.0,) * n, tuple(at_sites))
+        for t in (0.0, 0.37):
+            expected = dense
+            for site in sites:
+                expected = flip_one_site_reference(expected, site, n, at_sites[site] * t)
+            results.append(apply_flip_relaxation(rho, noise, t))
+            assert results[-1].matrix.tobytes() == expected.tobytes(), (sites, t)
+    # The Monte Carlo kick on either side of its blocks of trajectories.  A
+    # state of pairs is kicked at them, with no characteristic matrix.
+    kicks = tuple(rng.uniform(0.01, 3.2, n))
+    sigma = np.sqrt(np.asarray(kicks) * 0.7)
+    for trajectories in (1, KICK_BLOCK - 1, KICK_BLOCK, KICK_BLOCK + 1, 3 * KICK_BLOCK + 7):
+        noise = NoiseModel(kicks, (0.0,) * n, trajectories)
+        with no_characteristic_matrix() if classes.size <= 2 else contextlib.nullcontext():
+            results.append(apply_phase_kicks_mc(rho, noise, 0.7, seed=trajectories))
+        reference = phase_kicks_reference(dense, n, sigma, trajectories, seed=trajectories)
+        np.testing.assert_allclose(results[-1].matrix, reference, rtol=0.0, atol=1e-13)
+        assert np.diagonal(results[-1].matrix).tobytes() == np.diagonal(dense).tobytes()
+    # Every state made stores what a state built afresh from its dense view
+    # stores, bit for bit, and so has its entropy, whatever made it: where
+    # an element or a whole class decays or underflows to zero, or a class
+    # of a reduced state sums to zero.  The state given is left as it was.
+    for result in results + [pseudopure(rho, f) for f in (0.83, 1.0, 1e-322)]:
+        assert state_bytes(result) == state_bytes(DensityMatrix(result.matrix, result.n_spins))
+    assert state_bytes(rho) == given
