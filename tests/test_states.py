@@ -1043,11 +1043,9 @@ def _cancelling_state():
     return DensityMatrix(matrix, 3)
 
 
-STATE_ZOO = {
-    **{
-        f"random-{n}": lambda n=n: random_density_matrix(np.random.default_rng([21, n]), n)
-        for n in range(1, 7)
-    },
+# Each state is built once: a ``DensityMatrix`` is immutable.
+STATE_ZOO = {name: functools.cache(make) for name, make in {
+    **{f"random-{n}": lambda n=n: random_density_matrix(np.random.default_rng([21, n]), n) for n in range(1, 7)},
     "cat-5": lambda: cat_state(5, W),
     "pseudopure-cat-5": lambda: pseudopure(cat_state(5, W), 0.7),
     **{
@@ -1057,15 +1055,11 @@ STATE_ZOO = {
     },
     **{
         f"step-{step}-{n}": lambda n=n, k=k: _run_states(n, "analytic", 0.7)[k]
-        for k, step in ((1, "b"), (2, "c"))
-        for n in range(3, 7)
+        for k, step in ((1, "b"), (2, "c")) for n in range(3, 7)
     },
     "mixture-5": _ket_mixture,
     **{f"pairs-{n}-{c}": lambda n=n, c=c: _pairs_of_classes(n, c) for n in (3, 5, 8) for c in (1, 2, 3)},
-    **{
-        f"support-{n}-{k}": lambda n=n, k=k: _on_basis_states(n, k)
-        for n, k in ((5, 1), (3, 2), (3, 5), (5, 31))
-    },
+    **{f"support-{n}-{k}": lambda n=n, k=k: _on_basis_states(n, k) for n, k in ((5, 1), (3, 2), (3, 5), (5, 31))},
     "diagonal": lambda: thermal_state(6, polarization=0.01),
     "one-triangle": lambda: DensityMatrix(_with_entries(16, 0.6 * HTOL * np.exp(0.4j), (12, 3)), 4),
     **{f"order-zero-pair-{seed}": lambda seed=seed: _order_zero_pair_state(seed) for seed in (3, 12)},
@@ -1073,7 +1067,7 @@ STATE_ZOO = {
     # Classes 3, 5 and 6 that share indices: one block of every index.
     "overlapping-classes": lambda: DensityMatrix(_overlapping_classes_state(), 4),
     "one-sided-whole": lambda: _pairs_of_classes(5, 2, one_sided=True),
-}
+}.items()}
 
 
 def _keep_sets(n_spins):
@@ -1084,82 +1078,88 @@ def _keep_sets(n_spins):
     return [[site for site in range(n_spins) if mask >> site & 1] for mask in range(1, 1 << n_spins)]
 
 
+@pytest.mark.parametrize("column", ["weights", "traces", "reduced", "dephasing", "flips", "kicks"])
 @pytest.mark.parametrize("name", STATE_ZOO)
-def test_state_functions_match_the_dense_oracles(name):
+def test_state_functions_match_the_dense_oracles(name, column):
     rho = STATE_ZOO[name]()
     n, dense, given = rho.n_spins, np.array(rho.matrix), state_bytes(rho)
     classes = stored_classes(rho)[0]
     rng = np.random.default_rng([28, n])
-    # Coherence weights: bit-identical where each order's terms come in the
-    # matrix's order, as in every state the package builds (at most two
-    # classes, none of order 0 off the diagonal); else within ten times the
-    # largest deviation measured, 8.8e-15.  Their squares partition the norm.
-    weights, oracle = coherence_orders(rho), popcount_weights(dense, n)
-    ups = n - operators.bit_table(n).sum(axis=0)
-    order_zero = (ups[:, None] == ups[None, :]) & ~np.eye(rho.dim, dtype=bool)
-    if classes.size <= 2 and not dense[order_zero].any():
-        assert weights == oracle
-    else:
-        assert weights == pytest.approx(oracle, rel=1e-13, abs=0.0)
-    total = sum(w**2 for w in weights.values())
-    assert total == pytest.approx(np.linalg.norm(dense) ** 2, rel=1e-14)
-    assert total == pytest.approx(purity(rho), rel=1e-14)
-    # Traces of products, the entropy, magnetizations and reduced states.
-    assert purity(rho) == pytest.approx(np.trace(dense @ dense).real, rel=1e-13)
     psi = rng.normal(size=rho.dim) + 1j * rng.normal(size=rho.dim)
     psi /= np.linalg.norm(psi)
-    for target in (DensityMatrix(np.outer(psi, psi.conj()), n), cat_state(n, W)):
-        expected = np.trace(dense @ target.matrix).real
-        assert fidelity(rho, target) == pytest.approx(expected, rel=1e-12, abs=1e-15)
     observable = rng.normal(size=dense.shape) + 1j * rng.normal(size=dense.shape)
-    assert states.expectation(rho, observable) == pytest.approx(np.trace(dense @ observable), rel=1e-12)
-    assert von_neumann_entropy(rho) == pytest.approx(dense_entropy(dense), abs=1e-14)
+    rates, flips, kicks = (rng.uniform(*bounds, n) for bounds in ((0.1, 20.0), (0.2, 3.0), (0.01, 3.2)))
     results = []
-    for keep in _keep_sets(n):
-        sz = kronecker_total_spin_operator("z", keep, n)
-        expected = np.trace(dense @ sz).real
-        assert states.magnetization(rho, keep) == pytest.approx(expected, rel=1e-12, abs=1e-15)
-        results.append(reduced_state(rho, keep))
-        assert results[-1].matrix.tobytes() == index_order_partial_trace(dense, n, keep).tobytes(), keep
-    # Dephasing, one spin left undephased, at times up to one that takes
-    # one class's factor to about 1e-323, so that some or all of its
-    # elements round to zero, and 1e5, which zeroes every class that
-    # differs in a dephased spin.
-    rates = rng.uniform(0.1, 20.0, n)
-    if n > 1:
-        rates[-1] = 0.0
-    noise = NoiseModel(tuple(rates), (0.0,) * n)
-    decay = 0.5 * rates @ operators.bit_table(n)[:, classes[1:]]
-    for t in (0.0, 0.004, 0.17, 2.5, 1e5, *(743.5 / decay[decay > 0])[:1]):
-        results.append(apply_dephasing(rho, noise, t))
-        np.testing.assert_array_equal(results[-1].matrix, dephasing_reference(dense, n, rates, t))
-    # Flip relaxation at the first site, the last and every one.
-    flips = rng.uniform(0.2, 3.0, n)
-    for sites in ([0], [n - 1], list(range(n))):
-        at_sites = np.zeros(n)
-        at_sites[sites] = flips[sites]
-        noise = NoiseModel((0.0,) * n, tuple(at_sites))
-        for t in (0.0, 0.37):
-            expected = dense
-            for site in sites:
-                expected = flip_one_site_reference(expected, site, n, at_sites[site] * t)
-            results.append(apply_flip_relaxation(rho, noise, t))
-            assert results[-1].matrix.tobytes() == expected.tobytes(), (sites, t)
-    # The Monte Carlo kick on either side of its blocks of trajectories.  A
-    # state of pairs is kicked at them, with no characteristic matrix.
-    kicks = tuple(rng.uniform(0.01, 3.2, n))
-    sigma = np.sqrt(np.asarray(kicks) * 0.7)
-    for trajectories in (1, KICK_BLOCK - 1, KICK_BLOCK, KICK_BLOCK + 1, 3 * KICK_BLOCK + 7):
-        noise = NoiseModel(kicks, (0.0,) * n, trajectories)
-        with no_characteristic_matrix() if classes.size <= 2 else contextlib.nullcontext():
-            results.append(apply_phase_kicks_mc(rho, noise, 0.7, seed=trajectories))
-        reference = phase_kicks_reference(dense, n, sigma, trajectories, seed=trajectories)
-        np.testing.assert_allclose(results[-1].matrix, reference, rtol=0.0, atol=1e-13)
-        assert np.diagonal(results[-1].matrix).tobytes() == np.diagonal(dense).tobytes()
+    if column == "weights":
+        # Bit-identical where each order's terms come in the matrix's order,
+        # as in every state the package builds (at most two classes, none of
+        # order 0 off the diagonal); else within ten times the largest
+        # deviation measured, 8.8e-15.  Their squares partition the norm.
+        weights, oracle = coherence_orders(rho), popcount_weights(dense, n)
+        ups = n - operators.bit_table(n).sum(axis=0)
+        order_zero = (ups[:, None] == ups[None, :]) & ~np.eye(rho.dim, dtype=bool)
+        if classes.size <= 2 and not dense[order_zero].any():
+            assert weights == oracle
+        else:
+            assert weights == pytest.approx(oracle, rel=1e-13, abs=0.0)
+        total = sum(w**2 for w in weights.values())
+        assert total == pytest.approx(np.linalg.norm(dense) ** 2, rel=1e-14)
+        assert total == pytest.approx(purity(rho), rel=1e-14)
+    elif column == "traces":
+        # Traces of products and the entropy; mixtures with the maximally
+        # mixed state, down to a fraction whose elements underflow.
+        assert purity(rho) == pytest.approx(np.trace(dense @ dense).real, rel=1e-13)
+        for target in (DensityMatrix(np.outer(psi, psi.conj()), n), cat_state(n, W)):
+            expected = np.trace(dense @ target.matrix).real
+            assert fidelity(rho, target) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert states.expectation(rho, observable) == pytest.approx(np.trace(dense @ observable), rel=1e-12)
+        assert von_neumann_entropy(rho) == pytest.approx(dense_entropy(dense), abs=1e-14)
+        results = [pseudopure(rho, f) for f in (0.83, 1.0, 1e-322)]
+    elif column == "reduced":
+        for keep in _keep_sets(n):
+            sz = kronecker_total_spin_operator("z", keep, n)
+            expected = np.trace(dense @ sz).real
+            assert states.magnetization(rho, keep) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            results.append(reduced_state(rho, keep))
+            assert results[-1].matrix.tobytes() == index_order_partial_trace(dense, n, keep).tobytes(), keep
+    elif column == "dephasing":
+        # One spin undephased, at times up to one that takes one class's
+        # factor to about 1e-323, so that some or all of its elements round
+        # to zero, and 1e5, which zeroes every class differing in a dephased spin.
+        if n > 1:
+            rates[-1] = 0.0
+        noise = NoiseModel(tuple(rates), (0.0,) * n)
+        decay = 0.5 * rates @ operators.bit_table(n)[:, classes[1:]]
+        for t in (0.0, 0.004, 0.17, 2.5, 1e5, *(743.5 / decay[decay > 0])[:1]):
+            results.append(apply_dephasing(rho, noise, t))
+            np.testing.assert_array_equal(results[-1].matrix, dephasing_reference(dense, n, rates, t))
+    elif column == "flips":
+        # Flip relaxation at the first site, the last and every one.
+        for sites in ([0], [n - 1], list(range(n))):
+            at_sites = np.zeros(n)
+            at_sites[sites] = flips[sites]
+            noise = NoiseModel((0.0,) * n, tuple(at_sites))
+            for t in (0.0, 0.37):
+                expected = dense
+                for site in sites:
+                    expected = flip_one_site_reference(expected, site, n, at_sites[site] * t)
+                results.append(apply_flip_relaxation(rho, noise, t))
+                assert results[-1].matrix.tobytes() == expected.tobytes(), (sites, t)
+    else:
+        # The Monte Carlo kick on either side of its blocks of trajectories.
+        # A state of pairs is kicked at them, with no characteristic matrix.
+        sigma = np.sqrt(kicks * 0.7)
+        for trajectories in (1, KICK_BLOCK - 1, KICK_BLOCK, KICK_BLOCK + 1, 3 * KICK_BLOCK + 7):
+            noise = NoiseModel(tuple(kicks), (0.0,) * n, trajectories)
+            with no_characteristic_matrix() if classes.size <= 2 else contextlib.nullcontext():
+                results.append(apply_phase_kicks_mc(rho, noise, 0.7, seed=trajectories))
+            reference = phase_kicks_reference(dense, n, sigma, trajectories, seed=trajectories)
+            np.testing.assert_allclose(results[-1].matrix, reference, rtol=0.0, atol=1e-13)
+            assert np.diagonal(results[-1].matrix).tobytes() == np.diagonal(dense).tobytes()
     # Every state made stores what a state built afresh from its dense view
     # stores, bit for bit, and so has its entropy, whatever made it: where
     # an element or a whole class decays or underflows to zero, or a class
     # of a reduced state sums to zero.  The state given is left as it was.
-    for result in results + [pseudopure(rho, f) for f in (0.83, 1.0, 1e-322)]:
+    for result in results:
         assert state_bytes(result) == state_bytes(DensityMatrix(result.matrix, result.n_spins))
     assert state_bytes(rho) == given
