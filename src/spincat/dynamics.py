@@ -258,6 +258,7 @@ def draw_kick_phases(sigma: Sequence[float], trajectories: int, seed: int) -> np
     ``K``.  Scaling standard normals by ``sigma`` gives the same numbers
     as ``normal(0, sigma, (K, n))`` without its argument checks.
     """
+    operators._check_seed(seed)
     sigma = np.asarray(sigma, dtype=float)
     return np.random.default_rng(seed).standard_normal((trajectories, sigma.size)) * sigma
 
@@ -291,7 +292,6 @@ def apply_phase_kicks_mc(rho: DensityMatrix, noise: NoiseModel, t: float, seed: 
     ``sigma_i = sqrt(gamma_i * t)`` make that the analytic channel's
     factor for time ``t``.
     """
-    operators._check_seed(seed)
     _check_channel_args(rho, noise, t)
     sigma = np.sqrt(np.asarray(noise.dephasing_per_s) * t)
     phases = draw_kick_phases(sigma, noise.mc_trajectories, seed)

@@ -28,6 +28,7 @@ from spincat import (
 from spincat import protocol, states
 from spincat.analysis import scaling_study
 from spincat.cli import STATE_NAMES, main
+from spincat.dynamics import draw_kick_phases
 from _support import (
     RING7_CONFIG,
     bare_system,
@@ -89,13 +90,14 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, "3", None, True, False])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        # Rejected up front, naming the seed, by the config, the kick and the
-        # scaling study alike, rather than inside numpy's generators (True
-        # once ran as seed 1, and None as a fresh random seed).
+        # Rejected up front, naming the seed, by the config, the kick, its
+        # draw and the scaling study alike, rather than inside numpy's
+        # generators (True once ran as seed 1, and None as a fresh random seed).
         noise = NoiseModel.uniform(3, dephasing_per_s=10.0, mc_trajectories=8)
         for call in (
             lambda: make_config(n_total=3, noise_mode="monte_carlo", seed=seed),
             lambda: apply_phase_kicks_mc(cat_state(3, CatWeights.balanced()), noise, 0.01, seed),
+            lambda: draw_kick_phases([0.1, 0.2], 8, seed),
             lambda: scaling_study([2, 3], noise, [0.0, 0.05, 0.1], "monte_carlo", seed),
         ):
             with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
@@ -108,6 +110,7 @@ class TestConfigValidation:
         noise = NoiseModel.uniform(3, dephasing_per_s=10.0, mc_trajectories=200)
         kicked = apply_phase_kicks_mc(cat_state(3, CatWeights.balanced()), noise, 0.01, seed)
         assert 0.0 < abs(states.nq_amplitude(kicked)) < 0.5
+        assert draw_kick_phases([0.1, 0.2], 8, seed).shape == (8, 2)
         rates = scaling_study([2, 3], noise, [0.0, 0.05, 0.1, 0.2], "monte_carlo", seed)
         assert [n for n, _ in rates] == [2, 3] and all(rate > 0.0 for _, rate in rates)
 

@@ -974,8 +974,7 @@ def test_validation_matches_the_dense_oracles(monkeypatch, name):
 
 
 # The state zoo: states of every kind the state functions and channels
-# meet, each passed through all of them by one oracle,
-# test_state_functions_match_the_dense_oracles.
+# meet, each passed through all of them by the oracle tables TestStateZoo.
 def _run_states(n_spins, mode="analytic", purity_fraction=0.83):
     """The state after each of the steps A-E of a run on a bare register."""
     config = dataclasses.replace(protocol_config(n_spins, purity_fraction), noise_mode=mode)
@@ -1078,23 +1077,32 @@ def _keep_sets(n_spins):
     return [[site for site in range(n_spins) if mask >> site & 1] for mask in range(1, 1 << n_spins)]
 
 
-@pytest.mark.parametrize("column", ["weights", "traces", "reduced", "dephasing", "flips", "kicks"])
-@pytest.mark.parametrize("name", STATE_ZOO)
-def test_state_functions_match_the_dense_oracles(name, column):
+def _zoo_row(name):
+    """A zoo state, its register size, dense view, class row and bytes."""
     rho = STATE_ZOO[name]()
-    n, dense, given = rho.n_spins, np.array(rho.matrix), state_bytes(rho)
-    classes = stored_classes(rho)[0]
-    rng = np.random.default_rng([28, n])
-    psi = rng.normal(size=rho.dim) + 1j * rng.normal(size=rho.dim)
-    psi /= np.linalg.norm(psi)
-    observable = rng.normal(size=dense.shape) + 1j * rng.normal(size=dense.shape)
-    rates, flips, kicks = (rng.uniform(*bounds, n) for bounds in ((0.1, 20.0), (0.2, 3.0), (0.01, 3.2)))
-    results = []
-    if column == "weights":
+    return rho, rho.n_spins, np.array(rho.matrix), stored_classes(rho)[0], state_bytes(rho)
+
+
+def _assert_made_afresh(rho, given, results=()):
+    """Every state made stores what a state built afresh from its dense view
+    stores, bit for bit, and so has its entropy, whatever made it: where an
+    element or a whole class decays or underflows to zero, or a class of a
+    reduced state sums to zero.  The state given is left as it was."""
+    for result in results:
+        assert state_bytes(result) == state_bytes(DensityMatrix(result.matrix, result.n_spins))
+    assert state_bytes(rho) == given
+
+
+@pytest.mark.parametrize("name", STATE_ZOO)
+class TestStateZoo:
+    """Each zoo state through each state function and channel."""
+
+    def test_coherence_weights(self, name):
         # Bit-identical where each order's terms come in the matrix's order,
         # as in every state the package builds (at most two classes, none of
         # order 0 off the diagonal); else within ten times the largest
         # deviation measured, 8.8e-15.  Their squares partition the norm.
+        rho, n, dense, classes, given = _zoo_row(name)
         weights, oracle = coherence_orders(rho), popcount_weights(dense, n)
         ups = n - operators.bit_table(n).sum(axis=0)
         order_zero = (ups[:, None] == ups[None, :]) & ~np.eye(rho.dim, dtype=bool)
@@ -1105,36 +1113,54 @@ def test_state_functions_match_the_dense_oracles(name, column):
         total = sum(w**2 for w in weights.values())
         assert total == pytest.approx(np.linalg.norm(dense) ** 2, rel=1e-14)
         assert total == pytest.approx(purity(rho), rel=1e-14)
-    elif column == "traces":
+        _assert_made_afresh(rho, given)
+
+    def test_traces(self, name):
         # Traces of products and the entropy; mixtures with the maximally
         # mixed state, down to a fraction whose elements underflow.
+        rho, n, dense, _, given = _zoo_row(name)
+        rng = np.random.default_rng([28, n])
+        psi = rng.normal(size=rho.dim) + 1j * rng.normal(size=rho.dim)
+        psi /= np.linalg.norm(psi)
+        observable = rng.normal(size=dense.shape) + 1j * rng.normal(size=dense.shape)
         assert purity(rho) == pytest.approx(np.trace(dense @ dense).real, rel=1e-13)
         for target in (DensityMatrix(np.outer(psi, psi.conj()), n), cat_state(n, W)):
             expected = np.trace(dense @ target.matrix).real
             assert fidelity(rho, target) == pytest.approx(expected, rel=1e-12, abs=1e-15)
         assert states.expectation(rho, observable) == pytest.approx(np.trace(dense @ observable), rel=1e-12)
         assert von_neumann_entropy(rho) == pytest.approx(dense_entropy(dense), abs=1e-14)
-        results = [pseudopure(rho, f) for f in (0.83, 1.0, 1e-322)]
-    elif column == "reduced":
+        _assert_made_afresh(rho, given, [pseudopure(rho, f) for f in (0.83, 1.0, 1e-322)])
+
+    def test_reduced_states(self, name):
+        rho, n, dense, _, given = _zoo_row(name)
+        results = []
         for keep in _keep_sets(n):
-            sz = kronecker_total_spin_operator("z", keep, n)
-            expected = np.trace(dense @ sz).real
+            expected = np.trace(dense @ kronecker_total_spin_operator("z", keep, n)).real
             assert states.magnetization(rho, keep) == pytest.approx(expected, rel=1e-12, abs=1e-15)
             results.append(reduced_state(rho, keep))
             assert results[-1].matrix.tobytes() == index_order_partial_trace(dense, n, keep).tobytes(), keep
-    elif column == "dephasing":
+        _assert_made_afresh(rho, given, results)
+
+    def test_dephasing(self, name):
         # One spin undephased, at times up to one that takes one class's
         # factor to about 1e-323, so that some or all of its elements round
         # to zero, and 1e5, which zeroes every class differing in a dephased spin.
+        rho, n, dense, classes, given = _zoo_row(name)
+        rates = np.random.default_rng([28, n]).uniform(0.1, 20.0, n)
         if n > 1:
             rates[-1] = 0.0
         noise = NoiseModel(tuple(rates), (0.0,) * n)
         decay = 0.5 * rates @ operators.bit_table(n)[:, classes[1:]]
+        results = []
         for t in (0.0, 0.004, 0.17, 2.5, 1e5, *(743.5 / decay[decay > 0])[:1]):
             results.append(apply_dephasing(rho, noise, t))
             np.testing.assert_array_equal(results[-1].matrix, dephasing_reference(dense, n, rates, t))
-    elif column == "flips":
-        # Flip relaxation at the first site, the last and every one.
+        _assert_made_afresh(rho, given, results)
+
+    def test_flip_relaxation(self, name):
+        # At the first site, the last and every one.
+        rho, n, dense, _, given = _zoo_row(name)
+        flips, results = np.random.default_rng([28, n]).uniform(0.2, 3.0, n), []
         for sites in ([0], [n - 1], list(range(n))):
             at_sites = np.zeros(n)
             at_sites[sites] = flips[sites]
@@ -1145,21 +1171,21 @@ def test_state_functions_match_the_dense_oracles(name, column):
                     expected = flip_one_site_reference(expected, site, n, at_sites[site] * t)
                 results.append(apply_flip_relaxation(rho, noise, t))
                 assert results[-1].matrix.tobytes() == expected.tobytes(), (sites, t)
-    else:
-        # The Monte Carlo kick on either side of its blocks of trajectories.
-        # A state of pairs is kicked at them, with no characteristic matrix.
-        sigma = np.sqrt(kicks * 0.7)
+        _assert_made_afresh(rho, given, results)
+
+    def test_phase_kicks(self, name):
+        # On either side of the kick's blocks of trajectories.  A state of
+        # pairs is kicked at them, with no characteristic matrix; a diagonal
+        # state comes back bit for bit.
+        rho, n, dense, classes, given = _zoo_row(name)
+        kicks, results = np.random.default_rng([28, n]).uniform(0.01, 3.2, n), []
         for trajectories in (1, KICK_BLOCK - 1, KICK_BLOCK, KICK_BLOCK + 1, 3 * KICK_BLOCK + 7):
             noise = NoiseModel(tuple(kicks), (0.0,) * n, trajectories)
             with no_characteristic_matrix() if classes.size <= 2 else contextlib.nullcontext():
                 results.append(apply_phase_kicks_mc(rho, noise, 0.7, seed=trajectories))
-            reference = phase_kicks_reference(dense, n, sigma, trajectories, seed=trajectories)
+            reference = phase_kicks_reference(dense, n, np.sqrt(kicks * 0.7), trajectories, seed=trajectories)
             np.testing.assert_allclose(results[-1].matrix, reference, rtol=0.0, atol=1e-13)
             assert np.diagonal(results[-1].matrix).tobytes() == np.diagonal(dense).tobytes()
-    # Every state made stores what a state built afresh from its dense view
-    # stores, bit for bit, and so has its entropy, whatever made it: where
-    # an element or a whole class decays or underflows to zero, or a class
-    # of a reduced state sums to zero.  The state given is left as it was.
-    for result in results:
-        assert state_bytes(result) == state_bytes(DensityMatrix(result.matrix, result.n_spins))
-    assert state_bytes(rho) == given
+            if classes.size == 1:
+                assert state_bytes(results[-1]) == given
+        _assert_made_afresh(rho, given, results)
