@@ -152,8 +152,8 @@ def linear_regression(x: Sequence[float], y: Sequence[float]) -> RegressionResul
     """Least-squares line with the Pearson correlation coefficient."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size != y.size or x.size < 2:
-        raise ValueError("need two equal-length samples of at least 2 points")
+    if x.shape != y.shape or x.ndim != 1 or x.size < 2 or not np.isfinite([x, y]).all():
+        raise ValueError("need two finite 1-d equal-length samples of at least 2 points")
     slope, intercept = np.polyfit(x, y, 1)
     sx = float(np.std(x))
     sy = float(np.std(y))

@@ -433,4 +433,4 @@ def _check_channel_args(rho: DensityMatrix, noise: NoiseModel, t: float) -> None
             f"noise model for {noise.n_spins} spins applied to {rho.n_spins}-spin state"
         )
     if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"channel time must be nonnegative, got {t}")
+        raise ValueError(f"channel time must be finite and nonnegative, got {t}")

@@ -73,7 +73,7 @@ class ProtocolConfig:
         if self.noise.n_spins != self.system.n_spins:
             raise ValueError("noise model size does not match the spin system")
         if not math.isfinite(self.delay_s) or self.delay_s < 0.0:
-            raise ValueError(f"delay must be nonnegative, got {self.delay_s}")
+            raise ValueError(f"delay must be finite and nonnegative, got {self.delay_s}")
         if not 0.0 < self.purity_fraction <= 1.0:
             raise ValueError(f"purity fraction must lie in (0, 1], got {self.purity_fraction}")
         if self.noise_mode not in NOISE_MODES:

@@ -54,10 +54,15 @@ finding them again.
 
 The pairs are read between the trace and Hermiticity, and they say where
 Hermiticity is read.  A state of pairs is nonzero only on its diagonal
-and at each pair's two elements, so it is checked there, in one pass
-that also reads its smallest eigenvalue; the residuals are those of
-every class at its only nonzero elements, and the verdict is the same.
-A state checked whole is checked over every element of every class.
+and at each pair's two elements, so it is checked there, in one pass;
+the residuals are those of every class at its only nonzero elements.
+Occupancy reads the coherence row only, as class 0 is kept anyway.  A
+sum is finite exactly when every term is, so a trace that passed is NaN
+only for a non-finite diagonal.  Positivity reads the real diagonal with
+both entries of each pair set to the pair's smaller eigenvalue; the
+larger, no smaller after rounding, is never formed.  A state checked
+whole is checked over every element of every class.  Non-finite sums
+and residuals fail their checks without a floating-point warning.
 
 Coherence order of a matrix element ``(r, c)`` is the magnetization
 difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
@@ -112,10 +117,11 @@ class DensityMatrix:
     integer from 1 to ``MAX_SPINS``, else ``ValueError``), and, for a
     matrix, the dimension before it reads the elements, and then
     validates the classes as the module docstring describes: trace, then
-    the pairs of a state of at most two classes, then Hermiticity over
-    the diagonal and the pairs or over every class, then positivity.  A
-    matrix with NaN or inf entries fails the trace or Hermiticity check
-    before any eigenvalue is read.  The input is copied, never modified.
+    the pairs of a state of at most two classes, then Hermiticity and
+    positivity, in one pass over the diagonal and the pairs or over every
+    class.  A matrix with NaN or inf entries fails the trace or
+    Hermiticity check before any eigenvalue is read.  The input is
+    copied, never modified.
 
     ``_classes`` and ``_values`` hold the state; ``_values`` is
     read-only.  ``_blocks`` keeps the pairs validation read, the
@@ -146,6 +152,7 @@ class DensityMatrix:
 
     # Named as the package's dataclasses name their validation, because
     # perfbench traces every construction through ``__post_init__``.
+    @np.errstate(invalid="ignore", over="ignore")
     def __post_init__(
         self,
         n_spins: int,
@@ -163,10 +170,14 @@ class DensityMatrix:
                     f"matrix dimension {given.shape[0]} does not match {n_spins} spins"
                 )
             classes, values = _classes_of(given)
-        occupied = values.any(axis=1)
-        occupied[0] = True
-        if not occupied.all():
-            classes, values = classes[occupied], values[occupied]
+        if classes.size > 2:
+            occupied = values.any(axis=1)
+            occupied[0] = True
+            if not occupied.all():
+                classes, values = classes[occupied], values[occupied]
+        elif classes.size == 2 and not values[1].any():
+            # Class 0 alone, copied as the boolean selection above copies it.
+            classes, values = classes[:1], values[:1].copy()
         trace = values[0].sum()
         if abs(trace - 1.0) > TRACE_TOL:
             raise StateInvariantError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
@@ -186,10 +197,21 @@ class DensityMatrix:
                 values = _classes_of(dense, classes)[1]
             del dense
         else:
-            upper, lower = values[-1].take(pairs.T)
-            if not _hermitian_blocks(values[0], upper, lower):
+            # A NaN trace is a non-finite diagonal.  On a finite one the
+            # residual is 2|Im d|, and |Im d| meets the exactly halved tolerance.
+            if trace != trace or not np.abs(values[0].imag).max() <= 0.5 * HERMITIAN_TOL:
                 raise StateInvariantError("matrix is not Hermitian")
-            eigmin = float(_block_spectrum(values[0].real, pairs, lower).min())
+            spectrum = values[0].real
+            if pairs.size:
+                upper, lower = values[-1].take(pairs.T)
+                if not np.abs(np.conj(upper) - lower).max() <= HERMITIAN_TOL:
+                    raise StateInvariantError("matrix is not Hermitian")
+                # Both entries of each pair: its smaller eigenvalue, as
+                # _block_spectrum computes it.
+                p, q = (0.5 * spectrum[pairs]).T
+                spectrum = spectrum.copy()
+                spectrum[pairs] = ((p + q) - np.hypot(p - q, np.abs(lower)))[:, None]
+            eigmin = float(spectrum.min())
         # NaN, from an eigvalsh that overflowed, fails this comparison.
         if not eigmin >= -POSITIVITY_TOL:
             raise StateInvariantError(f"negative eigenvalue {eigmin} beyond {POSITIVITY_TOL}")
@@ -281,16 +303,13 @@ def _mirrors(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _hermitian_classes(classes: np.ndarray, values: np.ndarray) -> bool:
     """Whether ``|rho[c, r] - conj(rho[r, c])|`` stays within
     ``HERMITIAN_TOL`` for every element; NaN fails.  A slice of classes
-    at a time."""
-    # inf - inf is NaN, and a residual beyond the float limit inf, which
-    # fail the comparison below without a warning.
-    with np.errstate(invalid="ignore", over="ignore"):
-        for part, cols in _class_slices(classes, values.shape[1]):
-            residual = _mirrors(values[part], cols)
-            np.conjugate(residual, out=residual)
-            residual -= values[part]
-            if not np.abs(residual).max(initial=0.0) <= HERMITIAN_TOL:
-                return False
+    at a time, under the validation's floating-point error state."""
+    for part, cols in _class_slices(classes, values.shape[1]):
+        residual = _mirrors(values[part], cols)
+        np.conjugate(residual, out=residual)
+        residual -= values[part]
+        if not np.abs(residual).max(initial=0.0) <= HERMITIAN_TOL:
+            return False
     return True
 
 
@@ -324,26 +343,6 @@ def _read(classes: np.ndarray, values: np.ndarray, x: np.ndarray, rows: np.ndarr
     is not occupied."""
     position = np.minimum(np.searchsorted(classes, x), classes.size - 1)
     return np.where(classes[position] == x, values[position, rows], 0.0)
-
-
-def _hermitian_blocks(diagonal: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> bool:
-    """Whether a state of 1x1 and 2x2 blocks is Hermitian to
-    ``HERMITIAN_TOL``; NaN fails.
-
-    Its only nonzero elements are the ``diagonal`` and each pair's
-    ``upper = rho[low, high]`` and ``lower = rho[high, low]``, so
-    ``|conj(d) - d|`` and ``|conj(upper) - lower|`` are exactly the
-    residuals :func:`_hermitian_classes` computes where they can be
-    nonzero; the residual at ``(low, high)`` has the same modulus.  On
-    the diagonal the residual is exactly ``2|Im d|`` for a finite ``d``,
-    and ``|Im d|`` meets the exactly halved tolerance, so nothing
-    overflows; NaN and inf fail."""
-    if not (np.isfinite(diagonal).all() and np.abs(diagonal.imag).max() <= 0.5 * HERMITIAN_TOL):
-        return False
-    # inf - inf is NaN, and a residual beyond the float limit inf, which
-    # fail the comparison below without a warning.
-    with np.errstate(invalid="ignore", over="ignore"):
-        return bool(np.abs(np.conj(upper) - lower).max(initial=0.0) <= HERMITIAN_TOL)
 
 
 def _block_spectrum(diagonal: np.ndarray, pairs: np.ndarray, lower: np.ndarray) -> np.ndarray:

@@ -81,7 +81,7 @@ MUTANTS = (
     M("a bool trajectory count accepted (d20306c)", DYNAMICS, "isinstance(trajectories, bool) or ", ""),
     M("kick arguments unchecked (d20306c)", DYNAMICS,
       "_check_channel_args(rho, noise, t)\n    sigma", "sigma"),
-    M("pair Hermiticity without initial=0.0 (c5e3333)", STATES, "lower).max(initial=0.0)", "lower).max()"),
+    M("pair Hermiticity read over no pairs (c5e3333)", STATES, "if pairs.size:", "if True:"),
     M("bool accepted as an integer (c5e3333)", OPERATORS, " and not isinstance(value, bool)", ""),
     M("coupling sites unchecked (c5e3333)", DYNAMICS, "if not 0 <= site < self.n_spins:", "if False:"),
     M("scaling study int(n) before its check (c5e3333)", ANALYSIS,
@@ -111,10 +111,8 @@ MUTANTS = (
     M("both pair eigenvalues mean + radius (73212dd)", STATES,
       "spectrum[low] = mean - radius", "spectrum[low] = mean + radius"),
     M("pair eigenvalues without (p - q)/2 (73212dd)", STATES,
-      "np.hypot(p - q, np.abs(lower))", "np.abs(lower)"),
-    M("|rho_rr| for its real part (73212dd)", STATES,
-      "_block_spectrum(values[0].real, pairs, lower).min",
-      "_block_spectrum(abs(values[0]), pairs, lower).min"),
+      "(p + q) - np.hypot(p - q, np.abs(lower))", "(p + q) - np.abs(lower)"),
+    M("|rho_rr| for its real part (73212dd)", STATES, "spectrum = values[0].real", "spectrum = abs(values[0])"),
     M("a writable bit_table (73212dd)", OPERATORS, "& 1\n    table.flags.writeable = False", "& 1"),
     M("the npz check disabled (73212dd)", CLI, "if not isinstance(matrix, np.ndarray):", "if False:"),
     M("scipy imported by the CLI (73212dd)", CLI,
@@ -134,7 +132,7 @@ MUTANTS = (
     M("pair Hermiticity without conj (567daff)", STATES,
       "np.abs(np.conj(upper) - lower)", "np.abs(upper - lower)"),
     M("the diagonal |Im d| unchecked (567daff)", STATES,
-      "np.abs(diagonal.imag).max() <= 0.5 * HERMITIAN_TOL", "True"),
+      "np.abs(values[0].imag).max() <= 0.5 * HERMITIAN_TOL", "True"),
     M("pair kick: lower element times f (567daff)", DYNAMICS,
       "(factor, factor.conj())", "(factor, factor)"),
     M("pair states kicked whole (567daff)", DYNAMICS, "if rho._blocks is None:", "if True:"),
@@ -158,6 +156,15 @@ MUTANTS = (
     M("the whole kick drops its last partial block of trajectories (state zoo)", DYNAMICS,
       "range(0, len(phases), _KICK_BLOCK):\n        phi",
       "range(0, max(len(phases) - _KICK_BLOCK + 1, 1), _KICK_BLOCK):\n        phi"),
+    M("the NaN-trace term dropped (single pass)", STATES, "trace != trace or ", ""),
+    M("an all-zero coherence row kept on the pair route (single pass)", STATES,
+      "elif classes.size == 2 and not values[1].any():", "elif False:"),
+    M("a dropped row's diagonal a view of the caller's array (single pass)", STATES,
+      "values[:1].copy()", "values[:1]"),
+    M("positivity read from the diagonal alone (single pass)", STATES,
+      "eigmin = float(spectrum.min())", "eigmin = float(values[0].real.min())"),
+    M("validation warning on an inf - inf trace (single pass)", STATES,
+      '@np.errstate(invalid="ignore", over="ignore")\n    def __post_init__', "def __post_init__"),
 )
 
 

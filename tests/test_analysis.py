@@ -271,3 +271,17 @@ class TestLinearRegression:
             linear_regression([1.0], [2.0])
         with pytest.raises(ValueError):
             linear_regression([1.0, 2.0], [2.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_input_raises(self, bad, side, capfd):
+        samples = {"x": [1.0, 2.0, 3.0], "y": [2.0, 4.0, 7.0]}
+        samples[side][1] = bad
+        with pytest.raises(ValueError, match="need two finite"):
+            linear_regression(samples["x"], samples["y"])
+        # Without the check, LAPACK printed its parameter error to stderr.
+        assert capfd.readouterr().err == ""
+
+    def test_two_dimensional_input_raises(self):
+        with pytest.raises(ValueError, match="1-d"):
+            linear_regression([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]])

@@ -323,7 +323,7 @@ class TestDephasing:
 )
 def test_channel_time_validation(channel, t):
     # Every step-D channel checks its arguments through _check_channel_args.
-    with pytest.raises(ValueError, match="channel time"):
+    with pytest.raises(ValueError, match="channel time must be finite and nonnegative"):
         channel(_plus_state(), NoiseModel.uniform(1, dephasing_per_s=1.0, flip_per_s=1.0), t)
     with pytest.raises(ValueError, match="noise model for 2 spins"):
         channel(_plus_state(), NoiseModel.uniform(2, dephasing_per_s=1.0, flip_per_s=1.0), 0.1)

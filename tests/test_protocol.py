@@ -79,8 +79,9 @@ class TestConfigValidation:
             )
 
     def test_parameter_ranges(self):
-        with pytest.raises(ValueError):
-            make_config(delay=-0.1)
+        for delay in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delay must be finite and nonnegative"):
+                make_config(delay=delay)
         with pytest.raises(ValueError):
             make_config(purity_fraction=0.0)
         with pytest.raises(ValueError):

@@ -57,6 +57,7 @@ from _support import (
     record_pair_reads,
     spectrum_entropy,
     state_bytes,
+    state_of_classes,
     stored_classes,
     traced_memory,
 )
@@ -285,6 +286,19 @@ def test_density_matrix_is_immutable_and_copies_by_value(monkeypatch):
     # Each copy is validated once, from its classes.
     assert constructions == [3, 3]
     assert len(reads) == 2
+
+
+def test_a_dropped_coherence_row_leaves_the_state_its_own_diagonal():
+    values = np.zeros((2, 8), dtype=complex)
+    values[0] = 0.125
+    given = values.copy()
+    rho = state_of_classes(np.array([0, 5]), values, 3)
+    classes, kept = stored_classes(rho)
+    assert classes.tolist() == [0] and kept.tobytes() == given[:1].tobytes()
+    assert not np.shares_memory(kept, values)
+    assert not kept.flags.writeable and values.flags.writeable
+    values[0, 0] = 2.0
+    assert kept.tobytes() == given[:1].tobytes()
 
 
 @pytest.mark.parametrize("fraction", [1.0, 0.7])
@@ -540,6 +554,22 @@ def _pair_state(case, seed):
     matrix[high, high] = q - 1j * residue * HTOL
     matrix[high, low] = modulus * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     matrix[low, high] = np.conj(matrix[high, low])
+    return matrix
+
+
+def _pair_with_diagonal(*entries):
+    """A pure pair of ``_pair_state`` with ``entries`` at the start of its diagonal."""
+    matrix = _pair_state("pure", 1)
+    matrix[range(len(entries)), range(len(entries))] = entries
+    return matrix
+
+
+def _pair_rounded_above_its_diagonal():
+    """A pair of the block ``[[-2e-8, 1e-20], [1e-20, 0.2]]``, whose smaller
+    eigenvalue in closed form, -1.9999999989472883e-08, rounds above its
+    smaller diagonal entry."""
+    matrix = np.diag([-2e-8, 0.4 + 1e-8, 0.4 + 1e-8, 0.2]).astype(complex)
+    matrix[0, 3] = matrix[3, 0] = 1e-20
     return matrix
 
 
@@ -852,6 +882,15 @@ ZOO = {
         for value in (NAN, INF, -INF, complex(0.0, NAN))
         for place, entry in (("diagonal", (0, 0)), ("off-diagonal", (0, 1)))
     },
+    # A trace of NaN passes the trace check: validation reads it as a
+    # non-finite diagonal.  A finite diagonal whose sum overflows fails the trace.
+    "non-finite-pair-diagonal-inf-and-minus-inf": Row(lambda: _pair_with_diagonal(INF, -INF), hermitian=False),
+    "non-finite-pair-diagonal-real-nan": Row(lambda: _pair_with_diagonal(complex(NAN, 0.0)), hermitian=False),
+    "overflowing-trace": Row(lambda: _pair_with_diagonal(1e308, 1e308), hermitian=True),
+    # The message names the pair's smaller eigenvalue, not its diagonal entry -2e-08.
+    "pair-rounded-above-its-diagonal": Row(
+        _pair_rounded_above_its_diagonal, hermitian=True, message="negative eigenvalue -1.9999999989472883e-08 beyond 1e-08"
+    ),
     **{
         f"corner-{name}-{f}": Row(lambda make=make, f=f: make(f))
         for name, make in {
@@ -917,7 +956,9 @@ def test_validation_matches_the_dense_oracles(monkeypatch, name):
     pairs = np.array(pairs, dtype=int).reshape(-1, 2) if classes.size <= 2 else None
     hermitian = is_hermitian(matrix)
     assert row.hermitian is None or hermitian is row.hermitian
-    trace_holds = not abs(np.trace(matrix) - 1.0) > states.TRACE_TOL
+    # inf - inf is NaN, and a sum beyond the float limit inf.
+    with np.errstate(invalid="ignore", over="ignore"):
+        trace_holds = not abs(np.trace(matrix) - 1.0) > states.TRACE_TOL
     # Above 8 spins an eigendecomposition takes half a second; the rows
     # there, the scan's, are states by design.
     eigs = None
