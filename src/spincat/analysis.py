@@ -154,6 +154,8 @@ def linear_regression(x: Sequence[float], y: Sequence[float]) -> RegressionResul
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2 or not np.isfinite([x, y]).all():
         raise ValueError("need two finite 1-d equal-length samples of at least 2 points")
+    if np.ptp(x) == 0.0:
+        raise ValueError("x is constant, so the line is undetermined")
     slope, intercept = np.polyfit(x, y, 1)
     sx = float(np.std(x))
     sy = float(np.std(y))

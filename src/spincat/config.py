@@ -1,26 +1,32 @@
-"""JSON run configuration: parsing, strict validation, and hashing.
+"""JSON run configuration: the JSON layer over the library's own types.
 
-Unknown keys anywhere in the file are rejected, and every error message
-names the offending key by its dotted path (for example
-``spin_system.couplings[2].kind``), so typos fail loudly instead of
-silently falling back to defaults.  The sha256 of a configuration, over
-its JSON with sorted keys, is taken only after it has validated, so any
-input that is not a valid configuration raises ``ConfigError``.
+Each key is read with its JSON type, unknown keys anywhere in the file
+are rejected, and the values build ``SpinSystem``, ``Coupling``,
+``NoiseModel``, ``CatWeights`` and one ``ProtocolConfig`` per delay, whose
+own checks are the value rules; so every rule fires at load, whichever
+command reads the file.  Each error starts with the offending key's
+dotted path (for example ``spin_system.couplings[2].kind``), so typos
+fail loudly.  The sha256 of a configuration, over its JSON with sorted
+keys, is taken once every key has been read with its JSON type.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
-from . import operators
-from .dynamics import COUPLING_KINDS, ROLES, Coupling, NoiseModel, SpinSystem
-from .protocol import NOISE_MODES, ProtocolConfig
+from . import operators, spectra
+from .dynamics import Coupling, NoiseModel, SpinSystem
+from .protocol import ProtocolConfig
 from .states import CatWeights
 
 _MISSING = object()
+_T = TypeVar("_T")
 OUTPUT_FORMATS = ("csv", "json")
 
 
@@ -58,19 +64,16 @@ class RunConfig:
     sha256: str
 
     def protocol_config(self, delay_s: float, seed: int | None = None) -> ProtocolConfig:
-        try:
-            return ProtocolConfig(
-                system=self.system,
-                noise=self.noise,
-                weights=self.weights,
-                delay_s=float(delay_s),
-                purity_fraction=self.purity_fraction,
-                include_flip_relaxation=self.include_flip_relaxation,
-                noise_mode=self.noise_mode,
-                seed=self.seed if seed is None else int(seed),
-            )
-        except ValueError as error:
-            raise ConfigError(str(error)) from error
+        return ProtocolConfig(
+            system=self.system,
+            noise=self.noise,
+            weights=self.weights,
+            delay_s=float(delay_s),
+            purity_fraction=self.purity_fraction,
+            include_flip_relaxation=self.include_flip_relaxation,
+            noise_mode=self.noise_mode,
+            seed=self.seed if seed is None else int(seed),
+        )
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -99,23 +102,14 @@ def parse_config(data: object) -> RunConfig:
     protocol = _Section(root.take("protocol", default={}), "protocol")
     weights = _parse_weights(protocol.take("weights", default=None))
     delays = _number_list(protocol.take("delays_s", default=[0.0, 0.1, 0.2]), "protocol.delays_s")
-    for k, delay in enumerate(delays):
-        if delay < 0.0:
-            raise ConfigError(f"protocol.delays_s[{k}]: delays must be nonnegative")
     if not delays:
         raise ConfigError("protocol.delays_s: need at least one delay")
     purity = _number(protocol.take("purity_fraction", default=1.0), "protocol.purity_fraction")
-    if not 0.0 < purity <= 1.0:
-        raise ConfigError(f"protocol.purity_fraction: must lie in (0, 1], got {purity}")
     flips = _boolean(
         protocol.take("include_flip_relaxation", default=False), "protocol.include_flip_relaxation"
     )
     mode = _string(protocol.take("noise_mode", default="analytic"), "protocol.noise_mode")
-    if mode not in NOISE_MODES:
-        raise ConfigError(f"protocol.noise_mode: must be one of {NOISE_MODES}, got {mode!r}")
     seed = _integer(protocol.take("seed", default=0), "protocol.seed")
-    if seed < 0:
-        raise ConfigError(f"protocol.seed: expected a non-negative integer, got {seed}")
     protocol.finish()
     spectrum = _parse_spectrum(root.take("spectrum", default={}))
     output = _parse_output(root.take("output", default={}))
@@ -125,7 +119,7 @@ def parse_config(data: object) -> RunConfig:
     sha256 = hashlib.sha256(
         json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    return RunConfig(
+    config = RunConfig(
         system=system,
         noise=noise,
         weights=weights,
@@ -138,6 +132,11 @@ def parse_config(data: object) -> RunConfig:
         output=output,
         sha256=sha256,
     )
+    # Every protocol rule fires here, at load, whichever command reads the file.
+    for k, delay in enumerate(config.delays_s):
+        paths = {"system": "spin_system", "noise": "noise", "delay_s": f"protocol.delays_s[{k}]"}
+        _build("protocol.", config.protocol_config, delay, paths=paths)
+    return config
 
 
 class _Section:
@@ -163,23 +162,30 @@ class _Section:
             raise ConfigError(f"{self.path}.{key}: unknown key")
 
 
+def _build(prefix: str, make: Callable[..., _T], *args: object, paths: dict | None = None) -> _T:
+    """``make(*args)``, its ``ValueError`` re-raised as a ``ConfigError``
+    whose message is ``prefix`` and the library's message.  A library type
+    names the field it rejects first, by its JSON key, so the prefix
+    ``spin_system.`` gives ``spin_system.roles[1] must be ...``; a check of
+    one value takes ``path: ``.  ``paths`` maps a field that the config
+    keeps under another key to that key's path.
+    """
+    try:
+        return make(*args)
+    except ValueError as error:
+        message = str(error)
+        field = re.match(r"\w*", message)[0]
+        if paths and field in paths:
+            raise ConfigError(paths[field] + message[len(field):]) from error
+        raise ConfigError(prefix + message) from error
+
+
 def _parse_spin_system(data: object) -> SpinSystem:
     section = _Section(data, "spin_system")
     n_spins = _integer(section.take("n_spins"), "spin_system.n_spins")
     # Checked before the default offsets, one per spin, are built.
-    try:
-        operators._check_register_size(n_spins)
-    except ValueError as error:
-        raise ConfigError(f"spin_system.n_spins: {error}") from error
-    roles_raw = section.take("roles")
-    if not isinstance(roles_raw, list):
-        raise ConfigError("spin_system.roles: expected a list")
-    roles = []
-    for k, role in enumerate(roles_raw):
-        role = _string(role, f"spin_system.roles[{k}]")
-        if role not in ROLES:
-            raise ConfigError(f"spin_system.roles[{k}]: must be one of {ROLES}, got {role!r}")
-        roles.append(role)
+    _build("spin_system.n_spins: ", operators._check_register_size, n_spins)
+    roles = _string_list(section.take("roles"), "spin_system.roles")
     offsets = _number_list(
         section.take("offsets_hz", default=[0.0] * n_spins), "spin_system.offsets_hz"
     )
@@ -190,10 +196,7 @@ def _parse_spin_system(data: object) -> SpinSystem:
     for k, entry in enumerate(couplings_raw):
         couplings.append(_parse_coupling(entry, f"spin_system.couplings[{k}]"))
     section.finish()
-    try:
-        return SpinSystem(n_spins, tuple(roles), tuple(offsets), tuple(couplings))
-    except ValueError as error:
-        raise ConfigError(f"spin_system: {error}") from error
+    return _build("spin_system.", SpinSystem, n_spins, tuple(roles), tuple(offsets), tuple(couplings))
 
 
 def _parse_coupling(data: object, path: str) -> Coupling:
@@ -205,13 +208,8 @@ def _parse_coupling(data: object, path: str) -> Coupling:
     site_b = _integer(sites[1], f"{path}.sites[1]")
     strength = _number(section.take("strength_hz"), f"{path}.strength_hz")
     kind = _string(section.take("kind"), f"{path}.kind")
-    if kind not in COUPLING_KINDS:
-        raise ConfigError(f"{path}.kind: must be one of {COUPLING_KINDS}, got {kind!r}")
     section.finish()
-    try:
-        return Coupling(site_a, site_b, strength, kind)
-    except ValueError as error:
-        raise ConfigError(f"{path}: {error}") from error
+    return _build(f"{path}.", Coupling, site_a, site_b, strength, kind)
 
 
 def _parse_noise(data: object, n_spins: int) -> NoiseModel:
@@ -219,7 +217,10 @@ def _parse_noise(data: object, n_spins: int) -> NoiseModel:
     dephasing = _number_list(
         section.take("dephasing_per_s", default=[0.0] * n_spins), "noise.dephasing_per_s"
     )
-    flips = _number_list(section.take("flip_per_s", default=[0.0] * n_spins), "noise.flip_per_s")
+    # Sized like the dephasing rates, so a wrong length is reported on the list given.
+    flips = _number_list(
+        section.take("flip_per_s", default=[0.0] * len(dephasing)), "noise.flip_per_s"
+    )
     if section.take("mc_phase_sigma", default=None) is not None:
         raise ConfigError(
             "noise.mc_phase_sigma: must be null; the Monte Carlo kick widths follow from "
@@ -227,13 +228,7 @@ def _parse_noise(data: object, n_spins: int) -> NoiseModel:
         )
     trajectories = _integer(section.take("mc_trajectories", default=1000), "noise.mc_trajectories")
     section.finish()
-    for name, values in (("dephasing_per_s", dephasing), ("flip_per_s", flips)):
-        if len(values) != n_spins:
-            raise ConfigError(f"noise.{name}: expected {n_spins} entries, got {len(values)}")
-    try:
-        return NoiseModel(tuple(dephasing), tuple(flips), mc_trajectories=trajectories)
-    except ValueError as error:
-        raise ConfigError(f"noise: {error}") from error
+    return _build("noise.", NoiseModel, tuple(dephasing), tuple(flips), trajectories)
 
 
 def _parse_weights(data: object) -> CatWeights:
@@ -243,17 +238,13 @@ def _parse_weights(data: object) -> CatWeights:
     a = _complex_pair(section.take("a"), "protocol.weights.a")
     b = _complex_pair(section.take("b"), "protocol.weights.b")
     section.finish()
-    try:
-        return CatWeights(a, b)
-    except ValueError as error:
-        raise ConfigError(f"protocol.weights: {error}") from error
+    return _build("protocol.weights: ", CatWeights, a, b)
 
 
 def _parse_spectrum(data: object) -> SpectrumSettings:
     section = _Section(data, "spectrum")
     linewidth = _number(section.take("linewidth_hz", default=2.0), "spectrum.linewidth_hz")
-    if linewidth <= 0.0:
-        raise ConfigError(f"spectrum.linewidth_hz: must be positive, got {linewidth}")
+    _build("spectrum.linewidth_hz: ", spectra._check_linewidth, linewidth)
     grid_raw = section.take("grid", default=None)
     grid = None
     if grid_raw is not None:
@@ -262,16 +253,10 @@ def _parse_spectrum(data: object) -> SpectrumSettings:
         hi = _number(grid_section.take("max_hz"), "spectrum.grid.max_hz")
         points = _integer(grid_section.take("points"), "spectrum.grid.points")
         grid_section.finish()
-        if hi <= lo:
-            raise ConfigError("spectrum.grid: max_hz must exceed min_hz")
-        if points < 2:
-            raise ConfigError("spectrum.grid.points: need at least 2 points")
         grid = (lo, hi, points)
+        _build("spectrum.grid: ", spectra._check_grid, grid)
     threshold = _number(section.take("peak_threshold", default=0.01), "spectrum.peak_threshold")
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(
-            f"spectrum.peak_threshold: must lie strictly between 0 and 1, got {threshold}"
-        )
+    _build("spectrum.peak_threshold: ", spectra._check_threshold, threshold)
     section.finish()
     return SpectrumSettings(linewidth, grid, threshold)
 
@@ -279,17 +264,14 @@ def _parse_spectrum(data: object) -> SpectrumSettings:
 def _parse_output(data: object) -> OutputSettings:
     section = _Section(data, "output")
     directory = _string(section.take("directory", default="out"), "output.directory")
-    formats_raw = section.take("formats", default=list(OUTPUT_FORMATS))
-    if not isinstance(formats_raw, list) or not formats_raw:
+    formats = _string_list(section.take("formats", default=list(OUTPUT_FORMATS)), "output.formats")
+    if not formats:
         raise ConfigError("output.formats: expected a nonempty list")
-    formats = []
-    for k, fmt in enumerate(formats_raw):
-        fmt = _string(fmt, f"output.formats[{k}]")
+    for k, fmt in enumerate(formats):
         if fmt not in OUTPUT_FORMATS:
             raise ConfigError(
                 f"output.formats[{k}]: must be one of {OUTPUT_FORMATS}, got {fmt!r}"
             )
-        formats.append(fmt)
     section.finish()
     return OutputSettings(directory, tuple(dict.fromkeys(formats)))
 
@@ -323,6 +305,12 @@ def _string(value: object, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{path}: expected a string")
     return value
+
+
+def _string_list(value: object, path: str) -> list[str]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of strings")
+    return [_string(v, f"{path}[{k}]") for k, v in enumerate(value)]
 
 
 def _number_list(value: object, path: str) -> list[float]:

@@ -82,13 +82,13 @@ class Coupling:
     def __post_init__(self) -> None:
         for site in (self.site_a, self.site_b):
             if not operators._is_integer(site):
-                raise ValueError(f"coupling site must be an integer, got {site!r}")
+                raise ValueError(f"sites: coupling site must be an integer, got {site!r}")
         if self.site_a == self.site_b:
-            raise ValueError(f"self-coupling on site {self.site_a}")
+            raise ValueError(f"sites: self-coupling on site {self.site_a}")
         if self.kind not in COUPLING_KINDS:
-            raise ValueError(f"unknown coupling kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {COUPLING_KINDS}, got {self.kind!r}")
         if not math.isfinite(self.strength_hz):
-            raise ValueError("non-finite coupling strength")
+            raise ValueError("strength_hz: non-finite coupling strength")
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -110,22 +110,22 @@ class SpinSystem:
         object.__setattr__(self, "offsets_hz", tuple(float(v) for v in self.offsets_hz))
         object.__setattr__(self, "couplings", tuple(self.couplings))
         if len(self.roles) != self.n_spins:
-            raise ValueError(f"expected {self.n_spins} roles, got {len(self.roles)}")
-        for role in self.roles:
+            raise ValueError(f"roles: expected {self.n_spins} entries, got {len(self.roles)}")
+        for k, role in enumerate(self.roles):
             if role not in ROLES:
-                raise ValueError(f"unknown role {role!r}")
+                raise ValueError(f"roles[{k}] must be one of {ROLES}, got {role!r}")
         if len(self.offsets_hz) != self.n_spins:
-            raise ValueError(f"expected {self.n_spins} offsets, got {len(self.offsets_hz)}")
-        for offset in self.offsets_hz:
+            raise ValueError(f"offsets_hz: expected {self.n_spins} entries, got {len(self.offsets_hz)}")
+        for k, offset in enumerate(self.offsets_hz):
             if not math.isfinite(offset):
-                raise ValueError(f"non-finite offset {offset}")
+                raise ValueError(f"offsets_hz[{k}]: non-finite offset {offset}")
         seen: set[tuple[int, int]] = set()
-        for coupling in self.couplings:
+        for k, coupling in enumerate(self.couplings):
             for site in (coupling.site_a, coupling.site_b):
                 if not 0 <= site < self.n_spins:
-                    raise ValueError(f"coupling site {site} outside register")
+                    raise ValueError(f"couplings[{k}]: coupling site {site} outside register")
             if coupling.pair in seen:
-                raise ValueError(f"duplicate coupling for pair {coupling.pair}")
+                raise ValueError(f"couplings[{k}]: duplicate coupling for pair {coupling.pair}")
             seen.add(coupling.pair)
 
     @property
@@ -149,16 +149,19 @@ class NoiseModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dephasing_per_s", tuple(float(v) for v in self.dephasing_per_s))
         object.__setattr__(self, "flip_per_s", tuple(float(v) for v in self.flip_per_s))
-        if len(self.dephasing_per_s) != len(self.flip_per_s):
-            raise ValueError("dephasing and flip rate lists differ in length")
-        for value in self.dephasing_per_s + self.flip_per_s:
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"rates must be finite and nonnegative, got {value}")
+        if len(self.flip_per_s) != len(self.dephasing_per_s):
+            raise ValueError(
+                f"flip_per_s has {len(self.flip_per_s)} rates, dephasing_per_s has {self.n_spins}"
+            )
+        for name in ("dephasing_per_s", "flip_per_s"):
+            for k, value in enumerate(getattr(self, name)):
+                if not math.isfinite(value) or value < 0.0:
+                    raise ValueError(f"{name}[{k}] must be finite and nonnegative, got {value}")
         trajectories = self.mc_trajectories
         if isinstance(trajectories, bool) or not isinstance(trajectories, numbers.Integral):
-            raise ValueError(f"trajectory count must be an integer, got {trajectories!r}")
+            raise ValueError(f"mc_trajectories must be an integer, got {trajectories!r}")
         if trajectories < 1:
-            raise ValueError("need at least one trajectory")
+            raise ValueError(f"mc_trajectories must be at least 1, got {trajectories}")
 
     @property
     def n_spins(self) -> int:

@@ -69,15 +69,17 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         if self.system.roles[0] != "control" or len(self.system.control_sites) != 1:
-            raise ValueError("protocol needs exactly one control spin, at site 0")
+            raise ValueError("system.roles: protocol needs exactly one control spin, at site 0")
         if self.noise.n_spins != self.system.n_spins:
-            raise ValueError("noise model size does not match the spin system")
+            raise ValueError(
+                f"noise.dephasing_per_s: {self.noise.n_spins} rates for {self.system.n_spins} spins"
+            )
         if not math.isfinite(self.delay_s) or self.delay_s < 0.0:
-            raise ValueError(f"delay must be finite and nonnegative, got {self.delay_s}")
+            raise ValueError(f"delay_s: delay must be finite and nonnegative, got {self.delay_s}")
         if not 0.0 < self.purity_fraction <= 1.0:
-            raise ValueError(f"purity fraction must lie in (0, 1], got {self.purity_fraction}")
+            raise ValueError(f"purity_fraction must lie in (0, 1], got {self.purity_fraction}")
         if self.noise_mode not in NOISE_MODES:
-            raise ValueError(f"noise mode must be one of {NOISE_MODES}, got {self.noise_mode!r}")
+            raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {self.noise_mode!r}")
         operators._check_seed(self.seed)
 
     @property

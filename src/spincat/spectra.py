@@ -81,8 +81,7 @@ def linear_response_spectrum(
         raise ValueError("duplicate observed sites")
     if set(observe) & set(decouple):
         raise ValueError("observe and decouple sets overlap")
-    if not (math.isfinite(linewidth_hz) and linewidth_hz > 0.0):
-        raise ValueError(f"linewidth must be finite and positive, got {linewidth_hz}")
+    _check_linewidth(linewidth_hz)
     if grid_hz is not None:
         _check_grid(grid_hz)
 
@@ -117,8 +116,7 @@ def peak_list(spectrum: Spectrum, threshold_fraction: float = 0.01) -> list[Peak
     above the last.  Clusters whose total magnitude falls below
     ``threshold_fraction`` of the strongest cluster are discarded.
     """
-    if not 0.0 < threshold_fraction < 1.0:
-        raise ValueError("threshold fraction must lie strictly between 0 and 1")
+    _check_threshold(threshold_fraction)
     starts = np.flatnonzero(np.diff(spectrum.frequencies_hz) >= 0.5 * spectrum.linewidth_hz) + 1
     peaks = []
     for freqs, amps in zip(
@@ -142,6 +140,16 @@ def _without_couplings_to(system: SpinSystem, decouple: Sequence[int]) -> SpinSy
         c for c in system.couplings if c.site_a not in dropped and c.site_b not in dropped
     )
     return dataclasses.replace(system, couplings=kept)
+
+
+def _check_linewidth(linewidth_hz: float) -> None:
+    if not (math.isfinite(linewidth_hz) and linewidth_hz > 0.0):
+        raise ValueError(f"linewidth must be finite and positive, got {linewidth_hz}")
+
+
+def _check_threshold(threshold_fraction: float) -> None:
+    if not 0.0 < threshold_fraction < 1.0:
+        raise ValueError(f"threshold fraction must lie strictly in (0, 1), got {threshold_fraction}")
 
 
 def _check_grid(grid_hz: tuple[float, float, int]) -> None:

@@ -326,6 +326,8 @@ def _pairs_of(classes: np.ndarray, values: np.ndarray, n_spins: int) -> np.ndarr
     if classes.size > 2:
         return None
     table = operators._pair_table(n_spins, int(classes[-1]))
+    if classes.size == 1:
+        return table
     nonzero = values[-1] != 0
     return table[nonzero[table[:, 0]] | nonzero[table[:, 1]]]
 

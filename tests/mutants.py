@@ -165,6 +165,12 @@ MUTANTS = (
       "eigmin = float(spectrum.min())", "eigmin = float(values[0].real.min())"),
     M("validation warning on an inf - inf trace (single pass)", STATES,
       '@np.errstate(invalid="ignore", over="ignore")\n    def __post_init__', "def __post_init__"),
+    M("a library error without its JSON path (one home per rule)", CONFIG,
+      "raise ConfigError(prefix + message) from error", "raise ConfigError(message) from error"),
+    M("a ProtocolConfig built at the first delay only (one home per rule)", CONFIG,
+      "for k, delay in enumerate(config.delays_s):", "for k, delay in enumerate(config.delays_s[:1]):"),
+    M("purity fraction bound widened to 1.5 (one home per rule)", PROTOCOL,
+      "0.0 < self.purity_fraction <= 1.0", "0.0 < self.purity_fraction <= 1.5"),
 )
 
 

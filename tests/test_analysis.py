@@ -271,6 +271,9 @@ class TestLinearRegression:
             linear_regression([1.0], [2.0])
         with pytest.raises(ValueError):
             linear_regression([1.0, 2.0], [2.0])
+        # A constant x determines no line; np.polyfit would warn and guess one.
+        with pytest.raises(ValueError, match="x is constant"):
+            linear_regression([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("side", ["x", "y"])

@@ -494,6 +494,19 @@ class TestErrorPaths:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run-protocol", "decay-scan", "spectrum", "scaling"])
+    def test_every_command_checks_the_protocol_rules_at_load(self, tmp_path, capsys, command):
+        # spectrum and scaling build no ProtocolConfig from the file, yet
+        # every command loads the whole file, so a control spin off site 0
+        # is rejected before the output directory is made.
+        config = write_config(tmp_path, spin_system={"roles": ["system", "control", "system", "system"]})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: spin_system.roles: protocol needs exactly one control spin, at site 0\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run-protocol", "scaling"])
     def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys, command):
         config = write_config(tmp_path)

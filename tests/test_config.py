@@ -13,6 +13,9 @@ GAMMA_7Q = 9.852216748768472
 KAPPA_PROTON = 1.0204081632653061
 
 
+COUPLING = {"sites": [0, 1], "strength_hz": 10.0, "kind": "heteronuclear_zz"}
+
+
 def minimal_config(**overrides):
     data = {
         "spin_system": {
@@ -113,55 +116,73 @@ class TestDefaults:
 
 class TestValidation:
     @pytest.mark.parametrize(
-        "mutate, fragment",
+        "mutate, pattern",
         [
-            (lambda d: d.pop("spin_system"), "config.spin_system"),
-            (lambda d: d["spin_system"].pop("n_spins"), "spin_system.n_spins"),
-            (lambda d: d["spin_system"].update(n_spins="two"), "spin_system.n_spins"),
-            (lambda d: d["spin_system"].update(n_spins=True), "spin_system.n_spins"),
-            (lambda d: d["spin_system"].update(n_spins=0), "spin_system.n_spins"),
-            (lambda d: d["spin_system"].update(n_spins=13), "spin_system.n_spins"),
-            (lambda d: d["spin_system"].update(n_spins=10**12), "spin_system.n_spins"),
-            (lambda d: d["spin_system"].update(rolez=[]), "spin_system.rolez"),
-            (lambda d: d.update(extra=1), "config.extra"),
-            (lambda d: d["spin_system"].update(roles=["control", "ancilla"]), "roles[1]"),
-            (lambda d: d["spin_system"].update(offsets_hz=[0.0]), "spin_system"),
-            (lambda d: d["spin_system"].update(offsets_hz=[0.0, "x"]), "offsets_hz[1]"),
-            (lambda d: d.update(noise={"dephasing_per_s": [1.0]}), "noise.dephasing_per_s"),
-            (lambda d: d.update(noise={"mc_trajectories": 0}), "noise"),
-            (lambda d: d.update(protocol={"delays_s": [-0.1]}), "protocol.delays_s[0]"),
-            (lambda d: d.update(protocol={"delays_s": []}), "protocol.delays_s"),
-            (lambda d: d.update(protocol={"purity_fraction": 0.0}), "purity_fraction"),
-            (lambda d: d.update(protocol={"purity_fraction": 1.5}), "purity_fraction"),
-            (lambda d: d.update(protocol={"noise_mode": "stochastic"}), "noise_mode"),
-            (lambda d: d.update(protocol={"seed": 1.5}), "protocol.seed"),
-            (lambda d: d.update(protocol={"include_flip_relaxation": 1}), "include_flip"),
-            (lambda d: d.update(protocol={"weights": {"a": [1.0, 0.0]}}), "weights.b"),
-            (lambda d: d.update(protocol={"weights": {"a": [1.0], "b": [0.0, 0.0]}}), "weights.a"),
-            (lambda d: d.update(protocol={"weights": {"a": [0.9, 0.0], "b": [0.9, 0.0]}}), "weights"),
-            (lambda d: d.update(spectrum={"linewidth_hz": 0.0}), "linewidth_hz"),
-            (lambda d: d.update(spectrum={"peak_threshold": 1.0}), "peak_threshold"),
+            (lambda d: d.pop("spin_system"), r"^config\.spin_system: missing"),
+            (lambda d: d["spin_system"].pop("n_spins"), r"^spin_system\.n_spins: missing"),
+            (lambda d: d["spin_system"].update(n_spins="two"), r"^spin_system\.n_spins: "),
+            (lambda d: d["spin_system"].update(n_spins=True), r"^spin_system\.n_spins: "),
+            (lambda d: d["spin_system"].update(n_spins=0), r"^spin_system\.n_spins: "),
+            (lambda d: d["spin_system"].update(n_spins=13), r"^spin_system\.n_spins: "),
+            (lambda d: d["spin_system"].update(n_spins=10**12), r"^spin_system\.n_spins: "),
+            (lambda d: d["spin_system"].update(rolez=[]), r"^spin_system\.rolez: unknown key"),
+            (lambda d: d.update(extra=1), r"^config\.extra: unknown key"),
+            (lambda d: d["spin_system"].update(roles=["control", "ancilla"]), r"^spin_system\.roles\[1\] "),
+            (
+                lambda d: d["spin_system"].update(roles=["system", "control"]),
+                r"^spin_system\.roles: protocol needs exactly one control spin, at site 0",
+            ),
+            (lambda d: d["spin_system"].update(offsets_hz=[0.0]), r"^spin_system\.offsets_hz: "),
+            (lambda d: d["spin_system"].update(offsets_hz=[0.0, "x"]), r"^spin_system\.offsets_hz\[1\]: "),
+            (
+                lambda d: d["spin_system"].update(couplings=[COUPLING, dict(COUPLING, sites=[1, 2])]),
+                r"^spin_system\.couplings\[1\]: coupling site 2 outside register",
+            ),
+            (
+                lambda d: d["spin_system"].update(couplings=[COUPLING, dict(COUPLING, sites=[1, 0])]),
+                r"^spin_system\.couplings\[1\]: duplicate coupling for pair \(0, 1\)",
+            ),
+            (lambda d: d.update(noise={"dephasing_per_s": [1.0]}), r"^noise\.dephasing_per_s: "),
+            (lambda d: d.update(noise={"flip_per_s": [0.0, 0.0, 0.0]}), r"^noise\.flip_per_s has 3 rates, dephasing_per_s has 2"),
+            (lambda d: d.update(noise={"mc_trajectories": 0}), r"^noise\.mc_trajectories must be at least 1"),
+            (lambda d: d.update(noise={"mc_trajectories": True}), r"^noise\.mc_trajectories: "),
+            (lambda d: d.update(protocol={"delays_s": [-0.1]}), r"^protocol\.delays_s\[0\]: "),
+            (lambda d: d.update(protocol={"delays_s": [0.0, -0.1]}), r"^protocol\.delays_s\[1\]: "),
+            (lambda d: d.update(protocol={"delays_s": []}), r"^protocol\.delays_s: "),
+            (lambda d: d.update(protocol={"purity_fraction": 0.0}), r"^protocol\.purity_fraction "),
+            (lambda d: d.update(protocol={"purity_fraction": 1.5}), r"^protocol\.purity_fraction "),
+            (lambda d: d.update(protocol={"noise_mode": "stochastic"}), r"^protocol\.noise_mode "),
+            (lambda d: d.update(protocol={"seed": 1.5}), r"^protocol\.seed: "),
+            (lambda d: d.update(protocol={"include_flip_relaxation": 1}), r"^protocol\.include_flip_relaxation: "),
+            (lambda d: d.update(protocol={"weights": {"a": [1.0, 0.0]}}), r"^protocol\.weights\.b: "),
+            (lambda d: d.update(protocol={"weights": {"a": [1.0], "b": [0.0, 0.0]}}), r"^protocol\.weights\.a: "),
+            (
+                lambda d: d.update(protocol={"weights": {"a": [0.9, 0.0], "b": [0.9, 0.0]}}),
+                r"^protocol\.weights: unnormalized",
+            ),
+            (lambda d: d.update(spectrum={"linewidth_hz": 0.0}), r"^spectrum\.linewidth_hz: "),
+            (lambda d: d.update(spectrum={"peak_threshold": 1.0}), r"^spectrum\.peak_threshold: "),
             (
                 lambda d: d.update(
                     spectrum={"grid": {"min_hz": 1.0, "max_hz": -1.0, "points": 5}}
                 ),
-                "spectrum.grid",
+                r"^spectrum\.grid: grid bounds",
             ),
             (
                 lambda d: d.update(
                     spectrum={"grid": {"min_hz": -1.0, "max_hz": 1.0, "points": 1}}
                 ),
-                "points",
+                r"^spectrum\.grid: .*points",
             ),
-            (lambda d: d.update(output={"formats": []}), "output.formats"),
-            (lambda d: d.update(output={"formats": ["yaml"]}), "output.formats[0]"),
-            (lambda d: d.update(output={"directory": 7}), "output.directory"),
+            (lambda d: d.update(output={"formats": []}), r"^output\.formats: "),
+            (lambda d: d.update(output={"formats": ["yaml"]}), r"^output\.formats\[0\]: "),
+            (lambda d: d.update(output={"directory": 7}), r"^output\.directory: "),
         ],
     )
-    def test_bad_configs_name_the_offending_path(self, mutate, fragment):
+    def test_bad_configs_name_the_offending_path(self, mutate, pattern):
         data = minimal_config()
         mutate(data)
-        with pytest.raises(ConfigError, match=fragment.replace("[", r"\[").replace("]", r"\]")):
+        with pytest.raises(ConfigError, match=pattern):
             parse_config(data)
 
     @pytest.mark.parametrize("sigma", [[0.1, 0.2], [0.1], [], 0.3, "wide"])
@@ -221,7 +242,7 @@ class TestValidation:
         ids=["object", "set-value", "mixed-keys", "mixed-leftover-keys"],
     )
     def test_input_json_cannot_encode_is_a_config_error(self, make, message):
-        # The hash is taken after validation, so these never reach json.dumps.
+        # The hash is taken after every key is read and typed, so these never reach json.dumps.
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_config(make())
 
@@ -239,7 +260,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("seed", [-1, -(2**70)])
     def test_negative_seed_rejected(self, seed):
-        with pytest.raises(ConfigError, match=r"^protocol\.seed: expected a non-negative integer"):
+        with pytest.raises(ConfigError, match=r"^protocol\.seed must be a non-negative integer"):
             parse_config(minimal_config(protocol={"seed": seed}))
 
 
@@ -275,10 +296,10 @@ class TestLoadConfig:
         path.write_text(json.dumps(data))
         assert load_config(path).sha256 == parse_config(data).sha256
 
-    def test_protocol_config_requires_control_first(self):
-        data = {
-            "spin_system": {"n_spins": 2, "roles": ["system", "control"]}
-        }
-        config = parse_config(data)
-        with pytest.raises(ConfigError):
-            config.protocol_config(0.0)
+    def test_protocol_config_requires_control_first(self, tmp_path):
+        # Every command loads the whole file, so a protocol rule rejects it
+        # before any ProtocolConfig is asked for.
+        path = tmp_path / "control-last.json"
+        path.write_text(json.dumps({"spin_system": {"n_spins": 2, "roles": ["system", "control"]}}))
+        with pytest.raises(ConfigError, match=r"^spin_system\.roles: protocol needs exactly one control"):
+            load_config(path)

@@ -126,7 +126,7 @@ class TestNoiseModel:
         # A trajectory count must be an integer, as in the config: a float
         # would fail later inside the kick's draw, and True is not 1.
         for count in (2.5, 2.0, True, "3", None):
-            with pytest.raises(ValueError, match="trajectory count must be an integer"):
+            with pytest.raises(ValueError, match="^mc_trajectories must be an integer"):
                 NoiseModel.uniform(2, mc_trajectories=count)
         assert NoiseModel.uniform(2, mc_trajectories=np.int64(3)).mc_trajectories == 3
 

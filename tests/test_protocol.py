@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import statistics
 import time
 
 import numpy as np
@@ -456,18 +457,23 @@ print(json.dumps({
 """
 
 
-def _run_twelve_spins(noise_mode: str) -> tuple[float, dict]:
-    """Wall time and outcome of one 12-spin run in a fresh process."""
-    start = time.perf_counter()
-    stdout = run_child("-c", _TWELVE_SPIN_RUN, noise_mode)
-    elapsed = time.perf_counter() - start
-    outcome = json.loads(stdout)
-    assert 0.0 < outcome["fidelity"] <= 1.0
-    return elapsed, outcome
+def _run_twelve_spins(noise_mode: str) -> tuple[float, list[dict]]:
+    """Median wall time of three 12-spin runs, each in a fresh process,
+    and their outcomes.  One run alone once overran its bound on an idle
+    2-core host with working code; the median is not moved by one slow start."""
+    times, outcomes = [], []
+    for _ in range(3):
+        start = time.perf_counter()
+        stdout = run_child("-c", _TWELVE_SPIN_RUN, noise_mode)
+        times.append(time.perf_counter() - start)
+        outcomes.append(json.loads(stdout))
+        assert 0.0 < outcomes[-1]["fidelity"] <= 1.0
+    return statistics.median(times), outcomes
 
 
-# MAX_SPINS is 12: one run with 11 system spins and flips, in a fresh process
-# with one BLAS thread, the import included.  On a 2-core host analytic
+# MAX_SPINS is 12: the median of three runs with 11 system spins and flips, each
+# in a fresh process with one BLAS thread, the import included; every run's
+# peak RSS is bounded.  On a 2-core host analytic
 # dephasing measured 0.21 s and 33.9 MiB VmHWM, Monte Carlo with the ring7 count
 # of 1000 trajectories 0.21 s and 39.8 MiB, with the hashlib that numpy.random
 # imports (medians of 5 fresh processes).  The bounds were set from an earlier
@@ -476,17 +482,17 @@ def _run_twelve_spins(noise_mode: str) -> tuple[float, dict]:
 
 @pytest.mark.slow
 def test_twelve_spin_run_fits_the_advertised_limit():
-    elapsed, outcome = _run_twelve_spins("analytic")
+    elapsed, outcomes = _run_twelve_spins("analytic")
     assert elapsed < 0.9
-    assert outcome["max_rss_kib"] * 1024 < 110 * 1024**2
+    assert max(outcome["max_rss_kib"] for outcome in outcomes) * 1024 < 110 * 1024**2
 
 
 @pytest.mark.slow
 def test_twelve_spin_monte_carlo_run_fits_the_advertised_limit():
-    elapsed, outcome = _run_twelve_spins("monte_carlo")
-    assert outcome["trajectories"] == 1000
+    elapsed, outcomes = _run_twelve_spins("monte_carlo")
+    assert all(outcome["trajectories"] == 1000 for outcome in outcomes)
     assert elapsed < 1.05
-    assert outcome["max_rss_kib"] * 1024 < 120 * 1024**2
+    assert max(outcome["max_rss_kib"] for outcome in outcomes) * 1024 < 120 * 1024**2
 
 
 def _premise_runs(mode: str) -> dict:
