@@ -4,7 +4,9 @@ Subcommands: ``run-protocol``, ``decay-scan``, ``spectrum``,
 ``scaling``.  Exit codes: 0 success, 1 configuration or argument error
 or an output that cannot be written, 2 numerical failure (a
 linear-algebra error or running out of memory) or invariant violation,
-3 analysis failure.
+3 analysis failure.  The config, ``--seed``, ``--n-max`` and
+``--trajectories`` are checked before the output directory is made, each
+rule by the function that owns it, and a flag's error names the flag.
 
 Every output file is written atomically (a uniquely named temp file in
 the output directory, then rename), but a run is not: one that fails
@@ -28,9 +30,9 @@ from typing import BinaryIO
 
 import numpy as np
 
-from . import analysis, dynamics, protocol, spectra, states
+from . import analysis, dynamics, operators, protocol, spectra, states
 from .analysis import FitError
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _build, load_config
 from .states import DensityMatrix, StateInvariantError
 
 # Largest --n-max of the scaling command.  Every state of the study is
@@ -112,21 +114,9 @@ def _common() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON run configuration")
     common.add_argument("--out", default=None, help="output directory (defaults to the config's)")
-    common.add_argument("--seed", type=_seed, default=None, help="override the configured seed")
+    common.add_argument("--seed", type=int, default=None, help="override the configured seed")
     common.add_argument("--format", choices=("csv", "json"), default=None, help="restrict outputs")
     return common
-
-
-def _seed(text: str) -> int:
-    """A ``--seed`` value: a non-negative integer, as the seed of a ``SeedSequence``."""
-    message = f"expected a non-negative integer, got {text!r}"
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(message)
-    return seed
 
 
 def cmd_run_protocol(args: argparse.Namespace) -> int:
@@ -236,15 +226,10 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     # The rate fit needs two points, registers of 2 and 3 spins at least.
     if args.n_max < 3:
         raise ConfigError(f"--n-max must be at least 3, got {args.n_max}")
-    if args.trajectories is not None and args.trajectories < 1:
-        raise ConfigError("--trajectories must be positive")
     run = _RunContext(args)
-    noise = run.config.noise
-    if args.trajectories is not None:
-        noise = dataclasses.replace(noise, mc_trajectories=args.trajectories)
     n_values = list(range(2, args.n_max + 1))
     rates = analysis.scaling_study(
-        n_values, noise, list(run.config.delays_s), mode=args.mode, seed=run.seed
+        n_values, run.noise, list(run.config.delays_s), mode=args.mode, seed=run.seed
     )
     regression = analysis.linear_regression([n for n, _ in rates], [r for _, r in rates])
     run.write_csv("scaling.csv", ("n_spins", "rate_per_s"), rates)
@@ -261,11 +246,18 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 
 class _RunContext:
-    """Shared command plumbing: config, seed override, output writing."""
+    """Shared command plumbing: config, seed and trajectory overrides, output writing."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.config: RunConfig = load_config(args.config)
-        self.seed: int = self.config.seed if args.seed is None else int(args.seed)
+        self.seed: int = self.config.seed if args.seed is None else args.seed
+        _build("", operators._check_seed, self.seed, paths={"seed": "--seed"})
+        self.noise = noise = self.config.noise
+        if getattr(args, "trajectories", None) is not None:  # a scaling flag
+            self.noise = _build(
+                "", dynamics.NoiseModel, noise.dephasing_per_s, noise.flip_per_s, args.trajectories,
+                paths={"mc_trajectories": "--trajectories"},
+            )
         self.formats = (args.format,) if args.format else self.config.output.formats
         self.out_dir = Path(args.out) if args.out else Path(self.config.output.directory)
         try:

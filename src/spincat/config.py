@@ -72,7 +72,7 @@ class RunConfig:
             purity_fraction=self.purity_fraction,
             include_flip_relaxation=self.include_flip_relaxation,
             noise_mode=self.noise_mode,
-            seed=self.seed if seed is None else int(seed),
+            seed=self.seed if seed is None else seed,
         )
 
 
@@ -228,7 +228,10 @@ def _parse_noise(data: object, n_spins: int) -> NoiseModel:
         )
     trajectories = _integer(section.take("mc_trajectories", default=1000), "noise.mc_trajectories")
     section.finish()
-    return _build("noise.", NoiseModel, tuple(dephasing), tuple(flips), trajectories)
+    # NoiseModel names flip_per_s for lists of unequal length; name the wrong one.
+    wrong = len(flips) != len(dephasing) and len(dephasing) != n_spins
+    prefix = "noise.dephasing_per_s: " if wrong else "noise."
+    return _build(prefix, NoiseModel, tuple(dephasing), tuple(flips), trajectories)
 
 
 def _parse_weights(data: object) -> CatWeights:

@@ -435,5 +435,9 @@ def _check_channel_args(rho: DensityMatrix, noise: NoiseModel, t: float) -> None
         raise ValueError(
             f"noise model for {noise.n_spins} spins applied to {rho.n_spins}-spin state"
         )
+    _check_time(t, "channel time")
+
+
+def _check_time(t: float, name: str) -> None:
     if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"channel time must be finite and nonnegative, got {t}")
+        raise ValueError(f"{name} must be finite and nonnegative, got {t}")

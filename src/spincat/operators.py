@@ -110,18 +110,15 @@ def sz_eigenvalues(sites: Sequence[int], n_spins: int) -> np.ndarray:
     Like :func:`total_spin_operator`, it rejects a site listed twice.  The
     table is built once per ``sites`` and ``n_spins`` and kept, so it is
     read-only."""
-    sites = tuple(sites)
-    if len(set(sites)) != len(sites):
-        raise ValueError("duplicate sites")
     return _sz_table(n_spins, *sites)
 
 
 # Typed, so that a site that equals a valid one, such as True or 1.0, is
 # checked on its own first call instead of reading the valid one's table.
+# A rejected list is never cached, so it is checked on every call.
 @functools.lru_cache(maxsize=64, typed=True)
 def _sz_table(n_spins: int, *sites: int) -> np.ndarray:
-    for site in sites:
-        _check_site(site, n_spins)
+    _check_sites(sites, n_spins)
     table = (0.5 - bit_table(n_spins)[list(sites)]).sum(axis=0)
     table.flags.writeable = False
     return table
@@ -139,14 +136,12 @@ def total_spin_operator(kind: str, sites: Sequence[int], n_spins: int) -> np.nda
     _check_register_size(n_spins)
     if len(sites) == 0:
         raise ValueError("empty site list")
-    if len(set(sites)) != len(sites):
-        raise ValueError("duplicate sites")
-    # Every site is checked before the D x D allocation.
-    bits = [site_mask([site], n_spins) for site in sites]
+    _check_sites(sites, n_spins)  # before the D x D allocation
     dim = 1 << n_spins
     out = np.zeros((dim, dim), dtype=complex)
     index = np.arange(dim)
-    for bit in bits:
+    for site in sites:
+        bit = site_mask([site], n_spins)
         down = index[(index & bit) != 0]
         out[down ^ bit, down] = 1.0
     return out
@@ -182,12 +177,9 @@ def _kept_sites(keep: Sequence[int], n_spins: int) -> list[int]:
     keep = list(keep)
     if not keep:
         raise ValueError("empty keep list")
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate sites in keep list")
+    _check_sites(keep, n_spins)
     if sorted(keep) != keep:
         raise ValueError("keep list must be in ascending site order")
-    for site in keep:
-        _check_site(site, n_spins)
     return keep
 
 
@@ -267,6 +259,14 @@ def _check_register_size(n_spins: int) -> None:
 def _check_site(site: int, n_spins: int) -> None:
     if not _is_integer(site) or not 0 <= site < n_spins:
         raise ValueError(f"site {site!r} outside register of {n_spins} spins")
+
+
+def _check_sites(sites: Sequence[int], n_spins: int) -> None:
+    """Every site lies in the register, and none is listed twice."""
+    for site in sites:
+        _check_site(site, n_spins)
+    if len(set(sites)) != len(sites):
+        raise ValueError("duplicate sites")
 
 
 def _check_seed(seed: int) -> None:

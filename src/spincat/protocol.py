@@ -32,7 +32,6 @@ are built the same way.  No dense matrix is formed unless
 from __future__ import annotations
 
 import dataclasses
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -74,10 +73,8 @@ class ProtocolConfig:
             raise ValueError(
                 f"noise.dephasing_per_s: {self.noise.n_spins} rates for {self.system.n_spins} spins"
             )
-        if not math.isfinite(self.delay_s) or self.delay_s < 0.0:
-            raise ValueError(f"delay_s: delay must be finite and nonnegative, got {self.delay_s}")
-        if not 0.0 < self.purity_fraction <= 1.0:
-            raise ValueError(f"purity_fraction must lie in (0, 1], got {self.purity_fraction}")
+        dynamics._check_time(self.delay_s, "delay_s")
+        states._check_purity_fraction(self.purity_fraction)
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {self.noise_mode!r}")
         operators._check_seed(self.seed)

@@ -75,10 +75,9 @@ def linear_response_spectrum(
         raise ValueError("state and spin system sizes differ")
     if not observe:
         raise ValueError("empty observe set")
-    for site in observe + decouple:
+    operators._check_sites(observe, system.n_spins)
+    for site in decouple:
         operators._check_site(site, system.n_spins)
-    if len(set(observe)) != len(observe):
-        raise ValueError("duplicate observed sites")
     if set(observe) & set(decouple):
         raise ValueError("observe and decouple sets overlap")
     _check_linewidth(linewidth_hz)

@@ -486,13 +486,17 @@ def thermal_state(n_spins: int, polarization: float = 1e-3) -> DensityMatrix:
 def pseudopure(target: DensityMatrix, purity_fraction: float) -> DensityMatrix:
     """Mix ``target`` with the maximally mixed state: ``(1-f)*I/D + f*target``."""
     f = float(purity_fraction)
-    if not 0.0 < f <= 1.0:
-        raise ValueError(f"purity fraction must lie in (0, 1], got {f}")
+    _check_purity_fraction(f)
     values = f * target._values
     values[0] += (1.0 - f) / target.dim
     # The mixed part's zeros, added as well: a -0.0 part becomes 0.0.
     values[1:] += 0.0
     return DensityMatrix._of_classes(target._classes, values, target.n_spins)
+
+
+def _check_purity_fraction(f: float) -> None:
+    if not 0.0 < f <= 1.0:
+        raise ValueError(f"purity_fraction must lie in (0, 1], got {f}")
 
 
 def coherence_orders(rho: DensityMatrix) -> dict[int, float]:

@@ -169,8 +169,12 @@ MUTANTS = (
       "raise ConfigError(prefix + message) from error", "raise ConfigError(message) from error"),
     M("a ProtocolConfig built at the first delay only (one home per rule)", CONFIG,
       "for k, delay in enumerate(config.delays_s):", "for k, delay in enumerate(config.delays_s[:1]):"),
-    M("purity fraction bound widened to 1.5 (one home per rule)", PROTOCOL,
-      "0.0 < self.purity_fraction <= 1.0", "0.0 < self.purity_fraction <= 1.5"),
+    M("purity fraction bound widened to 1.5 (one home per rule)", STATES,
+      "if not 0.0 < f <= 1.0:", "if not 0.0 < f <= 1.5:"),
+    M("_RunContext without its seed check (one function per rule)", CLI,
+      '        _build("", operators._check_seed, self.seed, paths={"seed": "--seed"})\n', ""),
+    M("the shared site check accepting a repeat (one function per rule)", OPERATORS,
+      "if len(set(sites)) != len(sites):", "if False:"),
 )
 
 

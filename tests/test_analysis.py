@@ -17,6 +17,7 @@ from spincat import (
     nq_amplitude,
     scaling_study,
 )
+from spincat import analysis
 import mutants
 from _support import REPO_ROOT, phase_kicks_reference, run_child, traced_memory
 
@@ -177,6 +178,17 @@ class TestScalingStudy:
         backward = scaling_study([3, 2], noise, delays, mode="monte_carlo", seed=5)
         assert dict(forward) == dict(backward)
         assert [n for n, _ in backward] == [3, 2]
+
+    @pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
+    @pytest.mark.parametrize("delay", [-0.1, math.nan, math.inf])
+    def test_bad_delay_rejected_before_any_fit(self, monkeypatch, mode, delay):
+        def not_fitted(*args):
+            raise AssertionError("a fit ran before the delays were checked")
+
+        monkeypatch.setattr(analysis, "fit_exponential", not_fitted)
+        noise = NoiseModel.uniform(2, dephasing_per_s=1.0, mc_trajectories=8)
+        with pytest.raises(ValueError, match="^channel time must be finite and nonnegative"):
+            scaling_study([2, 3], noise, [0.0, 0.1, delay], mode=mode, seed=1)
 
     def test_non_uniform_rates_rejected(self):
         noise = NoiseModel((1.0, 2.0), (0.0, 0.0))

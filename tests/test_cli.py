@@ -24,6 +24,7 @@ from _support import RING7_CONFIG, child_process, traced_memory
 
 GAMMA_7Q = 9.852216748768472
 KAPPA_PROTON = 1.0204081632653061
+COMMANDS = ("run-protocol", "decay-scan", "spectrum", "scaling")
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -437,47 +438,12 @@ class TestScaling:
         # standard deviation of 0.066; allow five of them.
         assert fit["fit"]["slope"] == pytest.approx(2.0, rel=0.33)
 
-    def test_size_guardrail(self, tmp_path, capsys):
-        config = write_config(tmp_path)
-        code = main(["scaling", "--config", str(config), "--out", str(tmp_path / "o"), "--n-max", "11"])
-        assert code == 1
-        assert "guardrail" in capsys.readouterr().err
-        # The arguments are checked before the output directory is made.
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("n_max", ["2", "1", "-3"])
-    def test_n_max_leaves_two_points_to_fit(self, tmp_path, capsys, n_max):
-        # Registers of 2 to --n-max spins: the rate fit needs 3 at least.
-        config = write_config(tmp_path)
-        code = main(["scaling", "--config", str(config), "--out", str(tmp_path / "o"), "--n-max", n_max])
-        assert code == 1
-        assert f"--n-max must be at least 3, got {n_max}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_trajectories_must_be_positive(self, tmp_path):
-        config = write_config(tmp_path)
-        code = main(
-            [
-                "scaling", "--config", str(config), "--out", str(tmp_path / "o"),
-                "--n-max", "3", "--trajectories", "0",
-            ]
-        )
-        assert code == 1
-        assert not (tmp_path / "o").exists()
-
 
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run-protocol", "--config", str(tmp_path / "nope.json")])
         assert code == 1
         assert "cannot read config file" in capsys.readouterr().err
-
-    def test_config_error_names_the_path(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"spin_system": {"n_spins": 2, "roles": ["control", "system"]}, "protcol": {}}))
-        code = main(["run-protocol", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "config.protcol" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "content", [b"[" * 100_000, b"\xff\xfe{"], ids=["nested-too-deep", "not-utf-8"]
@@ -494,17 +460,82 @@ class TestErrorPaths:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["run-protocol", "decay-scan", "spectrum", "scaling"])
-    def test_every_command_checks_the_protocol_rules_at_load(self, tmp_path, capsys, command):
-        # spectrum and scaling build no ProtocolConfig from the file, yet
-        # every command loads the whole file, so a control spin off site 0
-        # is rejected before the output directory is made.
-        config = write_config(tmp_path, spin_system={"roles": ["system", "control", "system", "system"]})
+    @pytest.mark.parametrize(
+        "args, overrides, message",
+        [
+            pytest.param(["run-protocol"], {"protcol": {}}, "config.protcol: unknown key", id="unknown-key"),
+            pytest.param(
+                ["run-protocol"],
+                {"protocol": {"delays_s": [0, 0.01, 10**400]}},
+                "protocol.delays_s[2]: expected a finite number",
+                id="integer-beyond-every-float",
+            ),
+            # spectrum and scaling build no ProtocolConfig from the file, yet
+            # every command loads the whole file, protocol rules included.
+            *(
+                pytest.param(
+                    [command],
+                    {"spin_system": {"roles": ["system", "control", "system", "system"]}},
+                    "spin_system.roles: protocol needs exactly one control spin, at site 0",
+                    id=f"control-off-site-0-{command}",
+                )
+                for command in COMMANDS
+            ),
+            *(
+                pytest.param(
+                    [command],
+                    {"protocol": {"seed": -1}},
+                    "protocol.seed must be a non-negative integer, got -1",
+                    id=f"config-seed-{command}",
+                )
+                for command in ("run-protocol", "decay-scan")
+            ),
+            *(
+                pytest.param(
+                    [command, "--seed", "-3"],
+                    {},
+                    "--seed must be a non-negative integer, got -3",
+                    id=f"seed-flag-{command}",
+                )
+                for command in COMMANDS
+            ),
+            pytest.param(
+                ["spectrum", "--seed", "abc"],
+                {},
+                "argument --seed: invalid int value: 'abc'",
+                id="seed-flag-not-an-integer",
+            ),
+            pytest.param(
+                ["scaling", "--trajectories", "0"],
+                {},
+                "--trajectories must be at least 1, got 0",
+                id="trajectories-0",
+            ),
+            pytest.param(
+                ["scaling", "--n-max", str(MAX_SCALING_SPINS + 1)],
+                {},
+                f"--n-max {MAX_SCALING_SPINS + 1} exceeds the scaling guardrail of {MAX_SCALING_SPINS}",
+                id="n-max-above-the-guardrail",
+            ),
+            # Registers of 2 to --n-max spins: the rate fit needs 3 at least.
+            *(
+                pytest.param(
+                    ["scaling", "--n-max", n_max],
+                    {},
+                    f"--n-max must be at least 3, got {n_max}",
+                    id=f"n-max-{n_max}",
+                )
+                for n_max in ("2", "1", "-3")
+            ),
+        ],
+    )
+    def test_bad_input_exits_1_before_the_output_directory(self, tmp_path, capsys, args, overrides, message):
+        # The config and these flags are checked, each rule by the library
+        # function that owns it, before the output directory is made.
+        config = write_config(tmp_path, **overrides)
         out = tmp_path / "o"
-        assert main([command, "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: spin_system.roles: protocol needs exactly one control spin, at site 0\n"
-        )
+        assert main(args + ["--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run-protocol", "scaling"])
@@ -548,33 +579,6 @@ class TestErrorPaths:
         if path != out:
             # The temp file that could not replace the report is gone.
             assert [p.name for p in out.iterdir()] == [path.name]
-
-    def test_integer_beyond_every_float_is_a_config_error(self, tmp_path, capsys):
-        config = write_config(tmp_path, protocol={"delays_s": [0, 0.01, 10**400]})
-        out = tmp_path / "o"
-        assert main(["run-protocol", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: protocol.delays_s[2]: expected a finite number\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "args, seed, fragment",
-        [
-            (["run-protocol"], -1, "protocol.seed"),
-            (["decay-scan"], -1, "protocol.seed"),
-            (["scaling", "--mode", "monte_carlo", "--seed", "-3"], 42, "--seed"),
-        ],
-        ids=["run-protocol", "decay-scan", "scaling-flag"],
-    )
-    def test_negative_seed_is_rejected_before_the_output_directory(
-        self, tmp_path, capsys, args, seed, fragment
-    ):
-        config = write_config(tmp_path, protocol={"seed": seed})
-        out = tmp_path / "o"
-        assert main(args + ["--config", str(config), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert fragment in err and "non-negative integer" in err
-        assert not out.exists()
 
     def test_missing_required_argument(self, capsys):
         assert main(["run-protocol"]) == 1

@@ -66,6 +66,10 @@ class TestShippedConfig:
         assert protocol.delay_s == 0.2
         assert protocol.seed == config.seed
         assert config.protocol_config(0.1, seed=5).seed == 5
+        # A seed override meets the seed rule as given, not as int() would make it.
+        for seed in (1.5, True):
+            with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+                config.protocol_config(0.1, seed=seed)
 
     def test_sha256_is_content_hash(self):
         config = load_config(RING7_CONFIG)
@@ -146,8 +150,16 @@ class TestValidation:
             (lambda d: d.update(noise={"flip_per_s": [0.0, 0.0, 0.0]}), r"^noise\.flip_per_s has 3 rates, dephasing_per_s has 2"),
             (lambda d: d.update(noise={"mc_trajectories": 0}), r"^noise\.mc_trajectories must be at least 1"),
             (lambda d: d.update(noise={"mc_trajectories": True}), r"^noise\.mc_trajectories: "),
-            (lambda d: d.update(protocol={"delays_s": [-0.1]}), r"^protocol\.delays_s\[0\]: "),
-            (lambda d: d.update(protocol={"delays_s": [0.0, -0.1]}), r"^protocol\.delays_s\[1\]: "),
+            (
+                lambda d: d.update(noise={"dephasing_per_s": [1.0], "flip_per_s": [0.0, 0.0]}),
+                r"^noise\.dephasing_per_s: flip_per_s has 2 rates, dephasing_per_s has 1$",
+            ),
+            (
+                lambda d: d.update(noise={"dephasing_per_s": [1.0, 1.0], "flip_per_s": [0.0]}),
+                r"^noise\.flip_per_s has 1 rates, dephasing_per_s has 2$",
+            ),
+            (lambda d: d.update(protocol={"delays_s": [-0.1]}), r"^protocol\.delays_s\[0\] must be finite"),
+            (lambda d: d.update(protocol={"delays_s": [0.0, -0.1]}), r"^protocol\.delays_s\[1\] must be finite"),
             (lambda d: d.update(protocol={"delays_s": []}), r"^protocol\.delays_s: "),
             (lambda d: d.update(protocol={"purity_fraction": 0.0}), r"^protocol\.purity_fraction "),
             (lambda d: d.update(protocol={"purity_fraction": 1.5}), r"^protocol\.purity_fraction "),

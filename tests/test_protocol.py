@@ -81,7 +81,7 @@ class TestConfigValidation:
 
     def test_parameter_ranges(self):
         for delay in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="delay must be finite and nonnegative"):
+            with pytest.raises(ValueError, match="^delay_s must be finite and nonnegative"):
                 make_config(delay=delay)
         with pytest.raises(ValueError):
             make_config(purity_fraction=0.0)
@@ -297,6 +297,58 @@ class TestDecoherenceAndRecovery:
         reference = phase_kicks_reference(rho.matrix, 4, sigma, 300, seed=11)
         decayed = protocol.step_d_decohere(rho, config)
         np.testing.assert_allclose(decayed.matrix, reference, rtol=0.0, atol=1e-13)
+
+
+# Entropies here are at most ln 4096 = 8.3 nats.  Probes over this grid
+# saw differences of at most 4.4e-16, and a recovery that misses one
+# target moves the system's final entropy by 0.4 nats or more.  1e-13 is
+# about 50 ulps of ln 4096.
+ENTROPY_TOL = 1e-13
+
+
+class TestEntropyBookkeeping:
+    """The paper's headline as a law: the entropy that decoherence makes
+    is taken up by the control, and the system gets back the entropy it
+    started with."""
+
+    @pytest.mark.parametrize("weights", [CatWeights(0.6, 0.8), CatWeights(0.8, 0.6j)], ids=["real", "complex"])
+    @pytest.mark.parametrize("purity", [1.0, 0.7])
+    @pytest.mark.parametrize("mode", protocol.NOISE_MODES)
+    @pytest.mark.parametrize("n_total", range(2, 13))
+    def test_decoherence_entropy_ends_in_the_control(self, n_total, mode, purity, weights):
+        noise = NoiseModel.uniform(n_total, dephasing_per_s=3.0, mc_trajectories=200)
+        config = make_config(
+            n_total, weights, delay=0.1, noise=noise, purity_fraction=purity, noise_mode=mode, seed=n_total
+        )
+        rho = protocol.step_a_initialize(config)
+        entropies = [von_neumann_entropy(rho)]
+        for step in (
+            protocol.step_b_create_cat,
+            protocol.step_c_entangle,
+            protocol.step_d_decohere,
+            protocol.step_e_recover,
+        ):
+            rho = step(rho, config)
+            entropies.append(von_neumann_entropy(rho))
+        initialize, create_cat, entangle, decohere, recover = entropies
+        # Steps B, C and E are unitary, so the total entropy stays.
+        assert abs(create_cat - initialize) <= ENTROPY_TOL
+        assert abs(entangle - create_cat) <= ENTROPY_TOL
+        assert abs(recover - decohere) <= ENTROPY_TOL
+        report = run_protocol(config)
+        system_gain = report.step("recover").system_entropy - report.step("initialize").system_entropy
+        assert abs(system_gain) <= ENTROPY_TOL
+        if purity == 1.0:
+            # The control holds all the entropy that step D made.
+            assert abs(report.final_control_entropy - (decohere - entangle)) <= ENTROPY_TOL
+
+    def test_flip_entropy_stays_in_the_system(self):
+        # The boundary of the law: the control holds at most ln 2, and the
+        # entropy that flips make stays in the system.
+        config = dataclasses.replace(protocol_config(7), delay_s=0.1)
+        report = run_protocol(config)
+        assert report.final_control_entropy <= np.log(2.0) + ENTROPY_TOL
+        assert report.step("recover").system_entropy > report.step("initialize").system_entropy
 
 
 class TestDecayScans:

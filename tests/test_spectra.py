@@ -194,8 +194,8 @@ def test_a_bad_grid_is_rejected_before_the_hamiltonian_is_built(monkeypatch, gri
     [
         ([1.5], "site 1.5 outside register of 3 spins"),
         ([1, True], "site True outside register of 3 spins"),
-        ([2, 2], "duplicate observed sites"),
-        ([1, 2, 1, 1], "duplicate observed sites"),
+        ([2, 2], "duplicate sites"),
+        ([1, 2, 1, 1], "duplicate sites"),
     ],
     ids=["float", "bool", "repeated", "repeated-thrice"],
 )
