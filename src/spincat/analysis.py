@@ -8,9 +8,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from . import dynamics, operators, states
+from . import dynamics, operators, protocol, states
 from .dynamics import NoiseModel
-from .protocol import NOISE_MODES
 from .states import CatWeights
 
 
@@ -118,8 +117,7 @@ def scaling_study(
     characteristic matrix; the cat, the decayed states and their
     validation cost O(D) each.
     """
-    if mode not in NOISE_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    protocol._check_noise_mode(mode)
     operators._check_seed(seed)
     rates = set(noise.dephasing_per_s)
     if len(rates) != 1:

@@ -4,9 +4,10 @@ Subcommands: ``run-protocol``, ``decay-scan``, ``spectrum``,
 ``scaling``.  Exit codes: 0 success, 1 configuration or argument error
 or an output that cannot be written, 2 numerical failure (a
 linear-algebra error or running out of memory) or invariant violation,
-3 analysis failure.  The config, ``--seed``, ``--n-max`` and
-``--trajectories`` are checked before the output directory is made, each
-rule by the function that owns it, and a flag's error names the flag.
+3 analysis failure.  The config, ``--seed``, ``--n-max``,
+``--trajectories`` and ``--state`` are checked before the output
+directory is made, each rule by the function that owns it, and a flag's
+error names the flag.
 
 Every output file is written atomically (a uniquely named temp file in
 the output directory, then rename), but a run is not: one that fails
@@ -180,8 +181,7 @@ def cmd_decay_scan(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     run = _RunContext(args)
-    config = run.config
-    rho = _resolve_state(args.state, config)
+    config, rho = run.config, run.state
     observe = list(config.system.system_sites)
     decouple = list(config.system.control_sites) if args.decouple else []
     spectrum = spectra.linear_response_spectrum(
@@ -246,7 +246,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 
 class _RunContext:
-    """Shared command plumbing: config, seed and trajectory overrides, output writing."""
+    """Shared command plumbing: config, seed and trajectory overrides, the
+    spectrum's state, output writing."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.config: RunConfig = load_config(args.config)
@@ -258,6 +259,8 @@ class _RunContext:
                 "", dynamics.NoiseModel, noise.dephasing_per_s, noise.flip_per_s, args.trajectories,
                 paths={"mc_trajectories": "--trajectories"},
             )
+        # A spectrum flag, resolved here so that a bad one makes no directory.
+        self.state = _resolve_state(args.state, self.config) if hasattr(args, "state") else None
         self.formats = (args.format,) if args.format else self.config.output.formats
         self.out_dir = Path(args.out) if args.out else Path(self.config.output.directory)
         try:
@@ -290,8 +293,8 @@ class _RunContext:
 
 def _resolve_state(name: str, config: RunConfig) -> DensityMatrix:
     if name.endswith(".npy"):
-        # Mapped, not read: the shape checks below and the register cap see
-        # the header before any element is loaded.
+        # Mapped, not read: the shape check and the register cap see the
+        # header before any element is loaded.
         try:
             matrix = np.load(name, mmap_mode="r")
         except OSError as error:
@@ -299,10 +302,7 @@ def _resolve_state(name: str, config: RunConfig) -> DensityMatrix:
         if not isinstance(matrix, np.ndarray):
             matrix.close()
             raise ConfigError(f"state file {name}: expected one array, got an .npz archive")
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ConfigError(f"state file {name}: expected a square 2-D array, got shape {matrix.shape}")
-        n_spins = max(int(matrix.shape[0]).bit_length() - 1, 0)
-        return DensityMatrix(matrix, n_spins)
+        return DensityMatrix(matrix, _build(f"state file {name}: ", operators.n_spins_of, matrix))
     n = config.system.n_spins
     if name == "pseudopure-up":
         target = states.ferro_state(n, "up")

@@ -37,9 +37,10 @@ occupies two classes, the diagonal and the top-order cat coherence, so
 a channel costs O(D); a dense state occupies all ``D`` classes.  The
 controlled flips move each element ``(r, r ^ x)`` to ``(pr, p(r ^ x))``
 under their permutation ``p``, which lands it in class ``x`` or
-``x ^ flip_mask``, again in O(D) per class; the permutation is one of
-the layout tables of :mod:`~spincat.operators`, as is the partner that
-flip relaxation mixes each element with.
+``x ^ flip_mask``, again in O(D) per class; the permutation is worked out
+per call from the two masks.  Flip relaxation mixes each element with
+its partner along the spin's axis of its class row, a view that
+:mod:`~spincat.operators` supplies.
 """
 
 from __future__ import annotations
@@ -241,13 +242,30 @@ def apply_dephasing(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityM
 
 def apply_flip_relaxation(rho: DensityMatrix, noise: NoiseModel, t: float) -> DensityMatrix:
     """Exact symmetric flip channel, one commuting factor per spin,
-    applied in place to a copy of the state's classes."""
+    applied in place to a copy of the state's classes.
+
+    A class that differs in the spin decays at kappa.  In a class that
+    does not, each element and its partner at ``r ^ b`` in the same class,
+    ``b`` the spin's bit, move toward their average at rate 2*kappa: a
+    2x2 map along the spin's axis of the class row.
+    """
     _check_channel_args(rho, noise, t)
     n = rho.n_spins
     values = rho._values.copy()
     for site, rate in enumerate(noise.flip_per_s):
         if rate > 0.0:
-            _flip_one_site(values, rho._classes, site, n, rate * t)
+            kappa_t = rate * t
+            e1 = math.exp(-kappa_t)
+            e2 = math.exp(-2.0 * kappa_t)
+            keep, move = 0.5 * (1.0 + e2), 0.5 * (1.0 - e2)
+            bit = operators.site_mask([site], n)
+            for x, pairs in zip(rho._classes, operators._spin_axis(values, site, n)):
+                if x & bit:
+                    pairs *= e1
+                else:
+                    partner = pairs[:, ::-1] * move
+                    pairs *= keep
+                    pairs += partner
     return DensityMatrix._of_classes(rho._classes, values, n)
 
 
@@ -393,7 +411,8 @@ def conditional_flip(rho: DensityMatrix, condition_mask: int, flip_mask: int) ->
     if not flip_mask:
         raise ValueError("empty target set")
     dim = rho.dim
-    index, perm = operators._flip_permutation(rho.n_spins, condition_mask, flip_mask)
+    index = np.arange(dim)
+    perm = np.where(index & condition_mask == condition_mask, index ^ flip_mask, index)
     classes, values = rho._classes, rho._values
     # Element (r, r ^ x) moves to (perm[r], perm[r ^ x]), of class x or x ^ flip_mask.
     moved = perm ^ perm[index ^ classes[:, None]]
@@ -408,26 +427,6 @@ def controlled_not_all(rho: DensityMatrix, control: int, targets: Sequence[int])
     target spin when the control is down.  It is its own inverse."""
     n = rho.n_spins
     return conditional_flip(rho, operators.site_mask([control], n), operators.site_mask(targets, n))
-
-
-def _flip_one_site(
-    values: np.ndarray, classes: np.ndarray, site: int, n_spins: int, kappa_t: float
-) -> None:
-    """Apply one spin's flip factor in place to the classes' values.
-
-    A class that differs in the spin decays at kappa.  In a class that
-    does not, each element and its partner at ``r ^ b`` in the same class,
-    ``b`` the spin's bit, move toward their average at rate 2*kappa.
-    """
-    e1 = math.exp(-kappa_t)
-    e2 = math.exp(-2.0 * kappa_t)
-    bit = operators.site_mask([site], n_spins)
-    partner = operators._flip_permutation(n_spins, 0, bit)[1]
-    differs = (classes & bit) != 0
-    values[differs] *= e1
-    kept = np.flatnonzero(~differs)
-    own = values[kept]
-    values[kept] = 0.5 * (1.0 + e2) * own + 0.5 * (1.0 - e2) * own.take(partner, axis=1)
 
 
 def _check_channel_args(rho: DensityMatrix, noise: NoiseModel, t: float) -> None:

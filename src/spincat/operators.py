@@ -28,9 +28,10 @@ a bounded cache, so a layout in use is worked out once:
 - ``_site_mask``, the bitmask of a site list, per size and sites;
 - ``_trace_plan``, the index tables of a partial trace, per size and
   kept sites;
-- ``_flip_permutation``, each index's image under a conditional flip, per
-  size and masks; with no condition, its partner ``r ^ flip_mask``;
 - ``_pair_table``, the pairs ``(r, r ^ x)`` of a pattern, per size and ``x``.
+
+:func:`_spin_axis` splits an axis of basis indices at a spin's bit, a
+view with no table.
 
 The caches keyed on sites are typed, so a site such as ``True`` or
 ``1.0`` is checked on its own first call and never reads the table of
@@ -61,8 +62,8 @@ def n_spins_of(matrix: np.ndarray) -> int:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     dim = matrix.shape[0]
     n = dim.bit_length() - 1
-    if dim <= 0 or (1 << n) != dim:
-        raise ValueError(f"matrix dimension {dim} is not a power of two")
+    if n < 1 or (1 << n) != dim:
+        raise ValueError(f"matrix dimension {dim} is not 2**n for a register of n >= 1 spins")
     return n
 
 
@@ -80,6 +81,16 @@ def _site_mask(n_spins: int, *sites: int) -> int:
         _check_site(site, n_spins)
         mask |= 1 << (n_spins - 1 - site)
     return mask
+
+
+def _spin_axis(values: np.ndarray, site: int, n_spins: int) -> np.ndarray:
+    """A view of ``values``, whose last axis runs over the basis indices of
+    an ``n_spins`` register, with that axis split as
+    ``(2**site, 2, 2**(n_spins - 1 - site))``.  The middle axis is the bit
+    of spin ``site``, so reversing it pairs each index ``r`` with
+    ``r ^ b``, ``b`` the spin's bit."""
+    _check_site(site, n_spins)
+    return values.reshape(*values.shape[:-1], 1 << site, 2, 1 << (n_spins - 1 - site))
 
 
 @functools.lru_cache(maxsize=MAX_SPINS)
@@ -220,20 +231,6 @@ def _trace_plan(n_spins: int, *keep: int) -> _TracePlan:
         (1 << len(keep), 1 << len(traced)),
         reduced_classes,
     )
-
-
-@functools.lru_cache(maxsize=32, typed=True)
-def _flip_permutation(
-    n_spins: int, condition_mask: int, flip_mask: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The basis indices and their images under the permutation that flips
-    the ``flip_mask`` bits of every index whose ``condition_mask`` bits are
-    all set (down); kept, so both are read-only."""
-    index = np.arange(1 << n_spins)
-    perm = np.where(index & condition_mask == condition_mask, index ^ flip_mask, index)
-    index.flags.writeable = False
-    perm.flags.writeable = False
-    return index, perm
 
 
 @functools.lru_cache(maxsize=32)

@@ -75,8 +75,7 @@ class ProtocolConfig:
             )
         dynamics._check_time(self.delay_s, "delay_s")
         states._check_purity_fraction(self.purity_fraction)
-        if self.noise_mode not in NOISE_MODES:
-            raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {self.noise_mode!r}")
+        _check_noise_mode(self.noise_mode)
         operators._check_seed(self.seed)
 
     @property
@@ -158,13 +157,13 @@ def step_b_create_cat(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatr
 
     ``U`` acts as ``[[a, -conj(b)], [b, conj(a)]]`` on every index pair
     ``(base, base | system_mask)``: rows are rotated by ``U``, then
-    columns by ``conj(U)``.  Either rotation pairs each element of class
-    ``x`` with one of class ``x ^ system_mask``, so the state's classes
-    are rotated pairwise, in O(D) per class.
+    columns by ``conj(U)``.  Either rotation pairs an element of class
+    ``x`` with one of class ``x ^ system_mask``, and only the elements
+    whose row, or column, has its system bits all up or all down move:
+    ``2 * 2**(n - m)`` per class for ``m`` system spins, each read at an
+    index with no system bit, or at that index with every system bit set.
     """
     mask = operators.site_mask(config.system.system_sites, config.n_total)
-    # Every index and its partner r ^ mask.
-    index, flipped = operators._flip_permutation(config.n_total, 0, mask)
     dim = rho.dim
     classes = states._class_set(np.concatenate((rho._classes, rho._classes ^ mask)), dim)
     values = np.zeros((classes.size, dim), dtype=complex)
@@ -173,14 +172,18 @@ def step_b_create_cat(rho: DensityMatrix, config: ProtocolConfig) -> DensityMatr
     partner = np.searchsorted(classes, classes ^ mask)
     a, b = config.weights.a, config.weights.b
     rotation = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
-    # Rows: (r, r ^ x) pairs with (r ^ mask, r ^ x), which lies in class x ^ mask.
-    rows = np.broadcast_to(index & mask, values.shape)
-    partners = values.take(partner, axis=0).take(flipped, axis=1)
-    _rotate_pairs(values, partners, rows == 0, rows == mask, rotation)
-    # Columns: (r, r ^ x) pairs with (r, r ^ x ^ mask), in class x ^ mask.
-    columns = (index ^ classes[:, None]) & mask
-    partners = values.take(partner, axis=0)
-    _rotate_pairs(values, partners, columns == 0, columns == mask, rotation.conj())
+    index = np.arange(dim)
+    base = index[index & mask == 0]
+    row = np.arange(classes.size)[:, None]
+    # Rows: (r, r ^ x) with r & mask == 0 pairs with (r ^ mask, r ^ x), at
+    # column r ^ mask of class x ^ mask.  Columns: (r, r ^ x) with
+    # (r ^ x) & mask == 0 pairs with (r, r ^ x ^ mask), at column r of class
+    # x ^ mask.  Each element of a pair is held at ``first`` or ``first ^ mask``.
+    for first, u in ((base, rotation), (base ^ (classes[:, None] & mask), rotation.conj())):
+        second = first ^ mask
+        own_first, own_second = values[row, first], values[row, second]
+        values[row, first] = u[0, 0] * own_first + u[0, 1] * own_second[partner]
+        values[row, second] = u[1, 0] * own_first[partner] + u[1, 1] * own_second
     return DensityMatrix._of_classes(classes, values, rho.n_spins)
 
 
@@ -328,18 +331,13 @@ def _scan_delays(
     return results
 
 
+def _check_noise_mode(mode: str) -> None:
+    """The one check of a noise mode, for the protocol and the scaling study."""
+    if mode not in NOISE_MODES:
+        raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {mode!r}")
+
+
 def _per_point_seeds(seed: int, count: int) -> list[int]:
     """Independent deterministic seeds for the points of a scan."""
     return [int(v) for v in np.random.SeedSequence(seed).generate_state(count)]
 
-
-def _rotate_pairs(
-    values: np.ndarray, partners: np.ndarray, first: np.ndarray, second: np.ndarray, u: np.ndarray
-) -> None:
-    """Apply the 2x2 matrix ``u`` in place to each pair of elements: the
-    element of ``values`` where ``first`` holds takes the first component,
-    and the element where ``second`` holds the second, with ``partners``
-    the other element of each pair, read before the update."""
-    own_first, own_second = values[first], values[second]
-    values[first] = u[0, 0] * own_first + u[0, 1] * partners[first]
-    values[second] = u[1, 0] * partners[second] + u[1, 1] * own_second

@@ -34,7 +34,7 @@ _HERMITIAN_ROWS = 64
 # module does), so a change of representation edits only this section.
 REPRESENTATION_NAMES = """_blocks _classes _values _dense _of_classes _pairs_of _pair_table
 _block_spectrum _hermitian_classes _classes_of _dense_of
-_kick_pairs _kick_whole _KICK_BLOCK _flip_one_site""".split()
+_kick_pairs _kick_whole _KICK_BLOCK""".split()
 
 # Trajectories per block of the Monte Carlo kick; kick tests straddle it.
 KICK_BLOCK = dynamics._KICK_BLOCK

@@ -11,6 +11,8 @@ from spincat import (
     DensityMatrix,
     FitError,
     NoiseModel,
+    ProtocolConfig,
+    SpinSystem,
     cat_state,
     fit_exponential,
     linear_regression,
@@ -200,10 +202,26 @@ class TestScalingStudy:
         with pytest.raises(ValueError):
             scaling_study([2], noise, [0.0, 0.1, 0.2])
 
-    def test_unknown_mode_rejected(self):
+    @pytest.mark.parametrize(
+        "reject",
+        [
+            lambda noise: scaling_study([2], noise, [0.0, 0.1, 0.2], mode="exact"),
+            lambda noise: ProtocolConfig(
+                SpinSystem(2, ("control", "system"), (0.0, 0.0)),
+                noise,
+                CatWeights.balanced(),
+                0.0,
+                noise_mode="exact",
+            ),
+        ],
+        ids=["scaling_study", "ProtocolConfig"],
+    )
+    def test_unknown_mode_rejected(self, reject):
+        # One function checks the noise mode of both, with one message.
         noise = NoiseModel.uniform(2, dephasing_per_s=1.0)
-        with pytest.raises(ValueError):
-            scaling_study([2], noise, [0.0, 0.1, 0.2], mode="exact")
+        message = r"^noise_mode must be one of \('analytic', 'monte_carlo'\), got 'exact'$"
+        with pytest.raises(ValueError, match=message):
+            reject(noise)
 
     def test_oversized_register_rejected(self):
         noise = NoiseModel.uniform(2, dephasing_per_s=1.0)
@@ -233,20 +251,22 @@ def test_seed_sweep_script_runs():
 
 def test_mutation_table_runs():
     # tests/mutants.py plants each recorded fault in a copy of the checkout
-    # and runs tier-1 there.  One mutant no entry touches, run against one
-    # test file, shows that it still runs (whatever the copy it is run in),
-    # and a mutant whose text is gone is reported, not run.
+    # and runs its test file there, then tier-1 if it survives.  One mutant
+    # no entry touches, killed by its own file, shows that it still runs
+    # (whatever the copy it is run in), and a mutant whose text is gone is
+    # reported, not run.
     popcounts = "= bit_table(n_spins).sum(axis=0)\n"
     read_only = popcounts + "    table.flags.writeable = False"
-    writable = mutants.Mutant("writable popcounts", "src/spincat/operators.py", read_only, popcounts)
-    operators_tests = ("tests/test_operators.py",)
-    assert mutants.outcome(writable, operators_tests).startswith("killed by tests/test_operators.py::")
-    assert mutants.outcome(writable._replace(old="no such text"), operators_tests) == "does not apply"
+    writable = mutants.M("writable popcounts", "src/spincat/operators.py", read_only, popcounts, "operators")
+    assert mutants.verdict(writable).startswith("killed by tests/test_operators.py::")
+    assert mutants.verdict(writable._replace(old="no such text")) == "does not apply"
     # Every entry applies to the checkout, and so a change that moves the
     # text of one fails here.  In a copy with a mutant planted, that
     # mutant's text is gone, and the unmutated copy has made this check.
     names = [mutant.name for mutant in mutants.MUTANTS]
     assert len(set(names)) == len(names)
+    missing = [mutant.test for mutant in mutants.MUTANTS if not (REPO_ROOT / mutant.test).is_file()]
+    assert missing == []
     if not os.environ.get(mutants.PLANTED):
         assert [mutant.name for mutant in mutants.MUTANTS if not mutants.applies(mutant)] == []
 

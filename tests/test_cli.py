@@ -19,7 +19,7 @@ from spincat import (
     pseudopure,
     run_protocol,
 )
-from spincat.cli import MAX_SCALING_SPINS, _resolve_state, _write_atomic, main
+from spincat.cli import MAX_SCALING_SPINS, STATE_NAMES, _resolve_state, _write_atomic, main
 from _support import RING7_CONFIG, child_process, traced_memory
 
 GAMMA_7Q = 9.852216748768472
@@ -311,8 +311,18 @@ class TestSpectrum:
         assert code == 2
         assert "invariant violation" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("array", [np.array(0.5), np.array([0.5, 0.5]), np.zeros((2, 4))])
-    def test_non_square_npy_state_is_a_config_error(self, tmp_path, capsys, array):
+    @pytest.mark.parametrize(
+        "array, message",
+        [
+            (np.array(0.5), "expected a square matrix, got shape ()"),
+            (np.array([0.5, 0.5]), "expected a square matrix, got shape (2,)"),
+            (np.zeros((2, 4)), "expected a square matrix, got shape (2, 4)"),
+            # A register of no spins, not one of the size 0 that no one gave.
+            (np.ones((1, 1)), "matrix dimension 1 is not 2**n for a register of n >= 1 spins"),
+        ],
+        ids=["0-d", "1-d", "2x4", "1x1"],
+    )
+    def test_non_square_npy_state_is_a_config_error(self, tmp_path, capsys, array, message):
         config = write_config(tmp_path)
         state_path = tmp_path / "flat.npy"
         np.save(state_path, array)
@@ -320,7 +330,7 @@ class TestSpectrum:
             ["spectrum", "--config", str(config), "--out", str(tmp_path / "out"), "--state", str(state_path)]
         )
         assert code == 1
-        assert "expected a square 2-D array" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [f"error: state file {state_path}: {message}"]
 
     def test_npz_archive_under_an_npy_name_is_a_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -384,14 +394,6 @@ class TestSpectrum:
         )
         assert code == 1
         assert "cannot read state file" in capsys.readouterr().err
-
-    def test_unknown_state_name(self, tmp_path, capsys):
-        config = write_config(tmp_path)
-        code = main(
-            ["spectrum", "--config", str(config), "--out", str(tmp_path / "out"), "--state", "bell"]
-        )
-        assert code == 1
-        assert "unknown state" in capsys.readouterr().err
 
 
 class TestScaling:
@@ -527,11 +529,28 @@ class TestErrorPaths:
                 )
                 for n_max in ("2", "1", "-3")
             ),
+            pytest.param(
+                ["spectrum", "--state", "bell"],
+                {},
+                f"unknown state 'bell'; use one of {STATE_NAMES} or a .npy path",
+                id="state-name-unknown",
+            ),
+            pytest.param(
+                ["spectrum", "--state", "3x3.npy"],
+                {},
+                "state file 3x3.npy: matrix dimension 3 is not 2**n for a register of n >= 1 spins",
+                id="state-file-3x3",
+            ),
         ],
     )
-    def test_bad_input_exits_1_before_the_output_directory(self, tmp_path, capsys, args, overrides, message):
+    def test_bad_input_exits_1_before_the_output_directory(
+        self, tmp_path, capsys, monkeypatch, args, overrides, message
+    ):
         # The config and these flags are checked, each rule by the library
-        # function that owns it, before the output directory is made.
+        # function that owns it, before the output directory is made.  A
+        # relative --state path is read from tmp_path.
+        monkeypatch.chdir(tmp_path)
+        np.save("3x3.npy", np.eye(3) / 3)
         config = write_config(tmp_path, **overrides)
         out = tmp_path / "o"
         assert main(args + ["--config", str(config), "--out", str(out)]) == 1

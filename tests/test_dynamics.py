@@ -578,10 +578,12 @@ class TestControlledNot:
         np.testing.assert_array_equal(twice.matrix, rho.matrix)
 
     def test_unitary_is_permutation(self):
-        # The dense reference is a permutation, and the reindexing equals
-        # conjugation by it on a full-rank state.
+        # The dense reference is the permutation that flips spins 1 and 2
+        # where spin 0 is down, and the reindexing equals conjugation by it
+        # on a full-rank state.
         u = controlled_not_unitary(3, 0, [1, 2])
         assert np.array_equal(np.abs(u) ** 2, np.abs(u))
+        np.testing.assert_array_equal(u.argmax(axis=0), [0, 1, 2, 3, 7, 6, 5, 4])
         np.testing.assert_array_equal(u @ u, np.eye(8))
         rho = random_density_matrix(np.random.default_rng(13), 3)
         np.testing.assert_array_equal(

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spincat import DensityMatrix, dynamics, linear_response_spectrum, operators, states
+from spincat import DensityMatrix, linear_response_spectrum, operators, states
 from _support import (
     SM,
     SP,
@@ -330,13 +330,6 @@ def test_layout_tables_are_built_once_and_read_only():
     popcounts = operators._popcounts(3)
     assert operators._popcounts(3) is popcounts
     np.testing.assert_array_equal(popcounts, operators.bit_table(3).sum(axis=0))
-    index, perm = operators._flip_permutation(3, 0b100, 0b011)
-    assert operators._flip_permutation(3, 0b100, 0b011)[1] is perm
-    np.testing.assert_array_equal(index, range(8))
-    np.testing.assert_array_equal(perm, [0, 1, 2, 3, 7, 6, 5, 4])
-    # With no condition, every index's image is its partner under the flip.
-    partner = operators._flip_permutation(3, 0, 0b010)[1]
-    np.testing.assert_array_equal(partner, [2, 3, 0, 1, 6, 7, 4, 5])
     # Validation of the cat read the table of its pattern, which is kept.
     pairs = pair_table_cache()(3, 0b111)
     hits = pair_table_cache().cache_info().hits
@@ -345,7 +338,7 @@ def test_layout_tables_are_built_once_and_read_only():
     assert pair_table_cache()(3, 0b111) is pairs
     np.testing.assert_array_equal(pairs, [[0, 7], [1, 6], [2, 5], [3, 4]])
     np.testing.assert_array_equal(pair_table_cache()(3, 0b101), [[0, 5], [1, 4], [2, 7], [3, 6]])
-    for table in (plan.order, plan.reduced_classes, popcounts, index, perm, partner, pairs):
+    for table in (plan.order, plan.reduced_classes, popcounts, pairs):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
@@ -399,11 +392,6 @@ def test_layout_caches_stay_within_their_bounds():
             states.reduced_state(rho, keep)
             operators.site_mask(keep, 7)
             operators.sz_eigenvalues(keep, 7)
-    small = states.cat_state(4, states.CatWeights.balanced())
-    for condition in range(1, 16):
-        for flip in range(1, 16):
-            if not condition & flip:
-                dynamics.conditional_flip(small, condition, flip)
     # Validation reads the pair table of every pattern off the diagonal.
     for pattern in range(1, 1 << 7):
         states.basis_state(7, {0: 0.6, pattern: 0.8})
@@ -416,7 +404,6 @@ def test_layout_caches_stay_within_their_bounds():
         operators._sz_table,
         operators._site_mask,
         operators._trace_plan,
-        operators._flip_permutation,
         pair_table_cache(),
     )
     for cache in caches:
