@@ -1,7 +1,6 @@
 """Standing mutation table: the mutation checks of CHANGES.md, rerunnable.
 
-    python3 tests/mutants.py          # each mutant's own test file first
-    python3 tests/mutants.py --full   # whole tier-1 for every mutant
+    python3 tests/mutants.py
 
 Each mutant is one exact text edit of one file, named after the fault it
 plants and the commit whose CHANGES.md entry recorded the check, with the
@@ -9,10 +8,9 @@ test file that kills it.  For each mutant the whole checkout, without
 ``.git``, is copied to a temporary directory and edited there, and tests
 run in the copy, stopping at their first failure; so the package,
 ``tests/_support.REPO_ROOT``, the CLI child processes and the benchmark's
-unit tests all see the mutant, and the checkout is never written.  By
-default the mutant's own test file runs first, and tier-1 runs only if
-the mutant survives it; ``--full`` runs tier-1 alone.  Two mutants run at
-a time.  One line is printed per mutant, in table order: ``killed by
+unit tests all see the mutant, and the checkout is never written.  The
+mutant's own test file runs first, and tier-1 runs only if the mutant
+survives it.  Two mutants run at a time.  One line is printed per mutant, in table order: ``killed by
 <nodeid>``, the first test that failed; ``SURVIVED``, tier-1 passed; or
 ``does not apply``, the old text is not found exactly once.  A mutant
 that only tier-1 kills is marked ``(not by <its test file>)``, so that
@@ -21,14 +19,13 @@ first.  Tests in a mutated copy run with the mutant's name in the
 environment variable ``SPINCAT_PLANTED_MUTANT``, so that the test that
 every entry applies knows that one text is gone.
 
-:func:`outcome` runs one mutant with any pytest arguments.  pytest does
-not collect this file.  A default run takes about 5 minutes on 2 cores,
-and a ``--full`` run about 12.
+:func:`outcome` runs one mutant with any pytest arguments, the whole
+suite by default.  pytest does not collect this file.  A run takes about
+6 minutes on 2 cores.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import re
@@ -279,10 +276,7 @@ def verdict(mutant: Mutant) -> str:
     return result if result == "SURVIVED" else f"{result} (not by {mutant.test})"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Run the standing mutation table.")
-    parser.add_argument("--full", action="store_true", help="run whole tier-1 for every mutant")
-    full = parser.parse_args(argv).full
+def main() -> int:
     started = time.perf_counter()
     with _checkout() as root:
         failure = _first_failure(root, ())
@@ -292,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"unmutated checkout passes; {len(MUTANTS)} mutants", flush=True)
     counts = Counter()
     with ThreadPoolExecutor(WORKERS) as pool:
-        for mutant, result in zip(MUTANTS, pool.map(outcome if full else verdict, MUTANTS)):
+        for mutant, result in zip(MUTANTS, pool.map(verdict, MUTANTS)):
             counts[result.partition(" by ")[0]] += 1
             print(f"{mutant.name}: {result}", flush=True)
     summary = ", ".join(f"{counts[key]} {key}" for key in ("killed", "SURVIVED", "does not apply"))
