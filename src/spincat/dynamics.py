@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Sequence
 
 import numpy as np
@@ -129,12 +130,14 @@ class SpinSystem:
                 raise ValueError(f"couplings[{k}]: duplicate coupling for pair {coupling.pair}")
             seen.add(coupling.pair)
 
-    @property
+    @cached_property
     def control_sites(self) -> tuple[int, ...]:
+        """The ``"control"`` sites, ascending; found once, as roles are frozen."""
         return tuple(i for i, role in enumerate(self.roles) if role == "control")
 
-    @property
+    @cached_property
     def system_sites(self) -> tuple[int, ...]:
+        """The ``"system"`` sites, ascending; found once, as roles are frozen."""
         return tuple(i for i, role in enumerate(self.roles) if role == "system")
 
 

@@ -69,9 +69,12 @@ difference ``m(r) - m(c)`` of the two basis states, i.e. the number of
 up spins in ``r`` minus the number in ``c``.  A cat state of ``n``
 spins carries orders ``-n``, ``0`` and ``+n`` only.
 
-Traces of products, partial traces and coherence weights are read from
-the classes, in O(K·D), without a matrix product.  The coherence weights
-are summed class by class, a slice of classes at a time.  In every
+Traces of products and partial traces are read from the classes, in
+O(K·D), without a matrix product.  The coherence weights, the entropy
+and a fidelity against a target of pairs read a state of pairs at its
+diagonal and its pairs only, with no table of its classes' columns.
+Three or more classes are summed class by class for the weights, a
+slice of classes at a time, and searched for a fidelity.  In every
 state the package builds, each order's nonzero terms come from one
 class, in ascending row order, so the weights equal those of one
 histogram over the whole matrix bit for bit; for any other state they
@@ -505,22 +508,35 @@ def coherence_orders(rho: DensityMatrix) -> dict[int, float]:
     The fixed-order components are elementwise disjoint, so each weight
     is the square root of the sum of ``|rho_rc|^2`` over the elements of
     that order, whose order is ``ups[r] - ups[r ^ x]`` in class ``x``.
-    The sums run class by class, a slice of classes at a time, and within
-    a class by ascending row.  Every state the package builds is class 0
-    plus at most one class ``x``, whose nonzero elements pair the all-up
-    and all-down settings of ``x``'s spins and so have order ``+-|x|``,
-    never 0.  Each order's nonzero terms then come from one class, in
-    ascending row order, and the weights equal those of one histogram
-    over the whole matrix bit for bit.  For any other state the additions
-    come in another order, and the weights agree within a relative 1e-13.
+    A state of pairs reads its diagonal, all of order 0 and summed in
+    index order, and then the elements of its pairs in ascending row
+    order, binned by their order; they are its only nonzero elements.
+    Every state the package builds is such a state, and its pairs, which
+    pair the all-up and all-down settings of ``x``'s spins, have order
+    ``+-|x|``, never 0.  Each order's nonzero terms then come from one
+    class, in ascending row order, and the weights equal those of one
+    histogram over the whole matrix bit for bit.  A state of three or
+    more classes is summed class by class, a slice of classes at a time.
+    In it, or in a state with pairs of order 0, the additions come in
+    another order, and the weights agree with that histogram within a
+    relative 1e-13.
     """
     n = rho.n_spins
     ups = n - operators._popcounts(n)
-    totals = np.zeros(2 * n + 1)
-    for part, cols in _class_slices(rho._classes, rho.dim):
-        order = ups - ups[cols] + n
-        power = np.abs(rho._values[part]) ** 2
-        totals += np.bincount(order.ravel(), weights=power.ravel(), minlength=totals.size)
+    values, pairs = rho._values, rho._blocks
+    if pairs is not None:
+        at = np.sort(pairs, axis=None)
+        order = ups.take(at) - ups.take(at ^ rho._classes[-1]) + n
+        # The diagonal's sum comes first, so order 0 adds up as one histogram would.
+        diagonal = np.add.accumulate(np.abs(values[0]) ** 2)[-1:]
+        power = np.concatenate((diagonal, np.abs(values[-1].take(at)) ** 2))
+        totals = np.bincount(np.concatenate(([n], order)), weights=power, minlength=2 * n + 1)
+    else:
+        totals = np.zeros(2 * n + 1)
+        for part, cols in _class_slices(rho._classes, rho.dim):
+            order = ups - ups[cols] + n
+            power = np.abs(values[part]) ** 2
+            totals += np.bincount(order.ravel(), weights=power.ravel(), minlength=totals.size)
     return dict(zip(range(-n, n + 1), np.sqrt(totals).tolist()))
 
 
@@ -561,15 +577,18 @@ def nq_amplitude(rho: DensityMatrix, sites: Sequence[int] | None = None) -> comp
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy ``-sum(lam * ln lam)`` in nats; eigenvalues below 1e-14 are dropped.
 
-    The eigenvalues come in closed form from the pairs validation found;
-    a state of one block of every index is diagonalised whole.
+    The eigenvalues of a state of pairs come in closed form from the
+    pairs validation found; with no pairs they are its real diagonal.  A
+    state of one block of every index is diagonalised whole.
     """
     classes, values, pairs = rho._classes, rho._values, rho._blocks
     if pairs is None:
         eigs = np.linalg.eigvalsh(_dense_of(classes, values, rho.dim))
-    else:
+    elif pairs.size:
         lower = values[-1].take(pairs[:, 1])
         eigs = np.sort(_block_spectrum(values[0].real, pairs, lower))
+    else:
+        eigs = np.sort(values[0].real)
     eigs = eigs[eigs >= _ENTROPY_EIG_FLOOR]
     return max(float(-np.sum(eigs * np.log(eigs))), 0.0)
 
@@ -580,15 +599,31 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def fidelity(rho: DensityMatrix, target: DensityMatrix) -> float:
-    """Overlap ``Tr(rho * target)`` with a pure target state."""
+    """Overlap ``Tr(rho * target)`` with a pure target state.
+
+    ``Tr(rho T) = sum_rc conj(T_rc) rho_rc`` for a Hermitian ``T``, over
+    ``T``'s nonzero elements, in the order of ``np.nonzero`` over its
+    classes.  A target of pairs, as every target of the protocol is, has
+    them on its diagonal and at its pairs, and ``rho`` is read there: its
+    diagonal, and its row of the target's class when it occupies it.
+    """
     if rho.n_spins != target.n_spins:
         raise ValueError("fidelity target and state differ in register size")
     if abs(purity(target) - 1.0) > PURITY_TOL:
         raise ValueError("fidelity target must be pure (rank one)")
-    # Tr(rho T) = sum_rc conj(T_rc) rho_rc for Hermitian T, over T's nonzero elements.
-    ks, rows = np.nonzero(target._values)
-    entries = _read(rho._classes, rho._values, target._classes[ks], rows)
-    return float(np.vdot(target._values[ks, rows], entries).real)
+    pairs = target._blocks
+    if pairs is None:
+        ks, rows = np.nonzero(target._values)
+        entries = _read(rho._classes, rho._values, target._classes[ks], rows)
+        return float(np.vdot(target._values[ks, rows], entries).real)
+    diagonal, row, x = target._values[0], target._values[-1], target._classes[-1]
+    on = np.flatnonzero(diagonal)
+    at = np.sort(pairs, axis=None)
+    at = at[row.take(at) != 0]
+    k = min(np.searchsorted(rho._classes, x), rho._classes.size - 1)
+    paired = rho._values[k].take(at) if rho._classes[k] == x else np.zeros(at.size, dtype=complex)
+    entries = np.concatenate((rho._values[0].take(on), paired))
+    return float(np.vdot(np.concatenate((diagonal.take(on), row.take(at))), entries).real)
 
 
 def expectation(rho: DensityMatrix, observable: np.ndarray) -> complex:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from spincat import CatWeights, Coupling, DensityMatrix, NoiseModel, ProtocolConfig, SpinSystem
-from spincat import dynamics, operators, states
+from spincat import dynamics, operators, protocol, states
 from spincat.dynamics import apply_unitary, dephasing_rate_for_lifetime, flip_rate_for_lifetime
 from spincat.operators import _check_register_size, _check_site, bit_table
 from spincat.states import HERMITIAN_TOL
@@ -33,7 +33,7 @@ _HERMITIAN_ROWS = 64
 # private parts (REPRESENTATION_NAMES; test_api checks that no test
 # module does), so a change of representation edits only this section.
 REPRESENTATION_NAMES = """_blocks _classes _values _dense _of_classes _pairs_of _pair_table
-_block_spectrum _hermitian_classes _classes_of _dense_of
+_block_spectrum _hermitian_classes _classes_of _dense_of _class_slices _read
 _kick_pairs _kick_whole _KICK_BLOCK""".split()
 
 # Trajectories per block of the Monte Carlo kick; kick tests straddle it.
@@ -147,6 +147,23 @@ def no_characteristic_matrix():
         yield
     finally:
         dynamics._kick_whole = kick_whole
+
+
+@contextlib.contextmanager
+def no_class_scan():
+    """Within the context, a read of a state by ``(K, D)`` tables of its
+    classes' columns, or of its elements by a search of its classes, as
+    for a state of three or more classes, fails."""
+
+    def refuse(*args):
+        raise AssertionError("a state of pairs was read by a scan of its classes")
+
+    scans = states._class_slices, states._read
+    states._class_slices = states._read = refuse
+    try:
+        yield
+    finally:
+        states._class_slices, states._read = scans
 
 
 @contextlib.contextmanager
@@ -334,6 +351,48 @@ def ring7_system(one_bond_hz: float = 160.0, remote_hz: float = 6.0) -> SpinSyst
     for p in ring[1:]:
         add(0, p, remote_hz, "heteronuclear_zz")
     return SpinSystem(7, ("control",) + ("system",) * 6, (0.0,) * 7, tuple(couplings))
+
+
+def closed_form_report(config: ProtocolConfig) -> dict:
+    """Closed-form figures of an analytic ``run_protocol(config)``, with
+    the control at site 0 and no flip rate on it: each step's fidelity,
+    the weight of the top coherence order of steps B to E, as ``(order,
+    weight)``, and the three final figures, under their report keys.
+
+    No step evolves the register freely, so couplings play no part, and
+    every channel is a product of per-spin maps, so the pseudopure cat
+    keeps its corner structure through every step:
+    ``rho = p * Lambda(|psi><psi|) + (1 - p) * I / D``.
+    """
+    noise, t, p = config.noise, config.delay_s, config.purity_fraction
+    if config.system.control_sites != (0,) or config.include_flip_relaxation and noise.flip_per_s[0]:
+        raise ValueError("the closed form needs the control at site 0 and no flips on it")
+    n, dim = config.n_total, 1 << config.n_total
+    kappa = [k if config.include_flip_relaxation else 0.0 for k in noise.flip_per_s[1:]]
+    a, b = abs(config.weights.a), abs(config.weights.b)
+    aa, bb = a**2, b**2
+    # Probability that a system spin keeps its value; survival of the corner coherence.
+    keep = math.prod(0.5 * (1.0 + math.exp(-2.0 * k * t)) for k in kappa)
+    corner = math.exp(-0.5 * t * sum(noise.dephasing_per_s)) * math.prod(math.exp(-k * t) for k in kappa)
+    mixed = (1.0 - p) / dim
+    clean = p + mixed
+    noisy = p * ((aa * aa + bb * bb) * keep + 2.0 * aa * bb * corner) + mixed
+    bloch = p * math.sqrt((aa - bb) ** 2 + 4.0 * aa * bb * corner**2)
+    top = p * a * b
+    return {
+        "step_fidelity": dict(zip(protocol.STEP_NAMES, (clean, clean, clean, noisy, noisy))),
+        "top_coherence": {
+            "create_cat": (n - 1, top),
+            "entangle": (n, top),
+            "decohere": (n, top * corner),
+            "recover": (1, top * corner),
+        },
+        "final_system_fidelity": p * keep + (1.0 - p) / (dim >> 1),
+        "final_control_entropy": -sum(
+            lam * math.log(lam) for lam in (0.5 * (1.0 + bloch), 0.5 * (1.0 - bloch)) if lam > 0.0
+        ),
+        "final_total_magnetization": p * (0.5 * (aa - bb) + sum(0.5 * math.exp(-2.0 * k * t) for k in kappa)),
+    }
 
 
 def bare_system(n_spins: int) -> SpinSystem:

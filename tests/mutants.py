@@ -105,8 +105,8 @@ MUTANTS = (
       "dynamics"),
     M("kick arguments unchecked (d20306c)", DYNAMICS,
       "_check_channel_args(rho, noise, t)\n    sigma", "sigma", "analysis"),
-    M("pair Hermiticity read over no pairs (c5e3333)", STATES, "if pairs.size:", "if True:",
-      "acceptance"),
+    M("pair Hermiticity read over no pairs (c5e3333)", STATES,
+      "if pairs.size:\n                upper, lower", "if True:\n                upper, lower", "acceptance"),
     M("bool accepted as an integer (c5e3333)", OPERATORS, " and not isinstance(value, bool)", "",
       "analysis"),
     M("coupling sites unchecked (c5e3333)", DYNAMICS, "if not 0 <= site < self.n_spins:", "if False:",
@@ -184,7 +184,8 @@ MUTANTS = (
     M("hashlib imported with the package (9c30b6f)", CONFIG,
       "import json\n", "import hashlib  # noqa: F401\nimport json\n", "protocol"),
     M("coherence weights of the first two classes only (state zoo)", STATES,
-      "_class_slices(rho._classes, rho.dim):\n        order", "_class_slices(rho._classes[:2], rho.dim):\n        order",
+      "_class_slices(rho._classes, rho.dim):\n            order",
+      "_class_slices(rho._classes[:2], rho.dim):\n            order",
       "states"),
     M("purity of the first two classes only (state zoo)", STATES,
       "np.vdot(rho._values, rho._values)", "np.vdot(rho._values[:2], rho._values[:2])", "states"),
@@ -222,6 +223,14 @@ MUTANTS = (
       "_spin_axis(values, site, n)", "_spin_axis(values, (site + 1) % n, n)", "acceptance"),
     M("step B's columns rotated by u, not conj(u) (index structure)", PROTOCOL,
       "rotation.conj()", "rotation", "analysis"),
+    M("coherence weights with every pair element at order 0 (pair diagnostics)", STATES,
+      "order = ups.take(at) - ups.take(at ^ rho._classes[-1]) + n", "order = 0 * at + n", "analysis"),
+    M("fidelity against a target of pairs read at its diagonal only (pair diagnostics)", STATES,
+      "at = at[row.take(at) != 0]", "at = at[:0]", "acceptance"),
+    M("fidelity reading a class of the target's that rho does not occupy (pair diagnostics)", STATES,
+      "if rho._classes[k] == x else", "if True else", "states"),
+    M("entropy of a state without pairs missing its smallest eigenvalue (pair diagnostics)", STATES,
+      "eigs = np.sort(values[0].real)", "eigs = np.sort(values[0].real)[1:]", "analysis"),
 )
 
 

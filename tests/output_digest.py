@@ -6,7 +6,8 @@ The digest covers, in this order:
 
 - ``run_protocol(config).to_dict()``, the final state's classes and
   values, and the classes, values and pair table of every reduced state the
-  run builds, for registers of 2 to ``--n-max`` spins (10 by default),
+  run builds, for registers of 2 to ``--n-max`` spins (10 by default,
+  at most the register limit of 12),
   both noise modes and purity fractions 0.83 and 1, on the configuration
   of ``_support.protocol_config``;
 - ``scaling_study`` for registers of 2 to ``min(--n-max, 9)`` spins in
@@ -34,6 +35,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from spincat import load_config, run_protocol, scaling_study, states  # noqa: E402
+from spincat.operators import MAX_SPINS  # noqa: E402
 from spincat.protocol import NOISE_MODES  # noqa: E402
 from _support import protocol_config, state_bytes, stored_classes  # noqa: E402
 
@@ -89,8 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n-max", type=int, default=10, help="largest register (default 10)")
     parser.add_argument("--seeds", type=int, default=3, help="scaling seeds (default 3)")
     args = parser.parse_args(argv)
-    if not 2 <= args.n_max <= 10:
-        parser.error("--n-max must lie in 2..10")
+    if not 2 <= args.n_max <= MAX_SPINS:
+        parser.error(f"--n-max must lie in 2..{MAX_SPINS}")
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
     hexdigest, runs, studies = digest(args.n_max, args.seeds)

@@ -47,6 +47,7 @@ from _support import (
     is_hermitian,
     kronecker_total_spin_operator,
     no_characteristic_matrix,
+    no_class_scan,
     pair_tables_built,
     phase_kicks_reference,
     popcount_weights,
@@ -331,6 +332,17 @@ def test_ten_spin_protocol_makes_no_factorisation(monkeypatch, noise_mode):
     system = reduced_state(report.final_state, list(range(1, n)))
     assert report.step("recover").system_entropy == pytest.approx(dense_entropy(system.matrix), abs=1e-12)
     assert report.final_control_entropy > 0.0
+
+
+@pytest.mark.parametrize("noise_mode", protocol.NOISE_MODES)
+@pytest.mark.parametrize("n_spins", [4, 10])
+def test_protocol_reads_its_states_at_their_diagonals_and_pairs(noise_mode, n_spins):
+    # Validation, the kicks and every diagnostic read a state of pairs at
+    # its diagonal and its pairs, never by tables of its classes' columns,
+    # so the run costs what its structure needs.  Flips are on.
+    config = dataclasses.replace(protocol_config(n_spins), noise_mode=noise_mode)
+    with no_class_scan():
+        run_protocol(config)
 
 
 @pytest.mark.parametrize("n_spins", [2, 4, 7])
